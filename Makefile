@@ -16,10 +16,11 @@ race:
 	$(GO) test -race ./...
 
 # racestress repeats the race-detector run over the packages with the most
-# lock-heavy concurrency (per-endpoint metrics, trace recording) to shake
-# out ordering-dependent races a single pass can miss. CI runs it too.
+# lock-heavy concurrency (per-endpoint metrics, trace recording) and the
+# R-tree's band-table slot, the one mutable field of a published index, to
+# shake out ordering-dependent races a single pass can miss. CI runs it too.
 racestress:
-	$(GO) test -race -count=3 ./internal/server ./internal/obs
+	$(GO) test -race -count=3 ./internal/server ./internal/obs ./internal/rtree
 
 # bench writes BENCH_core.json: ns/op per algorithm with the serial engine
 # and with a 4-worker engine, plus the speedup ratio, plus the shared-work

@@ -98,16 +98,6 @@ func RunApprox(tree *rtree.Tree, focal geom.Vector, focalID int, opts ApproxOpti
 		r.pObj[j] = focal[j] - focal[d-1]
 	}
 	r.pConst = focal[d-1]
-	r.rankSkip = map[int]bool{}
-	if focalID >= 0 {
-		r.rankSkip[focalID] = true
-	}
-	for _, id := range tree.EqualTo(focal, func(id int) bool { return id == focalID }) {
-		r.rankSkip[id] = true
-	}
-	for _, id := range tree.DominatedBy(focal, nil) {
-		r.rankSkip[id] = true
-	}
 
 	res := &ApproxResult{}
 	res.Focal = focal.Clone()

@@ -33,29 +33,38 @@ func TestApproxSoundAndComplete(t *testing.T) {
 		if !res.Converged {
 			t.Fatalf("d=%d: did not converge to epsilon", d)
 		}
-		inUncertain := func(wt geom.Vector) bool {
-			for i := range res.Uncertain {
-				if res.Uncertain[i].Contains(wt, 1e-9) {
-					return true
-				}
+		checkApproxOracle(t, res, recs, recs[focalID], focalID, k, rng, 400)
+	}
+}
+
+// checkApproxOracle is checkOracle for approximate results: certain
+// regions hold only weights where the focal ranks within k (sound), and
+// every such weight lies in a certain or uncertain region (complete).
+func checkApproxOracle(t *testing.T, res *ApproxResult, recs []geom.Vector, focal geom.Vector, focalID, k int, rng *rand.Rand, samples int) {
+	t.Helper()
+	inUncertain := func(wt geom.Vector) bool {
+		for i := range res.Uncertain {
+			if res.Uncertain[i].Contains(wt, 1e-9) {
+				return true
 			}
-			return false
 		}
-		for s := 0; s < 400; s++ {
-			wt := randSimplexPoint(rng, d-1)
-			w := geom.Lift(wt)
-			rank, ok := bruteRank(recs, recs[focalID], focalID, w, 1e-9)
-			if !ok {
-				continue
-			}
-			certain := res.ContainsWeight(wt, 1e-9)
-			uncertain := inUncertain(wt)
-			if certain && !uncertain && rank > k {
-				t.Fatalf("d=%d: unsound — rank %d > k inside a certain region at %v", d, rank, wt)
-			}
-			if rank <= k && !certain && !uncertain {
-				t.Fatalf("d=%d: incomplete — rank %d <= k outside certain+uncertain at %v", d, rank, wt)
-			}
+		return false
+	}
+	d := len(focal)
+	for s := 0; s < samples; s++ {
+		wt := randSimplexPoint(rng, d-1)
+		w := geom.Lift(wt)
+		rank, ok := bruteRank(recs, focal, focalID, w, 1e-9)
+		if !ok {
+			continue
+		}
+		certain := res.ContainsWeight(wt, 1e-9)
+		uncertain := inUncertain(wt)
+		if certain && !uncertain && rank > k {
+			t.Fatalf("d=%d: unsound — rank %d > k inside a certain region at %v", d, rank, wt)
+		}
+		if rank <= k && !certain && !uncertain {
+			t.Fatalf("d=%d: incomplete — rank %d <= k outside certain+uncertain at %v", d, rank, wt)
 		}
 	}
 }

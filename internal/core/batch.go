@@ -53,7 +53,7 @@ var ErrBatchAborted = errors.New("core: batch item skipped after earlier item fa
 
 // BatchItem is one focal option of a batch. Focal may be nil when FocalID
 // names a dataset record; a non-nil Focal is used verbatim (FocalID < 0
-// for hypothetical records). K overrides BatchOptions.K when positive, so
+// for hypothetical records), and a non-finite one fails the item. K overrides BatchOptions.K when positive, so
 // a batch may mix shortlist sizes. Ctx, when non-nil, cancels just this
 // item (it replaces Options.Ctx for the item's run).
 type BatchItem struct {
@@ -180,15 +180,15 @@ func (s *batchShared) skyband(tree *rtree.Tree, k, focalID int) []int {
 // dominator count is at most baseRank <= K-1 and it belongs to the shared
 // band. Skyline membership within D\skip is then "every dominator is
 // skipped", read straight off the adjacency lists.
-func (s *batchShared) firstBatch(skip map[int]bool) []int {
+func (s *batchShared) firstBatch(skip rtree.ExcludeFunc) []int {
 	out := make([]int, 0, 16)
 	for i, id := range s.band {
-		if skip[id] {
+		if skip(id) {
 			continue
 		}
 		onSky := true
 		for _, j := range s.domAdj[i] {
-			if !skip[s.band[j]] {
+			if !skip(s.band[j]) {
 				onSky = false
 				break
 			}
@@ -305,18 +305,21 @@ func RunBatch(tree *rtree.Tree, items []BatchItem, opts BatchOptions) ([]BatchOu
 		}
 		o.Parallelism = inner
 		focal := it.Focal
-		if focal == nil {
-			if it.FocalID < 0 || it.FocalID >= tree.Len() {
-				if opts.FailFast {
-					aborted.Store(true)
-				}
-				settle(i, BatchOutcome{Err: fmt.Errorf("core: batch item %d: focal id %d out of range [0, %d)",
-					i, it.FocalID, tree.Len())})
-				return
-			}
+		var err error
+		switch {
+		case focal != nil:
+			err = geom.CheckFinite(focal)
+		case it.FocalID < 0 || it.FocalID >= tree.Len():
+			err = fmt.Errorf("focal id %d out of range [0, %d)", it.FocalID, tree.Len())
+		default:
 			focal = tree.Records[it.FocalID]
 		}
-		res, err := runQuery(tree, focal, it.FocalID, o, shared, arena, forks)
+		var res *Result
+		if err != nil {
+			err = fmt.Errorf("core: batch item %d: %w", i, err)
+		} else {
+			res, err = runQuery(tree, focal, it.FocalID, o, shared, arena, forks)
+		}
 		if err != nil {
 			if opts.FailFast {
 				aborted.Store(true)

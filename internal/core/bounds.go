@@ -94,7 +94,7 @@ type cellBounds struct {
 	// records — while the approximate engine sets it to the runner's
 	// rankSkip.
 	idx  *rtree.Tree
-	skip map[int]bool
+	skip rtree.ExcludeFunc
 	// fast bounds (transformed space, FastBounds mode only)
 	useFast bool
 	wL, wU  geom.Vector // original-space d-dimensional corner weight vectors
@@ -303,7 +303,7 @@ func (r *runner) updateRankOriginal(n *rtree.Node, cb *cellBounds, lower, upper 
 			}
 			continue
 		}
-		if cb.skip != nil && cb.skip[e.RecordID] {
+		if cb.skip != nil && cb.skip(e.RecordID) {
 			continue
 		}
 		if err := r.recordDecideOriginal(cb.idx.Records[e.RecordID], cb, lower, upper); err != nil {
@@ -433,7 +433,7 @@ func (r *runner) updateRank(n *rtree.Node, cb *cellBounds, lower, upper *int) er
 			}
 			continue
 		}
-		if cb.skip != nil && cb.skip[e.RecordID] {
+		if cb.skip != nil && cb.skip(e.RecordID) {
 			continue
 		}
 		if err := r.recordDecide(cb.idx.Records[e.RecordID], cb, lower, upper); err != nil {

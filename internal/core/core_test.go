@@ -200,25 +200,91 @@ func TestWholeSpaceWhenKGEQN(t *testing.T) {
 	}
 }
 
-func TestTiesAreIgnored(t *testing.T) {
-	// Two records identical to the focal one must not affect its rank.
+// tieGrid is a small integer-grid dataset (coordinates in quarters)
+// around its first record, the focal: exact duplicates of the focal,
+// records within geom.Eps of it, its dominators, records it dominates,
+// and random grid points full of ties among themselves.
+func tieGrid() []geom.Vector {
 	recs := []geom.Vector{
-		{0.5, 0.5, 0.5}, // focal
-		{0.5, 0.5, 0.5}, // tie
-		{0.5, 0.5, 0.5}, // tie
-		{0.9, 0.1, 0.4},
-		{0.1, 0.9, 0.4},
+		{0.75, 0.5, 0.75},                    // focal
+		{0.75, 0.5, 0.75}, {0.75, 0.5, 0.75}, // exact duplicates
+		{0.75 + 4e-10, 0.5, 0.75 - 4e-10}, // within Eps, incomparable
+		{0.75, 0.5 - 6e-10, 0.75},         // within Eps, dominated
+		{1, 0.5, 0.75}, {0.75, 0.75, 1},   // dominators
+		{0.5, 0.5, 0.5}, {0.75, 0.25, 0.75}, {0, 0, 0.5}, // dominated
 	}
-	tr, err := rtree.Build(recs, rtree.WithFanout(4))
-	if err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(77))
+	for len(recs) < 40 {
+		v := make(geom.Vector, 3)
+		for j := range v {
+			v[j] = float64(rng.Intn(5)) / 4
+		}
+		recs = append(recs, v)
 	}
-	res, err := Run(tr, recs[0], 0, Options{K: 1, Algorithm: LPCTA})
-	if err != nil {
-		t.Fatal(err)
+	return recs
+}
+
+// TestTiesAreIgnored runs focals with ties through every engine path,
+// both as a dataset record and as a hypothetical vector. The per-record
+// skip predicates must equal the brute-force sets: exact ties are
+// skipped, records merely within geom.Eps of the focal are not (the
+// grid's near-ties have degenerate hyperplanes, so the arrangement
+// ignores them anyway).
+// Every algorithm at parallelism 1 and 2, and RunApprox, must agree with
+// the rank oracle, which ignores ties as the paper does.
+func TestTiesAreIgnored(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		recs []geom.Vector
+		k    int
+	}{
+		{"duplicates", []geom.Vector{
+			{0.5, 0.5, 0.5}, // focal
+			{0.5, 0.5, 0.5}, // tie
+			{0.5, 0.5, 0.5}, // tie
+			{0.9, 0.1, 0.4},
+			{0.1, 0.9, 0.4},
+		}, 1},
+		{"grid", tieGrid(), 9},
+	} {
+		tr, err := rtree.Build(c.recs, rtree.WithFanout(4))
+		if err != nil {
+			t.Fatal(err)
+		}
+		focal := c.recs[0]
+		for _, focalID := range []int{0, -1} {
+			r := &runner{tree: tr, focal: focal, focalID: focalID}
+			for id, rec := range c.recs {
+				tie := id == focalID || ExactlyEqual(rec, focal)
+				wantSkip := tie || geom.Dominates(rec, focal) || geom.Dominates(focal, rec)
+				wantRankSkip := tie || geom.Dominates(focal, rec)
+				if r.skip(id) != wantSkip || r.rankSkip(id) != wantRankSkip {
+					t.Fatalf("%s focal %d record %d: skip %v rankSkip %v, want %v %v",
+						c.name, focalID, id, r.skip(id), r.rankSkip(id), wantSkip, wantRankSkip)
+				}
+			}
+			rng := rand.New(rand.NewSource(5))
+			for _, algo := range []Algorithm{CTA, PCTA, LPCTA, KSkybandCTA} {
+				for _, par := range []int{1, 2} {
+					res, err := Run(tr, focal, focalID, Options{K: c.k, Algorithm: algo, Parallelism: par})
+					if err != nil {
+						t.Fatalf("%s focal %d %v p=%d: %v", c.name, focalID, algo, par, err)
+					}
+					if len(res.Regions) == 0 {
+						t.Fatalf("%s focal %d %v p=%d: empty result", c.name, focalID, algo, par)
+					}
+					checkOracle(t, res, c.recs, focal, focalID, c.k, rng, 300)
+				}
+			}
+			// The near-tie keeps the grid's boxes inconclusive, so cap the
+			// refinement; the result is sound and complete at any cap.
+			approx, err := RunApprox(tr, focal, focalID, ApproxOptions{K: c.k, Epsilon: 0.02, MaxCells: 2000})
+			if err != nil {
+				t.Fatalf("%s focal %d approx: %v", c.name, focalID, err)
+			}
+			checkApproxOracle(t, approx, c.recs, focal, focalID, c.k, rng, 300)
+		}
 	}
-	rng := rand.New(rand.NewSource(5))
-	checkOracle(t, res, recs, recs[0], 0, 1, rng, 300)
 }
 
 func TestFocalNotInDataset(t *testing.T) {

@@ -67,7 +67,7 @@ type FocalState struct {
 // focalID is the focal's index in tree (or -1 for a hypothetical record).
 func NewFocalState(tree *rtree.Tree, focal geom.Vector, focalID, k int, algo Algorithm) *FocalState {
 	s := &FocalState{Focal: focal.Clone(), K: k, Algorithm: algo}
-	band := tree.KSkyband(k, func(id int) bool { return id == focalID })
+	band := tree.KSkybandExcluding(k, focalID)
 	for _, id := range band {
 		rec := tree.Records[id]
 		// Records the focal weakly dominates can never certify a mutation

@@ -106,15 +106,11 @@ type runner struct {
 	dim    int // preference-space dimensionality (d-1 transformed, d original)
 	bounds []geom.Constraint
 
-	// dominance filtering (§3.1)
-	baseRank int          // records dominating focal: they outrank it everywhere
-	domIDs   []int        // the dominators themselves (ascending), for Region.Outscorers
-	kAdj     int          // K - baseRank: threshold inside the CellTree
-	skip     map[int]bool // records excluded from hyperplane processing
-	// rankSkip excludes records that can never outscore focal from rank
-	// bound computations (focal itself, exact ties, records dominated by
-	// focal). Dominators stay IN rank bounds: they count toward K there.
-	rankSkip map[int]bool
+	// dominance filtering (§3.1): the dominators are listed, everything
+	// else is tested per record (see skip and rankSkip)
+	baseRank int   // records dominating focal: they outrank it everywhere
+	domIDs   []int // the dominators themselves (ascending), for Region.Outscorers
+	kAdj     int   // K - baseRank: threshold inside the CellTree
 
 	ct      *celltree.Tree
 	lpStats lp.Stats
@@ -197,42 +193,36 @@ func (r *runner) lpWorkerSolvers(workers int) ([]*lp.Solver, []lp.Stats) {
 	return r.workerSolvers, r.workerStats
 }
 
+// skip reports whether record id is excluded from hyperplane processing:
+// the focal itself, its dominators (counted in baseRank), the records it
+// dominates, and its exact ties (the paper ignores ties). Like
+// internal/kernel, it is exact only on NaN-free input.
+func (r *runner) skip(id int) bool {
+	return id == r.focalID || geom.Compare(r.focal, r.tree.Records[id]) != geom.DomNone
+}
+
+// rankSkip reports whether record id is excluded from rank bound
+// computations: the focal itself, the records it dominates, and its exact
+// ties can never outscore it. Dominators stay IN rank bounds: they count
+// toward K there.
+func (r *runner) rankSkip(id int) bool {
+	return id == r.focalID || WeakDominates(r.focal, r.tree.Records[id])
+}
+
 func (r *runner) run() (*Result, error) {
 	d := r.tree.Dim
-	excludeFocal := func(id int) bool { return id == r.focalID }
 
 	domSpan := r.opts.Trace.Span(PhaseDominance)
-	dominators := r.tree.Dominators(r.focal, excludeFocal)
-	dominated := r.tree.DominatedBy(r.focal, excludeFocal)
-	ties := r.tree.EqualTo(r.focal, excludeFocal)
+	r.domIDs = r.tree.Dominators(r.focal, func(id int) bool { return id == r.focalID })
 	domSpan.End()
 
-	r.baseRank = len(dominators)
-	r.domIDs = dominators
+	r.baseRank = len(r.domIDs)
 	r.kAdj = r.opts.K - r.baseRank
 	r.result = &Result{Focal: r.focal.Clone(), K: r.opts.K, Space: r.opts.Space}
 	r.result.Stats.BaseRank = r.baseRank
 	if r.kAdj <= 0 {
 		// p is beaten everywhere by at least K records: empty result.
 		return r.finish(), nil
-	}
-
-	r.skip = make(map[int]bool, len(dominators)+len(dominated)+len(ties)+1)
-	r.rankSkip = make(map[int]bool, len(dominated)+len(ties)+1)
-	if r.focalID >= 0 {
-		r.skip[r.focalID] = true
-		r.rankSkip[r.focalID] = true
-	}
-	for _, id := range dominators {
-		r.skip[id] = true
-	}
-	for _, id := range dominated {
-		r.skip[id] = true
-		r.rankSkip[id] = true
-	}
-	for _, id := range ties {
-		r.skip[id] = true
-		r.rankSkip[id] = true
 	}
 
 	// Space-dependent machinery.
@@ -381,7 +371,7 @@ func (r *runner) hyperplane(id int) geom.Hyperplane {
 func (r *runner) allCandidateIDs() []int {
 	ids := make([]int, 0, r.tree.Len())
 	for id := range r.tree.Records {
-		if !r.skip[id] {
+		if !r.skip(id) {
 			ids = append(ids, id)
 		}
 	}
@@ -408,7 +398,7 @@ func (r *runner) kSkybandIDs() []int {
 	band := r.kSkybandCandidates()
 	ids := band[:0]
 	for _, id := range band {
-		if !r.skip[id] {
+		if !r.skip(id) {
 			ids = append(ids, id)
 		}
 	}
@@ -452,7 +442,7 @@ func (r *runner) buildCandIndex() (*candIndex, error) {
 		member := make([]bool, len(r.shared.band))
 		any := false
 		for i, id := range r.shared.band {
-			if r.shared.inSkyband(i, r.opts.K, r.focalID, r.tree) && !r.skip[id] {
+			if r.shared.inSkyband(i, r.opts.K, r.focalID, r.tree) && !r.skip(id) {
 				member[i] = true
 				any = true
 			}
@@ -466,7 +456,7 @@ func (r *runner) buildCandIndex() (*candIndex, error) {
 	candRecs := make([]geom.Vector, 0, len(candIDs))
 	candOrig := make([]int, 0, len(candIDs))
 	for _, id := range candIDs {
-		if !r.skip[id] {
+		if !r.skip(id) {
 			candRecs = append(candRecs, r.tree.Records[id])
 			candOrig = append(candOrig, id)
 		}
@@ -537,7 +527,6 @@ func (r *runner) runCTA(ids []int) error {
 func (r *runner) runProgressive() error {
 	dg := dominance.New()
 	processed := make(map[int]bool)
-	excludeBase := func(id int) bool { return r.skip[id] }
 
 	// Candidate index for the pivot checks (shared across the batch when
 	// this query runs as part of one).
@@ -561,7 +550,7 @@ func (r *runner) runProgressive() error {
 	if r.shared != nil {
 		batch = r.shared.firstBatch(r.skip)
 	} else {
-		batch = r.tree.Skyline(excludeBase)
+		batch = r.tree.Skyline(r.skip)
 	}
 	bandSpan.End()
 
@@ -677,7 +666,7 @@ func (r *runner) runProgressive() error {
 		// Next batch: unprocessed records on the skyline of D minus the
 		// non-pivot union (Algorithm 2 lines 20-21).
 		skySpan := r.opts.Trace.Span(PhaseSkyband)
-		sky := r.tree.Skyline(func(id int) bool { return r.skip[id] || np[id] })
+		sky := r.tree.Skyline(func(id int) bool { return r.skip(id) || np[id] })
 		batch = batch[:0]
 		for _, id := range sky {
 			if !processed[id] {
@@ -692,7 +681,7 @@ func (r *runner) runProgressive() error {
 			// Defensive fallback: finish exactly with plain insertion.
 			var rest []int
 			for id := range r.tree.Records {
-				if !processed[id] && !r.skip[id] {
+				if !processed[id] && !r.skip(id) {
 					rest = append(rest, id)
 				}
 			}

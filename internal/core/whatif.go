@@ -79,7 +79,7 @@ func Attribute(tree *rtree.Tree, res *Result, focal geom.Vector, focalID, sample
 	// (a record with >= K dominators is outscored by all of them
 	// everywhere); exact score ties of the focal are excluded to match the
 	// engine's tie semantics (the paper ignores ties).
-	band := tree.KSkyband(res.K, func(id int) bool { return id == focalID })
+	band := tree.KSkybandExcluding(res.K, focalID)
 	cands := band[:0]
 	for _, id := range band {
 		if !tree.Records[id].Equal(focal) {

@@ -5,6 +5,8 @@ import (
 	"fmt"
 	"io"
 	"strconv"
+
+	"repro/internal/geom"
 )
 
 // WriteCSV writes the dataset with a header row. When the dataset has
@@ -69,6 +71,9 @@ func ReadCSV(r io.Reader, name string) (*Dataset, error) {
 				return nil, fmt.Errorf("dataset: line %d: %w", line, err)
 			}
 			vals = append(vals, v)
+		}
+		if err := geom.CheckFinite(vals); err != nil {
+			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
 		}
 		if hasLabels {
 			d.Labels = append(d.Labels, row[0])

@@ -20,6 +20,19 @@ const Eps = 1e-9
 // Vector is a point in data space or preference space.
 type Vector []float64
 
+// CheckFinite rejects NaN and infinite values. Dominance tests, the
+// kernels and the engine are exact only on finite input, so every public
+// entry point that accepts records, focal vectors or weights validates
+// them with this one rule.
+func CheckFinite(v []float64) error {
+	for _, x := range v {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			return fmt.Errorf("values must be finite, got %v", x)
+		}
+	}
+	return nil
+}
+
 // Clone returns a copy of v.
 func (v Vector) Clone() Vector {
 	c := make(Vector, len(v))

@@ -78,22 +78,17 @@ func (t *Tree) Skyline(exclude ExcludeFunc) []int {
 // skyband dominators is exact by transitivity: a pruned dominator itself
 // has >= k skyband dominators, which also dominate the candidate.
 //
-// When the tree carries a BandTable deep enough for k and no exclusion
-// filter is given, the answer is read straight off the table — the table
-// is a previous traversal's output over the identical tree, so the
-// served ids match a live traversal exactly.
+// When no exclusion filter is given and the tree's band-table slot holds
+// a table deep enough for k, the answer is read straight off the table —
+// the table is a previous traversal's output over the identical tree, so
+// the served ids match a live traversal exactly. KSkyband reads the slot
+// but never fills it: filling costs a deeper traversal than asked for.
 func (t *Tree) KSkyband(k int, exclude ExcludeFunc) []int {
 	if k <= 0 {
 		return nil
 	}
-	if exclude == nil && t.Band != nil && k <= t.Band.K {
-		band := make([]int, 0, len(t.Band.IDs))
-		for i, id := range t.Band.IDs {
-			if int(t.Band.Cnt[i]) < k {
-				band = append(band, int(id))
-			}
-		}
-		return band // table ids are already ascending
+	if b := t.Band(); exclude == nil && b != nil && k <= b.K {
+		return t.readBand(b, k, -1)
 	}
 	band, _ := t.kSkybandScan(k, exclude)
 	return band
@@ -102,47 +97,57 @@ func (t *Tree) KSkyband(k int, exclude ExcludeFunc) []int {
 // KSkybandExcluding returns the k-skyband of the dataset with the single
 // record focalID removed, the exclusion every kSPR query needs (the
 // focal record does not compete with itself). A negative focalID
-// excludes nothing. With a BandTable of depth > k the answer is derived
-// from the table by the exact discount rule: removing the focal record
-// lowers a record's dominator count by one iff the focal dominates it —
-// which can pull records with exactly k dominators into the band, all of
-// which the table holds because its depth exceeds k.
+// excludes nothing. The answer is read from the tree's band table, which
+// the first call fills at depth k+1 unless the slot already holds a
+// table deeper than k; every later query on the tree is a table scan.
 func (t *Tree) KSkybandExcluding(k, focalID int) []int {
-	if focalID < 0 {
-		return t.KSkyband(k, nil)
+	if k <= 0 {
+		return nil
 	}
-	if k > 0 && t.Band != nil && k < t.Band.K && focalID < len(t.Records) {
-		focal := t.Records[focalID]
-		band := make([]int, 0, len(t.Band.IDs))
-		for i, id := range t.Band.IDs {
-			if int(id) == focalID {
-				continue
-			}
-			cnt := int(t.Band.Cnt[i])
-			if geom.Dominates(focal, t.Records[id]) {
-				cnt--
-			}
-			if cnt < k {
-				band = append(band, int(id))
-			}
-		}
-		return band
+	b := t.Band()
+	if b == nil || b.K <= k {
+		b = t.SetBand(t.KSkybandTable(k + 1))
 	}
-	return t.KSkyband(k, func(id int) bool { return id == focalID })
+	return t.readBand(b, k, focalID)
 }
 
-// KSkybandCounts runs the k-skyband traversal and returns, besides the
-// member ids (ascending), each member's exact dominator count. Counting
-// against the band-so-far is exact for admitted members: any dominator
-// of a member has strictly fewer dominators itself (its dominators all
-// dominate the member too), hence is in the band, and its strictly
-// larger coordinate sum means the BBS order admitted it first. This is
-// what BandTable persistence is built from.
-func (t *Tree) KSkybandCounts(k int, exclude ExcludeFunc) ([]int, []int32) {
-	if k <= 0 {
-		return nil, nil
+// readBand derives from table b (deeper than k, or as deep as k when
+// focalID names no record) the k-skyband with record focalID removed, in
+// ascending id order. The discount rule is exact: removing the focal
+// lowers a record's dominator count by one iff the focal dominates it,
+// so only members with exactly k dominators can enter the band — and a
+// table deeper than k holds all of them.
+func (t *Tree) readBand(b *BandTable, k, focalID int) []int {
+	var focal geom.Vector
+	if focalID >= 0 && focalID < len(t.Records) {
+		focal = t.Records[focalID]
 	}
-	return t.kSkybandScan(k, exclude)
+	band := make([]int, 0, len(b.IDs))
+	for i, id := range b.IDs {
+		cnt := int(b.Cnt[i])
+		switch {
+		case int(id) == focalID:
+		case cnt < k, cnt == k && focal != nil && geom.Dominates(focal, t.Records[id]):
+			band = append(band, int(id))
+		}
+	}
+	return band
+}
+
+// KSkybandTable runs the k-skyband traversal and returns the members
+// with their exact dominator counts. Counting against the band-so-far is
+// exact for admitted members: any dominator of a member has strictly
+// fewer dominators itself (its dominators all dominate the member too),
+// hence is in the band, and its strictly larger coordinate sum means the
+// BBS order admitted it first. Band-table slots and the persisted index
+// are built from it.
+func (t *Tree) KSkybandTable(k int) *BandTable {
+	ids, cnts := t.kSkybandScan(k, nil)
+	b := &BandTable{K: k, IDs: make([]int32, len(ids)), Cnt: cnts}
+	for i, id := range ids {
+		b.IDs[i] = int32(id)
+	}
+	return b
 }
 
 // kSkybandScan is the shared BBS k-skyband traversal, returning members
@@ -265,61 +270,6 @@ func (t *Tree) Dominators(p geom.Vector, exclude ExcludeFunc) []int {
 				continue
 			}
 			if geom.Dominates(t.Records[e.RecordID], p) {
-				out = append(out, e.RecordID)
-			}
-		}
-	}
-	walk(t.Root)
-	sort.Ints(out)
-	return out
-}
-
-// DominatedBy returns the IDs of records dominated by p.
-func (t *Tree) DominatedBy(p geom.Vector, exclude ExcludeFunc) []int {
-	var out []int
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		t.visit(n)
-		for _, e := range n.Entries {
-			if !coversOrEqual(p, e.Low) {
-				continue
-			}
-			if e.Child != nil {
-				walk(e.Child)
-				continue
-			}
-			if exclude != nil && exclude(e.RecordID) {
-				continue
-			}
-			if geom.Dominates(p, t.Records[e.RecordID]) {
-				out = append(out, e.RecordID)
-			}
-		}
-	}
-	walk(t.Root)
-	sort.Ints(out)
-	return out
-}
-
-// EqualTo returns the IDs of records exactly equal to p (score ties of the
-// focal record; the paper ignores ties, so kSPR processing excludes them).
-func (t *Tree) EqualTo(p geom.Vector, exclude ExcludeFunc) []int {
-	var out []int
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		t.visit(n)
-		for _, e := range n.Entries {
-			if !coversOrEqual(e.High, p) || !coversOrEqual(p, e.Low) {
-				continue
-			}
-			if e.Child != nil {
-				walk(e.Child)
-				continue
-			}
-			if exclude != nil && exclude(e.RecordID) {
-				continue
-			}
-			if t.Records[e.RecordID].Equal(p) {
 				out = append(out, e.RecordID)
 			}
 		}

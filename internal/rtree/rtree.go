@@ -18,6 +18,7 @@ package rtree
 import (
 	"fmt"
 	"sort"
+	"sync/atomic"
 
 	"repro/internal/geom"
 	"repro/internal/kernel"
@@ -50,11 +51,11 @@ type Node struct {
 
 // BandTable is a precomputed k-skyband summary of the indexed dataset:
 // the ids of all records with fewer than K dominators, ascending, with
-// their exact dominator counts. It is produced by KSkybandCounts, stored
-// in the persisted index file, and attached to a warm-loaded tree so
-// skyband queries with k <= K are served by a table scan instead of a
-// BBS traversal — with results identical to the traversal by
-// construction (the table is the traversal's output).
+// their exact dominator counts. It is produced by KSkybandTable and held
+// in the tree's band-table slot (see SetBand), so skyband queries with
+// k <= K are served by a table scan instead of a BBS traversal — with
+// results identical to the traversal by construction (the table is the
+// traversal's output).
 type BandTable struct {
 	// K is the band depth the table was computed at.
 	K int
@@ -71,11 +72,12 @@ type Tree struct {
 	Records []geom.Vector
 	Root    *Node
 
-	// Band, when non-nil, is a persisted k-skyband summary serving
-	// skyband queries without a traversal. Only attach a table computed
-	// from this exact record set (see KSkybandCounts); it is never
-	// carried across rebuilds.
-	Band *BandTable
+	// band is the tree's band-table slot: a k-skyband summary of this
+	// exact record set that serves skyband queries without a traversal.
+	// A persisted table seeds it, or the first KSkybandExcluding fills
+	// it. The tree is immutable otherwise, so the slot only ever deepens
+	// and needs no invalidation; it is never carried across rebuilds.
+	band atomic.Pointer[BandTable]
 
 	// flat is the dense row-major backing of Records: flat[i*Dim+j] is
 	// attribute j of record i.
@@ -330,6 +332,26 @@ func nodeMBR(n *Node, dim int) (geom.Vector, geom.Vector, int) {
 		count += e.Count
 	}
 	return low, high, count
+}
+
+// Band returns the table in the tree's band-table slot, or nil.
+func (t *Tree) Band() *BandTable { return t.band.Load() }
+
+// SetBand offers b for the tree's band-table slot and returns the table
+// the slot holds afterwards: b, unless the slot already holds a table at
+// least as deep, which it keeps. Only offer a table computed from this
+// exact record set (see KSkybandTable). Safe for concurrent use with
+// every query.
+func (t *Tree) SetBand(b *BandTable) *BandTable {
+	for {
+		cur := t.band.Load()
+		if cur != nil && cur.K >= b.K {
+			return cur
+		}
+		if t.band.CompareAndSwap(cur, b) {
+			return b
+		}
+	}
 }
 
 // SetTracker installs (or clears, with nil) a page-visit observer.

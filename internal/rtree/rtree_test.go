@@ -252,27 +252,20 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 	}
 }
 
-func TestDominatorsAndDominated(t *testing.T) {
+func TestDominators(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	recs := randRecords(rng, 300, 3)
 	tr, _ := Build(recs, WithFanout(8))
 	p := geom.Vector{0.5, 0.5, 0.5}
-	gotDom := tr.Dominators(p, nil)
-	gotSub := tr.DominatedBy(p, nil)
-	var wantDom, wantSub []int
+	got := tr.Dominators(p, nil)
+	var want []int
 	for i, r := range recs {
 		if geom.Dominates(r, p) {
-			wantDom = append(wantDom, i)
-		}
-		if geom.Dominates(p, r) {
-			wantSub = append(wantSub, i)
+			want = append(want, i)
 		}
 	}
-	if !equalInts(gotDom, wantDom) {
-		t.Fatalf("Dominators: got %d, want %d", len(gotDom), len(wantDom))
-	}
-	if !equalInts(gotSub, wantSub) {
-		t.Fatalf("DominatedBy: got %d, want %d", len(gotSub), len(wantSub))
+	if !equalInts(got, want) {
+		t.Fatalf("Dominators: got %d, want %d", len(got), len(want))
 	}
 }
 
@@ -396,27 +389,6 @@ func TestWithFanoutRejectsTiny(t *testing.T) {
 	}
 	if tr.Height() != 2 && tr.Height() != 1 {
 		t.Fatalf("unexpected height %d for default fanout", tr.Height())
-	}
-}
-
-func TestEqualTo(t *testing.T) {
-	recs := []geom.Vector{
-		{0.5, 0.5}, {0.5, 0.5}, {0.5, 0.6}, {0.4, 0.5},
-	}
-	tr, err := Build(recs, WithFanout(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := tr.EqualTo(geom.Vector{0.5, 0.5}, nil)
-	if !equalInts(got, []int{0, 1}) {
-		t.Fatalf("EqualTo = %v, want [0 1]", got)
-	}
-	got = tr.EqualTo(geom.Vector{0.5, 0.5}, func(id int) bool { return id == 0 })
-	if !equalInts(got, []int{1}) {
-		t.Fatalf("EqualTo with exclusion = %v, want [1]", got)
-	}
-	if got := tr.EqualTo(geom.Vector{0.9, 0.9}, nil); len(got) != 0 {
-		t.Fatalf("EqualTo for absent point = %v", got)
 	}
 }
 

@@ -1,8 +1,10 @@
 package rtree
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -117,8 +119,12 @@ func TestBuildFromOrderRejectsBadLayouts(t *testing.T) {
 }
 
 // TestBandTableMatchesTraversal pins the table-serving fast paths to the
-// live traversal on random datasets (with ties): KSkyband for every
-// k <= K and KSkybandExcluding for every record as focal.
+// live traversal on random datasets (with ties). Each input is a tree
+// whose band-table slot starts out as named: seeded with a persisted
+// table of depth 6, empty (the first KSkybandExcluding fills it), or
+// seeded with the persisted depth-64 table. k runs ascending, then past
+// every table's depth; KSkyband and KSkybandExcluding must match the
+// traversal for every k and every focal (-1: no focal).
 func TestBandTableMatchesTraversal(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const bandK = 6
@@ -128,45 +134,116 @@ func TestBandTableMatchesTraversal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		ids, cnts := tree.KSkybandCounts(bandK, nil)
+		table := tree.KSkybandTable(bandK)
 
 		// Counts are exact: verify against brute force.
-		for i, id := range ids {
+		for i, id := range table.IDs {
 			want := 0
 			for j, r := range recs {
-				if j != id && geom.Dominates(r, recs[id]) {
+				if j != int(id) && geom.Dominates(r, recs[id]) {
 					want++
 				}
 			}
-			if int(cnts[i]) != want {
-				t.Fatalf("trial %d: count[%d]=%d, want %d", trial, id, cnts[i], want)
+			if int(table.Cnt[i]) != want {
+				t.Fatalf("trial %d: count[%d]=%d, want %d", trial, id, table.Cnt[i], want)
 			}
 		}
 
-		table := &BandTable{K: bandK}
-		for i, id := range ids {
-			table.IDs = append(table.IDs, int32(id))
-			table.Cnt = append(table.Cnt, cnts[i])
-		}
-		warm := *tree
-		warm.Band = table
-
-		for k := 1; k <= bandK; k++ {
-			if !reflect.DeepEqual(tree.KSkyband(k, nil), warm.KSkyband(k, nil)) {
-				t.Fatalf("trial %d k=%d: table-served skyband diverged", trial, k)
+		for _, in := range []struct {
+			name string
+			seed *BandTable
+		}{
+			{"persisted", table},
+			{"memo", nil},
+			{"persisted K=64", tree.KSkybandTable(64)},
+		} {
+			served, err := Build(recs, WithFanout(8))
+			if err != nil {
+				t.Fatal(err)
 			}
-		}
-		for k := 1; k < bandK; k++ {
-			for f := 0; f < len(recs); f += 7 {
-				want := tree.KSkyband(k, func(id int) bool { return id == f })
-				got := warm.KSkybandExcluding(k, f)
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("trial %d k=%d focal=%d: excluding skyband diverged: %v vs %v", trial, k, f, want, got)
+			if in.seed != nil {
+				served.SetBand(in.seed)
+			}
+			served.KSkyband(3, nil)
+			if in.seed == nil && served.Band() != nil {
+				t.Fatalf("trial %d: KSkyband filled the band-table slot", trial)
+			}
+			for _, k := range []int{1, 2, 3, 4, 5, bandK + 3} {
+				if !reflect.DeepEqual(tree.KSkyband(k, nil), served.KSkyband(k, nil)) {
+					t.Fatalf("trial %d %s k=%d: table-served skyband diverged", trial, in.name, k)
+				}
+				for f := -1; f < len(recs); f++ {
+					want := tree.KSkyband(k, func(id int) bool { return id == f })
+					got := served.KSkybandExcluding(k, f)
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("trial %d %s k=%d focal=%d: excluding skyband diverged: %v vs %v",
+							trial, in.name, k, f, want, got)
+					}
+				}
+				// Filled at k+1 when nothing deeper than k was there;
+				// a deeper table is never replaced.
+				wantK := k + 1
+				if in.seed != nil {
+					wantK = max(wantK, in.seed.K)
+				}
+				if b := served.Band(); b == nil || b.K != wantK {
+					t.Fatalf("trial %d %s k=%d: band-table slot %+v, want depth %d", trial, in.name, k, b, wantK)
 				}
 			}
+			before := served.Band()
+			if got := served.SetBand(tree.KSkybandTable(2)); got != before || served.Band() != before {
+				t.Fatalf("trial %d %s: a shallower table replaced the slot", trial, in.name)
+			}
+			if tree.Band() != nil {
+				t.Fatal("the reference tree's slot was filled")
+			}
 		}
-		if !reflect.DeepEqual(tree.KSkyband(2, nil), warm.KSkybandExcluding(2, -1)) {
-			t.Fatalf("trial %d: negative focal should mean no exclusion", trial)
+	}
+}
+
+// TestBandSlotConcurrentFill shares one tree across goroutines querying
+// mixed k: every answer must match the traversal, and the slot must end
+// at the deepest fill (max k + 1), never replaced by a shallower table.
+func TestBandSlotConcurrentFill(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	recs := randWarmRecords(rng, 300, 3, true)
+	ref, err := Build(recs, WithFanout(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	shared, err := Build(recs, WithFanout(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	ks := []int{1, 2, 3, 5, 8}
+	want := make(map[int][][]int, len(ks))
+	for _, k := range ks {
+		for f := 0; f < len(recs); f++ {
+			want[k] = append(want[k], ref.KSkyband(k, func(id int) bool { return id == f }))
 		}
+	}
+	var wg sync.WaitGroup
+	errs := make(chan error, 8)
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 100; i++ {
+				k := ks[(g+i)%len(ks)]
+				f := (g*37 + i*11) % len(recs)
+				if got := shared.KSkybandExcluding(k, f); !reflect.DeepEqual(got, want[k][f]) {
+					errs <- fmt.Errorf("goroutine %d k=%d focal=%d: %v, want %v", g, k, f, got, want[k][f])
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+	if b := shared.Band(); b == nil || b.K != ks[len(ks)-1]+1 {
+		t.Fatalf("band-table slot ended at %+v, want depth %d", b, ks[len(ks)-1]+1)
 	}
 }

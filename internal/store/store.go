@@ -23,12 +23,13 @@ package store
 import (
 	"errors"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"sort"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/geom"
 )
 
 // Op identifies a mutation kind.
@@ -438,10 +439,8 @@ func checkValues(vals []float64, dim *int) error {
 	if len(vals) == 0 {
 		return fmt.Errorf("insert/update needs a non-empty values vector")
 	}
-	for _, v := range vals {
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			return fmt.Errorf("values must be finite, got %v", v)
-		}
+	if err := geom.CheckFinite(vals); err != nil {
+		return err
 	}
 	if *dim == 0 {
 		*dim = len(vals)

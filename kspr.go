@@ -171,6 +171,9 @@ func Open(records [][]float64, opts ...DBOption) (*DB, error) {
 		if len(r) != d {
 			return nil, fmt.Errorf("kspr: record %d has %d attributes, want %d", i, len(r), d)
 		}
+		if err := geom.CheckFinite(r); err != nil {
+			return nil, fmt.Errorf("kspr: record %d: %w", i, err)
+		}
 		// No Clone needed: Build packs the records into its own dense
 		// backing array, so the tree never aliases caller memory.
 		recs[i] = geom.Vector(r)
@@ -310,8 +313,12 @@ func (db *DB) KSPR(focalID, k int, opts ...QueryOption) (*Result, error) {
 }
 
 // KSPRVector answers the query for a focal record that is not part of the
-// dataset (e.g. a hypothetical new option).
+// dataset (e.g. a hypothetical new option). A non-finite focal value is
+// an error.
 func (db *DB) KSPRVector(focal []float64, k int, opts ...QueryOption) (*Result, error) {
+	if err := geom.CheckFinite(focal); err != nil {
+		return nil, fmt.Errorf("kspr: focal: %w", err)
+	}
 	return db.query(db.cur(), geom.Vector(focal), -1, k, opts)
 }
 
@@ -337,7 +344,8 @@ func (db *DB) query(st *dbState, focal geom.Vector, focalID, k int, opts []Query
 
 // BatchQuery is one focal option of a KSPRBatch call. FocalID names a
 // dataset record; set it to -1 and fill Focal to query a hypothetical
-// record instead. K overrides the batch-wide shortlist size when positive.
+// record instead (a non-finite Focal fails just that item). K overrides
+// the batch-wide shortlist size when positive.
 // Ctx, when non-nil, cancels just this item.
 type BatchQuery struct {
 	FocalID int
@@ -462,6 +470,9 @@ func (db *DB) KSPRApproxVectorCtx(ctx context.Context, focal []float64, k int, e
 	if st.tree == nil {
 		return nil, fmt.Errorf("kspr: empty dataset")
 	}
+	if err := geom.CheckFinite(focal); err != nil {
+		return nil, fmt.Errorf("kspr: focal: %w", err)
+	}
 	return core.RunApprox(st.tree, geom.Vector(focal), -1,
 		core.ApproxOptions{K: k, Epsilon: epsilon, Ctx: ctx})
 }
@@ -477,10 +488,11 @@ func WriteSVG(w io.Writer, res *Result, opts SVGOptions) error {
 }
 
 // TopK returns the ids of the k best records under original-space weights
-// w (len d, need not be normalized), best first.
+// w (len d, need not be normalized), best first. Non-finite weights yield
+// nil.
 func (db *DB) TopK(w []float64, k int) []int {
 	st := db.cur()
-	if st.tree == nil {
+	if st.tree == nil || geom.CheckFinite(w) != nil {
 		return nil
 	}
 	return st.tree.TopK(geom.Vector(w), k, nil)
@@ -506,12 +518,13 @@ func (db *DB) KSkyband(k int) []int {
 
 // Rank computes the rank of record focalID under weights w (1 = best);
 // ties with other records are ignored, as in the paper. An out-of-range
-// focalID (e.g. on an empty live dataset) yields 0. The scan streams the
-// index's flat row-major backing, so large-n ranking touches one
-// contiguous array instead of chasing per-record slice headers.
+// focalID (e.g. on an empty live dataset) or a non-finite weight yields
+// 0. The scan streams the index's flat row-major backing, so large-n
+// ranking touches one contiguous array instead of chasing per-record
+// slice headers.
 func (db *DB) Rank(focalID int, w []float64) int {
 	tree := db.cur().tree
-	if tree == nil || focalID < 0 || focalID >= tree.Len() {
+	if tree == nil || focalID < 0 || focalID >= tree.Len() || geom.CheckFinite(w) != nil {
 		return 0
 	}
 	wv := geom.Vector(w)

@@ -3,7 +3,11 @@ package kspr
 import (
 	"math"
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
+
+	"repro/internal/dataset"
 )
 
 func randRecords(rng *rand.Rand, n, d int) [][]float64 {
@@ -27,6 +31,59 @@ func TestOpenValidation(t *testing.T) {
 	}
 	if _, err := Open([][]float64{{1, 2}, {1, 2, 3}}); err == nil {
 		t.Fatal("expected error for ragged records")
+	}
+}
+
+// TestRejectsNonFinite feeds NaN and ±Inf to every public entry point
+// that takes records, focal vectors or weights: each must reject the
+// value before it reaches the dominance kernels or the engine.
+func TestRejectsNonFinite(t *testing.T) {
+	db, err := Open(randRecords(rand.New(rand.NewSource(3)), 40, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		vec := []float64{0.5, bad, 0.5}
+		for _, c := range []struct {
+			name     string
+			rejected func() bool
+		}{
+			{"Open", func() bool {
+				_, err := Open([][]float64{{0.1, 0.2, 0.3}, vec})
+				return err != nil
+			}},
+			{"KSPRVector", func() bool {
+				_, err := db.KSPRVector(vec, 3)
+				return err != nil
+			}},
+			{"KSPRApproxVector", func() bool {
+				_, err := db.KSPRApproxVector(vec, 3, 0.05)
+				return err != nil
+			}},
+			{"KSPRBatch", func() bool {
+				// Per item: the finite sibling still gets its answer.
+				out, err := db.KSPRBatch([]BatchQuery{{FocalID: 1}, {FocalID: -1, Focal: vec}}, 3)
+				return err == nil && out[0].Err == nil && out[1].Err != nil
+			}},
+			{"TopK", func() bool { return db.TopK(vec, 3) == nil }},
+			{"Rank", func() bool { return db.Rank(1, vec) == 0 }},
+			{"Apply", func() bool {
+				_, err := db.Apply(Insert(vec...))
+				return err != nil
+			}},
+			{"ReadCSV", func() bool {
+				csv := "a,b,c\n0.1," + strconv.FormatFloat(bad, 'g', -1, 64) + ",0.3\n"
+				_, err := dataset.ReadCSV(strings.NewReader(csv), "bad")
+				return err != nil
+			}},
+		} {
+			if !c.rejected() {
+				t.Errorf("%s accepted %v", c.name, bad)
+			}
+		}
+	}
+	if db.Generation() != 1 {
+		t.Fatalf("a rejected mutation advanced the generation to %d", db.Generation())
 	}
 }
 

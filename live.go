@@ -160,9 +160,8 @@ func OpenStore(dir string, opts ...StoreOption) (*DB, error) {
 	}
 	if !state.warmIndex && state.tree != nil {
 		// Cold open: persist a fresh index so the next restart is warm.
-		// The state is not yet published, so attaching the skyband table
-		// to its tree is race-free. Persistence is advisory — an
-		// unwritable index file must not fail the open.
+		// Persistence is advisory — an unwritable index file must not
+		// fail the open.
 		_ = store.WriteIndex(dir, db.attachIndex(state))
 	}
 	if cfg.onEvent != nil && state.tree != nil {
@@ -178,7 +177,8 @@ func OpenStore(dir string, opts ...StoreOption) (*DB, error) {
 
 // persistBandK is the skyband depth persisted in the candidate index.
 // Any skyband query with k < persistBandK (the strict inequality leaves
-// headroom for the exclude-focal discount) is then served off the table.
+// headroom for the exclude-focal discount) is then served off the table
+// without filling the band-table slot first.
 const persistBandK = 64
 
 // stateFromVersion indexes one store generation (always cold).
@@ -207,7 +207,7 @@ func (db *DB) stateFromVersionWarm(v *store.Version, idx *store.IndexSnapshot) (
 		idx.Fanout == db.fanout && len(idx.Order) == v.Len() {
 		if tree, err := rtree.BuildFromOrder(recs, idx.Order, idx.GroupEnds, rtree.WithFanout(db.fanout)); err == nil {
 			if idx.BandK > 0 {
-				tree.Band = &rtree.BandTable{K: idx.BandK, IDs: idx.BandIDs, Cnt: idx.BandCnt}
+				tree.SetBand(&rtree.BandTable{K: idx.BandK, IDs: idx.BandIDs, Cnt: idx.BandCnt})
 			}
 			state.tree = tree
 			state.warmIndex = true
@@ -223,34 +223,22 @@ func (db *DB) stateFromVersionWarm(v *store.Version, idx *store.IndexSnapshot) (
 }
 
 // attachIndex derives the persistable candidate index from state's tree —
-// STR leaf layout plus a depth-persistBandK skyband table — and attaches
-// the table to the tree. Callers must hold the only reference to the
-// state (not yet published) or accept the write themselves; the returned
-// snapshot is ready for store.WriteIndex.
+// STR leaf layout plus a depth-persistBandK skyband table — and seeds
+// the tree's band-table slot with the table. The slot is atomic, so this
+// is race-free on a published tree too. The returned snapshot is ready
+// for store.WriteIndex.
 func (db *DB) attachIndex(state *dbState) *store.IndexSnapshot {
-	idx := indexSnapshotFor(state.tree, state.gen, db.fanout, state.dim)
-	state.tree.Band = &rtree.BandTable{K: idx.BandK, IDs: idx.BandIDs, Cnt: idx.BandCnt}
-	return idx
-}
-
-// indexSnapshotFor computes the persisted-index contents for a built
-// tree without mutating it.
-func indexSnapshotFor(tree *rtree.Tree, gen uint64, fanout, dim int) *store.IndexSnapshot {
-	ids, cnts := tree.KSkybandCounts(persistBandK, nil)
-	ids32 := make([]int32, len(ids))
-	for i, id := range ids {
-		ids32[i] = int32(id)
-	}
-	order, groupEnds := tree.LeafOrder()
+	band := state.tree.SetBand(state.tree.KSkybandTable(persistBandK))
+	order, groupEnds := state.tree.LeafOrder()
 	return &store.IndexSnapshot{
-		Gen:       gen,
-		Fanout:    fanout,
-		Dim:       dim,
+		Gen:       state.gen,
+		Fanout:    db.fanout,
+		Dim:       state.dim,
 		Order:     order,
 		GroupEnds: groupEnds,
-		BandK:     persistBandK,
-		BandIDs:   ids32,
-		BandCnt:   cnts,
+		BandK:     band.K,
+		BandIDs:   band.IDs,
+		BandCnt:   band.Cnt,
 	}
 }
 
@@ -332,9 +320,9 @@ func (db *DB) Apply(muts ...Mutation) (*ApplyResult, error) {
 		}
 		if db.store.SinceSnapshot() == 0 && state.tree != nil {
 			// This batch triggered an automatic store snapshot; persist
-			// the candidate index alongside it (and give the new state
-			// the skyband table, pre-publication). Advisory like the
-			// snapshot itself: a failed write never fails the Apply.
+			// the candidate index alongside it (and seed the new tree's
+			// band-table slot). Advisory like the snapshot itself: a
+			// failed write never fails the Apply.
 			_ = store.WriteIndex(db.store.Dir(), db.attachIndex(state))
 		}
 	} else {
@@ -445,10 +433,7 @@ func (db *DB) SnapshotStore() error {
 	if st.tree == nil {
 		return nil
 	}
-	// The state is already published, so only read the tree here — the
-	// index file is written from a freshly computed layout and table
-	// without attaching anything to the live tree.
-	return store.WriteIndex(db.store.Dir(), indexSnapshotFor(st.tree, st.gen, db.fanout, st.dim))
+	return store.WriteIndex(db.store.Dir(), db.attachIndex(st))
 }
 
 // Close releases the backing store (if any). Outstanding frozen handles

@@ -85,7 +85,7 @@ func TestOpenStoreWarmRestart(t *testing.T) {
 	if !warm.IndexWarm() {
 		t.Fatal("restart with a persisted index was not warm")
 	}
-	if warm.cur().tree.Band == nil {
+	if warm.cur().tree.Band() == nil {
 		t.Fatal("warm tree has no skyband table")
 	}
 	// Frozen handles pin the warm flag with the generation.
@@ -182,7 +182,7 @@ func TestApplySnapshotPersistsIndex(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, store.IndexFileName)); err != nil {
 		t.Fatalf("automatic snapshot did not persist the index: %v", err)
 	}
-	if db.cur().tree.Band == nil {
+	if db.cur().tree.Band() == nil {
 		t.Fatal("apply-snapshot state has no skyband table")
 	}
 	db.Close()
