@@ -18,13 +18,17 @@ race:
 # racestress repeats the race-detector run over the packages with the most
 # lock-heavy concurrency (per-endpoint metrics, trace recording) and the
 # R-tree's band-table slot, the one mutable field of a published index, to
-# shake out ordering-dependent races a single pass can miss. CI runs it too.
+# shake out ordering-dependent races a single pass can miss. The second
+# line races batch items filling that slot; its -run filter keeps it
+# short (the whole core batch suite under -race takes over a minute). CI
+# runs both.
 racestress:
 	$(GO) test -race -count=3 ./internal/server ./internal/obs ./internal/rtree
+	$(GO) test -race -count=10 -run 'TestBatchSharesBandTable$$' ./internal/core
 
 # bench writes BENCH_core.json: ns/op per algorithm with the serial engine
-# and with a 4-worker engine, plus the speedup ratio, plus the shared-work
-# batch sweep (8 focals as one KSPRBatch pass vs 8 serial runs), plus the
+# and with a 4-worker engine, plus the speedup ratio, plus the batch
+# scheduling sweep (8 focals as one KSPRBatch call vs 8 serial runs), plus the
 # live-dataset sweep (WAL apply throughput and incremental-vs-cold kSPR
 # maintenance over 48 mutations), plus the what-if sweep (a 16-point
 # impact-price frontier and a repricing bisection, recording probe latency

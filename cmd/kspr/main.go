@@ -8,9 +8,9 @@
 //	kspr -data d.csv -focal 17 -k 10 -volumes
 //	kspr -data d.csv -focals 17,42,311 -k 10
 //
-// With -focals the panel runs as one shared-work batch (see
-// kspr.DB.KSPRBatch): dominance precomputation, candidate index and LP
-// arenas are built once and amortized across every focal option.
+// With -focals the panel runs as one batch (see kspr.DB.KSPRBatch): the
+// focal options are scheduled across the parallelism budget and share the
+// dataset's k-skyband table and LP solver pool.
 package main
 
 import (
@@ -32,7 +32,7 @@ func main() {
 	var (
 		dataPath = flag.String("data", "", "CSV dataset (required; header row, optional leading label column)")
 		focal    = flag.Int("focal", 0, "focal record index")
-		focals   = flag.String("focals", "", "comma-separated focal record indices: run the panel as one shared-work batch")
+		focals   = flag.String("focals", "", "comma-separated focal record indices: run the panel as one batch")
 		k        = flag.Int("k", 10, "shortlist size")
 		algo     = flag.String("algo", "lp-cta", "algorithm: cta, p-cta, lp-cta, k-skyband")
 		space    = flag.String("space", "transformed", "preference space: transformed, original")
@@ -402,7 +402,7 @@ type panelItem struct {
 	Result *kspr.Result `json:"result,omitempty"`
 }
 
-// runPanel answers the -focals panel as one shared-work batch and prints a
+// runPanel answers the -focals panel as one KSPRBatch call and prints a
 // per-focal summary (or the full JSON results).
 func runPanel(db *kspr.DB, ds *dataset.Dataset, panel []int, k int, opts []kspr.QueryOption, asJSON, volumes bool) {
 	queries := make([]kspr.BatchQuery, len(panel))

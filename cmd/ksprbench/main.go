@@ -18,11 +18,10 @@
 //	ksprbench -json -name pr12 -scale 0.5
 //	ksprbench -json -name core -parallel 4
 //
-// -batch N additionally sweeps the shared-work batch engine: N focal
-// options answered by one kspr.DB.KSPRBatch pass versus N independent
-// serial runs, recording per-algorithm batch ns/op and the batch speedup
-// (shared precomputation + arena reuse on one core; plus parallel
-// scheduling on multicore):
+// -batch N additionally sweeps the batch scheduler: N focal options
+// answered by one kspr.DB.KSPRBatch call versus N independent serial
+// runs, recording per-algorithm batch ns/op and the batch speedup (the
+// scheduling gain: about 1.0x on one core, parallel items on multicore):
 //
 //	ksprbench -json -name core -parallel 4 -batch 8
 package main
@@ -57,7 +56,7 @@ func main() {
 		dims    = flag.Int("d", 4, "benchmark dimensionality for -json")
 		kFlag   = flag.Int("k", 10, "benchmark shortlist size for -json")
 		par     = flag.Int("parallel", 0, "parallel sweep worker count for -json (0 = all cores, 1 = skip the sweep)")
-		batch   = flag.Int("batch", 0, "batch sweep focal count for -json (0 = skip, otherwise >= 2)")
+		batch   = flag.Int("batch", 0, "batch scheduling sweep for -json: this many focals as one KSPRBatch call vs as many serial runs (0 = skip, otherwise >= 2)")
 		mutN    = flag.Int("mutate", 0, "mutation sweep size for -json: WAL apply throughput + incremental-vs-cold maintenance over this many mutations (0 = skip)")
 		whatN   = flag.Int("whatif", 0, "what-if sweep for -json: an impact-price frontier of this many grid points plus a repricing search, recording whatif_probe_ns and whatif_keep_rate (0 = skip, otherwise >= 2)")
 		largeN  = flag.Float64("n", 0, "large-N sweep for -json: time the columnar kernels at n = 1e3, 1e4, ... up to this cardinality (accepts 1e6 notation; 0 = skip, otherwise >= 1000)")
@@ -173,10 +172,10 @@ type benchSummary struct {
 	AlgorithmsParallel map[string]int64   `json:"ns_per_op_parallel,omitempty"`
 	Speedup            map[string]float64 `json:"speedup,omitempty"`
 	// Batch sweep (-batch N): ns/op for N focals answered as N independent
-	// serial runs versus one shared-work KSPRBatch pass on
-	// BatchParallelism workers, and the serial/batch ratio. On a single
-	// core the ratio isolates the shared-precomputation gain; on multicore
-	// it additionally reflects batch scheduling.
+	// serial runs versus one KSPRBatch call on BatchParallelism workers,
+	// and the serial/batch ratio. Items share nothing a serial run does
+	// not, so the ratio measures scheduling only: about 1.0 on a single
+	// core, the parallel-items gain on multicore.
 	BatchFocals         int                `json:"batch_focals,omitempty"`
 	BatchParallelism    int                `json:"batch_parallelism,omitempty"`
 	AlgorithmsBatchBase map[string]int64   `json:"ns_per_op_batch_serial,omitempty"`
@@ -353,7 +352,7 @@ func runBenchJSON(name, dist string, d, k int, scale float64, queries int, seed 
 	}
 	if nb > 1 {
 		// Batch sweep: nb focals drawn from the skyband, answered as nb
-		// independent serial runs and as one shared-work batch.
+		// independent serial runs and as one batch.
 		bf := make([]int, nb)
 		bq := make([]kspr.BatchQuery, nb)
 		for i := range bf {

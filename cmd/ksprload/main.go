@@ -3,7 +3,7 @@
 // real ksprd serving stack and doubles as a correctness verifier.
 //
 // Traffic is a configurable mix of the four production request classes —
-// single kSPR queries, shared-work NDJSON batches, atomic dataset
+// single kSPR queries, NDJSON kSPR batches, atomic dataset
 // mutation batches, and what-if competitor attribution — with
 // Zipf-distributed focal records and datasets, so the sharded LRU result
 // cache and the mutation-driven cache-migration paths are exercised the

@@ -93,8 +93,9 @@ func ExampleWithContext() {
 }
 
 // ExampleDB_KSPRBatch answers kSPR for a panel of competing options in one
-// shared-work pass: the dominance precomputation, candidate index and LP
-// arenas are built once and amortized across every focal option.
+// call: the items are scheduled across the parallelism budget, and the
+// dataset's k-skyband table, built by the first item that needs it, serves
+// every one of them.
 func ExampleDB_KSPRBatch() {
 	rng := rand.New(rand.NewSource(1))
 	records := make([][]float64, 400)

@@ -40,7 +40,7 @@ type ApproxOptions struct {
 	// MaxCells caps the number of boxes examined (0 = 1<<20).
 	MaxCells int
 	// Ctx, when non-nil, cancels the refinement loop; RunApprox then
-	// returns ctx.Err(). A nil Ctx never cancels.
+	// returns context.Cause(ctx), as Run does. A nil Ctx never cancels.
 	Ctx context.Context
 }
 

@@ -6,16 +6,18 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/geom"
+	"repro/internal/rtree"
 )
 
-// TestBatchMatchesSerial is the batch engine's correctness contract: for
-// every algorithm, across seeds, dimensionalities, shortlist sizes, batch
-// parallelism and the share/no-share paths, RunBatch returns per-item
-// results that are deeply identical — same regions in the same order, same
-// ranks, witnesses, vertices, constraints, volumes and side statistics —
-// to running each item through Run serially.
+// TestBatchMatchesSerial is the batch scheduler's correctness contract:
+// for every algorithm, across seeds, dimensionalities, shortlist sizes and
+// scheduler shapes, RunBatch returns per-item results that are deeply
+// identical — same regions in the same order, same ranks, witnesses,
+// vertices, constraints, volumes and side statistics — to running each
+// item through Run serially.
 func TestBatchMatchesSerial(t *testing.T) {
 	for _, algo := range []Algorithm{CTA, PCTA, LPCTA, KSkybandCTA} {
 		for _, d := range []int{3, 5} {
@@ -74,16 +76,22 @@ func TestBatchMatchesSerial(t *testing.T) {
 					want[i] = res
 				}
 
+				// Scheduler shapes for the 5-item panel: slots x engine
+				// workers, plus the fork pool's leftover tokens.
 				for _, cfg := range []struct {
-					label       string
-					parallelism int
-					noShare     bool
+					label                     string
+					parallelism, slots, inner int
 				}{
-					{"shared serial", 1, false},
-					{"shared parallel", 6, false},
-					{"noshare parallel", 6, true},
+					{"one slot", 1, 1, 1},
+					{"two slots, no fork pool", 2, 2, 1},
+					{"five slots, 1-token pool", 6, 5, 1},
+					{"five 2-worker slots, 7-token pool", 12, 5, 2},
 				} {
-					opts := BatchOptions{Options: base, NoShare: cfg.noShare}
+					if slots, inner := resolveOuterInner(cfg.parallelism, len(items)); slots != cfg.slots || inner != cfg.inner {
+						t.Fatalf("%s: parallelism %d resolves to %d slots x %d workers",
+							cfg.label, cfg.parallelism, slots, inner)
+					}
+					opts := BatchOptions{Options: base}
 					opts.Parallelism = cfg.parallelism
 					got, err := RunBatch(tr, items, opts)
 					if err != nil {
@@ -106,29 +114,6 @@ func TestBatchMatchesSerial(t *testing.T) {
 								algo, d, k, cfg.label, i, ws, gs)
 						}
 					}
-				}
-			}
-		}
-	}
-}
-
-// TestBatchSkybandDerivation pins the shared dominator-count table to the
-// R-tree traversal it replaces: the derived per-focal k-skyband must equal
-// tree.KSkyband(k, exclude focal) exactly, including order.
-func TestBatchSkybandDerivation(t *testing.T) {
-	for _, d := range []int{2, 3, 4} {
-		tr, _ := buildRandom(t, 150, d, int64(100+d))
-		for _, k := range []int{1, 3, 7} {
-			shared, err := newBatchShared(tr, k)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for _, focalID := range []int{-1, 0, 17, 149} {
-				want := tr.KSkyband(k, func(id int) bool { return id == focalID })
-				got := shared.skyband(tr, k, focalID)
-				if !reflect.DeepEqual(got, want) {
-					t.Fatalf("d=%d k=%d focal=%d: derived skyband %v, traversal %v",
-						d, k, focalID, got, want)
 				}
 			}
 		}
@@ -193,26 +178,110 @@ func TestBatchFailFast(t *testing.T) {
 	}
 }
 
-// TestBatchItemCancellation: a cancelled per-item context fails only that
-// item; the batch context cancels items that honour it.
+// TestBatchItemCancellation: an item runs under both the batch context
+// and its own. A done item context fails only that item; a done batch
+// context fails every item, including one whose own context is live, with
+// the error of the context that fired.
 func TestBatchItemCancellation(t *testing.T) {
 	tr, _ := buildRandom(t, 120, 3, 23)
+	sky := tr.Skyline(nil)
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
-	sky := tr.Skyline(nil)
-	items := []BatchItem{
-		{FocalID: sky[0]},
-		{FocalID: sky[0], Ctx: cancelled},
+	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
+	defer cancelExpired()
+	live, cancelLive := context.WithCancel(context.Background())
+	defer cancelLive()
+	for _, tc := range []struct {
+		name        string
+		batch, item context.Context
+		// want[i] is the error item i must fail with; nil means it succeeds.
+		want [2]error
+	}{
+		{"item cancelled, no batch context", nil, cancelled, [2]error{nil, context.Canceled}},
+		{"item cancelled, batch live", live, cancelled, [2]error{nil, context.Canceled}},
+		{"item deadline expired, batch live", live, expired, [2]error{nil, context.DeadlineExceeded}},
+		{"batch cancelled, item live", cancelled, context.Background(), [2]error{context.Canceled, context.Canceled}},
+		{"batch deadline expired, item live", expired, live, [2]error{context.DeadlineExceeded, context.DeadlineExceeded}},
+	} {
+		items := []BatchItem{
+			{FocalID: sky[0]},
+			{FocalID: sky[0], Ctx: tc.item},
+		}
+		got, err := RunBatch(tr, items, BatchOptions{Options: Options{
+			K: 5, Algorithm: LPCTA, Parallelism: 2, Ctx: tc.batch,
+		}})
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		for i, want := range tc.want {
+			switch {
+			case want == nil && got[i].Err != nil:
+				t.Errorf("%s: item %d failed: %v", tc.name, i, got[i].Err)
+			case want != nil && !errors.Is(got[i].Err, want):
+				t.Errorf("%s: item %d returned %v, want %v", tc.name, i, got[i].Err, want)
+			}
+		}
 	}
-	got, err := RunBatch(tr, items, BatchOptions{Options: Options{K: 5, Algorithm: LPCTA, Parallelism: 2}})
+}
+
+// TestBatchSharesBandTable pins that batch items share the generation's
+// band table: a batch over a fresh tree fills its band slot, at the depth
+// the deepest item needs, while its items run concurrently, and every item
+// still equals a serial Run on a separate tree. The race-stress lane runs
+// this test at -count=10.
+func TestBatchSharesBandTable(t *testing.T) {
+	n := 160
+	if raceEnabled {
+		n /= 2
+	}
+	_, recs := buildRandom(t, n, 3, 77)
+	batchTree, err := rtree.Build(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got[0].Err != nil {
-		t.Fatalf("uncancelled item failed: %v", got[0].Err)
+	serialTree, err := rtree.Build(recs)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if !errors.Is(got[1].Err, context.Canceled) {
-		t.Fatalf("cancelled item returned %v, want context.Canceled", got[1].Err)
+	if batchTree.Band() != nil {
+		t.Fatal("a freshly built tree already holds a band table")
+	}
+	// Skyline focals reach the skyband read at every K.
+	sky := batchTree.Skyline(nil)
+	const maxK = 8
+	items := make([]BatchItem, 6)
+	for i := range items {
+		items[i] = BatchItem{FocalID: sky[i%len(sky)], K: 4}
+		if i%2 == 1 {
+			items[i].K = maxK
+		}
+	}
+	base := Options{Algorithm: LPCTA, FinalizeGeometry: true, Parallelism: 1}
+	opts := BatchOptions{Options: base}
+	opts.Parallelism = 4
+	got, err := RunBatch(batchTree, items, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, it := range items {
+		if got[i].Err != nil {
+			t.Fatalf("item %d: %v", i, got[i].Err)
+		}
+		o := base
+		o.K = it.K
+		want, err := Run(serialTree, recs[it.FocalID], it.FocalID, o)
+		if err != nil {
+			t.Fatalf("item %d serial: %v", i, err)
+		}
+		if !reflect.DeepEqual(got[i].Result.Regions, want.Regions) {
+			t.Fatalf("item %d (k=%d): regions differ from the serial run", i, it.K)
+		}
+		if gs, ws := statsComparable(got[i].Result.Stats), statsComparable(want.Stats); gs != ws {
+			t.Fatalf("item %d (k=%d): stats differ\nserial: %+v\nbatch:  %+v", i, it.K, ws, gs)
+		}
+	}
+	if b := batchTree.Band(); b == nil || b.K != maxK+1 {
+		t.Fatalf("after the batch the band slot holds %+v, want a depth-%d table", b, maxK+1)
 	}
 }
 

@@ -160,7 +160,8 @@ type Options struct {
 	Parallelism int
 	// Ctx, when non-nil, is polled at cell-tree expansion points (record
 	// insertion, rank-bound classification, batch boundaries). Once it is
-	// done, Run abandons the query and returns ctx.Err(), so callers can
+	// done, Run abandons the query and returns context.Cause(ctx) (that is
+	// ctx.Err() unless ctx was cancelled with a cause), so callers can
 	// impose deadlines and cancel in-flight work. A nil Ctx never cancels.
 	Ctx context.Context
 	// Trace, when non-nil, records per-phase wall time for the run (see the

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"sync"
@@ -13,11 +14,10 @@ import (
 	"repro/internal/rtree"
 )
 
-// querySolverPool shares LP workspaces across standalone queries: the
-// serial-path solver and the per-worker rank-bound solvers are drawn
-// here and returned when the query finishes, so repeated queries stop
-// rebuilding simplex arenas. Batch queries are excluded — their arenas
-// are owned by the batch scheduler's slots.
+// querySolverPool shares LP workspaces across queries, batch items
+// included: the serial-path solver and the per-worker rank-bound solvers
+// are drawn here and returned when the query finishes, so repeated
+// queries stop rebuilding simplex arenas.
 var querySolverPool sync.Pool
 
 // getPooledSolver draws a solver from the query pool, rebound to stats.
@@ -40,15 +40,12 @@ func putPooledSolver(sv *lp.Solver) {
 // focalID is the index of the focal record inside the dataset, or -1 when
 // the focal record is not part of it.
 func Run(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options) (*Result, error) {
-	return runQuery(tree, focal, focalID, opts, nil, nil, nil)
+	return runQuery(tree, focal, focalID, opts, nil)
 }
 
-// runQuery runs one kSPR query, optionally wired into a batch: shared is
-// the batch's read-only precomputation, arena a reusable LP solver owned
-// by the calling scheduler slot, and forks the batch-wide insertion token
-// pool (all nil for a standalone Run).
-func runQuery(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options,
-	shared *batchShared, arena *lp.Solver, forks *celltree.Forks) (*Result, error) {
+// runQuery runs one kSPR query. forks is the batch-wide insertion token
+// pool when the query is a batch item, nil otherwise.
+func runQuery(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options, forks *celltree.Forks) (*Result, error) {
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("core: K must be positive, got %d", opts.K)
 	}
@@ -62,12 +59,7 @@ func runQuery(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options,
 		opts.VolumeSamples = 10000
 	}
 	start := time.Now()
-	r := &runner{tree: tree, focal: focal, focalID: focalID, opts: opts,
-		shared: shared, batchForks: forks, inBatch: shared != nil || arena != nil || forks != nil}
-	if arena != nil {
-		arena.SetStats(&r.lpStats)
-		r.solver = arena
-	}
+	r := &runner{tree: tree, focal: focal, focalID: focalID, opts: opts, batchForks: forks}
 	res, err := r.run()
 	// All insertion forks and rank-bound workers have joined: hand the
 	// query's pooled LP workspaces back (on the error path too — solvers
@@ -80,16 +72,17 @@ func runQuery(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options,
 	return res, nil
 }
 
-// cancelled reports the Ctx error once the query's context is done. It is
-// the single cancellation check shared by every processing loop; with a nil
-// Ctx it is a constant-time no-op.
+// cancelled reports context.Cause of Ctx once the query's context is done
+// (Ctx.Err(), unless it was cancelled with a cause). It is the single
+// cancellation check shared by every processing loop; with a nil Ctx it
+// is a constant-time no-op.
 func (r *runner) cancelled() error {
 	if r.opts.Ctx == nil {
 		return nil
 	}
 	select {
 	case <-r.opts.Ctx.Done():
-		return r.opts.Ctx.Err()
+		return context.Cause(r.opts.Ctx)
 	default:
 		return nil
 	}
@@ -115,16 +108,17 @@ type runner struct {
 	ct      *celltree.Tree
 	lpStats lp.Stats
 	// boundsIdx is the candidate index LP-CTA's look-ahead rank bounds
-	// traverse: an aggregate R-tree over exactly this query's non-skip
-	// k-skyband (see buildBoundsIndex). nil when the query has no
-	// candidates or no look-ahead.
+	// traverse: the candIndex tree, an aggregate R-tree over exactly this
+	// query's non-skip k-skyband in ascending dataset id. The bound
+	// decisions (group MBRs, counts, traversal order) are therefore a pure
+	// function of the candidate set, identical across dataset generations
+	// that leave it untouched (incremental maintenance's keep-path
+	// guarantee). nil when the query has no candidates or no look-ahead.
 	boundsIdx *rtree.Tree
-	// solver is the coordinating goroutine's reusable LP workspace; engine
-	// workers get their own (see parallel.go). pooledSolver marks it as
-	// drawn from querySolverPool (standalone path) rather than owned by a
-	// batch scheduler slot.
-	solver       *lp.Solver
-	pooledSolver bool
+	// solver is the coordinating goroutine's reusable LP workspace, drawn
+	// from querySolverPool on first use; engine workers get their own (see
+	// parallel.go).
+	solver *lp.Solver
 	// workerSolvers / workerStats are the rank-bound workers' persistent
 	// arenas, created once per query so solver workspaces survive across
 	// progressive batches.
@@ -135,13 +129,9 @@ type runner struct {
 	pObj   geom.Vector
 	pConst float64
 
-	// batch wiring (nil/false for a standalone Run): shared is the batch's
-	// read-only precomputation, batchForks the batch-wide insertion token
-	// pool, and inBatch suppresses the per-query fork budget (the batch
-	// scheduler owns goroutine accounting).
-	shared     *batchShared
+	// batchForks is the batch-wide insertion token pool: nil for a
+	// standalone Run, and for a batch whose slots take all its workers.
 	batchForks *celltree.Forks
-	inBatch    bool
 
 	result *Result
 }
@@ -151,20 +141,18 @@ type runner struct {
 func (r *runner) lpSolver() *lp.Solver {
 	if r.solver == nil {
 		r.solver = getPooledSolver(&r.lpStats)
-		r.pooledSolver = true
 	}
 	return r.solver
 }
 
 // releaseSolvers returns every pooled LP workspace the query acquired:
-// the serial-path solver (unless it is a batch-owned arena), the rank
-// bound workers' solvers, and the cell tree's insertion solver. Called
-// once per query after all workers have joined.
+// the serial-path solver, the rank bound workers' solvers, and the cell
+// tree's insertion solver. Called once per query after all workers have
+// joined.
 func (r *runner) releaseSolvers() {
-	if r.pooledSolver {
+	if r.solver != nil {
 		putPooledSolver(r.solver)
 		r.solver = nil
-		r.pooledSolver = false
 	}
 	for _, sv := range r.workerSolvers {
 		putPooledSolver(sv)
@@ -249,18 +237,13 @@ func (r *runner) run() (*Result, error) {
 	default:
 		return nil, fmt.Errorf("core: unknown space %d", r.opts.Space)
 	}
-	switch {
-	case r.inBatch:
-		// The batch scheduler owns goroutine accounting: insertions draw
-		// from the batch-wide token pool (possibly nil), shared with every
-		// sibling query.
-		r.ct.Forks = r.batchForks
-	default:
-		if w := r.workers(); w > 1 {
-			// Attach the engine's fork budget: insertions may then fan
-			// disjoint cell subtrees across w goroutines in total.
-			r.ct.Forks = celltree.NewForks(w - 1)
-		}
+	// Insertions may fan disjoint cell subtrees out across goroutines: a
+	// batch item draws tokens from the pool it shares with its siblings,
+	// a standalone query on w > 1 workers gets w-1 of its own. A batch
+	// item without a pool runs a one-worker engine.
+	r.ct.Forks = r.batchForks
+	if w := r.workers(); r.ct.Forks == nil && w > 1 {
+		r.ct.Forks = celltree.NewForks(w - 1)
 	}
 
 	var err error
@@ -379,16 +362,10 @@ func (r *runner) allCandidateIDs() []int {
 }
 
 // kSkybandCandidates returns the K-skyband of the dataset with the focal
-// record excluded, in ascending id order. Standalone queries traverse the
-// R-tree; batch queries derive the identical list from the shared
-// dominator-count table in O(band).
+// record excluded, in ascending id order. It is read from the tree's band
+// table, which the generation's first query deep enough fills (or the
+// warm-loaded index brings), so every later query is a table scan.
 func (r *runner) kSkybandCandidates() []int {
-	if r.shared != nil {
-		return r.shared.skyband(r.tree, r.opts.K, r.focalID)
-	}
-	// KSkybandExcluding serves from the tree's persisted band table when
-	// one is attached (warm-loaded index) and falls back to the BBS
-	// traversal otherwise — identical output either way.
 	return r.tree.KSkybandExcluding(r.opts.K, r.focalID)
 }
 
@@ -407,14 +384,11 @@ func (r *runner) kSkybandIDs() []int {
 
 // candIndex is the candidate record index the progressive algorithms run
 // their pivot reportability checks against: an aggregate R-tree whose
-// record id ci maps to dataset id orig[ci]. member, when non-nil, narrows
-// the index to this query's candidates (the batch path shares one tree
-// across queries with different candidate sets); a nil candIndex means no
+// record id ci maps to dataset id orig[ci]. A nil candIndex means no
 // candidates at all.
 type candIndex struct {
-	tree   *rtree.Tree
-	orig   []int
-	member []bool
+	tree *rtree.Tree
+	orig []int
 }
 
 // anyUnprocessedEscapes reports whether some still-unprocessed candidate
@@ -423,35 +397,15 @@ func (ci *candIndex) anyUnprocessedEscapes(pivots []geom.Vector, processed map[i
 	if ci == nil {
 		return false
 	}
-	return ci.tree.AnyNotDominated(pivots, func(i int) bool {
-		if ci.member != nil && !ci.member[i] {
-			return true
-		}
-		return processed[ci.orig[i]]
-	})
+	return ci.tree.AnyNotDominated(pivots, func(i int) bool { return processed[ci.orig[i]] })
 }
 
 // buildCandIndex assembles the candidate index for this query: only
 // K-skyband records can matter (Lemma 6's argument extends to the
 // reportability test: a non-skyband escapee implies either a skyband
-// escapee or enough accounted dominators to disqualify the cell). Batch
-// queries reuse the shared band tree with a membership mask; standalone
-// queries build a dedicated tree over just their candidates.
+// escapee or enough accounted dominators to disqualify the cell). The
+// index is a dedicated tree over just this query's candidates.
 func (r *runner) buildCandIndex() (*candIndex, error) {
-	if r.shared != nil {
-		member := make([]bool, len(r.shared.band))
-		any := false
-		for i, id := range r.shared.band {
-			if r.shared.inSkyband(i, r.opts.K, r.focalID, r.tree) && !r.skip(id) {
-				member[i] = true
-				any = true
-			}
-		}
-		if !any {
-			return nil, nil
-		}
-		return &candIndex{tree: r.shared.candTree, orig: r.shared.band, member: member}, nil
-	}
 	candIDs := r.kSkybandCandidates()
 	candRecs := make([]geom.Vector, 0, len(candIDs))
 	candOrig := make([]int, 0, len(candIDs))
@@ -469,31 +423,6 @@ func (r *runner) buildCandIndex() (*candIndex, error) {
 		return nil, err
 	}
 	return &candIndex{tree: tree, orig: candOrig}, nil
-}
-
-// buildBoundsIndex assembles the index LP-CTA's look-ahead rank bounds
-// traverse: an aggregate R-tree over exactly this query's candidates (the
-// non-skip k-skyband, ascending dataset id). Standalone queries reuse the
-// candidate index's dedicated tree; batch queries materialize their own
-// small tree from the shared band and membership mask, so the bound
-// decisions — group MBRs, counts, traversal order — are a pure function
-// of the candidate set and therefore identical between batch and serial
-// runs, and across dataset generations that leave the candidate set
-// untouched (incremental maintenance's keep-path guarantee).
-func (r *runner) buildBoundsIndex(cand *candIndex) (*rtree.Tree, error) {
-	if cand == nil {
-		return nil, nil
-	}
-	if cand.member == nil {
-		return cand.tree, nil
-	}
-	recs := make([]geom.Vector, 0, len(cand.orig))
-	for i, in := range cand.member {
-		if in {
-			recs = append(recs, r.shared.recs[i])
-		}
-	}
-	return rtree.Build(recs)
 }
 
 // runCTA inserts the given records' hyperplanes one by one (§4).
@@ -528,30 +457,20 @@ func (r *runner) runProgressive() error {
 	dg := dominance.New()
 	processed := make(map[int]bool)
 
-	// Candidate index for the pivot checks (shared across the batch when
-	// this query runs as part of one).
+	// Candidate index for the pivot checks; LP-CTA's rank bounds walk the
+	// same tree.
 	bandSpan := r.opts.Trace.Span(PhaseSkyband)
 	cand, err := r.buildCandIndex()
 	if err != nil {
 		return err
 	}
 	lookahead := r.opts.Algorithm == LPCTA
-	if lookahead {
-		if r.boundsIdx, err = r.buildBoundsIndex(cand); err != nil {
-			return err
-		}
+	if lookahead && cand != nil {
+		r.boundsIdx = cand.tree
 	}
 
-	// First batch: the skyline of the competing records (Invariant 1) —
-	// derived from the shared dominance table when batched (exact here:
-	// every member of Skyline(D \ skip) is in the shared band once the
-	// query survives the kAdj > 0 check, see batchShared.firstBatch).
-	var batch []int
-	if r.shared != nil {
-		batch = r.shared.firstBatch(r.skip)
-	} else {
-		batch = r.tree.Skyline(r.skip)
-	}
+	// First batch: the skyline of the competing records (Invariant 1).
+	batch := r.tree.Skyline(r.skip)
 	bandSpan.End()
 
 	r.ct.TakeFreshLeaves() // the root cell's bounds are trivially [1, n]

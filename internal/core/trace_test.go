@@ -81,8 +81,8 @@ func TestTraceDisabledIsIdentical(t *testing.T) {
 	}
 }
 
-// TestTraceBatchShared pins that one trace aggregates across a whole
-// batch (including the shared skyband precomputation) without racing.
+// TestTraceBatchShared pins that one trace, shared by every item of a
+// batch, aggregates all their phases without racing.
 func TestTraceBatchShared(t *testing.T) {
 	tr, recs := buildIND(t, 120, 4, 23)
 	trace := obs.NewTrace()

@@ -1,6 +1,6 @@
 // Package kernel provides the flat-array dominance kernels behind the
-// large-n hot paths: R-tree skyline/k-skyband filtering, the batch
-// engine's dominance table, and the progressive dominance graph.
+// large-n hot paths: R-tree skyline/k-skyband filtering and the
+// progressive dominance graph.
 //
 // The package exists because the naive representation — a slice of
 // per-record []float64 slices — costs one pointer chase per record per
@@ -199,36 +199,6 @@ func (s *MaskScratch) masks(n int) ([]byte, []byte) {
 		s.gt = make([]byte, n)
 	}
 	return s.ge[:n], s.gt[:n]
-}
-
-// PairwiseDominators computes the full dominance table of a flat
-// row-major dataset (n records of d attributes): cnt[i] receives the
-// number of records dominating record i, and adj[i] — when adj is
-// non-nil — receives the indices of those dominators in ascending
-// order. cnt must have length n and arrive zeroed; adj must have length
-// n and is appended to. This is the batch engine's shared dominance
-// table, previously an O(n^2) loop over slice-of-slice records.
-func PairwiseDominators(rows []float64, n, d int, cnt []int, adj [][]int32) {
-	if len(rows) != n*d {
-		panic("kernel: row data length mismatch in PairwiseDominators")
-	}
-	if len(cnt) != n {
-		panic("kernel: count length mismatch in PairwiseDominators")
-	}
-	for i := 0; i < n; i++ {
-		xi := rows[i*d : (i+1)*d]
-		for j := 0; j < n; j++ {
-			if i == j {
-				continue
-			}
-			if dominatesFlat(rows[j*d:(j+1)*d], xi, d) {
-				cnt[i]++
-				if adj != nil {
-					adj[i] = append(adj[i], int32(j))
-				}
-			}
-		}
-	}
 }
 
 // CompareResult mirrors geom.DomRelation for flat rows without importing

@@ -126,33 +126,6 @@ func TestKernelsMatchReference(t *testing.T) {
 				t.Fatalf("trial %d: CountDominators(exclude=%d) = %d, want %d", trial, exclude, got, want)
 			}
 		}
-
-		// The pairwise table matches per-record naive counts and
-		// adjacency.
-		cnt := make([]int, n)
-		adj := make([][]int32, n)
-		PairwiseDominators(rows, n, d, cnt, adj)
-		for i := 0; i < n; i++ {
-			wantCnt := 0
-			var wantAdj []int32
-			for j := 0; j < n; j++ {
-				if j != i && geom.Dominates(recs[j], recs[i]) {
-					wantCnt++
-					wantAdj = append(wantAdj, int32(j))
-				}
-			}
-			if cnt[i] != wantCnt {
-				t.Fatalf("trial %d: cnt[%d] = %d, want %d", trial, i, cnt[i], wantCnt)
-			}
-			if len(adj[i]) != len(wantAdj) {
-				t.Fatalf("trial %d: adj[%d] = %v, want %v", trial, i, adj[i], wantAdj)
-			}
-			for k := range wantAdj {
-				if adj[i][k] != wantAdj[k] {
-					t.Fatalf("trial %d: adj[%d] = %v, want %v", trial, i, adj[i], wantAdj)
-				}
-			}
-		}
 	}
 }
 

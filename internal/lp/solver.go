@@ -10,11 +10,10 @@ import (
 // and constraint-matrix scratch survive across solves, so the per-LP
 // allocation cost is paid once per worker instead of once per call. The
 // parallel expansion engine in internal/core hands every worker goroutine
-// its own Solver (its per-worker "arena"), and the batch engine keeps one
-// Solver per scheduler slot alive across all the queries that slot runs,
-// rebinding its accounting with SetStats per query; the package-level
-// Maximize, Minimize, FeasibleInterior and Bound helpers remain as
-// one-shot conveniences that build a throwaway workspace.
+// its own Solver (its per-worker "arena"), drawn from a pool shared by all
+// queries and rebound to each query's accounting with SetStats; the
+// package-level Maximize, Minimize, FeasibleInterior and Bound helpers
+// remain as one-shot conveniences that build a throwaway workspace.
 //
 // A Solver is NOT safe for concurrent use: create one per goroutine.
 type Solver struct {

@@ -310,7 +310,7 @@ func TestBatchEnvelopeErrors(t *testing.T) {
 	}
 }
 
-// TestBatchApprox: approx batches fan out per item (no shared-work pass),
+// TestBatchApprox: approx batches fan out per item (not through KSPRBatch),
 // reject the original space like the single-query path, and never consume
 // CPU-budget slots.
 func TestBatchApprox(t *testing.T) {

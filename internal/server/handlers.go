@@ -147,10 +147,10 @@ type batchRequest struct {
 	// consuming the batch deadline.
 	ItemTimeoutMs int  `json:"item_timeout_ms,omitempty"`
 	NoCache       bool `json:"no_cache,omitempty"`
-	// Parallelism is the engine parallelism for the WHOLE batch: the batch
-	// runs as one shared-work pass on 1 + granted extra CPU slots. When the
-	// budget has slots but all are claimed, the request fails with 429
-	// rather than degrading N queries to one core.
+	// Parallelism is the engine parallelism for the WHOLE batch: one
+	// KSPRBatch call schedules the items on 1 + granted extra CPU slots.
+	// When the budget has slots but all are claimed, the request fails
+	// with 429 rather than degrading N queries to one core.
 	Parallelism int `json:"parallelism,omitempty"`
 }
 
@@ -826,9 +826,10 @@ func (s *Server) decodeBatchRequest(w http.ResponseWriter, r *http.Request) (bat
 	return req, items, parseErrs, true
 }
 
-// handleBatch answers a panel of kSPR queries as ONE shared-work engine
-// pass (kspr.DB.KSPRBatch) on a single pool worker plus whatever extra CPU
-// slots the shared budget grants, and streams one NDJSON line per item.
+// handleBatch answers a panel of kSPR queries with ONE kspr.DB.KSPRBatch
+// call, which schedules the items on a single pool worker plus whatever
+// extra CPU slots the shared budget grants, and streams one NDJSON line
+// per item.
 // Ordering: already-decided items (parse errors, invalid k, cache hits)
 // stream first in item order; computed items follow in completion order;
 // every line carries its input index. Per-item failures are lines, not
@@ -1073,9 +1074,9 @@ func (s *Server) batchItemResponse(snap *Snapshot, item batchQuery, bq kspr.Batc
 	return resp
 }
 
-// runBatchApprox serves an approx-algorithm batch: the approximate engine
-// has no shared-work pass, so items fan out as individual pool tasks (the
-// pre-batch behaviour) and settle on the shared emitter.
+// runBatchApprox serves an approx-algorithm batch: KSPRBatch runs only the
+// exact engine, so approx items fan out as individual pool tasks and
+// settle on the shared emitter.
 func (s *Server) runBatchApprox(ctx context.Context, snap *Snapshot, req batchRequest,
 	queries []kspr.BatchQuery, idx []int, emitter *batchEmitter) {
 	var wg sync.WaitGroup

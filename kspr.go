@@ -293,15 +293,6 @@ func WithTrace(t *Trace) QueryOption {
 	return func(o *core.Options) { o.Trace = t }
 }
 
-// WithParallelBounds runs the query engine on all CPU cores.
-//
-// Deprecated: the engine now parallelizes every expansion phase, not just
-// LP-CTA's rank bounds. Use WithParallelism instead; WithParallelBounds is
-// equivalent to WithParallelism(0).
-func WithParallelBounds() QueryOption {
-	return WithParallelism(0)
-}
-
 // KSPR answers the k-Shortlist Preference Region query for the dataset
 // record with index focalID.
 func (db *DB) KSPR(focalID, k int, opts ...QueryOption) (*Result, error) {
@@ -344,9 +335,11 @@ func (db *DB) query(st *dbState, focal geom.Vector, focalID, k int, opts []Query
 
 // BatchQuery is one focal option of a KSPRBatch call. FocalID names a
 // dataset record; set it to -1 and fill Focal to query a hypothetical
-// record instead (a non-finite Focal fails just that item). K overrides
-// the batch-wide shortlist size when positive.
-// Ctx, when non-nil, cancels just this item.
+// record instead (a non-finite Focal fails just that item). A non-zero K
+// overrides the batch-wide shortlist size; a negative K fails the item.
+// Ctx, when non-nil, cancels just this item, in addition to the batch
+// context (WithBatchOptions(WithContext(ctx))): the item stops when
+// either is done, with the error of the one that fired.
 type BatchQuery struct {
 	FocalID int
 	Focal   []float64
@@ -393,24 +386,17 @@ func WithBatchItemTimeout(d time.Duration) BatchOption {
 	return func(b *core.BatchOptions) { b.ItemTimeout = d }
 }
 
-// WithBatchNoShare disables the batch's shared precomputation, running
-// every item as an independent query on the batch scheduler. Results are
-// identical either way; the switch exists for cross-checking and for
-// measuring the shared-work speedup.
-func WithBatchNoShare() BatchOption {
-	return func(b *core.BatchOptions) { b.NoShare = true }
-}
-
-// KSPRBatch answers kSPR for a panel of focal options over the dataset in
-// a single shared-work pass: the k-skyband dominance precomputation, the
-// candidate index behind the progressive algorithms' reportability checks,
-// the insertion fork-token pool and the per-worker LP solver arenas are
-// built once and shared by every item, and the items are scheduled across
-// the engine's parallelism budget (WithBatchOptions(WithParallelism(n))).
-// Each item's Result is byte-identical to the corresponding KSPR /
-// KSPRVector call; per-item failures land in the item's BatchOutcome, so
-// one bad item cannot sink its siblings. The returned slice is indexed
-// like queries and independent of scheduling order.
+// KSPRBatch answers kSPR for a panel of focal options over the dataset,
+// scheduling the items across the engine's parallelism budget
+// (WithBatchOptions(WithParallelism(n))): items run concurrently, each on
+// its share of the workers, and draw insertion fan-out from one
+// batch-wide token pool. Items share what every query on the dataset
+// shares: the k-skyband table, which the first item that needs it
+// builds, and the LP solver pool. Each item's Result is byte-identical
+// to the corresponding KSPR / KSPRVector call; per-item failures land in
+// the item's BatchOutcome, so one bad item cannot sink its siblings. The
+// returned slice is indexed like queries and independent of scheduling
+// order.
 func (db *DB) KSPRBatch(queries []BatchQuery, k int, opts ...BatchOption) ([]BatchOutcome, error) {
 	st := db.cur()
 	if st.tree == nil {

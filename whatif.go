@@ -8,8 +8,8 @@ package kspr
 // the exact per-region Outscorers facts the cell tree proved, reprice
 // probes run against a Freeze-pinned scratch dataset kept warm by
 // MaintainKSPR (so hopeless prices are absorbed by the incremental keep
-// path instead of engine runs), and frontier sweeps share skyband and
-// dominance work through KSPRBatch. See docs/ARCHITECTURE.md, "What-if
+// path instead of engine runs), and frontier sweeps run their surviving
+// grid points as one KSPRBatch call. See docs/ARCHITECTURE.md, "What-if
 // layer".
 
 import (
@@ -396,7 +396,7 @@ type FrontierCurve struct {
 	Points []FrontierPoint
 	// Stats reports the probe economy: Kept counts grid points the
 	// dominator-count classification answered, Recomputed the points that
-	// went through the shared-work engine pass.
+	// went through the engine's batch.
 	Stats WhatIfStats
 }
 
@@ -405,9 +405,10 @@ type FrontierCurve struct {
 // resulting impact. Grid points where the repriced focal is dominated by
 // at least k competitors are classified empty from dominator counts alone
 // (the incremental fast path; Kept in Stats); the surviving points run as
-// ONE shared-work KSPRBatch pass over the competitor set, so skyband and
-// dominance precomputation are paid once for the whole sweep. The sweep
-// reads a pinned generation and never mutates db.
+// one KSPRBatch call over the competitor set, scheduled across the
+// parallelism budget, whose k-skyband table the first point that needs it
+// builds and the rest read. The sweep reads a pinned generation and never
+// mutates db.
 func (db *DB) Frontier(focalID, k int, spec FrontierSpec, opts ...QueryOption) (*FrontierCurve, error) {
 	start := time.Now()
 	st := db.cur()
