@@ -116,9 +116,10 @@ crashsmoke:
 	$(GO) run ./scripts/crashsmoke
 
 # ci mirrors the GitHub workflow locally: formatting, vet, build, race
-# tests, doc gates, the crash-recovery smoke test, lint, the coverage
-# floor, the bench regression gate, the large-N regression gate, a short
-# fuzz smoke, and the load regression gate.
+# tests, doc gates, the crash-recovery smoke test, one iteration of the
+# index-build and reload benchmarks (so they keep compiling and running),
+# lint, the coverage floor, the bench regression gate, the large-N
+# regression gate, a short fuzz smoke, and the load regression gate.
 ci:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
@@ -128,6 +129,7 @@ ci:
 	./scripts/check_links.sh
 	./scripts/check_docs.sh
 	$(MAKE) crashsmoke
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild|BenchmarkApplyRecordsReload' -benchtime 1x ./internal/rtree ./internal/store
 	$(MAKE) lint
 	$(MAKE) coverage
 	$(MAKE) benchgate

@@ -17,12 +17,28 @@ func benchTree(b *testing.B, n, d int) *Tree {
 	return tr
 }
 
-func BenchmarkBuild_50k_d4(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	recs := randRecords(rng, 50000, 4)
+// BenchmarkBuild times a cold STR build at n=1e5, d=3: the re-index every
+// Apply pays.
+func BenchmarkBuild(b *testing.B) {
+	recs := randRecords(rand.New(rand.NewSource(1)), 100000, 3)
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, err := Build(recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkBuildFromOrder times the warm reassembly of the same tree from
+// its persisted leaf layout.
+func BenchmarkBuildFromOrder(b *testing.B) {
+	recs := randRecords(rand.New(rand.NewSource(1)), 100000, 3)
+	order, ends := benchTree(b, 100000, 3).LeafOrder()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := BuildFromOrder(recs, order, ends); err != nil {
 			b.Fatal(err)
 		}
 	}

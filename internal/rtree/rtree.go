@@ -7,17 +7,20 @@
 // hook for the disk-resident scenario of Appendix A.
 //
 // Construction uses Sort-Tile-Recursive (STR) bulk loading, which is the
-// standard way to build a static R-tree over a known dataset. Build packs
-// the records into one dense row-major float64 array (Records[i] is a view
-// into it), so the traversal inner loops in query.go stream flat memory
-// instead of chasing per-record slice headers. The STR leaf order can be
-// exported with LeafOrder and a structurally identical tree reassembled in
-// O(n) with BuildFromOrder — the basis of the persisted-index warm start.
+// standard way to build a static R-tree over a known dataset, in time
+// linear in the record count: tiling is d stable radix sorts of the record
+// ids, one per axis, and one assembly pass then fills the nodes. Build
+// packs the records into one dense row-major float64 array (Records[i] is
+// a view into it), so tiling and the traversal inner loops in query.go
+// stream flat memory instead of chasing per-record slice headers. The STR
+// leaf order can be exported with LeafOrder and a structurally identical
+// tree reassembled in O(n) with BuildFromOrder — the basis of the
+// persisted-index warm start.
 package rtree
 
 import (
 	"fmt"
-	"sort"
+	"math"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -118,6 +121,9 @@ func newTree(records []geom.Vector, opts []Option) (*Tree, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("rtree: empty record set")
 	}
+	if len(records) > math.MaxInt32 {
+		return nil, fmt.Errorf("rtree: %d records exceed the int32 record ids", len(records))
+	}
 	dim := len(records[0])
 	for i, r := range records {
 		if len(r) != dim {
@@ -136,18 +142,24 @@ func newTree(records []geom.Vector, opts []Option) (*Tree, error) {
 	return t, nil
 }
 
-// Build bulk-loads an R-tree over records using STR.
+// Build bulk-loads an R-tree over records using STR (see strTile), then
+// assembles it (see assemble). Tiling costs d stable radix sorts of the
+// record ids, each a fixed number of linear passes, so the whole build is
+// linear in the record count. Records tied on an axis keep their order
+// from the level above, id order at the top, so the tree is a pure
+// function of records; no query answer depends on how ties are grouped.
 func Build(records []geom.Vector, opts ...Option) (*Tree, error) {
 	t, err := newTree(records, opts)
 	if err != nil {
 		return nil, err
 	}
-	ids := make([]int, len(t.Records))
-	for i := range ids {
-		ids[i] = i
+	n := len(t.Records)
+	order := make([]int32, n)
+	for i := range order {
+		order[i] = int32(i)
 	}
-	groups := strTile(t.Records, ids, t.Dim, 0, t.fanout)
-	t.assemble(groups)
+	ends := t.strTile(order, 0, 0, make([]slot, 2*n), make([]int32, 0, (n+t.fanout-1)/t.fanout))
+	t.assemble(order, ends)
 	return t, nil
 }
 
@@ -208,84 +220,160 @@ func BuildFromOrder(records []geom.Vector, order, groupEnds []int32, opts ...Opt
 		}
 		prev = end
 	}
-	groups := make([][]int, 0, len(groupEnds))
-	start := 0
-	for _, end := range groupEnds {
-		g := make([]int, 0, int(end)-start)
-		for _, id := range order[start:end] {
-			g = append(g, int(id))
-		}
-		groups = append(groups, g)
-		start = int(end)
-	}
-	t.assemble(groups)
+	t.assemble(order, groupEnds)
 	return t, nil
 }
 
-// assemble materializes the tree nodes from leaf-level record groups:
-// one leaf per group (paged in order), then upper levels grouping
-// consecutive nodes — they are already spatially clustered by the STR
-// order. Build and BuildFromOrder share this phase, which is what makes
-// the warm-rebuilt tree structurally identical to the cold one.
-func (t *Tree) assemble(groups [][]int) {
-	level := make([]*Node, 0, len(groups))
-	for _, g := range groups {
-		n := &Node{Leaf: true, Page: t.pages}
-		t.pages++
-		for _, id := range g {
+// assemble materializes the tree from a leaf layout: order lists the
+// record ids left to right, and groupEnds[g] is the exclusive end of
+// leaf g's run in order. The leaves are paged first, in order; each upper
+// level then groups runs of fanout consecutive nodes of the level below
+// (they are already spatially clustered by the STR order) and is paged
+// after it. Build and BuildFromOrder share this phase, which is what
+// makes the warm-rebuilt tree structurally identical to the cold one.
+//
+// All leaf entries come from one []Entry and all nodes of a level from
+// one []Node. Each leaf's Entries is capacity-clipped, so an append never
+// spills into its neighbour.
+func (t *Tree) assemble(order, groupEnds []int32) {
+	level := make([]Node, len(groupEnds))
+	entries := make([]Entry, len(order))
+	start := int32(0)
+	for g, end := range groupEnds {
+		es := entries[start:end:end]
+		for i, id := range order[start:end] {
 			r := t.Records[id]
-			n.Entries = append(n.Entries, Entry{
-				Low: r, High: r, Count: 1, RecordID: id,
-			})
+			es[i] = Entry{Low: r, High: r, Count: 1, RecordID: int(id)}
 		}
-		level = append(level, n)
+		level[g] = Node{Leaf: true, Entries: es, Page: g}
+		start = end
 	}
+	t.pages = len(level)
 	for len(level) > 1 {
-		var next []*Node
-		for i := 0; i < len(level); i += t.fanout {
-			end := min(i+t.fanout, len(level))
-			n := &Node{Page: t.pages}
-			t.pages++
-			for _, child := range level[i:end] {
-				low, high, count := nodeMBR(child, t.Dim)
+		next := make([]Node, (len(level)+t.fanout-1)/t.fanout)
+		for i := range next {
+			children := level[i*t.fanout : min((i+1)*t.fanout, len(level))]
+			es := make([]Entry, len(children))
+			for j := range children {
+				low, high, count := nodeMBR(&children[j], t.Dim)
 				if !t.Aggregate {
 					count = 0
 				}
-				n.Entries = append(n.Entries, Entry{Low: low, High: high, Count: count, Child: child})
+				es[j] = Entry{Low: low, High: high, Count: count, Child: &children[j]}
 			}
-			next = append(next, n)
+			next[i] = Node{Entries: es, Page: t.pages}
+			t.pages++
 		}
 		level = next
 	}
-	t.Root = level[0]
+	t.Root = &level[0]
 }
 
-// strTile recursively partitions ids into groups of at most cap records
-// using the Sort-Tile-Recursive scheme starting at dimension dimIdx.
-func strTile(records []geom.Vector, ids []int, dim, dimIdx, cap int) [][]int {
-	if len(ids) <= cap {
-		return [][]int{ids}
+// slot is one record in strTile's radix sort: the order-preserving key
+// of its coordinate on the axis being sorted, and its id.
+type slot struct {
+	key uint64
+	id  int32
+}
+
+// strTile tiles order, a run of record ids that starts at offset base of
+// the whole leaf order, into leaf groups of at most fanout records by
+// Sort-Tile-Recursive packing from axis axis on. It permutes order in
+// place and appends the exclusive end of each group, as an offset into
+// the whole order, to ends.
+//
+// Each level sorts its run by the axis coordinate, read from t.flat,
+// with radixSort. scratch, twice the record count long, backs every
+// level's sort: a level finishes its sort before its slabs recurse, so
+// the whole recursion shares it.
+//
+// Tie rule: the sort is stable, so records with equal coordinates on an
+// axis keep the order of the level above, which is id order at the top
+// level. −0 and +0, equal under <, are one more tie case: their keys put
+// −0 just below +0. NaN never gets here; every public entry point
+// rejects it (geom.CheckFinite). The grouping is a pure function of the
+// input. On tie-free input it equals any comparison sort's; on ties it
+// may differ from an unstable sort's, which is deterministic too but
+// arbitrary. No query answer depends on the grouping: every query
+// returns sorted ids or exact counts.
+func (t *Tree) strTile(order []int32, base, axis int, scratch []slot, ends []int32) []int32 {
+	n, f := len(order), t.fanout
+	if n <= f {
+		return append(ends, int32(base+n))
 	}
-	sort.Slice(ids, func(a, b int) bool {
-		return records[ids[a]][dimIdx] < records[ids[b]][dimIdx]
-	})
-	if dimIdx == dim-1 {
-		// Final dimension: chop into runs of cap.
-		var out [][]int
-		for i := 0; i < len(ids); i += cap {
-			out = append(out, ids[i:min(i+cap, len(ids))])
+	keys, tmp := scratch[:n], scratch[n:2*n]
+	for i, id := range order {
+		keys[i] = slot{sortKey(t.flat[int(id)*t.Dim+axis]), id}
+	}
+	for i, s := range radixSort(keys, tmp) {
+		order[i] = s.id
+	}
+	if axis == t.Dim-1 {
+		// Final axis: chop into runs of fanout.
+		for i := f; i < n; i += f {
+			ends = append(ends, int32(base+i))
 		}
-		return out
+		return append(ends, int32(base+n))
 	}
-	// Number of leaf pages we will eventually need, then slabs per this dim.
-	pages := (len(ids) + cap - 1) / cap
-	slabs := ceilPow(pages, dim-dimIdx)
-	slabSize := (len(ids) + slabs - 1) / slabs
-	var out [][]int
-	for i := 0; i < len(ids); i += slabSize {
-		out = append(out, strTile(records, ids[i:min(i+slabSize, len(ids))], dim, dimIdx+1, cap)...)
+	// Number of leaf pages this run needs, then slabs along this axis.
+	pages := (n + f - 1) / f
+	slabs := ceilPow(pages, t.Dim-axis)
+	size := (n + slabs - 1) / slabs
+	for i := 0; i < n; i += size {
+		ends = t.strTile(order[i:min(i+size, n)], base+i, axis+1, scratch, ends)
 	}
-	return out
+	return ends
+}
+
+// sortKey maps f to a uint64 whose unsigned order is f's order: a
+// negative float has every bit flipped, a non-negative one only its sign
+// bit. −0 maps just below +0.
+func sortKey(f float64) uint64 {
+	b := math.Float64bits(f)
+	if b>>63 != 0 {
+		return ^b
+	}
+	return b | 1<<63
+}
+
+// radixSort stably sorts a by key, least-significant byte first, moving
+// the slots between a and tmp (of equal length) on each pass, and
+// returns whichever of the two holds the result. One counting pass fills
+// all eight byte histograms; a byte that every key shares has nothing to
+// sort and its pass is skipped.
+func radixSort(a, tmp []slot) []slot {
+	var count [8][256]int32
+	for _, s := range a {
+		k := s.key
+		count[0][byte(k)]++
+		count[1][byte(k>>8)]++
+		count[2][byte(k>>16)]++
+		count[3][byte(k>>24)]++
+		count[4][byte(k>>32)]++
+		count[5][byte(k>>40)]++
+		count[6][byte(k>>48)]++
+		count[7][byte(k>>56)]++
+	}
+	src, dst := a, tmp
+	for p := range count {
+		shift := uint(8 * p)
+		c := &count[p]
+		if int(c[byte(src[0].key>>shift)]) == len(src) {
+			continue
+		}
+		var sum int32
+		for i, m := range c {
+			c[i] = sum
+			sum += m
+		}
+		for _, s := range src {
+			b := byte(s.key >> shift)
+			dst[c[b]] = s
+			c[b]++
+		}
+		src, dst = dst, src
+	}
+	return src
 }
 
 // ceilPow returns ceil(n^(1/k)).
@@ -385,10 +473,3 @@ func (t *Tree) Height() int {
 
 // Len returns the number of indexed records.
 func (t *Tree) Len() int { return len(t.Records) }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"math"
 	"math/rand"
 	"sort"
 	"testing"
@@ -29,56 +30,192 @@ func TestBuildValidatesInput(t *testing.T) {
 	}
 }
 
+// TestBuildStructure checks the tree invariants on random and on tied
+// input: no node over fanout, every entry's count equal to its subtree's
+// and its MBR containing the subtree's, every record reachable exactly
+// once. Two Builds of the same input must be structurally identical, and
+// equal to the tree of the reference layout, which states the tie rule.
 func TestBuildStructure(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	recs := randRecords(rng, 1000, 3)
-	tr, err := Build(recs, WithFanout(16))
+	const n, fanout = 1000, 16
+	random := randRecords(rand.New(rand.NewSource(1)), n, 3)
+	grid := randWarmRecords(rand.New(rand.NewSource(2)), n, 3, true)
+	rng := rand.New(rand.NewSource(3))
+	signedZeros := make([]geom.Vector, n)
+	identical := make([]geom.Vector, n)
+	for i := range signedZeros {
+		v := make(geom.Vector, 3)
+		for j := range v {
+			v[j] = [...]float64{math.Copysign(0, -1), 0, 1}[rng.Intn(3)]
+		}
+		signedZeros[i] = v
+		identical[i] = geom.Vector{0.5, 0.25, 0.75}
+	}
+	for _, tc := range []struct {
+		name string
+		recs []geom.Vector
+	}{
+		{"random", random},
+		{"5-value grid", grid},
+		{"signed zeros", signedZeros},
+		{"identical", identical},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tr, err := Build(tc.recs, WithFanout(fanout))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if tr.Len() != n {
+				t.Fatalf("Len = %d", tr.Len())
+			}
+			if tr.Height() < 2 {
+				t.Fatalf("height %d too small for %d records with fanout %d", tr.Height(), n, fanout)
+			}
+			seen := map[int]int{}
+			var walk func(nd *Node) (geom.Vector, geom.Vector, int)
+			walk = func(nd *Node) (geom.Vector, geom.Vector, int) {
+				if len(nd.Entries) == 0 {
+					t.Fatal("empty node")
+				}
+				if len(nd.Entries) > fanout {
+					t.Fatalf("node with %d entries exceeds fanout", len(nd.Entries))
+				}
+				low, high, total := nodeMBR(nd, tr.Dim)
+				for _, e := range nd.Entries {
+					if e.Child != nil {
+						clow, chigh, ccount := walk(e.Child)
+						if ccount != e.Count {
+							t.Fatalf("entry count %d, subtree has %d", e.Count, ccount)
+						}
+						for j := 0; j < tr.Dim; j++ {
+							if e.Low[j] > clow[j]+1e-12 || e.High[j] < chigh[j]-1e-12 {
+								t.Fatal("entry MBR does not contain child MBR")
+							}
+						}
+					} else {
+						seen[e.RecordID]++
+					}
+				}
+				return low, high, total
+			}
+			if _, _, total := walk(tr.Root); total != n {
+				t.Fatalf("aggregate total %d, want %d", total, n)
+			}
+			for id := 0; id < n; id++ {
+				if seen[id] != 1 {
+					t.Fatalf("record %d appears %d times", id, seen[id])
+				}
+			}
+			again, err := Build(tc.recs, WithFanout(fanout))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameStructure(t, tr.Root, again.Root)
+			order, ends := refLayout(tc.recs, fanout)
+			ref, err := BuildFromOrder(tc.recs, order, ends, WithFanout(fanout))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sameStructure(t, tr.Root, ref.Root)
+		})
+	}
+}
+
+// refSTRTile is the comparison-sort STR tiler Build used before its radix
+// sort, kept as the reference: it partitions ids into groups of at most
+// cap records. On tie-free input any correct sort yields the same groups.
+// Its sort is made stable, with −0 ordered below +0, so that on tied input
+// it states Build's tie rule.
+func refSTRTile(records []geom.Vector, ids []int, dim, dimIdx, cap int) [][]int {
+	if len(ids) <= cap {
+		return [][]int{ids}
+	}
+	sort.SliceStable(ids, func(a, b int) bool {
+		x, y := records[ids[a]][dimIdx], records[ids[b]][dimIdx]
+		return x < y || x == y && math.Signbit(x) && !math.Signbit(y)
+	})
+	if dimIdx == dim-1 {
+		var out [][]int
+		for i := 0; i < len(ids); i += cap {
+			out = append(out, ids[i:min(i+cap, len(ids))])
+		}
+		return out
+	}
+	pages := (len(ids) + cap - 1) / cap
+	slabs := ceilPow(pages, dim-dimIdx)
+	slabSize := (len(ids) + slabs - 1) / slabs
+	var out [][]int
+	for i := 0; i < len(ids); i += slabSize {
+		out = append(out, refSTRTile(records, ids[i:min(i+slabSize, len(ids))], dim, dimIdx+1, cap)...)
+	}
+	return out
+}
+
+// refLayout is refSTRTile's grouping of recs in LeafOrder form.
+func refLayout(recs []geom.Vector, fanout int) (order, ends []int32) {
+	ids := make([]int, len(recs))
+	for i := range ids {
+		ids[i] = i
+	}
+	for _, g := range refSTRTile(recs, ids, len(recs[0]), 0, fanout) {
+		for _, id := range g {
+			order = append(order, int32(id))
+		}
+		ends = append(ends, int32(len(order)))
+	}
+	return order, ends
+}
+
+// TestBuildMatchesReferenceSTR pins the radix-sorted tiler to the
+// comparison-sort reference on tie-free data spanning negatives and large
+// magnitudes: Build must equal the tree assembled from the reference
+// layout, node for node.
+func TestBuildMatchesReferenceSTR(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	for _, fanout := range []int{2, 3, 16, 64} {
+		for _, d := range []int{2, 3, 4, 6} {
+			for _, n := range []int{1, 2, fanout, fanout + 1, 500, 5000} {
+				recs := make([]geom.Vector, n)
+				for i := range recs {
+					v := make(geom.Vector, d)
+					for j := range v {
+						v[j] = (2*rng.Float64() - 1) * 1e6
+					}
+					recs[i] = v
+				}
+				order, ends := refLayout(recs, fanout)
+				want, err := BuildFromOrder(recs, order, ends, WithFanout(fanout))
+				if err != nil {
+					t.Fatalf("fanout=%d d=%d n=%d: reference layout: %v", fanout, d, n, err)
+				}
+				got, err := Build(recs, WithFanout(fanout))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got.Pages() != want.Pages() {
+					t.Fatalf("fanout=%d d=%d n=%d: %d pages, reference %d", fanout, d, n, got.Pages(), want.Pages())
+				}
+				sameStructure(t, got.Root, want.Root)
+			}
+		}
+	}
+}
+
+// TestBuildAllocs bounds Build's allocations: tiling and assembly
+// allocate per tree, not per node.
+func TestBuildAllocs(t *testing.T) {
+	recs := randRecords(rand.New(rand.NewSource(1)), 20000, 3)
+	tr, err := Build(recs)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if tr.Len() != 1000 {
-		t.Fatalf("Len = %d", tr.Len())
-	}
-	if tr.Height() < 2 {
-		t.Fatalf("height %d too small for 1000 records with fanout 16", tr.Height())
-	}
-	// Every record must be reachable exactly once, and every MBR must
-	// contain its subtree.
-	seen := map[int]int{}
-	var walk func(n *Node) (geom.Vector, geom.Vector, int)
-	walk = func(n *Node) (geom.Vector, geom.Vector, int) {
-		if len(n.Entries) == 0 {
-			t.Fatal("empty node")
+	allocs := testing.AllocsPerRun(3, func() {
+		if _, err := Build(recs); err != nil {
+			t.Fatal(err)
 		}
-		if len(n.Entries) > 16 {
-			t.Fatalf("node with %d entries exceeds fanout", len(n.Entries))
-		}
-		low, high, total := nodeMBR(n, tr.Dim)
-		for _, e := range n.Entries {
-			if e.Child != nil {
-				clow, chigh, ccount := walk(e.Child)
-				if ccount != e.Count {
-					t.Fatalf("entry count %d, subtree has %d", e.Count, ccount)
-				}
-				for j := 0; j < tr.Dim; j++ {
-					if e.Low[j] > clow[j]+1e-12 || e.High[j] < chigh[j]-1e-12 {
-						t.Fatal("entry MBR does not contain child MBR")
-					}
-				}
-			} else {
-				seen[e.RecordID]++
-			}
-		}
-		return low, high, total
-	}
-	_, _, total := walk(tr.Root)
-	if total != 1000 {
-		t.Fatalf("aggregate total %d, want 1000", total)
-	}
-	for id := 0; id < 1000; id++ {
-		if seen[id] != 1 {
-			t.Fatalf("record %d appears %d times", id, seen[id])
-		}
+	})
+	if perPage := allocs / float64(tr.Pages()); perPage > 3 {
+		t.Fatalf("Build made %.0f allocations for %d pages (%.2f per page), want at most 3 per page",
+			allocs, tr.Pages(), perPage)
 	}
 }
 
@@ -184,18 +321,23 @@ func TestSkylineWithExclusions(t *testing.T) {
 }
 
 func TestKSkybandMatchesBruteForce(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	for trial := 0; trial < 15; trial++ {
-		n := 80 + rng.Intn(200)
-		d := 2 + rng.Intn(3)
-		k := 1 + rng.Intn(5)
-		recs := randRecords(rng, n, d)
-		tr, _ := Build(recs, WithFanout(8))
-		got := tr.KSkyband(k, nil)
-		want := bruteSkyband(recs, k, nil)
-		if !equalInts(got, want) {
-			t.Fatalf("trial %d (n=%d d=%d k=%d): skyband size %d != brute %d",
-				trial, n, d, k, len(got), len(want))
+	for _, ties := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(4))
+		for trial := 0; trial < 15; trial++ {
+			n := 80 + rng.Intn(200)
+			d := 2 + rng.Intn(3)
+			k := 1 + rng.Intn(5)
+			recs := randRecords(rng, n, d)
+			if ties {
+				recs = randWarmRecords(rng, n, d, true)
+			}
+			tr, _ := Build(recs, WithFanout(8))
+			got := tr.KSkyband(k, nil)
+			want := bruteSkyband(recs, k, nil)
+			if !equalInts(got, want) {
+				t.Fatalf("ties=%v trial %d (n=%d d=%d k=%d): skyband size %d != brute %d",
+					ties, trial, n, d, k, len(got), len(want))
+			}
 		}
 	}
 }

@@ -52,13 +52,17 @@ func sameStructure(t *testing.T, a, b *Node) {
 // TestBuildFromOrderReproducesBuild pins the warm-start contract: the
 // tree reassembled from LeafOrder is structurally identical to the
 // cold-built tree, across sizes that exercise single-leaf, two-level and
-// three-level shapes.
+// three-level shapes, on tie-free and on tied data.
 func TestBuildFromOrderReproducesBuild(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	for _, tc := range []struct{ n, d, fanout int }{
-		{1, 2, 4}, {3, 3, 4}, {17, 2, 4}, {64, 3, 4}, {200, 4, 8}, {500, 3, 8},
+	for _, tc := range []struct {
+		n, d, fanout int
+		ties         bool
+	}{
+		{1, 2, 4, false}, {3, 3, 4, false}, {17, 2, 4, false}, {64, 3, 4, false}, {200, 4, 8, false}, {500, 3, 8, false},
+		{17, 2, 4, true}, {200, 4, 8, true}, {500, 3, 8, true},
 	} {
-		recs := randWarmRecords(rng, tc.n, tc.d, false)
+		recs := randWarmRecords(rng, tc.n, tc.d, tc.ties)
 		cold, err := Build(recs, WithFanout(tc.fanout))
 		if err != nil {
 			t.Fatal(err)

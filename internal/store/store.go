@@ -361,14 +361,18 @@ func ApplyRecords(in []Record, nextID int64, dim int, muts []Mutation) ([]Record
 }
 
 // applyRecords is ApplyRecords plus the WAL-replay mode, where insert ids
-// arrive pre-assigned.
+// arrive pre-assigned. A delete only marks its record dead, and one pass
+// at the end drops the dead, so a batch costs O(n + m log n) however many
+// of its m mutations are deletes.
 func applyRecords(in []Record, nextID int64, dim int, muts []Mutation, replay bool) (
 	[]Record, int64, int, []Applied, error) {
 	recs := append(make([]Record, 0, len(in)+len(muts)), in...)
 	applied := make([]Applied, 0, len(muts))
+	dead := make([]bool, cap(recs)) // by position in recs
+	live := len(recs)
 	find := func(id int64) (int, bool) {
 		i := sort.Search(len(recs), func(i int) bool { return recs[i].ID >= id })
-		if i < len(recs) && recs[i].ID == id {
+		if i < len(recs) && recs[i].ID == id && !dead[i] {
 			return i, true
 		}
 		return 0, false
@@ -393,6 +397,7 @@ func applyRecords(in []Record, nextID int64, dim int, muts []Mutation, replay bo
 			nextID = id + 1
 			vals := append([]float64(nil), m.Values...)
 			recs = append(recs, Record{ID: id, Values: vals})
+			live++
 			applied = append(applied, Applied{Mutation: Mutation{Op: OpInsert, ID: id, Values: vals}})
 		case OpUpdate:
 			if err := checkValues(m.Values, &dim); err != nil {
@@ -414,10 +419,10 @@ func applyRecords(in []Record, nextID int64, dim int, muts []Mutation, replay bo
 			if !ok {
 				return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: delete of unknown option id %d", mi, m.ID)
 			}
-			old := recs[i].Values
-			recs = append(recs[:i], recs[i+1:]...)
-			applied = append(applied, Applied{Mutation: Mutation{Op: OpDelete, ID: m.ID}, Old: old})
-			if len(recs) == 0 {
+			dead[i] = true
+			live--
+			applied = append(applied, Applied{Mutation: Mutation{Op: OpDelete, ID: m.ID}, Old: recs[i].Values})
+			if live == 0 {
 				// Emptied mid-batch: later inserts in the SAME batch may
 				// establish a new dimensionality (the delete-all + insert-all
 				// reload pattern depends on this).
@@ -427,7 +432,15 @@ func applyRecords(in []Record, nextID int64, dim int, muts []Mutation, replay bo
 			return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: unknown op %d", mi, m.Op)
 		}
 	}
-	if len(recs) == 0 {
+	kept := recs[:0]
+	for i, r := range recs {
+		if !dead[i] {
+			kept = append(kept, r)
+		}
+	}
+	clear(recs[len(kept):])
+	recs = kept
+	if live == 0 {
 		dim = 0 // an emptied store accepts any dimensionality again
 	}
 	return recs, nextID, dim, applied, nil

@@ -1,10 +1,14 @@
 package store
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -339,5 +343,248 @@ func TestReloadChangesDimensionality(t *testing.T) {
 	// And the mixed-dim batch without full emptying still fails.
 	if _, _, err := s.Apply([]Mutation{{Op: OpInsert, Values: []float64{1, 2}}}); err == nil {
 		t.Fatal("dim mismatch accepted")
+	}
+}
+
+// refApplyRecords is applyRecords as it was before deletes became
+// tombstones, kept as the reference: each delete closes its gap at once,
+// so a batch of m deletes moves O(n·m) records.
+func refApplyRecords(in []Record, nextID int64, dim int, muts []Mutation, replay bool) (
+	[]Record, int64, int, []Applied, error) {
+	recs := append(make([]Record, 0, len(in)+len(muts)), in...)
+	applied := make([]Applied, 0, len(muts))
+	find := func(id int64) (int, bool) {
+		i := sort.Search(len(recs), func(i int) bool { return recs[i].ID >= id })
+		if i < len(recs) && recs[i].ID == id {
+			return i, true
+		}
+		return 0, false
+	}
+	for mi, m := range muts {
+		switch m.Op {
+		case OpInsert:
+			if err := checkValues(m.Values, &dim); err != nil {
+				return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: %w", mi, err)
+			}
+			id := m.ID
+			if replay && id != 0 {
+				if id < nextID {
+					return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: replayed insert id %d below next id %d", mi, id, nextID)
+				}
+			} else {
+				if id != 0 {
+					return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: insert must not set an id (store assigns them)", mi)
+				}
+				id = nextID
+			}
+			nextID = id + 1
+			vals := append([]float64(nil), m.Values...)
+			recs = append(recs, Record{ID: id, Values: vals})
+			applied = append(applied, Applied{Mutation: Mutation{Op: OpInsert, ID: id, Values: vals}})
+		case OpUpdate:
+			if err := checkValues(m.Values, &dim); err != nil {
+				return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: %w", mi, err)
+			}
+			i, ok := find(m.ID)
+			if !ok {
+				return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: update of unknown option id %d", mi, m.ID)
+			}
+			old := recs[i].Values
+			vals := append([]float64(nil), m.Values...)
+			recs[i] = Record{ID: m.ID, Values: vals}
+			applied = append(applied, Applied{Mutation: Mutation{Op: OpUpdate, ID: m.ID, Values: vals}, Old: old})
+		case OpDelete:
+			if m.Values != nil {
+				return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: delete must not carry values", mi)
+			}
+			i, ok := find(m.ID)
+			if !ok {
+				return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: delete of unknown option id %d", mi, m.ID)
+			}
+			old := recs[i].Values
+			recs = append(recs[:i], recs[i+1:]...)
+			applied = append(applied, Applied{Mutation: Mutation{Op: OpDelete, ID: m.ID}, Old: old})
+			if len(recs) == 0 {
+				dim = 0
+			}
+		default:
+			return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: unknown op %d", mi, m.Op)
+		}
+	}
+	if len(recs) == 0 {
+		dim = 0
+	}
+	return recs, nextID, dim, applied, nil
+}
+
+// randBatch draws a store of up to 8 records and a batch of up to 12
+// mutations over it. Ids come from the live records, from ids deleted
+// earlier in the batch, and from unknown ids; values are sometimes of the
+// wrong width, empty or non-finite. In "reload" mode the batch deletes
+// every live id in ascending order, then inserts records of a new
+// dimensionality, as Registry.Load does.
+func randBatch(rng *rand.Rand, reload bool) ([]Record, int64, int, []Mutation) {
+	dim := 2 + rng.Intn(2)
+	var recs []Record
+	id := int64(rng.Intn(3))
+	for i := rng.Intn(9); i > 0; i-- {
+		vals := make([]float64, dim)
+		for j := range vals {
+			vals[j] = float64(rng.Intn(4))
+		}
+		recs = append(recs, Record{ID: id, Values: vals})
+		id += 1 + int64(rng.Intn(3))
+	}
+	nextID := id + int64(rng.Intn(2))
+	if len(recs) == 0 {
+		dim = 0
+	}
+	values := func(d int) []float64 {
+		switch rng.Intn(60) {
+		case 0:
+			return nil
+		case 1:
+			return []float64{math.Inf(1)}
+		case 2:
+			d = 1 + rng.Intn(4)
+		}
+		vals := make([]float64, d)
+		for j := range vals {
+			vals[j] = float64(rng.Intn(4))
+		}
+		return vals
+	}
+	// live and gone track the ids the batch so far leaves live and has
+	// deleted, so most picks address a live record.
+	var live, gone []int64
+	for _, r := range recs {
+		live = append(live, r.ID)
+	}
+	pickID := func() int64 {
+		switch p := rng.Intn(24); {
+		case p < 22 && len(live) > 0:
+			return live[rng.Intn(len(live))]
+		case p == 22 && len(gone) > 0:
+			return gone[rng.Intn(len(gone))]
+		}
+		return int64(rng.Intn(int(nextID) + 3))
+	}
+	var muts []Mutation
+	if reload {
+		for _, r := range recs {
+			muts = append(muts, Mutation{Op: OpDelete, ID: r.ID})
+		}
+		newDim := 2 + rng.Intn(3)
+		for i := 1 + rng.Intn(4); i > 0; i-- {
+			muts = append(muts, Mutation{Op: OpInsert, Values: values(newDim)})
+		}
+		if rng.Intn(2) == 0 {
+			muts = append(muts, Mutation{Op: OpUpdate, ID: pickID(), Values: values(newDim)})
+		}
+		return recs, nextID, dim, muts
+	}
+	d, next := max(dim, 2), nextID
+	for i := rng.Intn(13); i > 0; i-- {
+		var m Mutation
+		switch op := rng.Intn(40); {
+		case op < 16:
+			m = Mutation{Op: OpInsert, Values: values(d)}
+			if rng.Intn(40) == 0 {
+				m.ID = next + int64(rng.Intn(3)) - 1
+			}
+			live = append(live, max(next, m.ID))
+			next = max(next, m.ID) + 1
+		case op < 24:
+			m = Mutation{Op: OpUpdate, ID: pickID(), Values: values(d)}
+		case op < 39:
+			m = Mutation{Op: OpDelete, ID: pickID()}
+			if rng.Intn(40) == 0 {
+				m.Values = values(d)
+			}
+			if i := slices.Index(live, m.ID); i >= 0 {
+				live = slices.Delete(live, i, i+1)
+				gone = append(gone, m.ID)
+			}
+		default:
+			m = Mutation{Op: Op(4 + rng.Intn(2)), ID: pickID()}
+		}
+		muts = append(muts, m)
+	}
+	return recs, nextID, dim, muts
+}
+
+// cloneRecords deep-copies recs, values included; nil stays nil.
+func cloneRecords(recs []Record) []Record {
+	if recs == nil {
+		return nil
+	}
+	out := make([]Record, len(recs))
+	for i, r := range recs {
+		out[i] = Record{ID: r.ID, Values: append([]float64(nil), r.Values...)}
+	}
+	return out
+}
+
+// TestApplyRecordsMatchesReference pins the tombstoning applyRecords to
+// the reference on random batches, in both modes: the same records, id
+// watermark, dimensionality, executed mutations and error text, and an
+// input left untouched whether the batch applies or fails.
+func TestApplyRecordsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	var failed, emptied, redimmed int
+	for trial := 0; trial < 4000; trial++ {
+		reload, replay := trial%4 == 0, trial%3 == 0
+		in, nextID, dim, muts := randBatch(rng, reload)
+		before := cloneRecords(in)
+		wantRecs, wantNext, wantDim, wantApplied, wantErr := refApplyRecords(cloneRecords(in), nextID, dim, muts, replay)
+		gotRecs, gotNext, gotDim, gotApplied, gotErr := applyRecords(in, nextID, dim, muts, replay)
+		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+			t.Fatalf("trial %d: error %v, reference %v (muts %+v)", trial, gotErr, wantErr, muts)
+		}
+		if !reflect.DeepEqual(in, before) {
+			t.Fatalf("trial %d: input modified: %+v, was %+v", trial, in, before)
+		}
+		if wantErr != nil {
+			failed++
+			continue
+		}
+		if len(wantRecs) == 0 {
+			emptied++
+		}
+		if dim != 0 && wantDim != 0 && wantDim != dim {
+			redimmed++
+		}
+		if !reflect.DeepEqual(gotRecs, wantRecs) || gotNext != wantNext || gotDim != wantDim ||
+			!reflect.DeepEqual(gotApplied, wantApplied) {
+			t.Fatalf("trial %d: got (%+v, %d, %d, %+v), reference (%+v, %d, %d, %+v) for muts %+v",
+				trial, gotRecs, gotNext, gotDim, gotApplied, wantRecs, wantNext, wantDim, wantApplied, muts)
+		}
+	}
+	if failed < 400 || failed > 3600 || emptied < 40 || redimmed < 40 {
+		t.Fatalf("weak coverage: %d of 4000 batches failed, %d emptied the store, %d changed its dimensionality",
+			failed, emptied, redimmed)
+	}
+}
+
+// BenchmarkApplyRecordsReload times the durable reload batch at n=20,000:
+// delete every live id in ascending order, then insert n new records.
+func BenchmarkApplyRecordsReload(b *testing.B) {
+	const n, d = 20000, 3
+	rng := rand.New(rand.NewSource(1))
+	in := make([]Record, n)
+	muts := make([]Mutation, 0, 2*n)
+	for i := range in {
+		in[i] = Record{ID: int64(i), Values: []float64{rng.Float64(), rng.Float64(), rng.Float64()}}
+		muts = append(muts, Mutation{Op: OpDelete, ID: int64(i)})
+	}
+	for i := 0; i < n; i++ {
+		muts = append(muts, Mutation{Op: OpInsert, Values: []float64{rng.Float64(), rng.Float64(), rng.Float64()}})
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if recs, _, _, _, err := ApplyRecords(in, n, d, muts); err != nil || len(recs) != n {
+			b.Fatalf("reload: %d records, %v", len(recs), err)
+		}
 	}
 }
