@@ -117,7 +117,8 @@ crashsmoke:
 
 # ci mirrors the GitHub workflow locally: formatting, vet, build, race
 # tests, doc gates, the crash-recovery smoke test, one iteration of the
-# index-build and reload benchmarks (so they keep compiling and running),
+# index-build, reload and metrics benchmarks (so they keep compiling and
+# running),
 # lint, the coverage floor, the bench regression gate, the large-N
 # regression gate, a short fuzz smoke, and the load regression gate.
 ci:
@@ -129,7 +130,7 @@ ci:
 	./scripts/check_links.sh
 	./scripts/check_docs.sh
 	$(MAKE) crashsmoke
-	$(GO) test -run '^$$' -bench 'BenchmarkBuild|BenchmarkApplyRecordsReload' -benchtime 1x ./internal/rtree ./internal/store
+	$(GO) test -run '^$$' -bench 'BenchmarkBuild|BenchmarkApplyRecordsReload|BenchmarkMetricsObserveParallel|BenchmarkSampleInto|BenchmarkSamplerTick|BenchmarkMetricsScrape' -benchtime 1x ./internal/rtree ./internal/store ./internal/server
 	$(MAKE) lint
 	$(MAKE) coverage
 	$(MAKE) benchgate

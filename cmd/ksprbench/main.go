@@ -34,12 +34,13 @@ import (
 	"math/rand"
 	"os"
 	"runtime"
-	"sort"
+	"slices"
 	"time"
 
 	kspr "repro"
 	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/obs"
 )
 
 func main() {
@@ -325,8 +326,9 @@ func runBenchJSON(name, dist string, d, k int, scale float64, queries int, seed 
 		}
 		sum.Algorithms[a.label] = ns
 		if recordTails {
-			sum.AlgorithmsP95[a.label] = tailNs(lats, 0.95)
-			sum.AlgorithmsP99[a.label] = tailNs(lats, 0.99)
+			slices.Sort(lats)
+			sum.AlgorithmsP95[a.label] = lats[obs.NearestRank(len(lats), 0.95)-1]
+			sum.AlgorithmsP99[a.label] = lats[obs.NearestRank(len(lats), 0.99)-1]
 			fmt.Printf("%-10s %12d ns/op (p95 %d, p99 %d)\n",
 				a.label, ns, sum.AlgorithmsP95[a.label], sum.AlgorithmsP99[a.label])
 		} else {
@@ -429,8 +431,9 @@ func runBenchJSON(name, dist string, d, k int, scale float64, queries int, seed 
 	}
 	sum.Algorithms["approx"] = approxTotal / int64(len(focals))
 	if recordTails {
-		sum.AlgorithmsP95["approx"] = tailNs(approxLats, 0.95)
-		sum.AlgorithmsP99["approx"] = tailNs(approxLats, 0.99)
+		slices.Sort(approxLats)
+		sum.AlgorithmsP95["approx"] = approxLats[obs.NearestRank(len(approxLats), 0.95)-1]
+		sum.AlgorithmsP99["approx"] = approxLats[obs.NearestRank(len(approxLats), 0.99)-1]
 		fmt.Printf("%-10s %12d ns/op (p95 %d, p99 %d)\n",
 			"approx", sum.Algorithms["approx"], sum.AlgorithmsP95["approx"], sum.AlgorithmsP99["approx"])
 	} else {
@@ -445,24 +448,6 @@ func runBenchJSON(name, dist string, d, k int, scale float64, queries int, seed 
 // the nearest-rank p95 needs at least 20 samples before it stops being
 // the sample max.
 const minTailQueries = 20
-
-// tailNs is the nearest-rank p-quantile of the latency samples
-// (rank ceil(p*n), clamped), matching the serving histogram's estimator.
-func tailNs(lats []int64, p float64) int64 {
-	if len(lats) == 0 {
-		return 0
-	}
-	sorted := append([]int64(nil), lats...)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i] < sorted[j] })
-	rank := int(math.Ceil(p * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
 
 // writeBenchFile renders the summary to BENCH_<name>.json.
 func writeBenchFile(out string, sum *benchSummary, dist string, n, d, k, queries int) error {

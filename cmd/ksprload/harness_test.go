@@ -57,22 +57,6 @@ func TestConfigValidate(t *testing.T) {
 	}
 }
 
-func TestTailNsNearestRank(t *testing.T) {
-	if got := tailNs(nil, 0.99); got != 0 {
-		t.Fatalf("empty tail = %d, want 0", got)
-	}
-	sorted := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
-	cases := []struct {
-		p    float64
-		want int64
-	}{{0.50, 50}, {0.95, 100}, {0.99, 100}, {0.10, 10}, {1.0, 100}}
-	for _, c := range cases {
-		if got := tailNs(sorted, c.p); got != c.want {
-			t.Fatalf("tailNs(p=%g) = %d, want %d", c.p, got, c.want)
-		}
-	}
-}
-
 func TestDigest(t *testing.T) {
 	if d := digest(nil); d.Count != 0 || d.P99Ns != 0 {
 		t.Fatalf("empty digest non-zero: %+v", d)

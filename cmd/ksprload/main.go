@@ -36,7 +36,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"net"
 	"net/http"
 	"os"
@@ -47,6 +46,7 @@ import (
 	"strings"
 	"time"
 
+	"repro/internal/obs"
 	"repro/internal/server"
 )
 
@@ -405,21 +405,6 @@ type loadSummary struct {
 	FlightEvidence json.RawMessage `json:"flight_evidence,omitempty"`
 }
 
-// tailNs is the nearest-rank p-quantile over latency samples.
-func tailNs(sorted []int64, p float64) int64 {
-	if len(sorted) == 0 {
-		return 0
-	}
-	rank := int(math.Ceil(p * float64(len(sorted))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(sorted) {
-		rank = len(sorted)
-	}
-	return sorted[rank-1]
-}
-
 func digest(lats []int64) latencySummary {
 	if len(lats) == 0 {
 		return latencySummary{}
@@ -433,9 +418,9 @@ func digest(lats []int64) latencySummary {
 	return latencySummary{
 		Count:  uint64(len(sorted)),
 		MeanNs: total / int64(len(sorted)),
-		P50Ns:  tailNs(sorted, 0.50),
-		P95Ns:  tailNs(sorted, 0.95),
-		P99Ns:  tailNs(sorted, 0.99),
+		P50Ns:  sorted[obs.NearestRank(len(sorted), 0.50)-1],
+		P95Ns:  sorted[obs.NearestRank(len(sorted), 0.95)-1],
+		P99Ns:  sorted[obs.NearestRank(len(sorted), 0.99)-1],
 	}
 }
 

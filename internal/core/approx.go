@@ -4,6 +4,7 @@ import (
 	"container/heap"
 	"context"
 	"fmt"
+	"math"
 
 	"repro/internal/celltree"
 	"repro/internal/geom"
@@ -75,6 +76,9 @@ func (h *boxHeap) Pop() interface{} {
 func RunApprox(tree *rtree.Tree, focal geom.Vector, focalID int, opts ApproxOptions) (*ApproxResult, error) {
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("core: K must be positive, got %d", opts.K)
+	}
+	if math.IsNaN(opts.Epsilon) || math.IsInf(opts.Epsilon, 0) {
+		return nil, fmt.Errorf("core: Epsilon must be finite, got %v", opts.Epsilon)
 	}
 	if len(focal) != tree.Dim {
 		return nil, fmt.Errorf("core: focal record has %d dims, index has %d", len(focal), tree.Dim)

@@ -20,12 +20,11 @@ var DefaultLatencyBuckets = []float64{
 }
 
 // Histogram is a fixed-bucket latency histogram with lock-free Observe
-// (one atomic add per sample plus sum/count upkeep). Bucket i counts
+// (two atomic adds per sample: its bucket and the sum). Bucket i counts
 // samples ≤ Bounds[i]; a final implicit +Inf bucket catches the rest.
 type Histogram struct {
 	bounds []float64
 	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
-	count  atomic.Uint64
 	sumNs  atomic.Int64
 }
 
@@ -56,19 +55,16 @@ func (h *Histogram) Observe(d time.Duration) {
 		}
 	}
 	h.counts[lo].Add(1)
-	h.count.Add(1)
 	h.sumNs.Add(int64(d))
 }
 
 // Snapshot returns a point-in-time copy of the histogram's state.
-// Concurrent Observes may straddle the copy, so Count can lag the bucket
-// sum by in-flight samples; consumers should treat the bucket counts as
-// authoritative.
+// Concurrent Observes may straddle the copy, so SumNs and the bucket
+// counts can disagree by in-flight samples.
 func (h *Histogram) Snapshot() HistSnapshot {
 	s := HistSnapshot{
 		Bounds: h.bounds,
 		Counts: make([]uint64, len(h.counts)),
-		Count:  h.count.Load(),
 		SumNs:  h.sumNs.Load(),
 	}
 	for i := range h.counts {
@@ -92,6 +88,9 @@ func (h *Histogram) CopyCounts(dst []uint64) int {
 	return n
 }
 
+// SumNs returns the sum of all observations in nanoseconds.
+func (h *Histogram) SumNs() int64 { return h.sumNs.Load() }
+
 // HistSnapshot is an immutable copy of a Histogram, suitable for
 // quantile estimation and exposition without holding up writers.
 type HistSnapshot struct {
@@ -100,12 +99,11 @@ type HistSnapshot struct {
 	// cumulative.
 	Bounds []float64
 	Counts []uint64
-	// Count and SumNs aggregate all observations.
-	Count uint64
+	// SumNs is the sum of all observations in nanoseconds.
 	SumNs int64
 }
 
-// Total sums the bucket counts (the authoritative sample count).
+// Total sums the bucket counts: the histogram's sample count.
 func (s HistSnapshot) Total() uint64 {
 	var n uint64
 	for _, c := range s.Counts {
@@ -123,13 +121,7 @@ func (s HistSnapshot) Quantile(p float64) float64 {
 	if total == 0 || len(s.Bounds) == 0 {
 		return 0
 	}
-	rank := uint64(math.Ceil(p * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
+	rank := uint64(NearestRank(int(total), p))
 	var cum uint64
 	for i, c := range s.Counts {
 		cum += c
@@ -141,4 +133,23 @@ func (s HistSnapshot) Quantile(p float64) float64 {
 		}
 	}
 	return s.Bounds[len(s.Bounds)-1]
+}
+
+// NearestRank is the repo's one quantile rank rule: the 1-based rank
+// ⌈p·n⌉ of the p-quantile among n ordered samples, clamped to [1, n], or 0
+// when n is 0. The p-quantile of an ascending slice s is
+// s[NearestRank(len(s), p)-1]; histogram quantiles walk their cumulative
+// bucket counts to the same rank.
+func NearestRank(n int, p float64) int {
+	if n <= 0 {
+		return 0
+	}
+	r := math.Ceil(p * float64(n))
+	if !(r >= 1) { // also catches NaN
+		return 1
+	}
+	if r > float64(n) {
+		return n
+	}
+	return int(r)
 }

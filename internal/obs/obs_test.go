@@ -103,8 +103,8 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 			t.Fatalf("bucket %d = %d, want %d (counts %v)", i, s.Counts[i], w, s.Counts)
 		}
 	}
-	if s.Count != 8 || s.Total() != 8 {
-		t.Fatalf("Count=%d Total=%d, want 8", s.Count, s.Total())
+	if s.Total() != 8 {
+		t.Fatalf("Total=%d, want 8", s.Total())
 	}
 }
 
@@ -152,6 +152,22 @@ func TestHistogramQuantile(t *testing.T) {
 	}
 	if q := (HistSnapshot{}).Quantile(0.5); q != 0 {
 		t.Fatalf("empty quantile = %v, want 0", q)
+	}
+}
+
+func TestNearestRank(t *testing.T) {
+	if got := NearestRank(0, 0.99); got != 0 {
+		t.Fatalf("empty rank = %d, want 0", got)
+	}
+	sorted := []int64{10, 20, 30, 40, 50, 60, 70, 80, 90, 100}
+	cases := []struct {
+		p    float64
+		want int64
+	}{{0.50, 50}, {0.95, 100}, {0.99, 100}, {0.10, 10}, {1.0, 100}}
+	for _, c := range cases {
+		if got := sorted[NearestRank(len(sorted), c.p)-1]; got != c.want {
+			t.Fatalf("p=%g: sample %d, want %d", c.p, got, c.want)
+		}
 	}
 }
 

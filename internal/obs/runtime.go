@@ -83,14 +83,11 @@ func histQuantileSeconds(h *metrics.Float64Histogram, q float64) float64 {
 	if total == 0 {
 		return 0
 	}
-	rank := uint64(q * float64(total))
-	if rank >= total {
-		rank = total - 1
-	}
+	rank := uint64(NearestRank(int(total), q))
 	var seen uint64
 	for i, c := range h.Counts {
 		seen += c
-		if c > 0 && seen > rank {
+		if c > 0 && seen >= rank {
 			// Buckets[i+1] is the bucket's upper bound; the final bucket's
 			// bound may be +Inf, in which case the lower bound is the best
 			// finite answer.

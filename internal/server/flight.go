@@ -44,14 +44,11 @@ func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 	}
 	q := r.URL.Query()
 	filter := obs.FlightFilter{Endpoint: q.Get("endpoint"), Dataset: q.Get("dataset")}
-	if raw := q.Get("min_latency_ms"); raw != "" {
-		ms, err := strconv.ParseFloat(raw, 64)
-		if err != nil || ms < 0 {
-			writeError(w, http.StatusBadRequest, "invalid min_latency_ms=%q", raw)
-			return
-		}
-		filter.MinLatency = time.Duration(ms * float64(time.Millisecond))
+	minLatency, ok := durationParam(w, q, "min_latency_ms", time.Millisecond, false)
+	if !ok {
+		return
 	}
+	filter.MinLatency = minLatency
 	if raw := q.Get("errors_only"); raw != "" {
 		v, err := strconv.ParseBool(raw)
 		if err != nil {

@@ -102,7 +102,10 @@ func TestDebugFlightCapture(t *testing.T) {
 	if got := getFlight(t, ts, "dataset=ind").Events; len(got) == 0 {
 		t.Fatal("dataset filter dropped everything")
 	}
-	for _, q := range []string{"min_latency_ms=abc", "min_latency_ms=-1", "errors_only=maybe", "limit=-2"} {
+	for _, q := range []string{
+		"min_latency_ms=abc", "min_latency_ms=-1", "errors_only=maybe", "limit=-2",
+		"min_latency_ms=1e20", "min_latency_ms=Inf", "min_latency_ms=NaN",
+	} {
 		resp, err := http.Get(ts.URL + "/v1/debug:flight?" + q)
 		if err != nil {
 			t.Fatal(err)

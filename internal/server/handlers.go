@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"math"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -276,6 +277,27 @@ func errStatusCode(err error) int {
 	default:
 		return http.StatusBadRequest
 	}
+}
+
+// durationParam reads query parameter name as a non-negative number of
+// units (time.Second for since_sec and step_sec, time.Millisecond for
+// min_latency_ms); an absent parameter reads as 0. It answers 400 naming
+// the parameter, and returns false, for a value that is not a number, is
+// negative, non-finite or beyond time.Duration's range, or is zero when
+// positive is set. The range check happens before the conversion, whose
+// result Go leaves to the implementation for out-of-range floats.
+func durationParam(w http.ResponseWriter, q url.Values, name string, unit time.Duration, positive bool) (time.Duration, bool) {
+	raw := q.Get(name)
+	if raw == "" {
+		return 0, true
+	}
+	v, err := strconv.ParseFloat(raw, 64)
+	ns := v * float64(unit)
+	if err != nil || !(ns >= 0) || ns >= math.MaxInt64 || (positive && ns == 0) {
+		writeError(w, http.StatusBadRequest, "invalid %s=%q", name, raw)
+		return 0, false
+	}
+	return time.Duration(ns), true
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {

@@ -3,10 +3,11 @@ package server
 // This file is the time dimension of the observability stack: a sampler
 // goroutine that snapshots the Metrics counters into an obs.TimeSeries
 // ring every HistoryInterval, derives rates (QPS, error rate, 429 rate,
-// cache hit rate) and windowed per-class p99s from the raw counters,
-// evaluates the SLO burn-rate engine over the ring, and serves the result
-// on GET /v1/debug:history (the series) and GET /v1/debug:health (the
-// scored verdict a replica router consumes).
+// cache hit rate) and windowed percentiles (the trailing minute's
+// all-endpoint latency, per-class p99s) from the raw counters, evaluates
+// the SLO burn-rate engine over the ring, and serves the result on
+// GET /v1/debug:history (the series) and GET /v1/debug:health (the scored
+// verdict a replica router consumes).
 
 import (
 	"net/http"
@@ -29,6 +30,10 @@ const defaultSLOAvailability = 0.999
 // sloClassP99Window is the trailing window the derived per-class p99
 // series are computed over.
 const sloClassP99Window = 5 * time.Minute
+
+// metricsWindow is the trailing window of qps_1m and the all-endpoint
+// latency percentiles.
+const metricsWindow = time.Minute
 
 // endpointClasses maps instrumented endpoint names to the endpoint class
 // their latency SLO is judged under. Meta endpoints (health probes, debug
@@ -61,12 +66,30 @@ type epSeriesNames struct {
 }
 
 // classSeriesNames precomputes one class's aggregate counter series: total
-// requests plus one cumulative count per latency bucket (obs.
-// DefaultLatencyBuckets layout, +Inf last).
+// requests plus one cumulative count per latency bucket (bucketSeries).
 type classSeriesNames struct {
 	requests string
 	buckets  []string
 	p99      string // derived windowed-p99 gauge series
+}
+
+// bucketSeries names one cumulative counter series per latency bucket
+// (obs.DefaultLatencyBuckets layout, +Inf last) under prefix.
+func bucketSeries(prefix string) []string {
+	names := make([]string, len(obs.DefaultLatencyBuckets)+1)
+	for i := range names {
+		names[i] = prefix + ":le" + strconv.Itoa(i)
+	}
+	return names
+}
+
+// recentWindow is one tick's trailing-minute request rate and
+// all-endpoint latency; ok is false when the ring could not cover a window
+// (fewer than two ticks within the minute).
+type recentWindow struct {
+	ok      bool
+	qps     float64
+	latency LatencyStats
 }
 
 // sampler owns the telemetry history: the ring, the SLO engine, the
@@ -81,17 +104,19 @@ type sampler struct {
 
 	// Reusable per-tick scratch: the metrics sample, the raw/derived point
 	// slices, precomputed series names, and per-class bucket accumulators.
-	sample    MetricsSample
-	raw       []obs.SamplePoint
-	derived   []obs.SamplePoint
-	epNames   map[string]*epSeriesNames
-	clsNames  map[string]*classSeriesNames
-	clsCounts map[string][]uint64
-	clsTotals map[string]uint64
-	deltas    []uint64 // class bucket deltas scratch for the p99 window
+	sample     MetricsSample
+	raw        []obs.SamplePoint
+	derived    []obs.SamplePoint
+	epNames    map[string]*epSeriesNames
+	clsNames   map[string]*classSeriesNames
+	allBuckets []string // the all-endpoint bucket series (bucketSeries)
+	clsCounts  map[string][]uint64
+	clsTotals  map[string]uint64
+	deltas     []uint64 // bucket deltas scratch for the windowed percentiles
 
 	mu      sync.Mutex
 	verdict obs.HealthVerdict
+	recent  recentWindow
 
 	stop chan struct{}
 	done chan struct{}
@@ -119,29 +144,27 @@ func newSampler(s *Server) *sampler {
 	}
 	objectives = obs.DefaultObjectives(avail, bound, sloClasses)
 	sp := &sampler{
-		srv:       s,
-		ts:        obs.NewTimeSeries(cfg.HistoryInterval, cfg.HistoryRetention),
-		slo:       obs.NewSLOEngine(objectives, nil),
-		rt:        obs.NewRuntimeSampler(),
-		build:     obs.ReadBuildInfo(),
-		epNames:   map[string]*epSeriesNames{},
-		clsNames:  map[string]*classSeriesNames{},
-		clsCounts: map[string][]uint64{},
-		clsTotals: map[string]uint64{},
-		deltas:    make([]uint64, len(obs.DefaultLatencyBuckets)+1),
-		verdict:   obs.Verdict(nil),
-		stop:      make(chan struct{}),
-		done:      make(chan struct{}),
+		srv:        s,
+		ts:         obs.NewTimeSeries(cfg.HistoryInterval, cfg.HistoryRetention),
+		slo:        obs.NewSLOEngine(objectives, nil),
+		rt:         obs.NewRuntimeSampler(),
+		build:      obs.ReadBuildInfo(),
+		epNames:    map[string]*epSeriesNames{},
+		clsNames:   map[string]*classSeriesNames{},
+		allBuckets: bucketSeries("class:all"),
+		clsCounts:  map[string][]uint64{},
+		clsTotals:  map[string]uint64{},
+		deltas:     make([]uint64, len(obs.DefaultLatencyBuckets)+1),
+		verdict:    obs.Verdict(nil),
+		stop:       make(chan struct{}),
+		done:       make(chan struct{}),
 	}
 	for _, class := range sloClasses {
-		names := &classSeriesNames{
+		sp.clsNames[class] = &classSeriesNames{
 			requests: "class:" + class + ":requests",
+			buckets:  bucketSeries("class:" + class),
 			p99:      "p99_ms:" + class,
 		}
-		for i := 0; i <= len(obs.DefaultLatencyBuckets); i++ {
-			names.buckets = append(names.buckets, "class:"+class+":le"+strconv.Itoa(i))
-		}
-		sp.clsNames[class] = names
 		sp.clsCounts[class] = make([]uint64, len(obs.DefaultLatencyBuckets)+1)
 	}
 	sp.tick(time.Now())
@@ -179,6 +202,17 @@ func (sp *sampler) latestVerdict() obs.HealthVerdict {
 	return sp.verdict
 }
 
+// applyRecent swaps the latest tick's trailing-minute rate and latency into
+// ms, so a scrape reports what the ring's latest tick recorded. It leaves
+// ms's since-start values while the ring cannot cover a window.
+func (sp *sampler) applyRecent(ms *MetricsSample) {
+	sp.mu.Lock()
+	defer sp.mu.Unlock()
+	if sp.recent.ok {
+		ms.QPS, ms.Latency = sp.recent.qps, sp.recent.latency
+	}
+}
+
 // tick takes one sample: raw counters and gauges into the ring, derived
 // rates amended onto the same tick, then an SLO evaluation over the
 // updated ring.
@@ -208,14 +242,10 @@ func (sp *sampler) recordTick(now time.Time) {
 	addC("responses_429_total", float64(sp.sample.Resp429))
 	addC("cache_hits_total", float64(cache.Hits))
 	addC("cache_misses_total", float64(cache.Misses))
-	addC("mutation_batches_total", float64(sp.sample.MutationBatches))
-	addC("mutations_total", float64(sp.sample.MutationsTotal))
-	addC("whatif_probes_total", float64(sp.sample.WhatIfProbes))
-	addC("whatif_kept_total", float64(sp.sample.WhatIfKept))
-	addG("qps_1m", sp.sample.QPS)
-	addG("latency_p50_ms", sp.sample.LatP50Ms)
-	addG("latency_p95_ms", sp.sample.LatP95Ms)
-	addG("latency_p99_ms", sp.sample.LatP99Ms)
+	addC("mutation_batches_total", float64(sp.sample.Mutations.Batches))
+	addC("mutations_total", float64(sp.sample.Mutations.Mutations))
+	addC("whatif_probes_total", float64(sp.sample.WhatIf.Probes))
+	addC("whatif_kept_total", float64(sp.sample.WhatIf.Kept))
 	addG("pool_depth", float64(s.pool.Depth()))
 	addG("cpu_slots_in_use", float64(s.cpu.InUse()))
 	addG("cache_entries", float64(cache.Entries))
@@ -225,12 +255,10 @@ func (sp *sampler) recordTick(now time.Time) {
 	addG("gc_pause_p99_ms", rt.GCPauseP99Ms)
 	addG("uptime_seconds", sp.sample.UptimeSeconds)
 
-	// Per-endpoint series plus per-class aggregation for the SLO windows.
+	// Per-endpoint series plus per-class and all-endpoint aggregation for
+	// the windowed percentiles.
 	for _, class := range sloClasses {
-		counts := sp.clsCounts[class]
-		for i := range counts {
-			counts[i] = 0
-		}
+		clear(sp.clsCounts[class])
 		sp.clsTotals[class] = 0
 	}
 	for i := range sp.sample.Endpoints {
@@ -245,7 +273,7 @@ func (sp *sampler) recordTick(now time.Time) {
 			}
 			sp.epNames[row.Name] = names
 		}
-		addC(names.requests, float64(row.Count))
+		addC(names.requests, float64(row.Requests))
 		addC(names.errors, float64(row.Errors))
 		addG(names.p50, row.P50Ms)
 		addG(names.p99, row.P99Ms)
@@ -254,7 +282,7 @@ func (sp *sampler) recordTick(now time.Time) {
 			for b, c := range row.Buckets {
 				counts[b] += c
 			}
-			sp.clsTotals[class] += row.Count
+			sp.clsTotals[class] += row.Requests
 		}
 	}
 	for _, class := range sloClasses {
@@ -264,10 +292,13 @@ func (sp *sampler) recordTick(now time.Time) {
 			addC(names.buckets[b], float64(c))
 		}
 	}
+	for b, c := range sp.sample.Buckets {
+		addC(sp.allBuckets[b], float64(c))
+	}
 	sp.ts.Record(now, sp.raw)
 
-	// Derived series: rates over the last couple of intervals and windowed
-	// per-class p99s, amended onto the tick just recorded.
+	// Derived series: rates over the last couple of intervals, and the
+	// windowed percentiles, amended onto the tick just recorded.
 	sp.derived = sp.derived[:0]
 	addD := func(name string, v float64) {
 		sp.derived = append(sp.derived, obs.SamplePoint{Name: name, Kind: obs.KindGauge, Value: v})
@@ -292,11 +323,28 @@ func (sp *sampler) recordTick(now time.Time) {
 		addD("cache_hit_rate", clamp01(dh/(dh+dm)))
 	}
 	for _, class := range sloClasses {
-		if p99, ok := sp.classP99Ms(class, sloClassP99Window, now); ok {
-			addD(sp.clsNames[class].p99, p99)
+		if n, ok := sp.windowDeltas(sp.clsNames[class].buckets, sloClassP99Window, now); ok && n > 0 {
+			addD(sp.clsNames[class].p99, latencyOf(sp.deltas).P99Ms)
 		}
 	}
+
+	// qps_1m and the all-endpoint latency cover the trailing minute once it
+	// holds two ticks, and keep SampleInto's since-start values until then
+	// (and for good with an interval of a minute or more).
+	var recent recentWindow
+	if reqs, covered, ok := sp.ts.DeltaSince("requests_total", metricsWindow, now); ok && covered > 0 {
+		sp.windowDeltas(sp.allBuckets, metricsWindow, now)
+		recent = recentWindow{ok: true, qps: reqs / covered.Seconds(), latency: latencyOf(sp.deltas)}
+		sp.sample.QPS, sp.sample.Latency = recent.qps, recent.latency
+	}
+	addD("qps_1m", sp.sample.QPS)
+	addD("latency_p50_ms", sp.sample.Latency.P50Ms)
+	addD("latency_p95_ms", sp.sample.Latency.P95Ms)
+	addD("latency_p99_ms", sp.sample.Latency.P99Ms)
 	sp.ts.Amend(sp.derived)
+	sp.mu.Lock()
+	sp.recent = recent
+	sp.mu.Unlock()
 }
 
 // evaluateSLO is the burn-rate half of a tick: evaluate every objective
@@ -313,27 +361,24 @@ func (sp *sampler) evaluateSLO(now time.Time) {
 	}
 }
 
-// classP99Ms estimates a class's p99 over the trailing window from the
-// class bucket counter deltas. ok=false until the window holds two ticks
-// of class traffic.
-func (sp *sampler) classP99Ms(class string, window time.Duration, now time.Time) (float64, bool) {
-	names := sp.clsNames[class]
-	any := false
-	var total uint64
-	for i, name := range names.buckets {
+// windowDeltas fills sp.deltas with how much each bucket counter series
+// grew over the trailing window, for latencyOf to read the window's
+// percentiles, and returns the total n. ok=false until the window holds
+// two ticks.
+func (sp *sampler) windowDeltas(buckets []string, window time.Duration, now time.Time) (n uint64, ok bool) {
+	for i, name := range buckets {
 		sp.deltas[i] = 0
-		d, _, ok := sp.ts.DeltaSince(name, window, now)
-		if !ok || d <= 0 {
+		d, _, dok := sp.ts.DeltaSince(name, window, now)
+		if !dok {
 			continue
 		}
-		any = true
-		sp.deltas[i] = uint64(d)
-		total += uint64(d)
+		ok = true
+		if d > 0 {
+			sp.deltas[i] = uint64(d)
+			n += uint64(d)
+		}
 	}
-	if !any || total == 0 {
-		return 0, false
-	}
-	return bucketQuantileMs(sp.deltas, 0.99), true
+	return n, ok
 }
 
 // badFraction is the SLO engine's data source: the fraction of bad service
@@ -360,24 +405,18 @@ func (sp *sampler) badFraction(o obs.Objective, window time.Duration, now time.T
 		if names == nil {
 			return 0, false
 		}
-		boundSec := o.Bound.Seconds()
-		var total, good float64
-		any := false
-		for i, name := range names.buckets {
-			d, _, ok := sp.ts.DeltaSince(name, window, now)
-			if !ok || d <= 0 {
-				continue
-			}
-			any = true
-			total += d
-			if i < len(obs.DefaultLatencyBuckets) && obs.DefaultLatencyBuckets[i] <= boundSec {
-				good += d
-			}
-		}
-		if !any || total <= 0 {
+		n, _ := sp.windowDeltas(names.buckets, window, now)
+		if n == 0 {
 			return 0, false
 		}
-		return clamp01(1 - good/total), true
+		boundSec := o.Bound.Seconds()
+		var good uint64
+		for i, bound := range obs.DefaultLatencyBuckets {
+			if bound <= boundSec {
+				good += sp.deltas[i]
+			}
+		}
+		return clamp01(1 - float64(good)/float64(n)), true
 	}
 	return 0, false
 }
@@ -463,25 +502,18 @@ func (s *Server) handleDebugHistory(w http.ResponseWriter, r *http.Request) {
 		}
 	}
 	ts := s.sampler.ts
-	since := time.Now().Add(-time.Duration(ts.Capacity()) * ts.Interval())
-	if raw := q.Get("since_sec"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v <= 0 {
-			writeError(w, http.StatusBadRequest, "invalid since_sec=%q", raw)
-			return
-		}
-		since = time.Now().Add(-time.Duration(v * float64(time.Second)))
+	back, ok := durationParam(w, q, "since_sec", time.Second, true)
+	if !ok {
+		return
 	}
-	var step time.Duration
-	if raw := q.Get("step_sec"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "invalid step_sec=%q", raw)
-			return
-		}
-		step = time.Duration(v * float64(time.Second))
+	if back == 0 {
+		back = time.Duration(ts.Capacity()) * ts.Interval()
 	}
-	res := ts.Range(names, since, step)
+	step, ok := durationParam(w, q, "step_sec", time.Second, false)
+	if !ok {
+		return
+	}
+	res := ts.Range(names, time.Now().Add(-back), step)
 	resp := historyResponse{
 		IntervalMs:  float64(ts.Interval()) / float64(time.Millisecond),
 		Samples:     len(res.Times),

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -94,7 +95,9 @@ func TestHistoryEndpointParamErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	for _, q := range []string{
 		"since_sec=abc", "since_sec=-5", "since_sec=0",
+		"since_sec=NaN", "since_sec=Inf", "since_sec=1e20",
 		"step_sec=xyz", "step_sec=-1",
+		"step_sec=NaN", "step_sec=Inf", "step_sec=1e20",
 		"series=a,,b",
 	} {
 		resp, err := http.Get(ts.URL + "/v1/debug:history?" + q)
@@ -356,6 +359,169 @@ func TestLatencySLOBurnsOnSlowClass(t *testing.T) {
 	}
 }
 
+// TestRecentWindowMetrics drives ticks at synthetic times 10 s apart and
+// pins what qps_1m and the global latency cover: the time since start
+// until the ring holds two ticks (and always with history off), then the
+// ring's trailing minute, so requests older than that stop counting.
+func TestRecentWindowMetrics(t *testing.T) {
+	srv := NewServer(slowTickConfig()) // takes the first tick
+	defer srv.Close()
+	for i := 0; i < 100; i++ {
+		srv.metrics.Observe("kspr", 2*time.Second, 200)
+	}
+	sinceStart := func(t *testing.T, snap MetricsSnapshot, wantReqs uint64, want LatencyStats) {
+		t.Helper()
+		if snap.Requests != wantReqs {
+			t.Fatalf("requests = %d, want %d", snap.Requests, wantReqs)
+		}
+		if snap.QPS != float64(snap.Requests)/snap.UptimeSeconds {
+			t.Fatalf("qps_1m = %v, want since-start %d/%vs", snap.QPS, snap.Requests, snap.UptimeSeconds)
+		}
+		if snap.Latency != want {
+			t.Fatalf("latency = %+v, want since-start %+v", snap.Latency, want)
+		}
+	}
+	slow := LatencyStats{P50Ms: 2500, P95Ms: 2500, P99Ms: 2500}
+	sinceStart(t, srv.metricsView(), 100, slow)
+
+	// From the second tick on, the ring covers a window: every request so
+	// far landed between the two ticks.
+	base := time.Now()
+	srv.sampler.tick(base.Add(10 * time.Second))
+	snap := srv.metricsView()
+	if snap.QPS < 9 || snap.QPS > 10 {
+		t.Fatalf("qps_1m after the second tick = %v, want ~100 requests / 10 s", snap.QPS)
+	}
+	if snap.Latency != slow {
+		t.Fatalf("latency after the second tick = %+v, want %+v", snap.Latency, slow)
+	}
+
+	// Fast traffic for seven more ticks: by base+80s the slow burst and
+	// the first fast batch are older than the trailing minute.
+	for i := 2; i <= 8; i++ {
+		for j := 0; j < 50; j++ {
+			srv.metrics.Observe("topk", time.Millisecond, 200)
+		}
+		srv.sampler.tick(base.Add(time.Duration(i) * 10 * time.Second))
+	}
+	snap = srv.metricsView()
+	fast := LatencyStats{P50Ms: 1, P95Ms: 1, P99Ms: 1}
+	if snap.Requests != 450 {
+		t.Fatalf("requests_total = %d, want the lifetime 450", snap.Requests)
+	}
+	if snap.QPS != 5 {
+		t.Fatalf("qps_1m = %v, want 300 requests / 60 s", snap.QPS)
+	}
+	if snap.Latency != fast {
+		t.Fatalf("latency = %+v, want only the trailing minute's %+v", snap.Latency, fast)
+	}
+	for name, want := range map[string]float64{
+		"qps_1m": 5, "latency_p50_ms": 1, "latency_p95_ms": 1, "latency_p99_ms": 1,
+	} {
+		if _, v, ok := srv.sampler.ts.Latest(name); !ok || v != want {
+			t.Fatalf("ring %s = %v (ok=%v), want %v", name, v, ok, want)
+		}
+	}
+
+	// With history off there is no ring: both cover the time since start.
+	off := NewServer(Config{HistoryInterval: -1})
+	defer off.Close()
+	for i := 0; i < 100; i++ {
+		off.metrics.Observe("kspr", 2*time.Second, 200)
+	}
+	for i := 0; i < 300; i++ {
+		off.metrics.Observe("topk", time.Millisecond, 200)
+	}
+	sinceStart(t, off.metricsView(), 400, LatencyStats{P50Ms: 1, P95Ms: 2500, P99Ms: 2500})
+}
+
+// TestMetricsRenderingsAgree pins the one-sample contract: after a tick,
+// with no traffic in between, JSON /metrics, /metrics.prom and the latest
+// column of /v1/debug:history report the same counters, qps_1m and
+// percentiles.
+func TestMetricsRenderingsAgree(t *testing.T) {
+	srv, ts := newTestServer(t, slowTickConfig())
+	loadGenerated(t, ts, "ind", 200, 3, 7)
+	for i := 0; i < 6; i++ {
+		if resp, body := postJSON(t, ts.URL+"/v1/kspr", queryRequest{Dataset: "ind", Focal: i, K: 3 + i%3}); resp.StatusCode != http.StatusOK {
+			t.Fatalf("query %d: status %d: %s", i, resp.StatusCode, body)
+		}
+	}
+	if resp, _ := postJSON(t, ts.URL+"/v1/kspr", queryRequest{Dataset: "missing", Focal: 0, K: 1}); resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("missing dataset: status %d, want 404", resp.StatusCode)
+	}
+	srv.sampler.tick(time.Now())
+
+	// Neither metrics endpoint is instrumented, and the history read
+	// counts only after its own response, so all three see the tick's
+	// traffic.
+	var snap MetricsSnapshot
+	fetchJSON(t, ts.URL+"/metrics", http.StatusOK, &snap)
+	resp, err := http.Get(ts.URL + "/metrics.prom")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prom := map[string]float64{}
+	promLe := map[string]float64{} // all-endpoint cumulative buckets by le
+	for _, s := range parseProm(t, readAll(t, resp)) {
+		switch {
+		case s.name == "kspr_request_duration_seconds_bucket":
+			promLe[s.labels["le"]] += s.value
+		case s.labels["endpoint"] != "":
+			prom[s.name+":"+s.labels["endpoint"]] = s.value
+		default:
+			prom[s.name] = s.value
+		}
+	}
+	series := []string{"requests_total", "qps_1m", "latency_p50_ms", "latency_p95_ms", "latency_p99_ms"}
+	for name := range snap.ByEndpoint {
+		series = append(series, "ep:"+name+":requests")
+	}
+	var hr historyResponse
+	fetchJSON(t, ts.URL+"/v1/debug:history?series="+strings.Join(series, ","), http.StatusOK, &hr)
+	latest := func(name string) float64 {
+		t.Helper()
+		col := hr.Series[name]
+		if len(col) == 0 || col[len(col)-1] == nil {
+			t.Fatalf("history %s has no latest value", name)
+		}
+		return *col[len(col)-1]
+	}
+
+	if snap.Requests < 8 {
+		t.Fatalf("requests_total = %d, want the load and 7 queries", snap.Requests)
+	}
+	if r := float64(snap.Requests); prom["kspr_requests_total"] != r || latest("requests_total") != r {
+		t.Fatalf("requests_total: json %v, prom %v, history %v", r, prom["kspr_requests_total"], latest("requests_total"))
+	}
+	for name, n := range snap.ByEndpoint {
+		if prom["kspr_endpoint_requests_total:"+name] != float64(n) || latest("ep:"+name+":requests") != float64(n) {
+			t.Fatalf("endpoint %s requests: json %d, prom %v, history %v",
+				name, n, prom["kspr_endpoint_requests_total:"+name], latest("ep:"+name+":requests"))
+		}
+	}
+	if snap.QPS <= 0 || prom["kspr_qps_1m"] != snap.QPS || latest("qps_1m") != snap.QPS {
+		t.Fatalf("qps_1m: json %v, prom %v, history %v", snap.QPS, prom["kspr_qps_1m"], latest("qps_1m"))
+	}
+	// The window holds every request (the first tick predates them all),
+	// so the percentiles of the exposition's summed buckets are the same.
+	counts := make([]uint64, len(obs.DefaultLatencyBuckets)+1)
+	var prev float64
+	for i := range counts {
+		le := "+Inf"
+		if i < len(obs.DefaultLatencyBuckets) {
+			le = strconv.FormatFloat(obs.DefaultLatencyBuckets[i], 'g', -1, 64)
+		}
+		counts[i] = uint64(promLe[le] - prev)
+		prev = promLe[le]
+	}
+	fromProm := latencyOf(counts)
+	fromHistory := LatencyStats{P50Ms: latest("latency_p50_ms"), P95Ms: latest("latency_p95_ms"), P99Ms: latest("latency_p99_ms")}
+	if snap.Latency.P99Ms <= 0 || fromProm != snap.Latency || fromHistory != snap.Latency {
+		t.Fatalf("latency: json %+v, prom %+v, history %+v", snap.Latency, fromProm, fromHistory)
+	}
+}
+
 func TestRecordTickZeroAllocs(t *testing.T) {
 	srv := NewServer(slowTickConfig())
 	defer srv.Close()
@@ -390,17 +556,21 @@ func TestSampleIntoZeroAllocs(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("SampleInto allocates %v/op in steady state, want 0", allocs)
 	}
-	// The sample must agree with Snapshot on the counters.
-	snap := m.Snapshot()
-	if ms.Requests != snap.Requests || ms.Errors != snap.Errors {
-		t.Fatalf("sample %d/%d != snapshot %d/%d", ms.Requests, ms.Errors, snap.Requests, snap.Errors)
+	// The sample must agree with what was observed, and the snapshot
+	// rendered from it with the sample.
+	if ms.Requests != 200 || ms.Errors != 100 {
+		t.Fatalf("sample requests/errors = %d/%d, want 200/100", ms.Requests, ms.Errors)
 	}
 	if len(ms.Endpoints) != 2 || ms.Endpoints[0].Name != "kspr" || ms.Endpoints[1].Name != "topk" {
 		t.Fatalf("endpoint rows = %+v", ms.Endpoints)
 	}
+	snap := ms.snapshot()
+	if snap.Requests != ms.Requests || snap.Errors != ms.Errors {
+		t.Fatalf("snapshot %d/%d != sample %d/%d", snap.Requests, snap.Errors, ms.Requests, ms.Errors)
+	}
 	ep := snap.LatencyByEndpoint["kspr"]
-	if ms.Endpoints[0].Count != ep.Requests {
-		t.Fatalf("sample count %d != snapshot count %d", ms.Endpoints[0].Count, ep.Requests)
+	if ms.Endpoints[0].Requests != 100 || ep.Requests != 100 {
+		t.Fatalf("kspr requests: sample %d, snapshot %d, want 100", ms.Endpoints[0].Requests, ep.Requests)
 	}
 }
 
@@ -437,7 +607,9 @@ func readAll(t *testing.T, resp *http.Response) string {
 	return sb.String()
 }
 
-func BenchmarkSnapshotSteadyState(b *testing.B) {
+// BenchmarkMetricsScrape measures the Metrics half of a /metrics scrape:
+// a fresh sample rendered to the JSON snapshot.
+func BenchmarkMetricsScrape(b *testing.B) {
 	m := NewMetrics()
 	for _, ep := range []string{"kspr", "kspr.batch", "topk", "skyline", "impact", "whatif.price"} {
 		for i := 0; i < 500; i++ {
@@ -447,7 +619,9 @@ func BenchmarkSnapshotSteadyState(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = m.Snapshot()
+		var ms MetricsSample
+		m.SampleInto(&ms)
+		_ = ms.snapshot()
 	}
 }
 

@@ -3,8 +3,6 @@ package server
 import (
 	"fmt"
 	"io"
-	"math"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -12,42 +10,15 @@ import (
 	"repro/internal/obs"
 )
 
-// latWindow is the number of most recent request latencies kept for
-// percentile estimation (spread across the stripes).
-const latWindow = 2048
-
-// qpsBuckets is the length (seconds) of the sliding QPS window.
-const qpsBuckets = 60
-
-// latStripes shards the latency ring and QPS buckets. A single global
-// mutex here was the first contention hot spot the load harness exposed:
-// every request of every endpoint serialized on it just to record one
-// float. Must be a power of two (stripe pick is a mask).
-const latStripes = 8
-
-// latStripe is one shard of the recent-latency ring plus its slice of the
-// QPS window. Round-robin assignment keeps the union of the stripes equal
-// to the most recent latWindow observations, and per-second QPS counts
-// sum across stripes to the exact global count.
-type latStripe struct {
-	mu     sync.Mutex
-	lat    [latWindow / latStripes]float64 // ring of latencies in milliseconds
-	latIdx int
-	latN   int
-	qps    [qpsBuckets]qpsBucket
-	// pad spaces stripes a cache line apart so neighboring locks do not
-	// false-share.
-	_ [64]byte
-}
-
 // Metrics aggregates the serving counters exposed on /metrics. All methods
-// are safe for concurrent use; the hot path is a few atomics plus one
-// small striped ring update.
+// are safe for concurrent use; the hot path is a few atomic adds, with no
+// lock and no clock read. Each endpoint's latency histogram is the only
+// latency store: request counts are its bucket totals, and the recent
+// window's rate and percentiles come from the sampler's bucket deltas.
 type Metrics struct {
-	start    time.Time
-	requests atomic.Uint64
-	errors   atomic.Uint64
-	resp429  atomic.Uint64
+	start   time.Time
+	errors  atomic.Uint64
+	resp429 atomic.Uint64
 
 	mutationBatches atomic.Uint64
 	mutationsTotal  atomic.Uint64
@@ -58,18 +29,13 @@ type Metrics struct {
 	whatifProbes atomic.Uint64
 	whatifKept   atomic.Uint64
 
-	stripePick atomic.Uint64
-	stripes    [latStripes]latStripe
-
 	byEndpoint sync.Map // string -> *endpointStats
 }
 
-// endpointStats is one endpoint's serving record: request/error counters
-// plus a fixed-bucket latency histogram (the shared bucket layout of
-// obs.DefaultLatencyBuckets). The histogram backs both the per-endpoint
-// percentiles of JSON /metrics and the Prometheus exposition.
+// endpointStats is one endpoint's serving record: an error counter plus a
+// fixed-bucket latency histogram (the shared bucket layout of
+// obs.DefaultLatencyBuckets) whose bucket total is the request count.
 type endpointStats struct {
-	count  atomic.Uint64
 	errors atomic.Uint64
 	hist   *obs.Histogram
 }
@@ -85,11 +51,6 @@ func (m *Metrics) endpoint(name string) *endpointStats {
 	return v.(*endpointStats)
 }
 
-type qpsBucket struct {
-	sec int64
-	n   uint64
-}
-
 // NewMetrics starts the clock.
 func NewMetrics() *Metrics {
 	return &Metrics{start: time.Now()}
@@ -98,36 +59,18 @@ func NewMetrics() *Metrics {
 // Observe records one finished request by its response status. Statuses
 // >= 400 count as errors; 429s are additionally counted on their own so
 // the SLO layer can exclude honest backpressure from availability burn.
+// The histogram add comes first, so a reader that loads the error
+// counters before the buckets never sees more errors than requests.
 func (m *Metrics) Observe(endpoint string, d time.Duration, status int) {
-	isErr := status >= 400
-	m.requests.Add(1)
-	if isErr {
+	es := m.endpoint(endpoint)
+	es.hist.Observe(d)
+	if status >= 400 {
 		m.errors.Add(1)
+		es.errors.Add(1)
 	}
 	if status == 429 {
 		m.resp429.Add(1)
 	}
-	es := m.endpoint(endpoint)
-	es.count.Add(1)
-	if isErr {
-		es.errors.Add(1)
-	}
-	es.hist.Observe(d)
-
-	sec := time.Now().Unix()
-	st := &m.stripes[m.stripePick.Add(1)&(latStripes-1)]
-	st.mu.Lock()
-	st.lat[st.latIdx] = float64(d) / float64(time.Millisecond)
-	st.latIdx = (st.latIdx + 1) % len(st.lat)
-	if st.latN < len(st.lat) {
-		st.latN++
-	}
-	b := &st.qps[sec%qpsBuckets]
-	if b.sec != sec {
-		b.sec, b.n = sec, 0
-	}
-	b.n++
-	st.mu.Unlock()
 }
 
 // AddErrors bumps the error counter by n without recording requests; used
@@ -186,23 +129,31 @@ type MutationStats struct {
 	Recoveries uint64 `json:"wal_recoveries_total"`
 }
 
-// LatencyStats are percentile estimates over the recent-latency window.
+// LatencyStats are percentile estimates from a latency histogram: each is
+// the upper bound of the bucket holding the nearest-rank sample.
 type LatencyStats struct {
 	P50Ms float64 `json:"p50_ms"`
 	P95Ms float64 `json:"p95_ms"`
 	P99Ms float64 `json:"p99_ms"`
 }
 
-// EndpointLatency is one endpoint's row in /metrics: counters plus
-// percentiles estimated from the endpoint's latency histogram (each
-// percentile reports the upper bound of its bucket, so it matches the
-// global window percentiles within one bucket width).
+// latencyOf estimates the percentiles of per-bucket counts in the
+// obs.DefaultLatencyBuckets layout (+Inf last). It allocates nothing.
+func latencyOf(counts []uint64) LatencyStats {
+	h := obs.HistSnapshot{Bounds: obs.DefaultLatencyBuckets, Counts: counts}
+	return LatencyStats{
+		P50Ms: h.Quantile(0.50) * 1000,
+		P95Ms: h.Quantile(0.95) * 1000,
+		P99Ms: h.Quantile(0.99) * 1000,
+	}
+}
+
+// EndpointLatency is one endpoint's row in /metrics: counters plus the
+// since-start percentiles of the endpoint's latency histogram.
 type EndpointLatency struct {
-	Requests uint64  `json:"requests_total"`
-	Errors   uint64  `json:"errors_total"`
-	P50Ms    float64 `json:"p50_ms"`
-	P95Ms    float64 `json:"p95_ms"`
-	P99Ms    float64 `json:"p99_ms"`
+	Requests uint64 `json:"requests_total"`
+	Errors   uint64 `json:"errors_total"`
+	LatencyStats
 }
 
 // MetricsSnapshot is the JSON body of /metrics.
@@ -229,6 +180,10 @@ type MetricsSnapshot struct {
 	Runtime obs.RuntimeStats `json:"runtime"`
 	Build   obs.BuildInfo    `json:"build"`
 	SLO     *SLOView         `json:"slo,omitempty"`
+
+	// endpoints are the sample rows the maps above were rendered from,
+	// sorted by name; WriteProm renders its endpoint section from them.
+	endpoints []EndpointSample
 }
 
 // SLOView is the /metrics (and black-box) rendering of the SLO engine's
@@ -245,141 +200,47 @@ type PoolStats struct {
 	Depth   int64 `json:"depth"`
 }
 
-// Snapshot computes the current metrics view. Cache/pool/registry sections
-// are filled in by the server, which owns those components.
-func (m *Metrics) Snapshot() MetricsSnapshot {
-	now := time.Now()
-	snap := MetricsSnapshot{
-		UptimeSeconds: now.Sub(m.start).Seconds(),
-		Requests:      m.requests.Load(),
-		Errors:        m.errors.Load(),
-		Resp429:       m.resp429.Load(),
-		ByEndpoint:    map[string]uint64{},
-		Mutations: MutationStats{
-			Batches:       m.mutationBatches.Load(),
-			Mutations:     m.mutationsTotal.Load(),
-			CacheMigrated: m.cacheMigrated.Load(),
-			CacheDropped:  m.cacheDropped.Load(),
-			Recoveries:    m.recoveries.Load(),
-		},
-		WhatIf: WhatIfMetrics{
-			Probes: m.whatifProbes.Load(),
-			Kept:   m.whatifKept.Load(),
-		},
-	}
-	snap.LatencyByEndpoint = map[string]EndpointLatency{}
-	m.byEndpoint.Range(func(k, v any) bool {
-		es := v.(*endpointStats)
-		hs := es.hist.Snapshot()
-		snap.ByEndpoint[k.(string)] = es.count.Load()
-		snap.LatencyByEndpoint[k.(string)] = EndpointLatency{
-			Requests: es.count.Load(),
-			Errors:   es.errors.Load(),
-			P50Ms:    hs.Quantile(0.50) * 1000,
-			P95Ms:    hs.Quantile(0.95) * 1000,
-			P99Ms:    hs.Quantile(0.99) * 1000,
-		}
-		return true
-	})
-
-	var (
-		lats []float64
-		hits uint64
-	)
-	cutoff := now.Unix() - qpsBuckets
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.Lock()
-		lats = append(lats, st.lat[:st.latN]...)
-		for _, b := range st.qps {
-			if b.sec > cutoff {
-				hits += b.n
-			}
-		}
-		st.mu.Unlock()
-	}
-
-	window := snap.UptimeSeconds
-	if window > qpsBuckets {
-		window = qpsBuckets
-	}
-	if window > 0 {
-		snap.QPS = float64(hits) / window
-	}
-	if len(lats) > 0 {
-		sort.Float64s(lats)
-		snap.Latency = LatencyStats{
-			P50Ms: percentile(lats, 0.50),
-			P95Ms: percentile(lats, 0.95),
-			P99Ms: percentile(lats, 0.99),
-		}
-	}
-	return snap
-}
-
-// percentile reads the p-quantile from sorted values by rounding the
-// fractional rank p*(n-1) to the nearest sample. Unlike the classic
-// nearest-rank ceil(p*n) rule this is symmetric at tiny n — the median of
-// two samples reports the upper one rather than always the lower — and it
-// degrades to the usual estimate as n grows.
-func percentile(sorted []float64, p float64) float64 {
-	n := len(sorted)
-	if n == 0 {
-		return 0
-	}
-	idx := int(math.Round(p * float64(n-1)))
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= n {
-		idx = n - 1
-	}
-	return sorted[idx]
-}
-
-// EndpointSample is one endpoint's row in a MetricsSample: counters,
-// per-bucket histogram counts (obs.DefaultLatencyBuckets layout, +Inf
-// last), and percentile estimates derived from them.
+// EndpointSample is one endpoint's row in a MetricsSample: its
+// latency_by_endpoint counters and percentiles, plus the histogram they
+// come from (per-bucket counts in the obs.DefaultLatencyBuckets layout,
+// +Inf last, and the latency sum).
 type EndpointSample struct {
-	Name    string
-	Count   uint64
-	Errors  uint64
+	Name string
+	EndpointLatency
 	Buckets []uint64
-	P50Ms   float64
-	P99Ms   float64
+	SumNs   int64
 }
 
-// MetricsSample is the reusable scratch the telemetry sampler fills every
-// tick via SampleInto. Unlike Snapshot it holds no maps: endpoint rows
-// live in a sorted slice that is reused across ticks, so steady-state
-// sampling (no new endpoints) performs zero allocations. A MetricsSample
-// must not be copied after first use (SampleInto caches a closure over
-// its address).
+// MetricsSample is one read of Metrics, and the one source JSON /metrics,
+// /metrics.prom and the history ring render from. It holds no maps:
+// endpoint rows live in a sorted slice that is reused across calls, so
+// steady-state sampling (no new endpoints) performs zero allocations. A
+// MetricsSample must not be copied after first use (SampleInto caches a
+// closure over its address).
 type MetricsSample struct {
 	UptimeSeconds float64
-	Requests      uint64
-	Errors        uint64
-	Resp429       uint64
+	// Requests is the sum of the endpoint rows' requests.
+	Requests  uint64
+	Errors    uint64
+	Resp429   uint64
+	Mutations MutationStats
+	WhatIf    WhatIfMetrics
 
-	MutationBatches uint64
-	MutationsTotal  uint64
-	CacheMigrated   uint64
-	CacheDropped    uint64
-	Recoveries      uint64
-	WhatIfProbes    uint64
-	WhatIfKept      uint64
+	// QPS and Latency are the request rate and all-endpoint percentiles of
+	// the recent window. SampleInto sets them since start (Requests over
+	// uptime, percentiles of Buckets); the sampler swaps in the history
+	// ring's trailing minute once the ring covers one.
+	QPS     float64
+	Latency LatencyStats
+	// Buckets is the all-endpoint latency histogram: the bucket-wise sum
+	// of the endpoint rows' Buckets.
+	Buckets []uint64
 
-	QPS      float64
-	LatP50Ms float64
-	LatP95Ms float64
-	LatP99Ms float64
-
-	// Endpoints is sorted by name and reused across ticks; rows for
+	// Endpoints is sorted by name and reused across calls; rows for
 	// endpoints that disappeared keep their last counters (endpoints are
 	// never unregistered).
 	Endpoints []EndpointSample
 
-	lats    []float64           // reused latency scratch for the striped window
 	rangeFn func(k, v any) bool // cached Range closure (avoids one alloc/call)
 }
 
@@ -407,67 +268,72 @@ func (ms *MetricsSample) row(name string) *EndpointSample {
 	return &ms.Endpoints[lo]
 }
 
-// SampleInto fills ms with the current counters, endpoint rows, and
-// striped-window percentiles. It is the sampler's allocation-free
-// alternative to Snapshot (which builds fresh maps per call for the JSON
-// response). ms is reused across calls; pass the same one every tick.
+// SampleInto fills ms with the current counters and endpoint rows, and
+// sets QPS and Latency since start. ms is reused across calls; the
+// sampler passes the same one every tick.
 func (m *Metrics) SampleInto(ms *MetricsSample) {
-	now := time.Now()
-	ms.UptimeSeconds = now.Sub(m.start).Seconds()
-	ms.Requests = m.requests.Load()
+	ms.UptimeSeconds = time.Since(m.start).Seconds()
+	// Error counters load before the histograms (see Observe).
 	ms.Errors = m.errors.Load()
 	ms.Resp429 = m.resp429.Load()
-	ms.MutationBatches = m.mutationBatches.Load()
-	ms.MutationsTotal = m.mutationsTotal.Load()
-	ms.CacheMigrated = m.cacheMigrated.Load()
-	ms.CacheDropped = m.cacheDropped.Load()
-	ms.Recoveries = m.recoveries.Load()
-	ms.WhatIfProbes = m.whatifProbes.Load()
-	ms.WhatIfKept = m.whatifKept.Load()
+	ms.Mutations = MutationStats{
+		Batches:       m.mutationBatches.Load(),
+		Mutations:     m.mutationsTotal.Load(),
+		CacheMigrated: m.cacheMigrated.Load(),
+		CacheDropped:  m.cacheDropped.Load(),
+		Recoveries:    m.recoveries.Load(),
+	}
+	ms.WhatIf = WhatIfMetrics{Probes: m.whatifProbes.Load(), Kept: m.whatifKept.Load()}
 
 	if ms.rangeFn == nil {
+		ms.Buckets = make([]uint64, len(obs.DefaultLatencyBuckets)+1)
 		ms.rangeFn = func(k, v any) bool {
 			es := v.(*endpointStats)
 			row := ms.row(k.(string))
-			row.Count = es.count.Load()
 			row.Errors = es.errors.Load()
 			es.hist.CopyCounts(row.Buckets)
-			row.P50Ms = bucketQuantileMs(row.Buckets, 0.50)
-			row.P99Ms = bucketQuantileMs(row.Buckets, 0.99)
+			row.SumNs = es.hist.SumNs()
+			row.Requests = 0
+			for i, c := range row.Buckets {
+				row.Requests += c
+				ms.Buckets[i] += c
+			}
+			row.LatencyStats = latencyOf(row.Buckets)
+			ms.Requests += row.Requests
 			return true
 		}
 	}
+	ms.Requests = 0
+	clear(ms.Buckets)
 	m.byEndpoint.Range(ms.rangeFn)
 
-	ms.lats = ms.lats[:0]
-	var hits uint64
-	cutoff := now.Unix() - qpsBuckets
-	for i := range m.stripes {
-		st := &m.stripes[i]
-		st.mu.Lock()
-		ms.lats = append(ms.lats, st.lat[:st.latN]...)
-		for _, b := range st.qps {
-			if b.sec > cutoff {
-				hits += b.n
-			}
-		}
-		st.mu.Unlock()
-	}
-	window := ms.UptimeSeconds
-	if window > qpsBuckets {
-		window = qpsBuckets
-	}
 	ms.QPS = 0
-	if window > 0 {
-		ms.QPS = float64(hits) / window
+	if ms.UptimeSeconds > 0 {
+		ms.QPS = float64(ms.Requests) / ms.UptimeSeconds
 	}
-	ms.LatP50Ms, ms.LatP95Ms, ms.LatP99Ms = 0, 0, 0
-	if len(ms.lats) > 0 {
-		sort.Float64s(ms.lats)
-		ms.LatP50Ms = percentile(ms.lats, 0.50)
-		ms.LatP95Ms = percentile(ms.lats, 0.95)
-		ms.LatP99Ms = percentile(ms.lats, 0.99)
+	ms.Latency = latencyOf(ms.Buckets)
+}
+
+// snapshot renders the Metrics-owned sections of the JSON /metrics body.
+func (ms *MetricsSample) snapshot() MetricsSnapshot {
+	snap := MetricsSnapshot{
+		UptimeSeconds:     ms.UptimeSeconds,
+		Requests:          ms.Requests,
+		Errors:            ms.Errors,
+		Resp429:           ms.Resp429,
+		QPS:               ms.QPS,
+		Latency:           ms.Latency,
+		Mutations:         ms.Mutations,
+		WhatIf:            ms.WhatIf,
+		ByEndpoint:        make(map[string]uint64, len(ms.Endpoints)),
+		LatencyByEndpoint: make(map[string]EndpointLatency, len(ms.Endpoints)),
+		endpoints:         ms.Endpoints,
 	}
+	for _, row := range ms.Endpoints {
+		snap.ByEndpoint[row.Name] = row.Requests
+		snap.LatencyByEndpoint[row.Name] = row.EndpointLatency
+	}
+	return snap
 }
 
 // windowLabel renders a burn window compactly for metric labels ("5m",
@@ -483,74 +349,33 @@ func windowLabel(d time.Duration) string {
 	}
 }
 
-// bucketQuantileMs estimates the p-quantile in milliseconds from
-// per-bucket counts in the obs.DefaultLatencyBuckets layout (same
-// nearest-rank, report-the-upper-bound rule as obs.HistSnapshot.Quantile).
-func bucketQuantileMs(counts []uint64, p float64) float64 {
-	bounds := obs.DefaultLatencyBuckets
-	var total uint64
-	for _, c := range counts {
-		total += c
-	}
-	if total == 0 {
-		return 0
-	}
-	rank := uint64(math.Ceil(p * float64(total)))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > total {
-		rank = total
-	}
-	var cum uint64
-	for i, c := range counts {
-		cum += c
-		if cum >= rank {
-			if i >= len(bounds) {
-				return bounds[len(bounds)-1] * 1000
-			}
-			return bounds[i] * 1000
-		}
-	}
-	return bounds[len(bounds)-1] * 1000
-}
-
-// WriteProm renders the metrics in Prometheus text exposition format
-// (the /metrics.prom body). snap must come from the server's metricsView
-// so the cache/pool/CPU/dataset sections are filled in; the per-endpoint
-// histograms are read live from m. The first write error is returned.
-func (m *Metrics) WriteProm(w io.Writer, snap MetricsSnapshot) error {
+// WriteProm renders snap in Prometheus text exposition format (the
+// /metrics.prom body). snap must come from the server's metricsView so
+// the cache/pool/CPU/dataset sections are filled in. The first write
+// error is returned.
+func (snap *MetricsSnapshot) WriteProm(w io.Writer) error {
 	p := obs.NewPromWriter(w)
 	p.Gauge("kspr_uptime_seconds", "Seconds since the server started.", snap.UptimeSeconds)
 	p.Counter("kspr_requests_total", "HTTP requests served across all endpoints.", float64(snap.Requests))
 	p.Counter("kspr_errors_total", "Requests answered with status >= 400, plus per-item failures inside streamed batches.", float64(snap.Errors))
 	p.Counter("kspr_responses_429_total", "Requests shed with 429 (CPU budget exhausted or queue full).", float64(snap.Resp429))
-	p.Gauge("kspr_qps_1m", "Requests per second over the last minute.", snap.QPS)
+	p.Gauge("kspr_qps_1m", "Requests per second over the history ring's trailing minute (since start until the ring covers one).", snap.QPS)
 
-	// Per-endpoint counters and histograms, in sorted endpoint order so
+	// Per-endpoint counters and histograms, in the sample's sorted order so
 	// the exposition is deterministic.
-	type epRow struct {
-		name string
-		es   *endpointStats
-	}
-	var eps []epRow
-	m.byEndpoint.Range(func(k, v any) bool {
-		eps = append(eps, epRow{k.(string), v.(*endpointStats)})
-		return true
-	})
-	sort.Slice(eps, func(i, j int) bool { return eps[i].name < eps[j].name })
-	if len(eps) > 0 {
+	if len(snap.endpoints) > 0 {
 		p.Header("kspr_endpoint_requests_total", "Requests per endpoint.", "counter")
-		for _, ep := range eps {
-			p.Sample("kspr_endpoint_requests_total", []obs.Label{{Name: "endpoint", Value: ep.name}}, float64(ep.es.count.Load()))
+		for _, row := range snap.endpoints {
+			p.Sample("kspr_endpoint_requests_total", []obs.Label{{Name: "endpoint", Value: row.Name}}, float64(row.Requests))
 		}
 		p.Header("kspr_endpoint_errors_total", "Error responses per endpoint.", "counter")
-		for _, ep := range eps {
-			p.Sample("kspr_endpoint_errors_total", []obs.Label{{Name: "endpoint", Value: ep.name}}, float64(ep.es.errors.Load()))
+		for _, row := range snap.endpoints {
+			p.Sample("kspr_endpoint_errors_total", []obs.Label{{Name: "endpoint", Value: row.Name}}, float64(row.Errors))
 		}
 		p.Header("kspr_request_duration_seconds", "Request latency per endpoint.", "histogram")
-		for _, ep := range eps {
-			p.HistogramSeries("kspr_request_duration_seconds", []obs.Label{{Name: "endpoint", Value: ep.name}}, ep.es.hist.Snapshot())
+		for _, row := range snap.endpoints {
+			p.HistogramSeries("kspr_request_duration_seconds", []obs.Label{{Name: "endpoint", Value: row.Name}},
+				obs.HistSnapshot{Bounds: obs.DefaultLatencyBuckets, Counts: row.Buckets, SumNs: row.SumNs})
 		}
 	}
 

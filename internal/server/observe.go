@@ -197,13 +197,22 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetricsProm(w http.ResponseWriter, r *http.Request) {
 	snap := s.metricsView()
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	_ = s.metrics.WriteProm(w, snap)
+	_ = snap.WriteProm(w)
 }
 
-// metricsView assembles the full metrics snapshot: the Metrics counters
-// plus the sections owned by other server components.
+// metricsView renders the full metrics snapshot from one fresh
+// MetricsSample plus the sections owned by other server components. With
+// history on, qps_1m and latency are the latest tick's trailing-minute
+// values, identical to the ring's and at most one interval stale; until
+// the ring covers a window, and with history off, they cover the time
+// since start.
 func (s *Server) metricsView() MetricsSnapshot {
-	snap := s.metrics.Snapshot()
+	var ms MetricsSample
+	s.metrics.SampleInto(&ms)
+	if s.sampler != nil {
+		s.sampler.applyRecent(&ms)
+	}
+	snap := ms.snapshot()
 	snap.Cache = s.cache.Stats()
 	snap.Pool = PoolStats{Workers: s.pool.Workers(), Depth: s.pool.Depth()}
 	snap.CPU = CPUStats{ExtraSlots: s.cpu.Slots(), InUse: s.cpu.InUse()}

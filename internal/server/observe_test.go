@@ -14,38 +14,9 @@ import (
 	"sync"
 	"testing"
 	"time"
-)
 
-// TestPercentileNearestRank pins the rounding rule at small sample counts:
-// the index is round(p*(n-1)), so the median of two samples is the UPPER
-// one (the classic ceil(p*n) rule returns the lower, which under-reports
-// p50 until the window fills).
-func TestPercentileNearestRank(t *testing.T) {
-	cases := []struct {
-		sorted []float64
-		p      float64
-		want   float64
-	}{
-		{nil, 0.50, 0},
-		{[]float64{7}, 0.50, 7},
-		{[]float64{7}, 0.99, 7},
-		{[]float64{1, 9}, 0.50, 9}, // the pinned fix: upper of two
-		{[]float64{1, 9}, 0.49, 1},
-		{[]float64{1, 9}, 0.95, 9},
-		{[]float64{1, 5, 9}, 0.50, 5},
-		{[]float64{1, 5, 9}, 0.95, 9},
-		{[]float64{1, 2, 3, 4}, 0.50, 3},
-		{[]float64{1, 2, 3, 4, 5}, 0.50, 3},
-		{[]float64{1, 2, 3, 4, 5}, 0.99, 5},
-		{[]float64{1, 2, 3, 4, 5}, 0.0, 1},
-		{[]float64{1, 2, 3, 4, 5}, 1.0, 5},
-	}
-	for _, c := range cases {
-		if got := percentile(c.sorted, c.p); got != c.want {
-			t.Errorf("percentile(%v, %v) = %v, want %v", c.sorted, c.p, got, c.want)
-		}
-	}
-}
+	"repro/internal/obs"
+)
 
 // promSample is one parsed exposition line.
 type promSample struct {
@@ -202,9 +173,9 @@ func TestMetricsPromExposition(t *testing.T) {
 }
 
 // TestEndpointPercentilesAgree pins that the per-endpoint histogram
-// percentiles in JSON /metrics agree with the exact-sample global
-// percentiles within one bucket width (the histogram reports its bucket's
-// upper bound).
+// percentiles in JSON /metrics agree with the global percentiles, and
+// that both agree with the exact nearest-rank sample within one bucket
+// width (a histogram percentile reports its bucket's upper bound).
 func TestEndpointPercentilesAgree(t *testing.T) {
 	m := NewMetrics()
 	durs := []time.Duration{
@@ -214,7 +185,9 @@ func TestEndpointPercentilesAgree(t *testing.T) {
 	for _, d := range durs {
 		m.Observe("kspr", d, 200)
 	}
-	snap := m.Snapshot()
+	var ms MetricsSample
+	m.SampleInto(&ms)
+	snap := ms.snapshot()
 	ep, ok := snap.LatencyByEndpoint["kspr"]
 	if !ok {
 		t.Fatal("endpoint row missing")
@@ -222,10 +195,13 @@ func TestEndpointPercentilesAgree(t *testing.T) {
 	if ep.Requests != uint64(len(durs)) || ep.Errors != 0 {
 		t.Fatalf("endpoint counters %+v", ep)
 	}
-	// Each histogram percentile must agree with the exact-sample estimate
-	// within one bucket ladder step (the 1-2.5-5 ladder spaces consecutive
-	// upper bounds at most 2.5x apart; the two estimators may also pick
-	// adjacent ranks at small even n).
+	// Each histogram percentile must agree with the global and the exact
+	// estimate within one bucket ladder step (the 1-2.5-5 ladder spaces
+	// consecutive upper bounds at most 2.5x apart), and never fall below
+	// the exact sample, since a bucket reports its upper bound.
+	exact := func(p float64) float64 {
+		return float64(durs[obs.NearestRank(len(durs), p)-1]) / float64(time.Millisecond)
+	}
 	checks := []struct {
 		name  string
 		exact float64
@@ -234,18 +210,27 @@ func TestEndpointPercentilesAgree(t *testing.T) {
 		{"p50", snap.Latency.P50Ms, ep.P50Ms},
 		{"p95", snap.Latency.P95Ms, ep.P95Ms},
 		{"p99", snap.Latency.P99Ms, ep.P99Ms},
+		{"p50 exact", exact(0.50), ep.P50Ms},
+		{"p95 exact", exact(0.95), ep.P95Ms},
+		{"p99 exact", exact(0.99), ep.P99Ms},
 	}
 	for _, c := range checks {
 		if c.hist < c.exact/2.5-1e-9 || c.hist > c.exact*2.5+1e-9 {
-			t.Errorf("%s: histogram %v ms not within one bucket of exact %v ms", c.name, c.hist, c.exact)
+			t.Errorf("%s: histogram %v ms not within one bucket of %v ms", c.name, c.hist, c.exact)
+		}
+		if c.hist < c.exact-1e-9 {
+			t.Errorf("%s: histogram %v ms below %v ms", c.name, c.hist, c.exact)
 		}
 	}
 }
 
-// TestMetricsRaceStress hammers Observe and Snapshot concurrently; run
-// under -race this pins that the per-endpoint path is data-race free.
+// TestMetricsRaceStress hammers Observe while sampler ticks, JSON renders
+// and Prometheus renders run concurrently; run under -race this pins that
+// the one read path is data-race free.
 func TestMetricsRaceStress(t *testing.T) {
-	m := NewMetrics()
+	srv := NewServer(slowTickConfig())
+	defer srv.Close()
+	m := srv.metrics
 	var wg sync.WaitGroup
 	endpoints := []string{"kspr", "kspr.batch", "healthz", "whatif.price"}
 	for g := 0; g < 8; g++ {
@@ -266,17 +251,29 @@ func TestMetricsRaceStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 100; i++ {
-				snap := m.Snapshot()
+				snap := srv.metricsView()
+				if _, err := json.Marshal(snap); err != nil {
+					t.Errorf("json: %v", err)
+					return
+				}
 				var buf bytes.Buffer
-				if err := m.WriteProm(&buf, snap); err != nil {
+				if err := snap.WriteProm(&buf); err != nil {
 					t.Errorf("WriteProm: %v", err)
 					return
 				}
 			}
 		}()
 	}
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		now := time.Now()
+		for i := 1; i <= 50; i++ {
+			srv.sampler.tick(now.Add(time.Duration(i) * time.Second))
+		}
+	}()
 	wg.Wait()
-	snap := m.Snapshot()
+	snap := srv.metricsView()
 	if snap.Requests != 8*500 {
 		t.Fatalf("requests %d, want %d", snap.Requests, 8*500)
 	}
@@ -593,6 +590,8 @@ func TestKSPRGetValidation(t *testing.T) {
 		"/v1/kspr?dataset=ind&focal=1&k=5&volumes=maybe",
 		"/v1/kspr?dataset=ind&focal=1&k=5&epsilon=wide",
 		"/v1/kspr?dataset=ind&focal=1&k=5&seed=1e9",
+		"/v1/kspr?dataset=ind&focal=2&k=5&algorithm=approx&epsilon=NaN",
+		"/v1/kspr?dataset=ind&focal=2&k=5&algorithm=approx&epsilon=Inf",
 	} {
 		resp, err := http.Get(ts.URL + bad)
 		if err != nil {

@@ -154,12 +154,12 @@ func TestWhatIfPriceEndpoint(t *testing.T) {
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("unreachable target: status %d: %s", resp.StatusCode, body)
 	}
-	probesAfterFirst := srv.metrics.Snapshot().WhatIf.Probes
+	probesAfterFirst := srv.metricsView().WhatIf.Probes
 	resp, body = postJSON(t, ts.URL+"/v1/whatif:price", bad)
 	if resp.StatusCode != http.StatusUnprocessableEntity {
 		t.Fatalf("repeat unreachable target: status %d: %s", resp.StatusCode, body)
 	}
-	if got := srv.metrics.Snapshot().WhatIf.Probes; got != probesAfterFirst {
+	if got := srv.metricsView().WhatIf.Probes; got != probesAfterFirst {
 		t.Fatalf("repeat unreachable target re-ran the search: %d -> %d probes", probesAfterFirst, got)
 	}
 

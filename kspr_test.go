@@ -60,6 +60,14 @@ func TestRejectsNonFinite(t *testing.T) {
 				_, err := db.KSPRApproxVector(vec, 3, 0.05)
 				return err != nil
 			}},
+			{"KSPRApprox epsilon", func() bool {
+				_, err := db.KSPRApprox(1, 3, bad)
+				return err != nil
+			}},
+			{"KSPRApproxVector epsilon", func() bool {
+				_, err := db.KSPRApproxVector([]float64{0.5, 0.5, 0.5}, 3, bad)
+				return err != nil
+			}},
 			{"KSPRBatch", func() bool {
 				// Per item: the finite sibling still gets its answer.
 				out, err := db.KSPRBatch([]BatchQuery{{FocalID: 1}, {FocalID: -1, Focal: vec}}, 3)
