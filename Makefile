@@ -117,8 +117,8 @@ crashsmoke:
 
 # ci mirrors the GitHub workflow locally: formatting, vet, build, race
 # tests, doc gates, the crash-recovery smoke test, one iteration of the
-# index-build, reload and metrics benchmarks (so they keep compiling and
-# running),
+# index-build, reload, store-open and metrics benchmarks (so they keep
+# compiling and running),
 # lint, the coverage floor, the bench regression gate, the large-N
 # regression gate, a short fuzz smoke, and the load regression gate.
 ci:
@@ -131,6 +131,7 @@ ci:
 	./scripts/check_docs.sh
 	$(MAKE) crashsmoke
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild|BenchmarkApplyRecordsReload|BenchmarkMetricsObserveParallel|BenchmarkSampleInto|BenchmarkSamplerTick|BenchmarkMetricsScrape' -benchtime 1x ./internal/rtree ./internal/store ./internal/server
+	$(GO) test -run '^$$' -bench '^BenchmarkOpenStore' -benchtime 1x .
 	$(MAKE) lint
 	$(MAKE) coverage
 	$(MAKE) benchgate

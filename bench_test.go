@@ -14,10 +14,13 @@ import (
 	"io"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"testing"
 
 	kspr "repro"
+	"repro/internal/dataset"
 	"repro/internal/experiments"
+	"repro/internal/store"
 )
 
 // benchScale keeps `go test -bench=.` tractable on a laptop; ksprbench
@@ -133,5 +136,61 @@ func BenchmarkSkyline(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db.Skyline()
+	}
+}
+
+// BenchmarkOpenStore times OpenStore over a snapshotted WAL-backed store
+// of IND n=100000, d=3. warm reassembles the R-tree from the persisted
+// index; cold removes the index file before each open, so the open
+// rebuilds the tree and writes the file again.
+func BenchmarkOpenStore(b *testing.B) {
+	ds, err := dataset.Generate(dataset.Independent, 100000, 3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	dir := b.TempDir()
+	db, err := kspr.OpenStore(dir)
+	if err != nil {
+		b.Fatal(err)
+	}
+	muts := make([]kspr.Mutation, ds.Len())
+	for i, r := range ds.Float64s() {
+		muts[i] = kspr.Insert(r...)
+	}
+	if _, err := db.Apply(muts...); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.SnapshotStore(); err != nil {
+		b.Fatal(err)
+	}
+	if err := db.Close(); err != nil {
+		b.Fatal(err)
+	}
+	for _, warm := range []bool{true, false} {
+		name := "cold"
+		if warm {
+			name = "warm"
+		}
+		b.Run(name, func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				if !warm {
+					b.StopTimer()
+					if err := os.Remove(filepath.Join(dir, store.IndexFileName)); err != nil {
+						b.Fatal(err)
+					}
+					b.StartTimer()
+				}
+				db, err := kspr.OpenStore(dir)
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StopTimer()
+				if db.IndexWarm() != warm {
+					b.Fatalf("IndexWarm() = %v, want %v", db.IndexWarm(), warm)
+				}
+				db.Close()
+				b.StartTimer()
+			}
+		})
 	}
 }

@@ -134,11 +134,6 @@ func (cb *cellBounds) scratchB(n int) geom.Vector {
 // the bounds looser (correct), never tighter (wrong).
 const boundEps = 1e-9
 
-// vertexBoundsMaxDim bounds the preference-space dimensionality for which
-// per-cell vertex enumeration is attempted, and vertexBoundsMaxFacets the
-// facet count beyond which it is abandoned.
-const vertexBoundsMaxDim = 3
-
 // intervalOverVertices returns [min, max] of obj·v + c across the vertices.
 func intervalOverVertices(verts []geom.Vector, obj geom.Vector, c float64) (float64, float64) {
 	lo := obj.Dot(verts[0]) + c

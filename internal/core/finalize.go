@@ -83,11 +83,6 @@ func (r *runner) appendRegion(region Region) {
 	}
 }
 
-// emit finalizes and reports a single cell.
-func (r *runner) emit(leaf *celltree.Node, rank int, exact bool) error {
-	return r.emitAll([]pendingRegion{{leaf: leaf, rank: rank, exact: exact}})
-}
-
 // emitAll finalizes the pending cells — concurrently when the engine has
 // more than one worker and geometry work makes it worthwhile — and appends
 // them in order, so the result list and the OnRegion callback sequence are

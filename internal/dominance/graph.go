@@ -17,28 +17,25 @@ import (
 // The zero value is not usable; call New.
 type Graph struct {
 	ids  []int
-	pos  map[int]int // id -> row index into vals
-	vals []float64   // row-major record coordinates, d per row
-	d    int         // set by the first Add
+	has  map[int]bool // ids already added
+	vals []float64    // row-major record coordinates, d per row
+	d    int          // set by the first Add
 	// dominators[id] lists the processed records that dominate id.
 	dominators map[int][]int
-	// dominatees[id] lists the processed records dominated by id.
-	dominatees map[int][]int
 }
 
 // New returns an empty dominance graph.
 func New() *Graph {
 	return &Graph{
-		pos:        make(map[int]int),
+		has:        make(map[int]bool),
 		dominators: make(map[int][]int),
-		dominatees: make(map[int][]int),
 	}
 }
 
 // Add inserts a record and wires its dominance edges to every record
 // already in the graph. Adding an existing id is a no-op.
 func (g *Graph) Add(id int, v geom.Vector) {
-	if _, ok := g.pos[id]; ok {
+	if g.has[id] {
 		return
 	}
 	if len(g.ids) == 0 {
@@ -49,21 +46,13 @@ func (g *Graph) Add(id int, v geom.Vector) {
 		switch kernel.CompareFlat(g.vals[row*d:(row+1)*d], v, d) {
 		case kernel.CmpFirst:
 			g.dominators[id] = append(g.dominators[id], other)
-			g.dominatees[other] = append(g.dominatees[other], id)
 		case kernel.CmpSecond:
 			g.dominators[other] = append(g.dominators[other], id)
-			g.dominatees[id] = append(g.dominatees[id], other)
 		}
 	}
-	g.pos[id] = len(g.ids)
+	g.has[id] = true
 	g.ids = append(g.ids, id)
 	g.vals = append(g.vals, v...)
-}
-
-// Has reports whether id is in the graph.
-func (g *Graph) Has(id int) bool {
-	_, ok := g.pos[id]
-	return ok
 }
 
 // Len returns the number of records in the graph.
@@ -74,15 +63,3 @@ func (g *Graph) Len() int { return len(g.ids) }
 // is processed before it (P-CTA's Invariant 1), this is the full ancestor
 // set, not just direct parents.
 func (g *Graph) Dominators(id int) []int { return g.dominators[id] }
-
-// Dominatees returns the IDs of processed records dominated by id.
-func (g *Graph) Dominatees(id int) []int { return g.dominatees[id] }
-
-// Vector returns the stored record for id (nil if absent).
-func (g *Graph) Vector(id int) geom.Vector {
-	row, ok := g.pos[id]
-	if !ok {
-		return nil
-	}
-	return geom.Vector(g.vals[row*g.d : (row+1)*g.d : (row+1)*g.d])
-}

@@ -18,9 +18,6 @@ func TestAddAndQuery(t *testing.T) {
 	if g.Len() != 4 {
 		t.Fatalf("Len = %d", g.Len())
 	}
-	if !g.Has(2) || g.Has(99) {
-		t.Fatal("Has is broken")
-	}
 	wantDom := map[int][]int{
 		1: nil,
 		2: {1},
@@ -39,11 +36,6 @@ func TestAddAndQuery(t *testing.T) {
 			}
 		}
 	}
-	dees := append([]int(nil), g.Dominatees(1)...)
-	sort.Ints(dees)
-	if len(dees) != 2 || dees[0] != 2 || dees[1] != 3 {
-		t.Fatalf("Dominatees(1) = %v", dees)
-	}
 }
 
 func TestAddIdempotent(t *testing.T) {
@@ -52,18 +44,6 @@ func TestAddIdempotent(t *testing.T) {
 	g.Add(1, geom.Vector{0.5, 0.5})
 	if g.Len() != 1 {
 		t.Fatalf("duplicate Add changed Len to %d", g.Len())
-	}
-}
-
-func TestVectorAccess(t *testing.T) {
-	g := New()
-	v := geom.Vector{0.3, 0.4}
-	g.Add(7, v)
-	if got := g.Vector(7); !got.Equal(v) {
-		t.Fatalf("Vector(7) = %v", got)
-	}
-	if g.Vector(8) != nil {
-		t.Fatal("Vector of absent id should be nil")
 	}
 }
 

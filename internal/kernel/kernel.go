@@ -5,14 +5,10 @@
 // The package exists because the naive representation — a slice of
 // per-record []float64 slices — costs one pointer chase per record per
 // comparison, which dominates the inner loops once n outgrows the cache.
-// Kernels here operate on dense flat layouts instead:
-//
-//   - row-major: vals[i*d+j] is attribute j of record i — the layout the
-//     R-tree packs its records into, and the layout the accumulating
-//     band scratch (Band) uses;
-//   - column-major (attribute-major): cols[j*n+i] — the layout Matrix
-//     uses for whole-dataset scans, where a pass per attribute streams
-//     sequentially through memory.
+// Kernels here operate on one dense row-major layout instead:
+// vals[i*d+j] is attribute j of record i — the layout the R-tree packs
+// its records into, the layout the accumulating band scratch (Band)
+// uses, and the layout the dominance graph appends to.
 //
 // Inner loops are branch-light: dominance is evaluated with comparison
 // counters (compiled to conditional moves on amd64, and to wider vector
@@ -71,12 +67,6 @@ type Band struct {
 // NewBand returns an empty band for d-dimensional records.
 func NewBand(d int) *Band { return &Band{d: d} }
 
-// Reset empties the band, retaining its backing array.
-func (b *Band) Reset() {
-	b.n = 0
-	b.vals = b.vals[:0]
-}
-
 // Len returns the number of records in the band.
 func (b *Band) Len() int { return b.n }
 
@@ -87,12 +77,6 @@ func (b *Band) Push(v []float64) {
 	}
 	b.vals = append(b.vals, v...)
 	b.n++
-}
-
-// Row returns the i-th record in the band as a view into the backing
-// array.
-func (b *Band) Row(i int) []float64 {
-	return b.vals[i*b.d : (i+1)*b.d]
 }
 
 // AnyDominates reports whether any band member dominates x.
@@ -122,83 +106,6 @@ func (b *Band) CountDominatorsCapped(x []float64, limit int) int {
 		}
 	}
 	return count
-}
-
-// Matrix is a column-major (attribute-major) view of an n x d dataset:
-// Cols[j*N+i] is attribute j of record i. Whole-dataset kernels stream
-// one attribute at a time, touching memory sequentially.
-type Matrix struct {
-	// N is the number of records, D the number of attributes.
-	N, D int
-	// Cols holds the attribute-major data, length N*D.
-	Cols []float64
-}
-
-// NewMatrix transposes dense row-major data (rows[i*d+j], as produced by
-// PackRows) into a column-major Matrix.
-func NewMatrix(rows []float64, n, d int) *Matrix {
-	if len(rows) != n*d {
-		panic("kernel: row data length mismatch in NewMatrix")
-	}
-	cols := make([]float64, n*d)
-	for i := 0; i < n; i++ {
-		base := i * d
-		for j := 0; j < d; j++ {
-			cols[j*n+i] = rows[base+j]
-		}
-	}
-	return &Matrix{N: n, D: d, Cols: cols}
-}
-
-// CountDominators returns the number of records in the matrix that
-// dominate x, excluding the record index exclude (pass a negative index
-// to exclude nothing). The scan runs one column at a time over byte
-// masks, so each pass is a sequential stream with no per-record pointer
-// chase.
-func (m *Matrix) CountDominators(x []float64, exclude int, scratch *MaskScratch) int {
-	if len(x) != m.D {
-		panic("kernel: query length mismatch in CountDominators")
-	}
-	n := m.N
-	ge, gt := scratch.masks(n)
-	for i := range ge {
-		ge[i] = 1
-		gt[i] = 0
-	}
-	for j := 0; j < m.D; j++ {
-		col := m.Cols[j*n : (j+1)*n]
-		xv := x[j]
-		for i, cv := range col {
-			if cv < xv {
-				ge[i] = 0
-			}
-			if cv > xv {
-				gt[i] = 1
-			}
-		}
-	}
-	count := 0
-	for i := 0; i < n; i++ {
-		if i != exclude && ge[i]&gt[i] == 1 {
-			count++
-		}
-	}
-	return count
-}
-
-// MaskScratch holds the reusable per-record byte masks for Matrix scans,
-// so repeated queries allocate nothing.
-type MaskScratch struct {
-	ge, gt []byte
-}
-
-// masks returns the two n-length mask slices, growing them on demand.
-func (s *MaskScratch) masks(n int) ([]byte, []byte) {
-	if cap(s.ge) < n {
-		s.ge = make([]byte, n)
-		s.gt = make([]byte, n)
-	}
-	return s.ge[:n], s.gt[:n]
 }
 
 // CompareResult mirrors geom.DomRelation for flat rows without importing

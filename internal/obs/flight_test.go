@@ -167,7 +167,7 @@ func TestJournalSeqAndSince(t *testing.T) {
 func TestJournalRingEviction(t *testing.T) {
 	j := NewJournal(4)
 	for i := 0; i < 10; i++ {
-		j.Append(JournalEvent{Type: EventSnapshotWrite})
+		j.Append(JournalEvent{Type: EventMutationBatch})
 	}
 	got := j.Snapshot()
 	if len(got) != 4 {

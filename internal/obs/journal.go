@@ -7,16 +7,10 @@ import (
 )
 
 // Journal event types: the server lifecycle moments worth correlating
-// against captured slow requests.
+// against captured slow requests. Durable-store events are journaled
+// under the kinds their source defines (internal/store's Event* and the
+// root package's StoreEventIndex*).
 const (
-	// EventWALRecovery records a dataset's WAL replay at open/recover time.
-	EventWALRecovery = "wal_recovery"
-	// EventSnapshotWrite records a store snapshot + WAL truncation.
-	EventSnapshotWrite = "snapshot_write"
-	// EventIndexWarm / EventIndexCold record the candidate-index decision
-	// made while opening a durable dataset.
-	EventIndexWarm = "index_warm"
-	EventIndexCold = "index_cold"
 	// EventDatasetLoad / EventDatasetUnload record registry membership
 	// changes.
 	EventDatasetLoad   = "dataset_load"

@@ -139,8 +139,7 @@ func (t *Tree) readBand(b *BandTable, k, focalID int) []int {
 // exact for admitted members: any dominator of a member has strictly
 // fewer dominators itself (its dominators all dominate the member too),
 // hence is in the band, and its strictly larger coordinate sum means the
-// BBS order admitted it first. Band-table slots and the persisted index
-// are built from it.
+// BBS order admitted it first. The band-table slot is filled from it.
 func (t *Tree) KSkybandTable(k int) *BandTable {
 	ids, cnts := t.kSkybandScan(k, nil)
 	b := &BandTable{K: k, IDs: make([]int32, len(ids)), Cnt: cnts}

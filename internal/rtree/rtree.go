@@ -77,9 +77,9 @@ type Tree struct {
 
 	// band is the tree's band-table slot: a k-skyband summary of this
 	// exact record set that serves skyband queries without a traversal.
-	// A persisted table seeds it, or the first KSkybandExcluding fills
-	// it. The tree is immutable otherwise, so the slot only ever deepens
-	// and needs no invalidation; it is never carried across rebuilds.
+	// The first KSkybandExcluding fills it. The tree is immutable
+	// otherwise, so the slot only ever deepens and needs no
+	// invalidation; it is never carried across rebuilds.
 	band atomic.Pointer[BandTable]
 
 	// flat is the dense row-major backing of Records: flat[i*Dim+j] is

@@ -533,81 +533,3 @@ func TestWithFanoutRejectsTiny(t *testing.T) {
 		t.Fatalf("unexpected height %d for default fanout", tr.Height())
 	}
 }
-
-func TestSkylineIteratorMatchesBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(81))
-	for trial := 0; trial < 10; trial++ {
-		recs := randRecords(rng, 150+rng.Intn(200), 3)
-		tr, err := Build(recs, WithFanout(8))
-		if err != nil {
-			t.Fatal(err)
-		}
-		it := tr.NewSkylineIterator(nil)
-		var got []int
-		for {
-			id := it.Next()
-			if id < 0 {
-				break
-			}
-			got = append(got, id)
-		}
-		want := tr.Skyline(nil)
-		sortedGot := append([]int(nil), got...)
-		sort.Ints(sortedGot)
-		if !equalInts(sortedGot, want) {
-			t.Fatalf("iterator skyline %v != batch skyline %v", sortedGot, want)
-		}
-		// Emission order: decreasing coordinate sum.
-		for i := 1; i < len(got); i++ {
-			if recs[got[i-1]].Sum() < recs[got[i]].Sum()-1e-12 {
-				t.Fatalf("iterator emitted out of order: %v then %v",
-					recs[got[i-1]], recs[got[i]])
-			}
-		}
-		if len(it.Found()) != len(got) {
-			t.Fatal("Found() disagrees with emitted count")
-		}
-	}
-}
-
-func TestSkylineIteratorEarlyStop(t *testing.T) {
-	rng := rand.New(rand.NewSource(83))
-	recs := randRecords(rng, 400, 3)
-	tr, _ := Build(recs, WithFanout(8))
-	it := tr.NewSkylineIterator(nil)
-	first := it.Next()
-	if first < 0 {
-		t.Fatal("empty skyline for 400 records")
-	}
-	// The first emission must be the record with the maximal coordinate sum
-	// among skyline members (heap order guarantees it).
-	for _, id := range tr.Skyline(nil) {
-		if recs[id].Sum() > recs[first].Sum()+1e-12 {
-			t.Fatalf("first emitted %v but %v has larger sum", recs[first], recs[id])
-		}
-	}
-}
-
-func TestSkylineIteratorWithExclusions(t *testing.T) {
-	rng := rand.New(rand.NewSource(85))
-	recs := randRecords(rng, 200, 3)
-	tr, _ := Build(recs, WithFanout(8))
-	exSet := map[int]bool{}
-	for _, id := range tr.Skyline(nil) {
-		exSet[id] = true
-	}
-	ex := func(id int) bool { return exSet[id] }
-	it := tr.NewSkylineIterator(ex)
-	var got []int
-	for {
-		id := it.Next()
-		if id < 0 {
-			break
-		}
-		got = append(got, id)
-	}
-	sort.Ints(got)
-	if !equalInts(got, tr.Skyline(ex)) {
-		t.Fatal("iterator with exclusions disagrees with batch skyline")
-	}
-}

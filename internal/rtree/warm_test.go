@@ -124,11 +124,11 @@ func TestBuildFromOrderRejectsBadLayouts(t *testing.T) {
 
 // TestBandTableMatchesTraversal pins the table-serving fast paths to the
 // live traversal on random datasets (with ties). Each input is a tree
-// whose band-table slot starts out as named: seeded with a persisted
-// table of depth 6, empty (the first KSkybandExcluding fills it), or
-// seeded with the persisted depth-64 table. k runs ascending, then past
-// every table's depth; KSkyband and KSkybandExcluding must match the
-// traversal for every k and every focal (-1: no focal).
+// whose band-table slot starts out as named: seeded with a table of
+// depth 6, empty (the first KSkybandExcluding fills it), or seeded with
+// a depth-64 table. k runs ascending, then past every table's depth;
+// KSkyband and KSkybandExcluding must match the traversal for every k
+// and every focal (-1: no focal).
 func TestBandTableMatchesTraversal(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const bandK = 6
@@ -157,9 +157,9 @@ func TestBandTableMatchesTraversal(t *testing.T) {
 			name string
 			seed *BandTable
 		}{
-			{"persisted", table},
+			{"seeded", table},
 			{"memo", nil},
-			{"persisted K=64", tree.KSkybandTable(64)},
+			{"seeded K=64", tree.KSkybandTable(64)},
 		} {
 			served, err := Build(recs, WithFanout(8))
 			if err != nil {

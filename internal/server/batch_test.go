@@ -244,6 +244,18 @@ func TestBatchSharesCacheWithSingleQueries(t *testing.T) {
 	if !qr.Cached {
 		t.Fatal("single query primed by a batch item must be served from cache")
 	}
+
+	// An exact single query that sets epsilon (read only by approx)
+	// primes the same entry as a batch item.
+	resp, body = postJSON(t, ts.URL+"/v1/kspr", queryRequest{Dataset: "ind", Focal: 9, K: 5, Epsilon: 0.5})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("prime with epsilon: status %d: %s", resp.StatusCode, body)
+	}
+	lines = readBatchLines(t, postNDJSON(t, ts.URL+"/v1/kspr:batch",
+		`{"dataset":"ind","k":5}`+"\n"+`{"focal":9}`+"\n"))
+	if lines[0].Error != "" || !lines[0].Result.Cached {
+		t.Fatalf("batch item primed by a single query with epsilon must be served from cache: %+v", lines[0])
+	}
 }
 
 // TestBatchMatchesSingleEndpoint: batch lines carry the same regions as

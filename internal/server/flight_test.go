@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/obs"
+	"repro/internal/store"
 )
 
 // getFlight fetches and decodes /v1/debug:flight with the given raw query.
@@ -312,6 +313,37 @@ func TestPanicWritesBlackBox(t *testing.T) {
 	if !found {
 		t.Fatalf("panicking request missing from the flight dump: %+v", bundle.Flight)
 	}
+}
+
+// TestSnapshotFailureJournaled: a failed automatic snapshot reaches the
+// journal as a snapshot_failed event tagged with its dataset, with the
+// error in its detail.
+func TestSnapshotFailureJournaled(t *testing.T) {
+	dir := t.TempDir()
+	srv, ts := newTestServer(t, Config{StoreDir: dir, SnapshotEvery: 1})
+	if _, err := srv.RecoverDatasets(); err != nil {
+		t.Fatal(err)
+	}
+	loadGenerated(t, ts, "ind", 60, 3, 7)
+	// A directory on the snapshot's temp path fails the write, even for
+	// root.
+	if err := os.Mkdir(filepath.Join(dir, "ind", "snapshot.tmp"), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if resp, body := postJSON(t, ts.URL+"/v1/datasets/ind:mutate",
+		map[string]any{"op": "insert", "values": []float64{0.5, 0.5, 0.5}}); resp.StatusCode != http.StatusOK {
+		t.Fatalf("mutate: status %d: %s", resp.StatusCode, body)
+	}
+	for _, ev := range getEvents(t, ts, "").Events {
+		if ev.Type != store.EventSnapshotFailed {
+			continue
+		}
+		if msg, _ := ev.Detail["error"].(string); ev.Dataset != "ind" || !strings.Contains(msg, "snapshot.tmp") {
+			t.Fatalf("snapshot_failed event %+v, want dataset ind and the error in its detail", ev)
+		}
+		return
+	}
+	t.Fatal("journal has no snapshot_failed event")
 }
 
 func TestIndexWarmSurfaced(t *testing.T) {

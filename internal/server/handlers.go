@@ -449,20 +449,28 @@ func (s *Server) handleDatasetUnload(w http.ResponseWriter, r *http.Request) {
 // ---- kSPR query ----------------------------------------------------------
 
 // cacheKey canonicalizes a query into the result-cache key: it is built
-// from the PARSED algorithm/space/bounds and the effective epsilon, so
-// spelling variants of the same query ("lp-cta", "lpcta", "") share one
-// entry. The generation prefix makes reloads invalidate implicitly.
+// from the PARSED algorithm/space/bounds, so spelling variants of the
+// same query ("lp-cta", "lpcta", "") share one entry, and from only the
+// parameters that can change the answer: the effective epsilon enters
+// for approx queries alone, and the seed only when Monte-Carlo volumes
+// are on. The generation prefix makes reloads invalidate implicitly.
 func cacheKey(snap *Snapshot, req queryRequest, algo kspr.Algorithm, approx bool,
 	space kspr.Space, bounds kspr.BoundsMode, eps float64) string {
 	var b strings.Builder
 	algoName := algo.String()
 	if approx {
 		algoName = "approx"
+	} else {
+		eps = 0
+	}
+	seed := req.Seed
+	if !req.Volumes {
+		seed = 0
 	}
 	fmt.Fprintf(&b, "%s@%d|kspr|k=%d|a=%s|s=%s|b=%s|v=%t|vs=%d|g=%t|e=%g|seed=%d",
 		snap.Name, snap.Generation, req.K,
 		algoName, space.String(), bounds.String(),
-		req.Volumes, req.VolumeSamples, !req.NoGeometry, eps, req.Seed)
+		req.Volumes, req.VolumeSamples, !req.NoGeometry, eps, seed)
 	if req.FocalVector != nil {
 		b.WriteString("|fv=")
 		for _, v := range req.FocalVector {
@@ -926,7 +934,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 			continue
 		}
 		qr := s.batchItemRequest(req, q, k)
-		key := cacheKey(snap, qr, algo, approx, space, bounds, 0.01)
+		key := cacheKey(snap, qr, algo, approx, space, bounds, 0)
 		if !req.NoCache && !approx && !info.Debug() {
 			if v, cached := s.cache.Get(key); cached {
 				cq := v.(*cachedQuery)

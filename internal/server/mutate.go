@@ -288,17 +288,13 @@ func (s *Server) migrateCache(old, cur *Snapshot, deltas []kspr.Delta) (int, int
 			dropped++
 			continue
 		}
-		eps := req2.Epsilon
-		if eps <= 0 {
-			eps = 0.01
-		}
 		resp2 := *cq.resp
 		resp2.Generation = cur.Generation
 		resp2.Focal = cq.resp.Focal
 		if cq.req.FocalVector == nil {
 			resp2.Focal = newDense
 		}
-		key2 := cacheKey(cur, req2, algo, false, space, bounds, eps)
+		key2 := cacheKey(cur, req2, algo, false, space, bounds, 0)
 		s.cache.Put(key2, &cachedQuery{req: req2, resp: &resp2, raw: cq.raw})
 		migrated++
 	}

@@ -183,14 +183,19 @@ func NewServer(cfg Config) *Server {
 		s.flight = obs.NewFlightRecorder(cfg.FlightCapacity, slow, cfg.FlightSampleEvery)
 	}
 	// Durable stores report their lifecycle (WAL recovery, snapshot
-	// writes, index warm/cold) into the journal, tagged per dataset — the
-	// hook must be installed before any Load/Recover opens a store.
+	// writes and failures, index warm/cold) into the journal, tagged per
+	// dataset — the hook must be installed before any Load/Recover opens
+	// a store.
 	registry.SetStoreEventHook(func(name string, ev kspr.StoreEvent) {
+		detail := map[string]any{"records": ev.Records, "wal_frames": ev.WALFrames}
+		if ev.Err != "" {
+			detail["error"] = ev.Err
+		}
 		s.journal.Append(obs.JournalEvent{
 			Type:            ev.Kind,
 			Dataset:         name,
 			StoreGeneration: ev.Gen,
-			Detail:          map[string]any{"records": ev.Records, "wal_frames": ev.WALFrames},
+			Detail:          detail,
 		})
 	})
 	// A store-less server has nothing to recover; store-backed servers

@@ -162,6 +162,45 @@ func TestCacheHitMiss(t *testing.T) {
 		t.Fatal(`algorithm "lpcta" must hit the cache entry made by the default spelling`)
 	}
 
+	// Parameters an exact answer never reads share the entry too:
+	// epsilon (approx only) and, without volumes, the seed (Monte-Carlo
+	// volumes only).
+	cachedAs := func(req queryRequest) bool {
+		t.Helper()
+		resp, body := postJSON(t, ts.URL+"/v1/kspr", req)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%+v: status %d: %s", req, resp.StatusCode, body)
+		}
+		var qr queryResponse
+		if err := json.Unmarshal(body, &qr); err != nil {
+			t.Fatal(err)
+		}
+		return qr.Cached
+	}
+	if !cachedAs(queryRequest{Dataset: "ind", Focal: 4, K: 5, Epsilon: 0.5}) {
+		t.Fatal("an exact query with epsilon set must hit the entry made without it")
+	}
+	if !cachedAs(queryRequest{Dataset: "ind", Focal: 4, K: 5, Seed: 7}) {
+		t.Fatal("an exact query with a seed but no volumes must hit the entry made without it")
+	}
+	// Where they are read, they stay in the key.
+	vol := queryRequest{Dataset: "ind", Focal: 4, K: 5, Volumes: true, VolumeSamples: 500, Seed: 1}
+	if cachedAs(vol) || !cachedAs(vol) {
+		t.Fatal("a volume query must miss once, then hit")
+	}
+	vol.Seed = 2
+	if cachedAs(vol) {
+		t.Fatal("a volume query with another seed must miss")
+	}
+	approx := queryRequest{Dataset: "ind", Focal: 4, K: 5, Algorithm: "approx", Epsilon: 0.5}
+	if cachedAs(approx) || !cachedAs(approx) {
+		t.Fatal("an approx query must miss once, then hit")
+	}
+	approx.Epsilon = 0.4
+	if cachedAs(approx) {
+		t.Fatal("an approx query with another epsilon must miss")
+	}
+
 	// A different k must miss.
 	_, body3 := postJSON(t, ts.URL+"/v1/kspr", queryRequest{Dataset: "ind", Focal: 4, K: 6})
 	var third queryResponse

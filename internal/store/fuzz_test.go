@@ -57,7 +57,6 @@ func FuzzDecodeIndex(f *testing.F) {
 	good := encodeIndex(&IndexSnapshot{
 		Gen: 9, Fanout: 4, Dim: 2,
 		Order: []int32{1, 0, 2}, GroupEnds: []int32{2, 3},
-		BandK: 3, BandIDs: []int32{0, 2}, BandCnt: []int32{0, 2},
 	})
 	f.Add(good)
 	f.Add(encodeIndex(&IndexSnapshot{Gen: 1, Fanout: 64, Dim: 3}))

@@ -1,11 +1,10 @@
 // Persisted candidate-index snapshots. Rebuilding the R-tree after a
-// daemon restart is O(n log n) in the dataset; the index file saves the
-// part worth saving — the STR leaf order (and leaf group boundaries)
-// plus the precomputed k-skyband table — so a warm restart reassembles a
-// structurally identical tree in O(n) and serves skyband queries without
-// a traversal. The file is advisory: it is validated against the store
-// generation on load, and any mismatch or corruption just means a cold
-// rebuild, never wrong results.
+// daemon restart costs d radix sorts of the dataset for STR tiling; the
+// index file saves their output — the STR leaf order and leaf group
+// boundaries — so a warm restart reassembles a structurally identical
+// tree with one assembly pass and no sorting. The file is advisory: it is
+// validated against the store generation on load, and any mismatch or
+// corruption just means a cold rebuild, never wrong results.
 package store
 
 import (
@@ -16,16 +15,17 @@ import (
 	"path/filepath"
 )
 
-// indexMagic identifies index files (8 bytes, versioned).
-const indexMagic = "KSPRIDX1"
+// indexMagic identifies index files (8 bytes, versioned). Version 1
+// files also carried a k-skyband table; they fail the magic check, so
+// the open rebuilds cold and rewrites the file in this format.
+const indexMagic = "KSPRIDX2"
 
 // IndexFileName is the index file's name inside a store directory.
 const IndexFileName = "index.bin"
 
 // IndexSnapshot is the persisted form of a built candidate index: the
-// dataset generation and tree shape it belongs to, the STR leaf layout
-// (record positions in leaf order plus exclusive group ends), and the
-// k-skyband table (ids ascending with exact dominator counts < BandK).
+// dataset generation and tree shape it belongs to, and the STR leaf
+// layout (record positions in leaf order plus exclusive group ends).
 type IndexSnapshot struct {
 	// Gen is the store generation the index was built from; an index
 	// whose generation differs from the recovered version is stale.
@@ -35,10 +35,6 @@ type IndexSnapshot struct {
 	// Order holds record positions (dense ids) in STR leaf order;
 	// GroupEnds the exclusive end offset of each leaf's run.
 	Order, GroupEnds []int32
-	// BandK is the skyband depth of the table; BandIDs/BandCnt its
-	// members (ascending) and their dominator counts.
-	BandK            int
-	BandIDs, BandCnt []int32
 }
 
 func putI32s(b []byte, vals []int32) []byte {
@@ -63,8 +59,8 @@ func (r *reader) i32s(max int) []int32 {
 }
 
 // encodeIndex renders the snapshot: magic, gen u64, fanout u32, dim u32,
-// then the order, group-end, band-id and band-count arrays (each u32
-// count + i32 values), a bandK u32, and a whole-file CRC trailer.
+// then the order and group-end arrays (each u32 count + i32 values), and
+// a whole-file CRC trailer.
 func encodeIndex(idx *IndexSnapshot) []byte {
 	b := []byte(indexMagic)
 	b = putU64(b, idx.Gen)
@@ -72,19 +68,14 @@ func encodeIndex(idx *IndexSnapshot) []byte {
 	b = putU32(b, uint32(idx.Dim))
 	b = putI32s(b, idx.Order)
 	b = putI32s(b, idx.GroupEnds)
-	b = putU32(b, uint32(idx.BandK))
-	b = putI32s(b, idx.BandIDs)
-	b = putI32s(b, idx.BandCnt)
 	return putU32(b, crc32.ChecksumIEEE(b))
 }
 
 // decodeIndex parses and validates an index file's bytes. Like the WAL
 // and snapshot decoders it is hardened against hostile input: every
 // array length is bounded by the bytes actually present before its
-// allocation, so a tiny CRC-valid file cannot demand a huge make, and
-// the band table's invariants (ascending ids inside the record range,
-// counts below the depth) are checked so a decoded table can never serve
-// out-of-range records.
+// allocation, so a tiny CRC-valid file cannot demand a huge make. The
+// leaf layout itself is validated by rtree.BuildFromOrder.
 func decodeIndex(data []byte) (*IndexSnapshot, error) {
 	if len(data) < len(indexMagic)+4 || string(data[:len(indexMagic)]) != indexMagic {
 		return nil, fmt.Errorf("store: index has wrong magic")
@@ -101,28 +92,14 @@ func decodeIndex(data []byte) (*IndexSnapshot, error) {
 	// remaining body before allocating.
 	idx.Order = r.i32s((len(body) - r.off) / 4)
 	idx.GroupEnds = r.i32s((len(body) - r.off) / 4)
-	idx.BandK = int(int32(r.u32()))
-	idx.BandIDs = r.i32s((len(body) - r.off) / 4)
-	idx.BandCnt = r.i32s((len(body) - r.off) / 4)
 	if r.err != nil {
 		return nil, fmt.Errorf("store: index corrupt")
 	}
 	if r.off != len(body) {
 		return nil, fmt.Errorf("store: index has trailing bytes")
 	}
-	if idx.Fanout < 2 || idx.Dim < 1 || idx.BandK < 0 {
+	if idx.Fanout < 2 || idx.Dim < 1 {
 		return nil, fmt.Errorf("store: index header corrupt")
-	}
-	n := int32(len(idx.Order))
-	if len(idx.BandIDs) != len(idx.BandCnt) {
-		return nil, fmt.Errorf("store: index band table mismatched")
-	}
-	prev := int32(-1)
-	for i, id := range idx.BandIDs {
-		if id <= prev || id >= n || idx.BandCnt[i] < 0 || int(idx.BandCnt[i]) >= idx.BandK {
-			return nil, fmt.Errorf("store: index band table corrupt")
-		}
-		prev = id
 	}
 	return idx, nil
 }

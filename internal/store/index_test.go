@@ -16,9 +16,6 @@ func testIndexSnapshot() *IndexSnapshot {
 		Dim:       3,
 		Order:     []int32{2, 0, 3, 1, 4},
 		GroupEnds: []int32{2, 5},
-		BandK:     4,
-		BandIDs:   []int32{0, 2, 4},
-		BandCnt:   []int32{0, 1, 3},
 	}
 }
 
@@ -95,6 +92,9 @@ func TestDecodeIndexRejectsCorruption(t *testing.T) {
 	}
 }
 
+// TestDecodeIndexValidatesBandTable checks that a CRC-valid index whose
+// header names an impossible tree shape (fanout below 2, no dimensions)
+// is rejected.
 func TestDecodeIndexValidatesBandTable(t *testing.T) {
 	mutate := func(f func(idx *IndexSnapshot)) []byte {
 		idx := testIndexSnapshot()
@@ -102,14 +102,8 @@ func TestDecodeIndexValidatesBandTable(t *testing.T) {
 		return encodeIndex(idx)
 	}
 	cases := map[string][]byte{
-		"ids-not-ascending": mutate(func(i *IndexSnapshot) { i.BandIDs = []int32{2, 0, 4} }),
-		"id-duplicate":      mutate(func(i *IndexSnapshot) { i.BandIDs = []int32{0, 2, 2} }),
-		"id-out-of-range":   mutate(func(i *IndexSnapshot) { i.BandIDs = []int32{0, 2, 5} }),
-		"cnt-negative":      mutate(func(i *IndexSnapshot) { i.BandCnt = []int32{0, -1, 3} }),
-		"cnt-over-depth":    mutate(func(i *IndexSnapshot) { i.BandCnt = []int32{0, 1, 4} }),
-		"mismatched-lens":   mutate(func(i *IndexSnapshot) { i.BandCnt = i.BandCnt[:2] }),
-		"bad-fanout":        mutate(func(i *IndexSnapshot) { i.Fanout = 1 }),
-		"bad-dim":           mutate(func(i *IndexSnapshot) { i.Dim = 0 }),
+		"bad-fanout": mutate(func(i *IndexSnapshot) { i.Fanout = 1 }),
+		"bad-dim":    mutate(func(i *IndexSnapshot) { i.Dim = 0 }),
 	}
 	for name, data := range cases {
 		if _, err := decodeIndex(data); err == nil {

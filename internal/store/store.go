@@ -144,23 +144,26 @@ type Options struct {
 	// applied batches (default 256; negative disables automatic snapshots).
 	SnapshotEvery int
 	// OnEvent, when set, is called for store lifecycle events (WAL
-	// recovery, snapshot writes). The callback may run while the store's
-	// mutex is held, so it must be fast and must not call back into the
-	// store.
+	// recovery, snapshot writes, failed automatic snapshots). The
+	// callback may run while the store's mutex is held, so it must be
+	// fast and must not call back into the store.
 	OnEvent func(Event)
 }
 
 // Event is one store lifecycle event delivered to Options.OnEvent.
 type Event struct {
-	// Kind is "wal_recovery" or "snapshot_write".
+	// Kind is one of the Event* kinds below.
 	Kind string
 	// Gen is the store generation in force after the event.
 	Gen uint64
 	// Records is the live record count at Gen.
 	Records int
 	// WALFrames is the number of WAL frames replayed beyond the snapshot
-	// (wal_recovery) or compacted away (snapshot_write).
+	// (wal_recovery), compacted away (snapshot_write), or still awaiting
+	// compaction (snapshot_failed).
 	WALFrames int
+	// Err is the failure's text (snapshot_failed only).
+	Err string
 }
 
 // Store event kinds delivered to Options.OnEvent.
@@ -169,6 +172,10 @@ const (
 	EventWALRecovery = "wal_recovery"
 	// EventSnapshotWrite fires after each successful snapshot + WAL truncate.
 	EventSnapshotWrite = "snapshot_write"
+	// EventSnapshotFailed fires when an automatic snapshot fails. The
+	// batch that triggered it stays applied, and every later batch
+	// retries the snapshot until one succeeds.
+	EventSnapshotFailed = "snapshot_failed"
 )
 
 // emit delivers ev to the OnEvent hook when one is installed.
@@ -200,7 +207,6 @@ type Store struct {
 	wal      *os.File
 	walSize  int64
 	walCount int // batches appended since the last snapshot
-	snapErr  error
 	closed   bool
 }
 
@@ -274,20 +280,12 @@ func (s *Store) Apply(muts []Mutation) (*Version, []Applied, error) {
 		// failed snapshot only delays compaction, so it must NOT fail the
 		// Apply — callers would wrongly conclude the batch did not happen.
 		// walCount stays high, so the next batch retries the snapshot; the
-		// error is retrievable via LastSnapshotError.
-		s.snapErr = s.snapshotLocked()
+		// failure is reported through the OnEvent hook.
+		if err := s.snapshotLocked(); err != nil {
+			s.emit(Event{Kind: EventSnapshotFailed, Gen: gen, Records: len(recs), WALFrames: s.walCount, Err: err.Error()})
+		}
 	}
 	return s.cur.Load(), applied, nil
-}
-
-// LastSnapshotError returns the most recent automatic-snapshot failure
-// (nil once a snapshot succeeds again). Snapshot failures never fail
-// Apply — the WAL already holds every committed batch — they only delay
-// compaction.
-func (s *Store) LastSnapshotError() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.snapErr
 }
 
 // SinceSnapshot reports how many applied batches the WAL holds beyond
@@ -308,8 +306,7 @@ func (s *Store) Snapshot() error {
 	if s.closed {
 		return fmt.Errorf("store: closed")
 	}
-	s.snapErr = s.snapshotLocked()
-	return s.snapErr
+	return s.snapshotLocked()
 }
 
 func (s *Store) snapshotLocked() error {

@@ -255,6 +255,44 @@ func TestSnapshotTruncatesWAL(t *testing.T) {
 	assertSameVersion(t, s.View(), s2.View())
 }
 
+// TestAutoSnapshotFailureIsReported makes an automatic snapshot fail
+// with a directory on the snapshot's temp path, which no user, root
+// included, can open as a file. The batch must stay applied and
+// recoverable, the hook must see snapshot_failed with the error, and once
+// the directory is gone the next batch's snapshot must succeed.
+func TestAutoSnapshotFailureIsReported(t *testing.T) {
+	dir := t.TempDir()
+	var events []Event
+	hook := func(ev Event) { events = append(events, ev) }
+	s := open(t, dir, Options{SnapshotEvery: 1, OnEvent: hook})
+	blocker := filepath.Join(dir, "snapshot.tmp")
+	if err := os.Mkdir(blocker, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	v, _ := apply(t, s, Mutation{Op: OpInsert, Values: []float64{0.5, 0.5}})
+	last := events[len(events)-1]
+	if last.Kind != EventSnapshotFailed || last.Err == "" || last.Gen != v.Gen || last.Records != 1 || last.WALFrames != 1 {
+		t.Fatalf("after a failed snapshot the hook saw %+v, want snapshot_failed at gen %d with 1 record, 1 frame and the error", last, v.Gen)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	// The WAL still holds the batch.
+	s = open(t, dir, Options{SnapshotEvery: 1, OnEvent: hook})
+	defer s.Close()
+	assertSameVersion(t, v, s.View())
+
+	if err := os.Remove(blocker); err != nil {
+		t.Fatal(err)
+	}
+	v, _ = apply(t, s, Mutation{Op: OpInsert, Values: []float64{0.6, 0.4}})
+	last = events[len(events)-1]
+	if last.Kind != EventSnapshotWrite || last.Err != "" || last.Gen != v.Gen || last.WALFrames != 2 {
+		t.Fatalf("after the retry the hook saw %+v, want snapshot_write at gen %d compacting 2 frames", last, v.Gen)
+	}
+}
+
 func TestSyncOption(t *testing.T) {
 	s := open(t, t.TempDir(), Options{Sync: true})
 	v, _ := apply(t, s, Mutation{Op: OpInsert, Values: []float64{1, 2}})

@@ -192,8 +192,8 @@ func Open(records [][]float64, opts ...DBOption) (*DB, error) {
 }
 
 // IndexWarm reports whether this handle's current generation was indexed
-// from the persisted candidate index (warm start: O(n) tree reassembly,
-// skyband table served from disk) rather than rebuilt cold. It is pinned
+// from the persisted candidate index (warm start: O(n) tree reassembly
+// without the STR sorts) rather than rebuilt cold. It is pinned
 // by Freeze like every other property of the generation. Purely
 // informational — warm and cold indexes answer every query identically.
 func (db *DB) IndexWarm() bool { return db.cur().warmIndex }

@@ -92,15 +92,16 @@ type storeConfig struct {
 }
 
 // StoreEvent is one durable-store lifecycle event (WAL recovery, snapshot
-// write, index warm/cold decision) delivered to a WithStoreEvents hook.
+// write or failure, index warm/cold decision) delivered to a
+// WithStoreEvents hook.
 type StoreEvent = store.Event
 
 // Store event kinds delivered to WithStoreEvents hooks, extending the
-// underlying store's wal_recovery / snapshot_write with the candidate-index
-// open decision.
+// underlying store's wal_recovery / snapshot_write / snapshot_failed with
+// the candidate-index open decision.
 const (
 	// StoreEventIndexWarm fires when OpenStore reassembles the R-tree from
-	// a persisted candidate index (restart skipped the O(n log n) rebuild).
+	// a persisted candidate index (restart skipped the STR sorts).
 	StoreEventIndexWarm = "index_warm"
 	// StoreEventIndexCold fires when OpenStore had to rebuild the index
 	// from scratch (missing, stale, or invalid index file).
@@ -108,9 +109,9 @@ const (
 )
 
 // WithStoreEvents installs a lifecycle-event hook on the opened store:
-// WAL recovery, snapshot writes, and the index warm/cold decision. The
-// hook may run with internal store locks held — keep it fast and do not
-// call back into the DB.
+// WAL recovery, snapshot writes and failures, and the index warm/cold
+// decision. The hook may run with internal store locks held — keep it
+// fast and do not call back into the DB.
 func WithStoreEvents(fn func(StoreEvent)) StoreOption {
 	return func(c *storeConfig) { c.onEvent = fn }
 }
@@ -150,8 +151,8 @@ func OpenStore(dir string, opts ...StoreOption) (*DB, error) {
 	}
 	db := &DB{store: st, fanout: cfg.fanout}
 	// A persisted candidate index lets the warm path reassemble the
-	// R-tree in O(n) and skip the skyband traversal; any load or
-	// validation failure just means a cold rebuild.
+	// R-tree in O(n) without the STR sorts; any load or validation
+	// failure just means a cold rebuild.
 	idx, _ := store.LoadIndex(dir)
 	state, err := db.stateFromVersionWarm(st.View(), idx)
 	if err != nil {
@@ -162,7 +163,7 @@ func OpenStore(dir string, opts ...StoreOption) (*DB, error) {
 		// Cold open: persist a fresh index so the next restart is warm.
 		// Persistence is advisory — an unwritable index file must not
 		// fail the open.
-		_ = store.WriteIndex(dir, db.attachIndex(state))
+		_ = store.WriteIndex(dir, db.leafLayout(state))
 	}
 	if cfg.onEvent != nil && state.tree != nil {
 		kind := StoreEventIndexCold
@@ -174,12 +175,6 @@ func OpenStore(dir string, opts ...StoreOption) (*DB, error) {
 	db.st.Store(state)
 	return db, nil
 }
-
-// persistBandK is the skyband depth persisted in the candidate index.
-// Any skyband query with k < persistBandK (the strict inequality leaves
-// headroom for the exclude-focal discount) is then served off the table
-// without filling the band-table slot first.
-const persistBandK = 64
 
 // stateFromVersion indexes one store generation (always cold).
 func (db *DB) stateFromVersion(v *store.Version) (*dbState, error) {
@@ -206,9 +201,6 @@ func (db *DB) stateFromVersionWarm(v *store.Version, idx *store.IndexSnapshot) (
 	if idx != nil && idx.Gen == v.Gen && idx.Dim == v.Dim() &&
 		idx.Fanout == db.fanout && len(idx.Order) == v.Len() {
 		if tree, err := rtree.BuildFromOrder(recs, idx.Order, idx.GroupEnds, rtree.WithFanout(db.fanout)); err == nil {
-			if idx.BandK > 0 {
-				tree.SetBand(&rtree.BandTable{K: idx.BandK, IDs: idx.BandIDs, Cnt: idx.BandCnt})
-			}
 			state.tree = tree
 			state.warmIndex = true
 			return state, nil
@@ -222,13 +214,9 @@ func (db *DB) stateFromVersionWarm(v *store.Version, idx *store.IndexSnapshot) (
 	return state, nil
 }
 
-// attachIndex derives the persistable candidate index from state's tree —
-// STR leaf layout plus a depth-persistBandK skyband table — and seeds
-// the tree's band-table slot with the table. The slot is atomic, so this
-// is race-free on a published tree too. The returned snapshot is ready
-// for store.WriteIndex.
-func (db *DB) attachIndex(state *dbState) *store.IndexSnapshot {
-	band := state.tree.SetBand(state.tree.KSkybandTable(persistBandK))
+// leafLayout exports the STR leaf layout of state's tree as a
+// persistable candidate index, ready for store.WriteIndex.
+func (db *DB) leafLayout(state *dbState) *store.IndexSnapshot {
 	order, groupEnds := state.tree.LeafOrder()
 	return &store.IndexSnapshot{
 		Gen:       state.gen,
@@ -236,9 +224,6 @@ func (db *DB) attachIndex(state *dbState) *store.IndexSnapshot {
 		Dim:       state.dim,
 		Order:     order,
 		GroupEnds: groupEnds,
-		BandK:     band.K,
-		BandIDs:   band.IDs,
-		BandCnt:   band.Cnt,
 	}
 }
 
@@ -320,10 +305,9 @@ func (db *DB) Apply(muts ...Mutation) (*ApplyResult, error) {
 		}
 		if db.store.SinceSnapshot() == 0 && state.tree != nil {
 			// This batch triggered an automatic store snapshot; persist
-			// the candidate index alongside it (and seed the new tree's
-			// band-table slot). Advisory like the snapshot itself: a
-			// failed write never fails the Apply.
-			_ = store.WriteIndex(db.store.Dir(), db.attachIndex(state))
+			// the candidate index alongside it. Advisory like the
+			// snapshot itself: a failed write never fails the Apply.
+			_ = store.WriteIndex(db.store.Dir(), db.leafLayout(state))
 		}
 	} else {
 		cur := db.st.Load()
@@ -420,7 +404,7 @@ func (db *DB) watchLocked(fn func(ApplyEvent)) (cancel func()) {
 
 // SnapshotStore forces a store snapshot now (WAL truncation included)
 // and persists the candidate index alongside it, so a restart from this
-// snapshot skips the O(n log n) index rebuild; a no-op error for
+// snapshot skips the STR sorts of the index build; a no-op error for
 // in-memory DBs.
 func (db *DB) SnapshotStore() error {
 	if db.store == nil {
@@ -433,7 +417,7 @@ func (db *DB) SnapshotStore() error {
 	if st.tree == nil {
 		return nil
 	}
-	return store.WriteIndex(db.store.Dir(), db.attachIndex(st))
+	return store.WriteIndex(db.store.Dir(), db.leafLayout(st))
 }
 
 // Close releases the backing store (if any). Outstanding frozen handles

@@ -2,11 +2,16 @@ package kspr
 
 import (
 	"bytes"
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/rtree"
 	"repro/internal/store"
 )
 
@@ -50,8 +55,8 @@ func assertSameResults(t *testing.T, warm, cold *DB) {
 			}
 		}
 	}
-	// Non-kSPR read paths must agree too (skyband queries hit the
-	// persisted table directly on the warm handle).
+	// Non-kSPR read paths must agree too (skyband queries within the
+	// band-table slot's depth are served off the table).
 	for k := 1; k <= 12; k++ {
 		w, c := warm.KSkyband(k), cold.KSkyband(k)
 		if len(w) != len(c) {
@@ -62,6 +67,25 @@ func assertSameResults(t *testing.T, warm, cold *DB) {
 				t.Fatalf("k-skyband %d: warm %v cold %v", k, w, c)
 			}
 		}
+	}
+}
+
+// assertSlotFilledByQuery pins the band-table contract of a freshly
+// installed generation, whether it was opened warm, opened cold or
+// produced by Apply: the slot starts empty, and the first kSPR query
+// fills it at depth k+1.
+func assertSlotFilledByQuery(t *testing.T, db *DB, k int) {
+	t.Helper()
+	tree := db.cur().tree
+	if b := tree.Band(); b != nil {
+		t.Fatalf("band-table slot holds a depth-%d table before any query", b.K)
+	}
+	focal := db.KSkyband(1)[0] // a skyline focal runs the whole engine
+	if _, err := db.KSPR(focal, k); err != nil {
+		t.Fatal(err)
+	}
+	if b := tree.Band(); b == nil || b.K != k+1 {
+		t.Fatalf("first query left the band-table slot at %+v, want depth %d", b, k+1)
 	}
 }
 
@@ -85,9 +109,7 @@ func TestOpenStoreWarmRestart(t *testing.T) {
 	if !warm.IndexWarm() {
 		t.Fatal("restart with a persisted index was not warm")
 	}
-	if warm.cur().tree.Band() == nil {
-		t.Fatal("warm tree has no skyband table")
-	}
+	assertSlotFilledByQuery(t, warm, 5)
 	// Frozen handles pin the warm flag with the generation.
 	if !warm.Freeze().IndexWarm() {
 		t.Fatal("frozen handle lost the warm flag")
@@ -104,6 +126,7 @@ func TestOpenStoreWarmRestart(t *testing.T) {
 	if cold.IndexWarm() {
 		t.Fatal("restart without an index file claims to be warm")
 	}
+	assertSlotFilledByQuery(t, cold, 5)
 	assertSameResults(t, warm, cold)
 
 	// The cold open rewrote the index, so the next restart is warm again.
@@ -178,13 +201,12 @@ func TestApplySnapshotPersistsIndex(t *testing.T) {
 	dir := t.TempDir()
 	db := fillStore(t, dir, 30, WithSnapshotEvery(1))
 	// SnapshotEvery(1): the insert batch itself triggered the snapshot,
-	// which must have persisted the index and armed the live tree's table.
+	// which must have persisted the index and left the live tree's
+	// band-table slot to the first query.
 	if _, err := os.Stat(filepath.Join(dir, store.IndexFileName)); err != nil {
 		t.Fatalf("automatic snapshot did not persist the index: %v", err)
 	}
-	if db.cur().tree.Band() == nil {
-		t.Fatal("apply-snapshot state has no skyband table")
-	}
+	assertSlotFilledByQuery(t, db, 3)
 	db.Close()
 
 	db2, err := OpenStore(dir, WithSnapshotEvery(1))
@@ -202,4 +224,81 @@ func TestApplySnapshotPersistsIndex(t *testing.T) {
 	if db3.IndexWarm() {
 		t.Fatal("index built at fanout 64 served a fanout-8 open")
 	}
+}
+
+// encodeIndexV1 renders idx in the version-1 index layout, which
+// followed the leaf layout with a k-skyband table: magic "KSPRIDX1", gen
+// u64, fanout u32, dim u32, the order and group-end arrays, the band
+// depth u32, the band id and count arrays (each array a u32 count plus
+// i32 values), and a CRC-32 trailer, all little-endian.
+func encodeIndexV1(idx *store.IndexSnapshot, band *rtree.BandTable) []byte {
+	le := binary.LittleEndian
+	i32s := func(b []byte, vals []int32) []byte {
+		b = le.AppendUint32(b, uint32(len(vals)))
+		for _, v := range vals {
+			b = le.AppendUint32(b, uint32(v))
+		}
+		return b
+	}
+	b := []byte("KSPRIDX1")
+	b = le.AppendUint64(b, idx.Gen)
+	b = le.AppendUint32(b, uint32(idx.Fanout))
+	b = le.AppendUint32(b, uint32(idx.Dim))
+	b = i32s(b, idx.Order)
+	b = i32s(b, idx.GroupEnds)
+	b = le.AppendUint32(b, uint32(band.K))
+	b = i32s(b, band.IDs)
+	b = i32s(b, band.Cnt)
+	return le.AppendUint32(b, crc32.ChecksumIEEE(b))
+}
+
+// TestOpenStoreV1IndexFallsBack pins the format upgrade: an index file
+// in the version-1 layout (with its depth-64 skyband table) fails the
+// magic check, the open rebuilds cold with identical answers and
+// rewrites the file in the current format, and the next open is warm.
+func TestOpenStoreV1IndexFallsBack(t *testing.T) {
+	dir := t.TempDir()
+	db := fillStore(t, dir, 60)
+	if err := db.SnapshotStore(); err != nil {
+		t.Fatal(err)
+	}
+	idx, err := store.LoadIndex(dir)
+	if err != nil || idx == nil {
+		t.Fatalf("LoadIndex after SnapshotStore: (%v, %v)", idx, err)
+	}
+	v1 := encodeIndexV1(idx, db.cur().tree.KSkybandTable(64))
+	if err := db.Close(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, store.IndexFileName)
+	if err := os.WriteFile(path, v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := store.LoadIndex(dir); err == nil || !strings.Contains(err.Error(), "magic") {
+		t.Fatalf("v1 index: LoadIndex error %v, want a magic mismatch", err)
+	}
+
+	cold, err := OpenStore(dir)
+	if err != nil {
+		t.Fatalf("v1 index must not fail the open: %v", err)
+	}
+	if cold.IndexWarm() {
+		t.Fatal("v1 index served a warm start")
+	}
+	rewritten, err := store.LoadIndex(dir)
+	if err != nil || rewritten == nil {
+		t.Fatalf("cold open did not rewrite the index: (%v, %v)", rewritten, err)
+	}
+	if !reflect.DeepEqual(rewritten, idx) {
+		t.Fatalf("rewritten index %+v differs from the layout it replaced %+v", rewritten, idx)
+	}
+
+	warm, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !warm.IndexWarm() {
+		t.Fatal("open after the v1 fallback was not warm")
+	}
+	assertSameResults(t, warm, cold)
 }

@@ -223,6 +223,10 @@ func (db *DB) PriceToTarget(focalID, k int, spec RepriceSpec, opts ...QueryOptio
 	if spec.Attr < 0 || spec.Attr >= st.dim {
 		return nil, fmt.Errorf("kspr: reprice attribute %d out of range [0, %d)", spec.Attr, st.dim)
 	}
+	if err := errors.Join(finite("RepriceSpec.Target", spec.Target),
+		finite("RepriceSpec.MaxDelta", spec.MaxDelta), finite("RepriceSpec.Eps", spec.Eps)); err != nil {
+		return nil, err
+	}
 	if spec.Target <= 0 || spec.Target > 1 {
 		return nil, fmt.Errorf("kspr: target impact must be in (0, 1], got %g", spec.Target)
 	}
@@ -418,6 +422,9 @@ func (db *DB) Frontier(focalID, k int, spec FrontierSpec, opts ...QueryOption) (
 	if spec.Attr < 0 || spec.Attr >= st.dim {
 		return nil, fmt.Errorf("kspr: frontier attribute %d out of range [0, %d)", spec.Attr, st.dim)
 	}
+	if err := errors.Join(finite("FrontierSpec.Min", spec.Min), finite("FrontierSpec.Max", spec.Max)); err != nil {
+		return nil, err
+	}
 	if spec.Steps == 0 {
 		spec.Steps = 16
 	}
@@ -497,6 +504,14 @@ func (db *DB) Frontier(focalID, k int, spec FrontierSpec, opts ...QueryOption) (
 	}
 	curve.Stats.fill(time.Since(start))
 	return curve, nil
+}
+
+// finite rejects a spec field holding NaN or ±Inf, naming it.
+func finite(field string, v float64) error {
+	if math.IsNaN(v) || math.IsInf(v, 0) {
+		return fmt.Errorf("kspr: %s must be finite, got %v", field, v)
+	}
+	return nil
 }
 
 // snapshotRecords copies the pinned generation's records and reports the

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -271,6 +272,23 @@ func TestPriceToTargetValidation(t *testing.T) {
 	if _, err := db.PriceToTarget(-1, 2, RepriceSpec{Attr: 0, Target: 0.5}); err == nil {
 		t.Fatal("bad focal accepted")
 	}
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		field string
+		spec  RepriceSpec
+	}{
+		{"Target", RepriceSpec{Attr: 0, Target: nan}},
+		{"MaxDelta", RepriceSpec{Attr: 0, Target: 0.5, MaxDelta: nan}},
+		{"MaxDelta", RepriceSpec{Attr: 0, Target: 0.5, MaxDelta: inf}},
+		{"MaxDelta", RepriceSpec{Attr: 0, Target: 0.5, MaxDelta: -inf}},
+		{"Eps", RepriceSpec{Attr: 0, Target: 0.5, Eps: nan}},
+		{"Eps", RepriceSpec{Attr: 0, Target: 0.5, Eps: inf}},
+	} {
+		_, err := db.PriceToTarget(0, 2, tc.spec, WithoutGeometry())
+		if err == nil || !strings.Contains(err.Error(), "RepriceSpec."+tc.field) {
+			t.Errorf("%+v: error %v, want one naming %s", tc.spec, err, tc.field)
+		}
+	}
 	rp, err := db.PriceToTarget(0, 2, RepriceSpec{Attr: 0, Target: 0.9, MaxDelta: 1e-9,
 		Samples: 1000, Seed: 3}, WithoutGeometry())
 	if !errors.Is(err, ErrTargetUnreachable) {
@@ -466,6 +484,20 @@ func TestFrontierValidation(t *testing.T) {
 	}
 	if _, err := db.Frontier(0, 2, FrontierSpec{Attr: 0, Min: 2, Max: 1}); err == nil {
 		t.Fatal("inverted range accepted")
+	}
+	for _, tc := range []struct {
+		field string
+		spec  FrontierSpec
+	}{
+		{"Min", FrontierSpec{Attr: 0, Min: math.NaN(), Max: 1, Steps: 4}},
+		{"Min", FrontierSpec{Attr: 0, Min: math.Inf(-1), Max: 1, Steps: 4}},
+		{"Max", FrontierSpec{Attr: 0, Min: 0, Max: math.Inf(1), Steps: 4}},
+		{"Max", FrontierSpec{Attr: 0, Min: 0, Max: math.NaN(), Steps: 4}},
+	} {
+		_, err := db.Frontier(0, 2, tc.spec, WithoutGeometry())
+		if err == nil || !strings.Contains(err.Error(), "FrontierSpec."+tc.field) {
+			t.Errorf("%+v: error %v, want one naming %s", tc.spec, err, tc.field)
+		}
 	}
 
 	solo, err := Open([][]float64{{0.4, 0.6}})
