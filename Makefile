@@ -100,14 +100,17 @@ loadgate:
 
 # fuzz smoke-runs the native Go fuzz targets over the untrusted parsers —
 # :mutate body decoding (internal/server) and WAL frame / snapshot /
-# candidate-index decoding (internal/store) — for FUZZTIME each, on top
-# of their committed seed corpora in testdata/fuzz/.
+# candidate-index decoding (internal/store) — and over cell clipping
+# (internal/celltree: chains of integer-grid cuts checked against
+# from-scratch enumeration), for FUZZTIME each, on top of their seed
+# corpora (testdata/fuzz/ and the targets' f.Add seeds).
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/server -run '^$$' -fuzz FuzzDecodeMutateRequest -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeWALPayload -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzLoadSnapshot -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/store -run '^$$' -fuzz FuzzDecodeIndex -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/celltree -run '^$$' -fuzz FuzzCellGeomCut -fuzztime $(FUZZTIME)
 
 # crashsmoke kills a WAL-backed ksprd mid-mutation-stream with SIGKILL,
 # restarts it over the same store directory, and asserts recovery restores
@@ -117,8 +120,8 @@ crashsmoke:
 
 # ci mirrors the GitHub workflow locally: formatting, vet, build, race
 # tests, doc gates, the crash-recovery smoke test, one iteration of the
-# index-build, reload, store-open and metrics benchmarks (so they keep
-# compiling and running),
+# index-build, reload, store-open, metrics, cell-tree insert and cell-clip
+# benchmarks (so they keep compiling and running),
 # lint, the coverage floor, the bench regression gate, the large-N
 # regression gate, a short fuzz smoke, and the load regression gate.
 ci:
@@ -132,6 +135,7 @@ ci:
 	$(MAKE) crashsmoke
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild|BenchmarkApplyRecordsReload|BenchmarkMetricsObserveParallel|BenchmarkSampleInto|BenchmarkSamplerTick|BenchmarkMetricsScrape' -benchtime 1x ./internal/rtree ./internal/store ./internal/server
 	$(GO) test -run '^$$' -bench '^BenchmarkOpenStore' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^(BenchmarkInsert_|BenchmarkCut$$)' -benchtime 1x ./internal/celltree
 	$(MAKE) lint
 	$(MAKE) coverage
 	$(MAKE) benchgate

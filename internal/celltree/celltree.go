@@ -1,12 +1,13 @@
 // Package celltree implements the CellTree of §4: a binary tree that
 // incrementally maintains the arrangement of record hyperplanes in
 // preference space. Cells (leaves) are represented implicitly by the
-// halfspaces along their root path; exact geometry is never computed during
-// insertion. The insertion algorithm implements the three cases of §4.3,
-// the inconsequential-halfspace elimination of Lemma 2 (feasibility tests
-// see only root-path labels plus the space boundaries), the cached
-// interior-point shortcut of §4.3.2, and the dominance-graph shortcut of
-// P-CTA (Algorithm 2, optInsert).
+// halfspaces along their root path; only for preference spaces of up to
+// GeomMaxDim dimensions does a node also carry exact geometry, clipped
+// from its parent's at every split (geometry.go). The insertion algorithm
+// implements the three cases of §4.3, the inconsequential-halfspace
+// elimination of Lemma 2 (feasibility tests see only root-path labels plus
+// the space boundaries), the cached interior-point shortcut of §4.3.2, and
+// the dominance-graph shortcut of P-CTA (Algorithm 2, optInsert).
 //
 // Insertion optionally fans out across goroutines: when a hyperplane cuts
 // through an internal node (case III), its two child subtrees are disjoint,
@@ -21,6 +22,7 @@ package celltree
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -666,51 +668,41 @@ func (t *Tree) PathConstraints(n *Node) []geom.Constraint {
 	return out
 }
 
-// FullHalfspaces returns every record halfspace covering n: path labels
-// plus all cover sets from the root down (the full set c.Ψ of §4).
-func (t *Tree) FullHalfspaces(n *Node) []geom.Halfspace {
-	var rev []geom.Halfspace
+// PivotSets appends to neg the distinct ids of the records contributing
+// negative halfspaces to n's full halfspace set (labels plus cover sets
+// from the root down, c.Ψ of §4) — the cell's pivots (§5) — and to pos the
+// distinct ids of those contributing positive ones, each appended run
+// ascending. It reads n's root path once; callers reuse the buffers across
+// leaves.
+func (t *Tree) PivotSets(n *Node, neg, pos []int) ([]int, []int) {
+	negFrom, posFrom := len(neg), len(pos)
 	for cur := n; cur != nil; cur = cur.Parent {
-		for i := len(cur.Cover) - 1; i >= 0; i-- {
-			rev = append(rev, cur.Cover[i])
-		}
 		if cur.HasLabel {
-			rev = append(rev, cur.Label)
+			neg, pos = appendSigned(neg, pos, cur.Label)
+		}
+		for _, hs := range cur.Cover {
+			neg, pos = appendSigned(neg, pos, hs)
 		}
 	}
-	out := make([]geom.Halfspace, 0, len(rev))
-	for i := len(rev) - 1; i >= 0; i-- {
-		out = append(out, rev[i])
-	}
-	return out
+	return sortedUnique(neg, negFrom), sortedUnique(pos, posFrom)
 }
 
-// Pivots returns the IDs of records contributing negative halfspaces to
-// n's full halfspace set (§5: the pivots of the cell).
-func (t *Tree) Pivots(n *Node) []int {
-	var ids []int
-	seen := map[int]bool{}
-	for _, hs := range t.FullHalfspaces(n) {
-		if hs.Sign == geom.Negative && !seen[hs.H.ID] {
-			seen[hs.H.ID] = true
-			ids = append(ids, hs.H.ID)
-		}
+// appendSigned appends hs's record id to neg or pos by its sign.
+func appendSigned(neg, pos []int, hs geom.Halfspace) ([]int, []int) {
+	switch hs.Sign {
+	case geom.Negative:
+		neg = append(neg, hs.H.ID)
+	case geom.Positive:
+		pos = append(pos, hs.H.ID)
 	}
-	return ids
+	return neg, pos
 }
 
-// NonPivots returns the IDs of records contributing positive halfspaces to
-// n's full halfspace set.
-func (t *Tree) NonPivots(n *Node) []int {
-	var ids []int
-	seen := map[int]bool{}
-	for _, hs := range t.FullHalfspaces(n) {
-		if hs.Sign == geom.Positive && !seen[hs.H.ID] {
-			seen[hs.H.ID] = true
-			ids = append(ids, hs.H.ID)
-		}
-	}
-	return ids
+// sortedUnique sorts ids[from:] and drops its repeats.
+func sortedUnique(ids []int, from int) []int {
+	run := ids[from:]
+	slices.Sort(run)
+	return ids[:from+len(slices.Compact(run))]
 }
 
 // CountNodes returns the number of nodes currently in the tree (live and

@@ -2,6 +2,7 @@ package celltree
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -352,34 +353,36 @@ func TestPivotsAndNonPivots(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	var neg, pos []int
 	tr.LiveLeaves(func(n *Node) bool {
 		w := n.WStar
 		if w == nil {
 			// Root-only tree or untested node; skip.
 			return true
 		}
-		pivots := map[int]bool{}
-		for _, id := range tr.Pivots(n) {
-			pivots[id] = true
-		}
-		nonPivots := map[int]bool{}
-		for _, id := range tr.NonPivots(n) {
-			nonPivots[id] = true
-		}
+		neg, pos = tr.PivotSets(n, neg[:0], pos[:0])
 		for _, h := range hs {
 			side := h.Side(w, 1e-9)
-			if side == geom.Negative && !pivots[h.ID] {
+			_, pivot := slices.BinarySearch(neg, h.ID)
+			_, nonPivot := slices.BinarySearch(pos, h.ID)
+			if side == geom.Negative && !pivot {
 				t.Fatalf("h%d negative at leaf w* but not a pivot", h.ID)
 			}
-			if side == geom.Positive && !nonPivots[h.ID] {
+			if side == geom.Positive && !nonPivot {
 				t.Fatalf("h%d positive at leaf w* but not a non-pivot", h.ID)
 			}
+		}
+		if got := 1 + len(pos); got != tr.Rank(n) {
+			t.Fatalf("1 + %d non-pivots, but Rank = %d", len(pos), tr.Rank(n))
 		}
 		return true
 	})
 }
 
-func TestFullHalfspacesCoverEveryInsertedHyperplane(t *testing.T) {
+// Every inserted hyperplane labels or covers exactly one node on each live
+// leaf's root path, so PivotSets partitions the inserted ids; the appended
+// runs are ascending and repeat-free, and the buffers' prefixes survive.
+func TestPivotSetsCoverEveryInsertedHyperplane(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	tr := newTestTree(2, 1<<30)
 	const m = 10
@@ -389,12 +392,23 @@ func TestFullHalfspacesCoverEveryInsertedHyperplane(t *testing.T) {
 		}
 	}
 	tr.LiveLeaves(func(n *Node) bool {
-		seen := map[int]bool{}
-		for _, hs := range tr.FullHalfspaces(n) {
-			seen[hs.H.ID] = true
+		neg, pos := tr.PivotSets(n, []int{-1}, []int{-2})
+		if neg[0] != -1 || pos[0] != -2 {
+			t.Fatalf("buffer prefixes clobbered: %v %v", neg, pos)
 		}
-		if len(seen) != m {
-			t.Fatalf("leaf sees %d distinct hyperplanes, want %d", len(seen), m)
+		neg, pos = neg[1:], pos[1:]
+		seen := map[int]bool{}
+		for _, run := range [][]int{neg, pos} {
+			for i, id := range run {
+				if i > 0 && run[i-1] >= id {
+					t.Fatalf("run %v not strictly ascending", run)
+				}
+				seen[id] = true
+			}
+		}
+		if len(neg)+len(pos) != m || len(seen) != m {
+			t.Fatalf("leaf sees %d+%d ids (%d distinct), want %d once each",
+				len(neg), len(pos), len(seen), m)
 		}
 		return true
 	})

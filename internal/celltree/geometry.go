@@ -7,11 +7,14 @@ import (
 
 // CellGeom is the exact geometry of a node's region: a minimal facet list
 // and the vertex set of the closure. It is maintained incrementally — a
-// child's geometry is its parent's facets cut by the child's edge label —
-// so each node costs one small combinatorial enumeration instead of LP
-// solves. Geometry is kept only for preference spaces of dimension <=
-// GeomMaxDim; elsewhere (and for degenerate cells) nodes carry nil geometry
-// and every decision falls back to the paper's LP machinery.
+// child's geometry is its parent's clipped by the child's edge label: the
+// parent's vertices on the kept side plus the points where the label's
+// plane meets dim-1 of the parent's facets, so each node costs
+// C(len(Facets), dim-1) tiny linear solves instead of LP solves.
+// Geometry is kept only for preference spaces of dimension <= GeomMaxDim;
+// elsewhere (and for degenerate cells) nodes carry nil geometry and every
+// decision falls back to the paper's LP machinery. Each CellGeom owns its
+// vertex storage: no two cells share vertex memory.
 type CellGeom struct {
 	Facets []geom.Constraint
 	Verts  []geom.Vector
@@ -24,47 +27,62 @@ const GeomMaxDim = 3
 // geomTol is the tightness tolerance used when pruning facets.
 const geomTol = 1e-7
 
-// geomCombosCap bounds the per-cut enumeration; facet lists stay small, so
-// this triggers only in degenerate configurations.
+// geomCombosCap bounds the from-scratch enumeration of BuildCellGeom — the
+// root cell and the approximate engine's boxes; cuts clip instead and are
+// not bounded by it. Those row lists stay small, so this triggers only in
+// degenerate configurations.
 const geomCombosCap = 20000
 
-// BuildCellGeom enumerates vertices over rows (plus implicit axis facets)
-// and prunes rows that are tight at no vertex. It returns nil when the
-// region is lower-dimensional or empty (fewer than dim+1 vertices).
+// BuildCellGeom enumerates vertices over rows (plus the implicit axis
+// facets, which polytope.EnumerateVertices owns) and prunes rows that are
+// tight at no vertex. It returns nil when the region is lower-dimensional
+// or empty (fewer than dim+1 vertices).
 func BuildCellGeom(rows []geom.Constraint, dim int) *CellGeom {
-	all := make([]geom.Constraint, 0, len(rows)+dim)
-	all = append(all, rows...)
-	for i := 0; i < dim; i++ {
-		a := make(geom.Vector, dim)
-		a[i] = -1
-		all = append(all, geom.Constraint{A: a, B: 0})
-	}
-	verts := polytope.EnumerateVertices(all, dim, geomCombosCap)
+	verts := polytope.EnumerateVertices(rows, dim, geomCombosCap)
 	if len(verts) < dim+1 {
 		return nil
 	}
 	var facets []geom.Constraint
-	for _, c := range all {
-		tight := false
-		for _, v := range verts {
-			if d := c.A.Dot(v) - c.B; d > -geomTol && d < geomTol {
-				tight = true
-				break
-			}
-		}
-		if tight && !containsPlane(facets, c) {
-			facets = append(facets, c)
-		}
+	for _, c := range rows {
+		facets = keepFacet(facets, c, verts)
+	}
+	for i := 0; i < dim; i++ {
+		a := make(geom.Vector, dim)
+		a[i] = -1
+		facets = keepFacet(facets, geom.Constraint{A: a, B: 0}, verts)
 	}
 	return &CellGeom{Facets: facets, Verts: verts}
 }
 
-// Cut returns the geometry of the region clipped by one more halfspace row.
+// Cut returns the geometry of the region clipped by one more halfspace
+// row, or nil when the clipped region is lower-dimensional or empty. The
+// facets are scanned as BuildCellGeom scans its rows: the parent's facets,
+// then row, each kept when tight at a new vertex and not a duplicate plane.
 func (g *CellGeom) Cut(row geom.Constraint, dim int) *CellGeom {
-	rows := make([]geom.Constraint, 0, len(g.Facets)+1)
-	rows = append(rows, g.Facets...)
-	rows = append(rows, row)
-	return BuildCellGeom(rows, dim)
+	verts := polytope.ClipVertices(g.Verts, g.Facets, row, dim)
+	if len(verts) < dim+1 {
+		return nil
+	}
+	facets := make([]geom.Constraint, 0, len(g.Facets)+1)
+	for _, c := range g.Facets {
+		facets = keepFacet(facets, c, verts)
+	}
+	facets = keepFacet(facets, row, verts)
+	return &CellGeom{Facets: facets, Verts: verts}
+}
+
+// keepFacet appends c to facets when it is tight at some vertex (within
+// geomTol) and no equivalent plane is already kept.
+func keepFacet(facets []geom.Constraint, c geom.Constraint, verts []geom.Vector) []geom.Constraint {
+	for _, v := range verts {
+		if d := c.A.Dot(v) - c.B; d > -geomTol && d < geomTol {
+			if containsPlane(facets, c) {
+				return facets
+			}
+			return append(facets, c)
+		}
+	}
+	return facets
 }
 
 // Centroid returns the vertex mean — strictly interior for full-dimensional

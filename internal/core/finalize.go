@@ -63,7 +63,7 @@ func (r *runner) buildRegion(p pendingRegion, index int, lpStats *lp.Stats) (Reg
 // The ids are ascending; dominators and positive-halfspace records are
 // disjoint because dominators are excluded from hyperplane processing.
 func (r *runner) outscorers(leaf *celltree.Node) []int {
-	np := r.ct.NonPivots(leaf)
+	_, np := r.ct.PivotSets(leaf, nil, nil)
 	if len(np) == 0 && len(r.domIDs) == 0 {
 		return nil
 	}

@@ -3,7 +3,9 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"time"
 
@@ -288,56 +290,33 @@ func (r *runner) run() (*Result, error) {
 	return r.finish(), nil
 }
 
-// maximalPivots drops pivots dominated by other pivots: by transitivity
-// their dominance regions are subsumed, so the AnyNotDominated check is
-// unchanged while the per-entry dominance tests shrink drastically.
-func maximalPivots(ids []int, dg *dominance.Graph) []int {
-	if len(ids) <= 1 {
-		return ids
-	}
-	inSet := make(map[int]bool, len(ids))
-	for _, id := range ids {
-		inSet[id] = true
-	}
-	out := ids[:0]
+// maximalPivots appends to dst the pivots in ids (ascending) that no other
+// pivot in ids dominates: by transitivity the dominated ones' dominance
+// regions are subsumed, so the AnyNotDominated check is unchanged while the
+// per-entry dominance tests shrink drastically.
+func maximalPivots(dst, ids []int, dg *dominance.Graph) []int {
 	for _, id := range ids {
 		maximal := true
 		for _, dom := range dg.Dominators(id) {
-			if inSet[dom] {
+			if _, in := slices.BinarySearch(ids, dom); in {
 				maximal = false
 				break
 			}
 		}
 		if maximal {
-			out = append(out, id)
+			dst = append(dst, id)
 		}
 	}
-	return out
+	return dst
 }
 
-// pivotKey canonicalizes a sorted pivot id list for caching.
-func pivotKey(ids []int) string {
-	sort.Ints(ids)
-	var b []byte
+// appendPivotKey appends the cache key of an ascending pivot id list to b.
+func appendPivotKey(b []byte, ids []int) []byte {
 	for _, id := range ids {
-		b = appendInt(b, id)
+		b = strconv.AppendInt(b, int64(id), 10)
 		b = append(b, ',')
 	}
-	return string(b)
-}
-
-func appendInt(b []byte, v int) []byte {
-	if v == 0 {
-		return append(b, '0')
-	}
-	var tmp [20]byte
-	i := len(tmp)
-	for v > 0 {
-		i--
-		tmp[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return append(b, tmp[i:]...)
+	return b
 }
 
 // hyperplane maps record id to its hyperplane in the processing space.
@@ -475,6 +454,12 @@ func (r *runner) runProgressive() error {
 
 	r.ct.TakeFreshLeaves() // the root cell's bounds are trivially [1, n]
 
+	// Pivot-check scratch, reused across every leaf of every batch: a
+	// leaf's pivot and non-pivot ids, its maximal pivots, their cache key
+	// and their records.
+	var neg, pos, maximal []int
+	var key []byte
+	var pivots []geom.Vector
 	for len(batch) > 0 && !r.ct.Done() {
 		r.result.Stats.Batches++
 		sort.Ints(batch)
@@ -538,20 +523,21 @@ func (r *runner) runProgressive() error {
 				toPrune = append(toPrune, c)
 				return true
 			}
-			pivotIDs := maximalPivots(r.ct.Pivots(c), dg)
-			key := pivotKey(pivotIDs)
-			affected, seen := checkCache[key]
+			neg, pos = r.ct.PivotSets(c, neg[:0], pos[:0])
+			maximal = maximalPivots(maximal[:0], neg, dg)
+			key = appendPivotKey(key[:0], maximal)
+			affected, seen := checkCache[string(key)]
 			if !seen {
-				pivots := make([]geom.Vector, len(pivotIDs))
-				for i, id := range pivotIDs {
-					pivots[i] = r.tree.Records[id]
+				pivots = pivots[:0]
+				for _, id := range maximal {
+					pivots = append(pivots, r.tree.Records[id])
 				}
 				affected = cand.anyUnprocessedEscapes(pivots, processed)
-				checkCache[key] = affected
+				checkCache[string(key)] = affected
 			}
 			if affected {
 				// Some unprocessed record may still affect c.
-				for _, id := range r.ct.NonPivots(c) {
+				for _, id := range pos {
 					np[id] = true
 				}
 				return true

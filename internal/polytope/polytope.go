@@ -1,6 +1,7 @@
 // Package polytope materializes the exact geometry of arrangement cells:
-// it intersects halfspaces into vertex sets, measures areas/volumes, and
-// serves as the expensive "halfspace intersection" baseline the paper
+// it intersects halfspaces into vertex sets, clips a polytope's vertex set
+// by one more halfspace (the cell tree's splits), measures areas/volumes,
+// and serves as the expensive "halfspace intersection" baseline the paper
 // compares its LP-based feasibility test against (Fig. 16). It replaces the
 // qhull library used in the paper's finalization step (§4.2).
 package polytope
@@ -94,11 +95,14 @@ func FromConstraints(cons []geom.Constraint, dim int, stats *lp.Stats) (*Polytop
 
 // EnumerateVertices computes the vertices of {rows} ∩ {w >= 0} directly by
 // combinatorial enumeration over ALL rows (no LP-based redundancy
-// elimination first). It returns nil when the subset count would exceed
+// elimination first). It owns the implicit w >= 0 rows: callers pass cons
+// without them. It returns nil when the subset count would exceed
 // maxCombos — callers fall back to LP bounds then. This trades the m LP
 // solves of RemoveRedundant for C(m+dim, dim) tiny linear solves, which wins
 // whenever cells are described by few constraints (the common case thanks
-// to Lemma 2).
+// to Lemma 2). The cell tree calls it only for its root cell and the
+// approximate engine's boxes; a split derives child geometry from its
+// parent's with ClipVertices instead.
 func EnumerateVertices(cons []geom.Constraint, dim, maxCombos int) []geom.Vector {
 	rows := make([]geom.Constraint, 0, len(cons)+dim)
 	rows = append(rows, cons...)
@@ -137,11 +141,15 @@ func enumerateVertices(facets []geom.Constraint, dim int) []geom.Vector {
 		return nil
 	}
 	idx := make([]int, dim)
+	sys := make([]geom.Constraint, dim)
+	v := make(geom.Vector, dim)
 	var rec func(start, k int)
 	rec = func(start, k int) {
 		if k == dim {
-			v, ok := solveSubset(facets, idx, dim)
-			if !ok {
+			for i, fi := range idx {
+				sys[i] = facets[fi]
+			}
+			if !solveSquare(sys, v) {
 				return
 			}
 			for _, c := range facets {
@@ -154,7 +162,7 @@ func enumerateVertices(facets []geom.Constraint, dim int) []geom.Vector {
 					return
 				}
 			}
-			verts = append(verts, v)
+			verts = append(verts, v.Clone())
 			return
 		}
 		for i := start; i < n; i++ {
@@ -166,47 +174,158 @@ func enumerateVertices(facets []geom.Constraint, dim int) []geom.Vector {
 	return verts
 }
 
-// solveSubset solves the square system formed by the chosen facet rows.
-func solveSubset(facets []geom.Constraint, idx []int, dim int) (geom.Vector, bool) {
-	m := make([][]float64, dim)
-	for i, fi := range idx {
-		m[i] = make([]float64, dim+1)
-		copy(m[i], facets[fi].A)
-		m[i][dim] = facets[fi].B
+// ClipVertices returns the vertices of P ∩ {w : row.A·w <= row.B}, where P
+// is the bounded polytope with vertex set verts and facet rows facets.
+// facets must hold every row tight at a vertex of P, axis rows included,
+// so that they alone define P. A vertex of the clipped polytope is either a
+// vertex of P on the kept side of row, or lies on row's plane and on dim-1
+// facets of P; so the clip solves C(len(facets), dim-1) small systems
+// instead of re-enumerating every dim-subset of the rows. Kept vertices of
+// P come first, in their order, then the new ones in subset order; a new
+// point is accepted when it satisfies row, every facet and w >= 0 within
+// vertexTol and is not Equal to a vertex already kept. The result owns its
+// storage: every vertex is a copy backed by one fresh array.
+func ClipVertices(verts []geom.Vector, facets []geom.Constraint, row geom.Constraint, dim int) []geom.Vector {
+	var stack [64 * maxStackDim]float64
+	pts := stack[:0]
+	for _, v := range verts {
+		if row.A.Dot(v)-row.B <= vertexTol {
+			pts = append(pts, v...)
+		}
+	}
+	k := dim - 1
+	if n := len(facets); k <= n {
+		var idxBuf [maxStackDim]int
+		var sysBuf [maxStackDim]geom.Constraint
+		var vBuf [maxStackDim]float64
+		var idx []int
+		var sys []geom.Constraint
+		var v geom.Vector
+		if dim <= maxStackDim {
+			idx, sys, v = idxBuf[:k], sysBuf[:dim], vBuf[:dim]
+		} else {
+			idx, sys, v = make([]int, k), make([]geom.Constraint, dim), make(geom.Vector, dim)
+		}
+		for i := range idx {
+			idx[i] = i
+		}
+		sys[k] = row
+		for {
+			for i, fi := range idx {
+				sys[i] = facets[fi]
+			}
+			if solveSquare(sys, v) && clipAccepts(v, facets, row, pts, dim) {
+				pts = append(pts, v...)
+			}
+			// Advance idx to the next k-subset in lexicographic order.
+			i := k - 1
+			for i >= 0 && idx[i] == n-k+i {
+				i--
+			}
+			if i < 0 {
+				break
+			}
+			idx[i]++
+			for j := i + 1; j < k; j++ {
+				idx[j] = idx[j-1] + 1
+			}
+		}
+	}
+	backing := make([]float64, len(pts))
+	copy(backing, pts)
+	out := make([]geom.Vector, len(pts)/dim)
+	for i := range out {
+		out[i] = backing[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	return out
+}
+
+// clipAccepts reports whether the candidate v lies inside row, every facet
+// and w >= 0 within vertexTol, and differs from every point already in
+// pts (dim coordinates per point).
+func clipAccepts(v geom.Vector, facets []geom.Constraint, row geom.Constraint, pts []float64, dim int) bool {
+	if row.A.Dot(v)-row.B > vertexTol {
+		return false
+	}
+	for _, c := range facets {
+		if c.A.Dot(v)-c.B > vertexTol {
+			return false
+		}
+	}
+	for _, x := range v {
+		if -x > vertexTol {
+			return false
+		}
+	}
+	for i := 0; i < len(pts); i += dim {
+		if geom.Vector(pts[i : i+dim]).Equal(v) {
+			return false
+		}
+	}
+	return true
+}
+
+// maxStackDim is the largest dimension whose linear solves and clip
+// scratch live in stack arrays; larger ones allocate.
+const maxStackDim = 4
+
+// solveSquare solves the square system sys[i].A·w = sys[i].B (len(sys) ==
+// len(out)) into out by Gauss-Jordan elimination with partial pivoting. It
+// reports false when the rows are (nearly) linearly dependent. For
+// dimensions up to maxStackDim it does not allocate.
+func solveSquare(sys []geom.Constraint, out geom.Vector) bool {
+	dim := len(out)
+	w := dim + 1
+	var buf [maxStackDim * (maxStackDim + 1)]float64
+	var m []float64
+	if dim <= maxStackDim {
+		m = buf[:dim*w]
+	} else {
+		m = make([]float64, dim*w)
+	}
+	for i, c := range sys {
+		copy(m[i*w:i*w+dim], c.A)
+		m[i*w+dim] = c.B
 	}
 	for col := 0; col < dim; col++ {
 		p, best := -1, 1e-9
 		for r := col; r < dim; r++ {
-			if v := math.Abs(m[r][col]); v > best {
+			if v := math.Abs(m[r*w+col]); v > best {
 				p, best = r, v
 			}
 		}
 		if p < 0 {
-			return nil, false
+			return false
 		}
-		m[col], m[p] = m[p], m[col]
-		pv := m[col][col]
+		pr := m[col*w : col*w+w]
+		if p != col {
+			q := m[p*w : p*w+w]
+			for j := range pr {
+				pr[j], q[j] = q[j], pr[j]
+			}
+		}
+		pv := pr[col]
 		for j := col; j <= dim; j++ {
-			m[col][j] /= pv
+			pr[j] /= pv
 		}
 		for r := 0; r < dim; r++ {
 			if r == col {
 				continue
 			}
-			f := m[r][col]
+			rr := m[r*w : r*w+w]
+			f := rr[col]
 			if f == 0 {
 				continue
 			}
 			for j := col; j <= dim; j++ {
-				m[r][j] -= f * m[col][j]
+				rr[j] -= f * pr[j]
 			}
 		}
 	}
-	v := make(geom.Vector, dim)
-	for i := range v {
-		v[i] = m[i][dim]
+	for i := range out {
+		out[i] = m[i*w+dim]
 	}
-	return v, true
+	return true
 }
 
 // Empty reports whether the polytope has no vertices (empty or unbounded

@@ -367,3 +367,52 @@ func TestVolume3DMatchesMonteCarlo(t *testing.T) {
 		}
 	}
 }
+
+// Clipping a box by a plane through it yields the same vertex set as
+// enumerating the clipped box from scratch, in every dimension (dim 5
+// exercises the heap-backed scratch above maxStackDim).
+func TestClipVerticesMatchesEnumeration(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	for dim := 1; dim <= 5; dim++ {
+		box := unitBox(dim, 1)
+		verts := EnumerateVertices(box, dim, 0)
+		for trial := 0; trial < 20; trial++ {
+			a := make(geom.Vector, dim)
+			for j := range a {
+				a[j] = rng.NormFloat64()
+			}
+			var lo, hi float64
+			for _, v := range verts {
+				lo, hi = math.Min(lo, a.Dot(v)), math.Max(hi, a.Dot(v))
+			}
+			row := geom.Constraint{A: a, B: lo + (0.1+0.8*rng.Float64())*(hi-lo)}
+			got := ClipVertices(verts, box, row, dim)
+			want := EnumerateVertices(append(box[:len(box):len(box)], row), dim, 0)
+			if len(got) != len(want) {
+				t.Fatalf("dim %d: clip has %d vertices, enumeration %d", dim, len(got), len(want))
+			}
+			for _, v := range got {
+				found := false
+				for _, u := range want {
+					found = found || u.Equal(v)
+				}
+				if !found {
+					t.Fatalf("dim %d: clipped vertex %v not enumerated", dim, v)
+				}
+			}
+		}
+	}
+}
+
+// solveSquare reports singular systems instead of dividing by zero.
+func TestSolveSquareSingular(t *testing.T) {
+	out := make(geom.Vector, 2)
+	sys := []geom.Constraint{{A: geom.Vector{1, 1}, B: 1}, {A: geom.Vector{2, 2}, B: 3}}
+	if solveSquare(sys, out) {
+		t.Fatalf("singular system solved to %v", out)
+	}
+	sys[1] = geom.Constraint{A: geom.Vector{1, -1}, B: 0}
+	if !solveSquare(sys, out) || math.Abs(out[0]-0.5) > 1e-12 || math.Abs(out[1]-0.5) > 1e-12 {
+		t.Fatalf("w1+w2=1, w1=w2 solved to %v", out)
+	}
+}

@@ -53,8 +53,8 @@ type queryRequest struct {
 	Space       string    `json:"space,omitempty"`     // transformed | original
 	Bounds      string    `json:"bounds,omitempty"`    // fast | group | record
 	Epsilon     float64   `json:"epsilon,omitempty"`   // approx accuracy target
-	// Volumes measures every region (exact for 2-d preference spaces,
-	// Monte-Carlo above); VolumeSamples bounds the Monte-Carlo sample
+	// Volumes measures every region (exact for preference spaces of up to
+	// 3 dimensions, Monte-Carlo above); VolumeSamples bounds the Monte-Carlo sample
 	// count (0 = library default, 10000). Both are part of the cache key.
 	Volumes       bool  `json:"volumes,omitempty"`
 	VolumeSamples int   `json:"volume_samples,omitempty"`

@@ -244,8 +244,11 @@ func WithProgressive(fn func(Region)) QueryOption {
 	return func(o *core.Options) { o.OnRegion = fn }
 }
 
-// WithVolumes measures each region (exact up to 2-d preference spaces,
-// Monte-Carlo above with the given sample count).
+// WithVolumes measures each region: exactly for preference spaces of up
+// to 3 dimensions (d <= 4 data in the transformed space, d <= 3 in the
+// original one), by Monte-Carlo with the given sample count above that. A
+// 3-d region whose facet polygons cannot be rebuilt (degenerate geometry)
+// also falls back to Monte-Carlo.
 func WithVolumes(samples int) QueryOption {
 	return func(o *core.Options) {
 		o.ComputeVolumes = true
@@ -549,10 +552,11 @@ func (db *DB) Rank(focalID int, w []float64) int {
 // The estimate is an unbiased binomial proportion, so its standard error
 // is sqrt(p(1-p)/samples) <= 0.5/sqrt(samples); with 100000 samples the
 // estimate is within ±0.005 of the true measure with ~99.8% confidence
-// (three standard errors). For 2-dimensional preference spaces (d=3 data)
-// the exact alternative is WithVolumes: the result's TotalVolume divided
-// by the simplex measure 1/(d-1)! equals this probability, and the two
-// agree within the bound above (pinned by a cross-check test). A
+// (three standard errors). For preference spaces of up to 3 dimensions
+// (d <= 4 data) the exact alternative is WithVolumes: the result's
+// TotalVolume divided by the simplex measure 1/(d-1)! equals this
+// probability, and the two agree within the bound above (pinned for d=3
+// data by a cross-check test). A
 // non-positive samples (or a nil res) yields 0, never NaN; callers wanting
 // a default should pass their own (the CLIs use 10000–100000).
 func (db *DB) ImpactProbability(res *Result, samples int, seed int64) float64 {

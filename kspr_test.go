@@ -364,6 +364,43 @@ func TestImpactProbabilityMatchesExactVolumes(t *testing.T) {
 	}
 }
 
+// Region volumes are exact for preference spaces of up to 3 dimensions
+// (WithVolumes' contract): on d=4 data neither the Monte-Carlo sample
+// count nor the seed may move any region's volume.
+func TestVolumesExactUpTo3DPreferenceSpaces(t *testing.T) {
+	rng := rand.New(rand.NewSource(15))
+	db, err := Open(randRecords(rng, 150, 4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	measured := 0
+	for _, focal := range db.KSkyband(5)[:4] {
+		a, err := db.KSPR(focal, 5, WithVolumes(100), WithSeed(1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := db.KSPR(focal, 5, WithVolumes(5000), WithSeed(7))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(a.Regions) != len(b.Regions) {
+			t.Fatalf("focal %d: %d regions, then %d", focal, len(a.Regions), len(b.Regions))
+		}
+		for i := range a.Regions {
+			if va, vb := a.Regions[i].Volume, b.Regions[i].Volume; va != vb {
+				t.Fatalf("focal %d region %d: volume %v with 100 samples (seed 1), %v with 5000 (seed 7)",
+					focal, i, va, vb)
+			}
+			if a.Regions[i].Volume > 0 {
+				measured++
+			}
+		}
+	}
+	if measured == 0 {
+		t.Fatal("no region had a positive volume")
+	}
+}
+
 func TestSkybandContainsSkyline(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	db, err := Open(randRecords(rng, 150, 3))

@@ -169,9 +169,9 @@ type RepriceSpec struct {
 	Seed    int64
 	// VolumeMetric measures impact as the result regions' exact measured
 	// volume share instead of Monte-Carlo membership sampling. Exact (and
-	// strictly monotone) for 2-dimensional preference spaces; above that
-	// region volumes are themselves Monte-Carlo and the curve may wobble
-	// within sampling error.
+	// strictly monotone) for preference spaces of up to 3 dimensions (d <=
+	// 4 data); above that region volumes are themselves Monte-Carlo and
+	// the curve may wobble within sampling error.
 	VolumeMetric bool
 }
 
