@@ -252,16 +252,16 @@ type insertCtx struct {
 	// if any of them contributes a negative halfspace on the current path,
 	// h's negative halfspace covers the node (Lemma 4 / optInsert). Never
 	// mutated during the insert, so tasks share it.
-	domIDs map[int]bool
+	domIDs []int
 	// cons = Bounds + labels on the current path (the Lemma-2 constraint
 	// set for the current node).
 	cons []geom.Constraint
 	// pos = number of positive halfspaces on the current path (labels and
 	// cover sets above and including the current node as we descend).
 	pos int
-	// negIDs multiset of record IDs contributing negative halfspaces on the
-	// current path.
-	negIDs map[int]int
+	// domNeg = number of negative halfspaces on the current path whose
+	// record is in domIDs; the dominance shortcut fires while it is > 0.
+	domNeg int
 	// stats / lpStats are the task-local counters; solver the task's
 	// reusable LP workspace (accounting into lpStats).
 	stats   Stats
@@ -277,17 +277,13 @@ type insertCtx struct {
 // path state is deep-copied (the parent keeps pushing/popping its own) and
 // the accumulators start empty. The caller attaches a pooled solver.
 func (ctx *insertCtx) forkTask() *insertCtx {
-	nc := &insertCtx{
+	return &insertCtx{
 		h:      ctx.h,
 		domIDs: ctx.domIDs,
 		cons:   append([]geom.Constraint(nil), ctx.cons...),
 		pos:    ctx.pos,
-		negIDs: make(map[int]int, len(ctx.negIDs)),
+		domNeg: ctx.domNeg,
 	}
-	for id, n := range ctx.negIDs {
-		nc.negIDs[id] = n
-	}
-	return nc
 }
 
 // join merges a finished subtree task back into its parent.
@@ -299,10 +295,11 @@ func (ctx *insertCtx) join(o *insertCtx) {
 
 // Insert adds the hyperplane h to the arrangement. domIDs optionally lists
 // processed records that dominate h's record (P-CTA's dominance-graph
-// shortcut); pass nil to disable. With t.Forks attached the insertion fans
-// out over cell subtrees; the outcome is identical either way. Insert
-// itself must not be called concurrently.
-func (t *Tree) Insert(h geom.Hyperplane, domIDs map[int]bool) error {
+// shortcut); pass nil to disable. Insert only reads domIDs, and the caller
+// must not change it before Insert returns. With t.Forks attached the
+// insertion fans out over cell subtrees; the outcome is identical either
+// way. Insert itself must not be called concurrently.
+func (t *Tree) Insert(h geom.Hyperplane, domIDs []int) error {
 	if h.Kind != geom.Proper {
 		return fmt.Errorf("celltree: inserting non-proper hyperplane %v (kind %d)", h, h.Kind)
 	}
@@ -313,7 +310,6 @@ func (t *Tree) Insert(h geom.Hyperplane, domIDs map[int]bool) error {
 		h:      h,
 		domIDs: domIDs,
 		cons:   append([]geom.Constraint(nil), t.Bounds...),
-		negIDs: make(map[int]int),
 	}
 	if t.solver == nil {
 		t.solver = t.takeSolver(nil)
@@ -336,18 +332,12 @@ func (t *Tree) insert(n *Node, ctx *insertCtx) error {
 		return nil
 	}
 	// Push this node's label and cover set onto the DFS state.
-	savedCons := len(ctx.cons)
-	savedPos := ctx.pos
-	pushedNeg := pushHalfspaces(ctx, n)
+	savedCons, savedPos, savedDomNeg := len(ctx.cons), ctx.pos, ctx.domNeg
+	pushHalfspaces(ctx, n)
 	defer func() {
 		ctx.cons = ctx.cons[:savedCons]
 		ctx.pos = savedPos
-		for _, id := range pushedNeg {
-			ctx.negIDs[id]--
-			if ctx.negIDs[id] == 0 {
-				delete(ctx.negIDs, id)
-			}
-		}
+		ctx.domNeg = savedDomNeg
 	}()
 
 	// Rank-based elimination (Algorithm 1 lines 12-13).
@@ -358,14 +348,10 @@ func (t *Tree) insert(n *Node, ctx *insertCtx) error {
 
 	// Dominance-graph shortcut: a processed dominator's negative halfspace
 	// on the path implies case II outright.
-	if ctx.domIDs != nil {
-		for id := range ctx.domIDs {
-			if ctx.negIDs[id] > 0 {
-				n.Cover = append(n.Cover, geom.Halfspace{H: ctx.h, Sign: geom.Negative})
-				ctx.stats.DomShortcuts++
-				return nil
-			}
-		}
+	if ctx.domNeg > 0 {
+		n.Cover = append(n.Cover, geom.Halfspace{H: ctx.h, Sign: geom.Negative})
+		ctx.stats.DomShortcuts++
+		return nil
 	}
 
 	var negWitness, posWitness geom.Vector
@@ -489,28 +475,25 @@ func (t *Tree) insert(n *Node, ctx *insertCtx) error {
 	return nil
 }
 
-// pushHalfspaces folds n's label and cover set into the DFS state and
-// returns the record IDs whose negative halfspaces were pushed.
-func pushHalfspaces(ctx *insertCtx, n *Node) []int {
-	var negPushed []int
+// pushHalfspaces folds n's label and cover set into the DFS state.
+func pushHalfspaces(ctx *insertCtx, n *Node) {
 	if n.HasLabel {
 		ctx.cons = append(ctx.cons, n.Label.AsConstraint())
-		if n.Label.Sign == geom.Positive {
-			ctx.pos++
-		} else {
-			ctx.negIDs[n.Label.H.ID]++
-			negPushed = append(negPushed, n.Label.H.ID)
-		}
+		pushSign(ctx, n.Label)
 	}
 	for _, hs := range n.Cover {
-		if hs.Sign == geom.Positive {
-			ctx.pos++
-		} else {
-			ctx.negIDs[hs.H.ID]++
-			negPushed = append(negPushed, hs.H.ID)
-		}
+		pushSign(ctx, hs)
 	}
-	return negPushed
+}
+
+// pushSign counts hs toward the path's positive halfspaces or, when it is
+// the negative halfspace of one of h's dominators, toward domNeg.
+func pushSign(ctx *insertCtx, hs geom.Halfspace) {
+	if hs.Sign == geom.Positive {
+		ctx.pos++
+	} else if slices.Contains(ctx.domIDs, hs.H.ID) {
+		ctx.domNeg++
+	}
 }
 
 // testSide runs the Lemma-2 feasibility test for N ∩ h^sign on the task's

@@ -248,7 +248,7 @@ func TestDominanceShortcut(t *testing.T) {
 		t.Fatal(err)
 	}
 	before := tr.Stats.DomShortcuts
-	if err := tr.Insert(h2, map[int]bool{1: true}); err != nil {
+	if err := tr.Insert(h2, []int{1}); err != nil {
 		t.Fatal(err)
 	}
 	if tr.Stats.DomShortcuts <= before {

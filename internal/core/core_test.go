@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/dataset"
@@ -74,6 +75,38 @@ func checkOracle(t *testing.T, res *Result, recs []geom.Vector, focal geom.Vecto
 			}
 			t.Fatalf("oracle violation at wt=%v: rank=%d k=%d inRegions=%v (algo=%v space=%v)",
 				wt, rank, k, in, res.Stats, res.Space)
+		}
+	}
+}
+
+// checkRegionRanks compares the rank every exact-rank region claims with
+// the brute-force rank at perRegion random convex combinations of its
+// vertices, points strictly inside it. A cell reported while a
+// competitor's hyperplane still cuts it fails here even when the union of
+// the regions, all checkOracle samples, is right. Regions need their
+// vertices (FinalizeGeometry) and transformed-space coordinates.
+func checkRegionRanks(t *testing.T, res *Result, recs []geom.Vector, focal geom.Vector, focalID int, rng *rand.Rand, perRegion int) {
+	t.Helper()
+	for i, reg := range res.Regions {
+		if !reg.RankExact {
+			continue
+		}
+		for s := 0; s < perRegion; s++ {
+			wt := make(geom.Vector, len(focal)-1)
+			var sum float64
+			for _, v := range reg.Vertices {
+				c := rng.ExpFloat64()
+				sum += c
+				for j := range wt {
+					wt[j] += c * v[j]
+				}
+			}
+			for j := range wt {
+				wt[j] /= sum
+			}
+			if rank, ok := bruteRank(recs, focal, focalID, geom.Lift(wt), 1e-9); ok && rank != reg.Rank {
+				t.Fatalf("region %d claims rank %d, rank is %d at its interior point %v", i, reg.Rank, rank, wt)
+			}
 		}
 	}
 }
@@ -155,6 +188,82 @@ func TestOracleAcrossDistributions(t *testing.T) {
 			t.Fatalf("%s: %v", dist, err)
 		}
 		checkOracle(t, res, ds.Records, ds.Records[focalID], focalID, 5, rng, 300)
+	}
+}
+
+// deepFocals returns IND n=1000, d=4 (seed 1) and three focals spread
+// evenly over its 5-skyband in id order. Their queries have about 230
+// candidates, so the reportability test's bitsets span four words.
+func deepFocals(t *testing.T) (*rtree.Tree, []geom.Vector, []int) {
+	t.Helper()
+	tr, recs := buildIND(t, 1000, 4, 1)
+	band := tr.KSkybandExcluding(5, -1)
+	focals := make([]int, 3)
+	for i := range focals {
+		focals[i] = band[(2*i+1)*len(band)/(2*len(focals))]
+	}
+	return tr, recs, focals
+}
+
+// TestOraclePastOneBitsetWord runs the progressive algorithms on queries
+// with more than 64 candidates; every other oracle test has fewer. A
+// reportability test that misses an escapee mostly reports a cell some
+// hyperplane still cuts, so the region ranks are checked too.
+func TestOraclePastOneBitsetWord(t *testing.T) {
+	rng := rand.New(rand.NewSource(1300))
+	tr, recs, focals := deepFocals(t)
+	for _, focalID := range focals {
+		for _, algo := range []Algorithm{PCTA, LPCTA} {
+			for _, par := range []int{1, 2} {
+				res, err := Run(tr, recs[focalID], focalID, Options{K: 5, Algorithm: algo, Parallelism: par, FinalizeGeometry: true})
+				if err != nil {
+					t.Fatalf("%v focal %d: %v", algo, focalID, err)
+				}
+				checkOracle(t, res, recs, recs[focalID], focalID, 5, rng, 400)
+				checkRegionRanks(t, res, recs, recs[focalID], focalID, rng, 8)
+			}
+		}
+	}
+}
+
+// TestProgressiveWorkPinned pins the progressive engine's work on fixed
+// queries, at parallelism 1 and 2. A reportability test that never
+// reports early still returns correct answers, so only the counts show it.
+func TestProgressiveWorkPinned(t *testing.T) {
+	tr, recs, focals := deepFocals(t)
+	if !slices.Equal(focals, []int{177, 495, 842}) {
+		t.Fatalf("focals %v, want [177 495 842]", focals)
+	}
+	work := func(s Stats) Stats {
+		return Stats{
+			ProcessedRecords: s.ProcessedRecords, CellTreeNodes: s.CellTreeNodes, Batches: s.Batches,
+			DomShortcuts: s.DomShortcuts, CellsPruned: s.CellsPruned, RankBoundCells: s.RankBoundCells,
+			EarlyReported: s.EarlyReported, EarlyPruned: s.EarlyPruned,
+		}
+	}
+	for _, c := range []struct {
+		focal int
+		algo  Algorithm
+		want  Stats
+	}{
+		{177, PCTA, Stats{ProcessedRecords: 20, CellTreeNodes: 17, Batches: 1, CellsPruned: 9}},
+		{177, LPCTA, Stats{ProcessedRecords: 20, CellTreeNodes: 17, Batches: 1, CellsPruned: 9}},
+		{495, PCTA, Stats{ProcessedRecords: 107, CellTreeNodes: 397, Batches: 3, DomShortcuts: 4, CellsPruned: 168}},
+		{495, LPCTA, Stats{ProcessedRecords: 107, CellTreeNodes: 395, Batches: 3, DomShortcuts: 4, CellsPruned: 222,
+			RankBoundCells: 94, EarlyPruned: 57}},
+		{842, PCTA, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52, CellsPruned: 379}},
+		{842, LPCTA, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52, CellsPruned: 461,
+			RankBoundCells: 220, EarlyReported: 1, EarlyPruned: 83}},
+	} {
+		for _, par := range []int{1, 2} {
+			res, err := Run(tr, recs[c.focal], c.focal, Options{K: 5, Algorithm: c.algo, Parallelism: par})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := work(res.Stats); got != c.want {
+				t.Errorf("%v focal %d parallelism %d: work %+v, want %+v", c.algo, c.focal, par, got, c.want)
+			}
+		}
 	}
 }
 
@@ -359,7 +468,7 @@ func TestPCTAProcessesFewerRecordsThanCTA(t *testing.T) {
 	if pctaRes.Stats.ProcessedRecords > bandRes.Stats.ProcessedRecords {
 		t.Fatalf("P-CTA processed %d > k-skyband %d", pctaRes.Stats.ProcessedRecords, bandRes.Stats.ProcessedRecords)
 	}
-	// Lemma 6: P-CTA never processes a record dominated by k or more others.
+	// The k-skyband filter (Lemma 6) drops records CTA inserts.
 	if bandRes.Stats.ProcessedRecords >= ctaRes.Stats.ProcessedRecords {
 		t.Fatalf("k-skyband %d >= CTA %d", bandRes.Stats.ProcessedRecords, ctaRes.Stats.ProcessedRecords)
 	}

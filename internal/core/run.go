@@ -5,13 +5,13 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"strconv"
 	"sync"
 	"time"
 
 	"repro/internal/celltree"
 	"repro/internal/dominance"
 	"repro/internal/geom"
+	"repro/internal/kernel"
 	"repro/internal/lp"
 	"repro/internal/rtree"
 )
@@ -110,12 +110,13 @@ type runner struct {
 	ct      *celltree.Tree
 	lpStats lp.Stats
 	// boundsIdx is the candidate index LP-CTA's look-ahead rank bounds
-	// traverse: the candIndex tree, an aggregate R-tree over exactly this
-	// query's non-skip k-skyband in ascending dataset id. The bound
-	// decisions (group MBRs, counts, traversal order) are therefore a pure
-	// function of the candidate set, identical across dataset generations
-	// that leave it untouched (incremental maintenance's keep-path
-	// guarantee). nil when the query has no candidates or no look-ahead.
+	// traverse: an aggregate R-tree over exactly this query's non-skip
+	// k-skyband in ascending dataset id, the pivot checks' candidates. The
+	// bound decisions (group MBRs, counts, traversal order) are therefore a
+	// pure function of the candidate set, identical across dataset
+	// generations that leave it untouched (incremental maintenance's
+	// keep-path guarantee). nil when the query has no candidates or no
+	// look-ahead.
 	boundsIdx *rtree.Tree
 	// solver is the coordinating goroutine's reusable LP workspace, drawn
 	// from querySolverPool on first use; engine workers get their own (see
@@ -290,35 +291,6 @@ func (r *runner) run() (*Result, error) {
 	return r.finish(), nil
 }
 
-// maximalPivots appends to dst the pivots in ids (ascending) that no other
-// pivot in ids dominates: by transitivity the dominated ones' dominance
-// regions are subsumed, so the AnyNotDominated check is unchanged while the
-// per-entry dominance tests shrink drastically.
-func maximalPivots(dst, ids []int, dg *dominance.Graph) []int {
-	for _, id := range ids {
-		maximal := true
-		for _, dom := range dg.Dominators(id) {
-			if _, in := slices.BinarySearch(ids, dom); in {
-				maximal = false
-				break
-			}
-		}
-		if maximal {
-			dst = append(dst, id)
-		}
-	}
-	return dst
-}
-
-// appendPivotKey appends the cache key of an ascending pivot id list to b.
-func appendPivotKey(b []byte, ids []int) []byte {
-	for _, id := range ids {
-		b = strconv.AppendInt(b, int64(id), 10)
-		b = append(b, ',')
-	}
-	return b
-}
-
 // hyperplane maps record id to its hyperplane in the processing space.
 func (r *runner) hyperplane(id int) geom.Hyperplane {
 	rec := r.tree.Records[id]
@@ -340,18 +312,13 @@ func (r *runner) allCandidateIDs() []int {
 	return ids
 }
 
-// kSkybandCandidates returns the K-skyband of the dataset with the focal
-// record excluded, in ascending id order. It is read from the tree's band
-// table, which the generation's first query deep enough fills (or the
-// warm-loaded index brings), so every later query is a table scan.
-func (r *runner) kSkybandCandidates() []int {
-	return r.tree.KSkybandExcluding(r.opts.K, r.focalID)
-}
-
 // kSkybandIDs returns the K-skyband of the dataset minus skipped records
-// (Appendix B: by Lemma 6 only these can matter).
+// (Appendix B: by Lemma 6 only these can matter), in ascending id order.
+// The band is read from the tree's band table, which the generation's
+// first query deep enough fills (or the warm-loaded index brings), so
+// every later query is a table scan.
 func (r *runner) kSkybandIDs() []int {
-	band := r.kSkybandCandidates()
+	band := r.tree.KSkybandExcluding(r.opts.K, r.focalID)
 	ids := band[:0]
 	for _, id := range band {
 		if !r.skip(id) {
@@ -361,47 +328,84 @@ func (r *runner) kSkybandIDs() []int {
 	return ids
 }
 
-// candIndex is the candidate record index the progressive algorithms run
-// their pivot reportability checks against: an aggregate R-tree whose
-// record id ci maps to dataset id orig[ci]. A nil candIndex means no
-// candidates at all.
-type candIndex struct {
-	tree *rtree.Tree
-	orig []int
+// escapeCheck is the Lemma 5 reportability test of the progressive
+// algorithms, run over bitsets. Bit i stands for candidate i: the query's
+// non-skip K-skyband in ascending id (only K-skyband records can matter:
+// Lemma 6's argument extends to the test, since a non-skyband escapee
+// implies either a skyband escapee or enough accounted dominators to
+// disqualify the cell). open holds the candidates not yet processed.
+// Every record inserted into the cell tree owns a row of the same width,
+// the candidates it dominates, filled word by word the first time a test
+// reads that word. A cell's pivots let a candidate escape iff open minus
+// the OR of their rows is non-empty.
+type escapeCheck struct {
+	d, words int
+	ids      []int     // candidate dataset ids, ascending
+	cands    []float64 // candidate records, row-major
+	open     []uint64
+	slot     map[int]int // inserted record id -> its row
+	inserted []float64   // inserted records, row-major by row
+	rows     []uint64    // row s is rows[s*words : (s+1)*words]
+	filled   []int       // leading words of row s filled so far
+	scratch  []int       // a cell's pivot rows
 }
 
-// anyUnprocessedEscapes reports whether some still-unprocessed candidate
-// escapes the pivots' dominance regions (the Lemma 5 reportability test).
-func (ci *candIndex) anyUnprocessedEscapes(pivots []geom.Vector, processed map[int]bool) bool {
-	if ci == nil {
-		return false
+// newEscapeCheck packs the candidates ids (ascending) of the d-dimensional
+// records recs, all of them open.
+func newEscapeCheck(ids []int, recs []geom.Vector, d int) *escapeCheck {
+	e := &escapeCheck{d: d, words: (len(ids) + 63) / 64, ids: ids, slot: make(map[int]int)}
+	e.open = make([]uint64, e.words)
+	e.cands = make([]float64, 0, len(ids)*d)
+	for i, id := range ids {
+		e.cands = append(e.cands, recs[id]...)
+		e.open[i/64] |= 1 << (i % 64)
 	}
-	return ci.tree.AnyNotDominated(pivots, func(i int) bool { return processed[ci.orig[i]] })
+	return e
 }
 
-// buildCandIndex assembles the candidate index for this query: only
-// K-skyband records can matter (Lemma 6's argument extends to the
-// reportability test: a non-skyband escapee implies either a skyband
-// escapee or enough accounted dominators to disqualify the cell). The
-// index is a dedicated tree over just this query's candidates.
-func (r *runner) buildCandIndex() (*candIndex, error) {
-	candIDs := r.kSkybandCandidates()
-	candRecs := make([]geom.Vector, 0, len(candIDs))
-	candOrig := make([]int, 0, len(candIDs))
-	for _, id := range candIDs {
-		if !r.skip(id) {
-			candRecs = append(candRecs, r.tree.Records[id])
-			candOrig = append(candOrig, id)
+// process closes candidate id's bit; other ids are ignored.
+func (e *escapeCheck) process(id int) {
+	if i, ok := slices.BinarySearch(e.ids, id); ok {
+		e.open[i/64] &^= 1 << (i % 64)
+	}
+}
+
+// add gives the record id, with values v, an unfilled row.
+func (e *escapeCheck) add(id int, v geom.Vector) {
+	e.slot[id] = len(e.filled)
+	e.filled = append(e.filled, 0)
+	e.rows = append(e.rows, make([]uint64, e.words)...)
+	e.inserted = append(e.inserted, v...)
+}
+
+// escapes reports whether some open candidate is dominated by none of
+// pivots, ids of added records. Each word stops at the first pivot that
+// empties it, and the test at the first word left non-empty.
+func (e *escapeCheck) escapes(pivots []int) bool {
+	rows := e.scratch[:0]
+	for _, id := range pivots {
+		rows = append(rows, e.slot[id])
+	}
+	e.scratch = rows
+	d := e.d
+	for w, open := range e.open {
+		for _, s := range rows {
+			if open == 0 {
+				break
+			}
+			row := e.rows[s*e.words : (s+1)*e.words]
+			if f := e.filled[s]; f <= w {
+				lo, hi := f*64*d, min((w+1)*64*d, len(e.cands))
+				kernel.DominatedBits(e.cands[lo:hi], d, e.inserted[s*d:(s+1)*d], row[f:w+1])
+				e.filled[s] = w + 1
+			}
+			open &^= row[w]
+		}
+		if open != 0 {
+			return true
 		}
 	}
-	if len(candRecs) == 0 {
-		return nil, nil
-	}
-	tree, err := rtree.Build(candRecs)
-	if err != nil {
-		return nil, err
-	}
-	return &candIndex{tree: tree, orig: candOrig}, nil
+	return false
 }
 
 // runCTA inserts the given records' hyperplanes one by one (§4).
@@ -436,16 +440,22 @@ func (r *runner) runProgressive() error {
 	dg := dominance.New()
 	processed := make(map[int]bool)
 
-	// Candidate index for the pivot checks; LP-CTA's rank bounds walk the
-	// same tree.
+	// The pivot checks' candidates; LP-CTA's rank bounds walk an R-tree
+	// over the same records.
 	bandSpan := r.opts.Trace.Span(PhaseSkyband)
-	cand, err := r.buildCandIndex()
-	if err != nil {
-		return err
-	}
+	cands := r.kSkybandIDs()
+	esc := newEscapeCheck(cands, r.tree.Records, r.tree.Dim)
 	lookahead := r.opts.Algorithm == LPCTA
-	if lookahead && cand != nil {
-		r.boundsIdx = cand.tree
+	if lookahead && len(cands) > 0 {
+		recs := make([]geom.Vector, len(cands))
+		for i, id := range cands {
+			recs[i] = r.tree.Records[id]
+		}
+		idx, err := rtree.Build(recs)
+		if err != nil {
+			return err
+		}
+		r.boundsIdx = idx
 	}
 
 	// First batch: the skyline of the competing records (Invariant 1).
@@ -455,11 +465,8 @@ func (r *runner) runProgressive() error {
 	r.ct.TakeFreshLeaves() // the root cell's bounds are trivially [1, n]
 
 	// Pivot-check scratch, reused across every leaf of every batch: a
-	// leaf's pivot and non-pivot ids, its maximal pivots, their cache key
-	// and their records.
-	var neg, pos, maximal []int
-	var key []byte
-	var pivots []geom.Vector
+	// leaf's pivot and non-pivot ids.
+	var neg, pos []int
 	for len(batch) > 0 && !r.ct.Done() {
 		r.result.Stats.Batches++
 		sort.Ints(batch)
@@ -473,21 +480,15 @@ func (r *runner) runProgressive() error {
 			}
 			h := r.hyperplane(id)
 			processed[id] = true
+			esc.process(id)
 			if h.Kind != geom.Proper {
 				continue
 			}
 			dg.Add(id, r.tree.Records[id])
-			dom := dg.Dominators(id)
-			var domSet map[int]bool
-			if len(dom) > 0 {
-				domSet = make(map[int]bool, len(dom))
-				for _, d := range dom {
-					domSet[d] = true
-				}
-			}
-			if err := r.ct.Insert(h, domSet); err != nil {
+			if err := r.ct.Insert(h, dg.Dominators(id)); err != nil {
 				return err
 			}
+			esc.add(id, r.tree.Records[id])
 			r.result.Stats.ProcessedRecords++
 		}
 		expandSpan.End()
@@ -513,9 +514,6 @@ func (r *runner) runProgressive() error {
 		np := make(map[int]bool)
 		var reportErr error
 		var toReport, toPrune []*celltree.Node
-		// The pivot check depends only on the (maximal) pivot set, which
-		// many sibling cells share; cache it per batch.
-		checkCache := make(map[string]bool)
 		r.ct.LiveLeaves(func(c *celltree.Node) bool {
 			if r.ct.Rank(c) > r.kAdj {
 				// Rank grew past the budget through an ancestor's cover set
@@ -524,18 +522,7 @@ func (r *runner) runProgressive() error {
 				return true
 			}
 			neg, pos = r.ct.PivotSets(c, neg[:0], pos[:0])
-			maximal = maximalPivots(maximal[:0], neg, dg)
-			key = appendPivotKey(key[:0], maximal)
-			affected, seen := checkCache[string(key)]
-			if !seen {
-				pivots = pivots[:0]
-				for _, id := range maximal {
-					pivots = append(pivots, r.tree.Records[id])
-				}
-				affected = cand.anyUnprocessedEscapes(pivots, processed)
-				checkCache[string(key)] = affected
-			}
-			if affected {
+			if esc.escapes(neg) {
 				// Some unprocessed record may still affect c.
 				for _, id := range pos {
 					np[id] = true

@@ -1,6 +1,7 @@
 // Package kernel provides the flat-array dominance kernels behind the
-// large-n hot paths: R-tree skyline/k-skyband filtering and the
-// progressive dominance graph.
+// large-n hot paths: R-tree skyline/k-skyband filtering, the progressive
+// dominance graph, and the per-record candidate bitsets of P-CTA's
+// reportability test.
 //
 // The package exists because the naive representation — a slice of
 // per-record []float64 slices — costs one pointer chase per record per
@@ -8,7 +9,8 @@
 // Kernels here operate on one dense row-major layout instead:
 // vals[i*d+j] is attribute j of record i — the layout the R-tree packs
 // its records into, the layout the accumulating band scratch (Band)
-// uses, and the layout the dominance graph appends to.
+// uses, the layout the dominance graph appends to, and the layout a
+// P-CTA query packs its candidates into once.
 //
 // Inner loops are branch-light: dominance is evaluated with comparison
 // counters (compiled to conditional moves on amd64, and to wider vector
@@ -51,6 +53,23 @@ func dominatesFlat(a, x []float64, d int) bool {
 		}
 	}
 	return ge == d && gt > 0
+}
+
+// DominatedBits overwrites every word of dst with one bit per row of the
+// row-major rows: bit i%64 of dst[i/64] is set iff v dominates row i.
+// Words past the last row come out zero.
+func DominatedBits(rows []float64, d int, v []float64, dst []uint64) {
+	for w := range dst {
+		var word uint64
+		off := w * 64 * d
+		end := min(off+64*d, len(rows))
+		for b := 0; off < end; b, off = b+1, off+d {
+			if dominatesFlat(v, rows[off:off+d], d) {
+				word |= 1 << b
+			}
+		}
+		dst[w] = word
+	}
 }
 
 // Band is a grow-only accumulator of flat row-major records used by the

@@ -97,5 +97,28 @@ func TestKernelsMatchReference(t *testing.T) {
 		if band.Len() != n {
 			t.Fatalf("trial %d: band length %d, want %d", trial, band.Len(), n)
 		}
+
+		// Row bitsets over up to 200 rows, so several words fill; every
+		// word is overwritten, the one past the last row with zero.
+		m := 1 + rng.Intn(200)
+		others := genRecords(rng, m, d, ties)
+		flat := PackRows(others, d)
+		dst := make([]uint64, (m+63)/64+1)
+		for probe := 0; probe < 8; probe++ {
+			v := recs[rng.Intn(n)]
+			if probe%2 == 1 {
+				v = others[rng.Intn(m)]
+			}
+			for w := range dst {
+				dst[w] = ^uint64(0)
+			}
+			DominatedBits(flat, d, v, dst)
+			for i := 0; i < 64*len(dst); i++ {
+				want := i < m && geom.Dominates(v, others[i])
+				if got := dst[i/64]>>(i%64)&1 == 1; got != want {
+					t.Fatalf("trial %d: DominatedBits bit %d of %d rows = %v, want %v", trial, i, m, got, want)
+				}
+			}
+		}
 	}
 }

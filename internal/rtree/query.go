@@ -287,41 +287,3 @@ func coversOrEqual(x, y geom.Vector) bool {
 	}
 	return true
 }
-
-// AnyNotDominated reports whether some record (with exclude(id) false) is
-// dominated by NONE of the pivot vectors. This powers the early-reporting
-// test of P-CTA (Lemma 5): if no unprocessed record escapes the pivots'
-// dominance regions, the cell can be reported immediately. A subtree is
-// pruned when its max-corner is dominated by a pivot, since every record
-// inside is then dominated too.
-func (t *Tree) AnyNotDominated(pivots []geom.Vector, exclude ExcludeFunc) bool {
-	// Flatten the pivot set once so the per-entry dominance tests inside
-	// the walk run over contiguous memory.
-	pb := kernel.NewBand(t.Dim)
-	for _, p := range pivots {
-		pb.Push(p)
-	}
-	var walk func(n *Node) bool
-	walk = func(n *Node) bool {
-		t.visit(n)
-		for _, e := range n.Entries {
-			if pb.AnyDominates(e.High) {
-				continue
-			}
-			if e.Child != nil {
-				if walk(e.Child) {
-					return true
-				}
-				continue
-			}
-			if exclude != nil && exclude(e.RecordID) {
-				continue
-			}
-			if !pb.AnyDominates(t.Records[e.RecordID]) {
-				return true
-			}
-		}
-		return false
-	}
-	return walk(t.Root)
-}

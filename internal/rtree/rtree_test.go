@@ -411,32 +411,6 @@ func TestDominators(t *testing.T) {
 	}
 }
 
-func TestAnyNotDominated(t *testing.T) {
-	recs := []geom.Vector{
-		{0.9, 0.9}, // dominates everything else
-		{0.5, 0.5},
-		{0.1, 0.8},
-	}
-	tr, _ := Build(recs, WithFanout(4))
-	// Pivot dominating all records: nothing escapes.
-	if tr.AnyNotDominated([]geom.Vector{{1, 1}}, nil) {
-		t.Fatal("pivot (1,1) dominates all, but AnyNotDominated = true")
-	}
-	// Pivot dominating only low records: record 0 escapes.
-	if !tr.AnyNotDominated([]geom.Vector{{0.6, 0.6}}, nil) {
-		t.Fatal("record (0.9,0.9) escapes pivot (0.6,0.6), but AnyNotDominated = false")
-	}
-	// Same pivot, but record 0 excluded: 0.1,0.8 also escapes (0.8 > 0.6).
-	ex := func(id int) bool { return id == 0 }
-	if !tr.AnyNotDominated([]geom.Vector{{0.6, 0.6}}, ex) {
-		t.Fatal("record (0.1,0.8) escapes pivot (0.6,0.6)")
-	}
-	// Pivots jointly covering everything.
-	if tr.AnyNotDominated([]geom.Vector{{1, 0.95}, {0.95, 1}}, nil) {
-		t.Fatal("joint pivots dominate all records")
-	}
-}
-
 type countTracker struct{ visits int }
 
 func (c *countTracker) Visit(int) { c.visits++ }
