@@ -417,7 +417,9 @@ func runBenchJSON(name, dist string, d, k int, scale float64, queries int, seed 
 		}
 	}
 
-	// The approximate query is part of the serving surface; track it too.
+	// The approximate query is the library's §8 extension; ksprd does not
+	// serve it (EXPERIMENTS.md records why). Time it anyway, so
+	// BENCH_core.json keeps tracking it against the exact engines.
 	var approxTotal int64
 	approxLats := make([]int64, 0, len(focals))
 	for _, f := range focals {

@@ -244,17 +244,60 @@ func TestBatchSharesCacheWithSingleQueries(t *testing.T) {
 	if !qr.Cached {
 		t.Fatal("single query primed by a batch item must be served from cache")
 	}
+}
 
-	// An exact single query that sets epsilon (read only by approx)
-	// primes the same entry as a batch item.
-	resp, body = postJSON(t, ts.URL+"/v1/kspr", queryRequest{Dataset: "ind", Focal: 9, K: 5, Epsilon: 0.5})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("prime with epsilon: status %d: %s", resp.StatusCode, body)
+// TestOneCacheEntryPerQuery: every request form of one query resolves to
+// one result-cache entry, whichever form primes it: GET and POST, a focal
+// vector as a single query and as a batch item, a batch item with its own
+// k, and a volumes query with a seed.
+func TestOneCacheEntryPerQuery(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	loadGenerated(t, ts, "ind", 150, 3, 7)
+
+	// send issues one form: "GET <query string>", "POST <body>", or
+	// "BATCH <header line>\n<item line>".
+	send := func(form string) queryResponse {
+		t.Helper()
+		method, arg, _ := strings.Cut(form, " ")
+		var resp *http.Response
+		var err error
+		switch method {
+		case "GET":
+			resp, err = http.Get(ts.URL + "/v1/kspr?" + arg)
+		case "POST":
+			resp, err = http.Post(ts.URL+"/v1/kspr", "application/json", strings.NewReader(arg))
+		default:
+			line := readBatchLines(t, postNDJSON(t, ts.URL+"/v1/kspr:batch", arg+"\n"))[0]
+			if line.Result == nil {
+				t.Fatalf("%s: %+v", form, line)
+			}
+			return *line.Result
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var qr queryResponse
+		if err := json.NewDecoder(resp.Body).Decode(&qr); err != nil || resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s: status %d, %v", form, resp.StatusCode, err)
+		}
+		return qr
 	}
-	lines = readBatchLines(t, postNDJSON(t, ts.URL+"/v1/kspr:batch",
-		`{"dataset":"ind","k":5}`+"\n"+`{"focal":9}`+"\n"))
-	if lines[0].Error != "" || !lines[0].Result.Cached {
-		t.Fatalf("batch item primed by a single query with epsilon must be served from cache: %+v", lines[0])
+	for _, c := range []struct{ first, second string }{
+		{"GET dataset=ind&focal=4&k=5", `POST {"dataset":"ind","focal":4,"k":5}`},
+		{`POST {"dataset":"ind","focal":6,"k":5,"algorithm":"p-cta"}`, "GET dataset=ind&focal=6&k=5&algorithm=pcta"},
+		{`POST {"dataset":"ind","focal_vector":[0.5,0.6,0.7],"k":3}`,
+			"BATCH " + `{"dataset":"ind","k":3}` + "\n" + `{"focal_vector":[0.5,0.6,0.7]}`},
+		{"BATCH " + `{"dataset":"ind","k":5}` + "\n" + `{"focal":8,"k":2}`, `POST {"dataset":"ind","focal":8,"k":2}`},
+		{"BATCH " + `{"dataset":"ind","k":4,"volumes":true,"volume_samples":500,"seed":3}` + "\n" + `{"focal":9}`,
+			"GET dataset=ind&focal=9&k=4&volumes=true&volume_samples=500&seed=3"},
+	} {
+		if send(c.first).Cached {
+			t.Fatalf("%s: the priming request claims cached", c.first)
+		}
+		if !send(c.second).Cached {
+			t.Fatalf("%s missed the entry made by %s", c.second, c.first)
+		}
 	}
 }
 
@@ -322,32 +365,30 @@ func TestBatchEnvelopeErrors(t *testing.T) {
 	}
 }
 
-// TestBatchApprox: approx batches fan out per item (not through KSPRBatch),
-// reject the original space like the single-query path, and never consume
-// CPU-budget slots.
+// TestBatchApprox: a batch envelope that asks for approx, or sets its
+// epsilon, is rejected whole, in both wire forms.
 func TestBatchApprox(t *testing.T) {
-	srv, ts := newTestServer(t, Config{CPUSlots: 2, MaxParallelism: 8})
+	_, ts := newTestServer(t, Config{})
 	loadGenerated(t, ts, "ind", 150, 3, 7)
 
-	resp := postNDJSON(t, ts.URL+"/v1/kspr:batch",
-		`{"dataset":"ind","k":4,"algorithm":"approx","space":"original"}`+"\n"+`{"focal":1}`+"\n")
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusBadRequest {
-		t.Fatalf("approx+original: status %d, want 400", resp.StatusCode)
-	}
-
-	lines := readBatchLines(t, postNDJSON(t, ts.URL+"/v1/kspr:batch",
-		`{"dataset":"ind","k":4,"algorithm":"approx","parallelism":4}`+"\n"+`{"focal":1}`+"\n"+`{"focal":4}`+"\n"))
-	for i := 0; i < 2; i++ {
-		if lines[i].Error != "" {
-			t.Fatalf("approx item %d: %s", i, lines[i].Error)
+	for _, header := range []string{
+		`{"dataset":"ind","k":4,"algorithm":"approx"}`,
+		`{"dataset":"ind","k":4,"epsilon":0.05}`,
+	} {
+		resp := postNDJSON(t, ts.URL+"/v1/kspr:batch", header+"\n"+`{"focal":1}`+"\n")
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("ndjson %s: status %d, want 400", header, resp.StatusCode)
 		}
-		if lines[i].Result.Algorithm != "approx" {
-			t.Fatalf("approx item %d reports algorithm %q", i, lines[i].Result.Algorithm)
+		inline := strings.TrimSuffix(header, "}") + `,"queries":[{"focal":1}]}`
+		resp, err := http.Post(ts.URL+"/v1/kspr:batch", "application/json", strings.NewReader(inline))
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if used := srv.cpu.InUse(); used != 0 {
-		t.Fatalf("approx batch leaked %d CPU-budget slots", used)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest {
+			t.Errorf("json %s: status %d, want 400", inline, resp.StatusCode)
+		}
 	}
 }
 

@@ -49,10 +49,9 @@ type queryRequest struct {
 	// set, Focal is ignored.
 	FocalVector []float64 `json:"focal_vector,omitempty"`
 	K           int       `json:"k"`
-	Algorithm   string    `json:"algorithm,omitempty"` // cta | p-cta | lp-cta | k-skyband | approx
+	Algorithm   string    `json:"algorithm,omitempty"` // cta | p-cta | lp-cta | k-skyband
 	Space       string    `json:"space,omitempty"`     // transformed | original
 	Bounds      string    `json:"bounds,omitempty"`    // fast | group | record
-	Epsilon     float64   `json:"epsilon,omitempty"`   // approx accuracy target
 	// Volumes measures every region (exact for preference spaces of up to
 	// 3 dimensions, Monte-Carlo above); VolumeSamples bounds the Monte-Carlo sample
 	// count (0 = library default, 10000). Both are part of the cache key.
@@ -100,18 +99,15 @@ type statsWire struct {
 }
 
 type queryResponse struct {
-	Dataset         string       `json:"dataset"`
-	Generation      uint64       `json:"generation"`
-	Focal           int          `json:"focal"`
-	K               int          `json:"k"`
-	Algorithm       string       `json:"algorithm"`
-	Space           string       `json:"space"`
-	Regions         []regionWire `json:"regions"`
-	UncertainCount  int          `json:"uncertain_regions,omitempty"`
-	UncertainVolume float64      `json:"uncertain_volume,omitempty"`
-	Converged       *bool        `json:"converged,omitempty"`
-	Stats           statsWire    `json:"stats"`
-	Cached          bool         `json:"cached"`
+	Dataset    string       `json:"dataset"`
+	Generation uint64       `json:"generation"`
+	Focal      int          `json:"focal"`
+	K          int          `json:"k"`
+	Algorithm  string       `json:"algorithm"`
+	Space      string       `json:"space"`
+	Regions    []regionWire `json:"regions"`
+	Stats      statsWire    `json:"stats"`
+	Cached     bool         `json:"cached"`
 	// Trace carries the engine phase breakdown under ?debug=trace.
 	Trace *traceWire `json:"trace,omitempty"`
 }
@@ -132,16 +128,15 @@ type batchRequest struct {
 	Dataset string       `json:"dataset"`
 	Queries []batchQuery `json:"queries,omitempty"`
 	// K is the default shortlist size for items that do not set their own.
-	K             int     `json:"k,omitempty"`
-	Algorithm     string  `json:"algorithm,omitempty"`
-	Space         string  `json:"space,omitempty"`
-	Bounds        string  `json:"bounds,omitempty"`
-	Epsilon       float64 `json:"epsilon,omitempty"`
-	Volumes       bool    `json:"volumes,omitempty"`
-	VolumeSamples int     `json:"volume_samples,omitempty"`
-	NoGeometry    bool    `json:"no_geometry,omitempty"`
-	Seed          int64   `json:"seed,omitempty"`
-	TimeoutMs     int     `json:"timeout_ms,omitempty"`
+	K             int    `json:"k,omitempty"`
+	Algorithm     string `json:"algorithm,omitempty"`
+	Space         string `json:"space,omitempty"`
+	Bounds        string `json:"bounds,omitempty"`
+	Volumes       bool   `json:"volumes,omitempty"`
+	VolumeSamples int    `json:"volume_samples,omitempty"`
+	NoGeometry    bool   `json:"no_geometry,omitempty"`
+	Seed          int64  `json:"seed,omitempty"`
+	TimeoutMs     int    `json:"timeout_ms,omitempty"`
 	// ItemTimeoutMs bounds each item's processing time individually
 	// (measured from when the item starts running, not from request
 	// arrival), so one pathological item 504s on its own line instead of
@@ -310,20 +305,18 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-func parseAlgorithm(s string) (kspr.Algorithm, bool, error) {
+func parseAlgorithm(s string) (kspr.Algorithm, error) {
 	switch strings.ToLower(s) {
 	case "", "lp-cta", "lpcta":
-		return kspr.LPCTA, false, nil
+		return kspr.LPCTA, nil
 	case "cta":
-		return kspr.CTA, false, nil
+		return kspr.CTA, nil
 	case "p-cta", "pcta":
-		return kspr.PCTA, false, nil
+		return kspr.PCTA, nil
 	case "k-skyband", "kskyband":
-		return kspr.KSkybandCTA, false, nil
-	case "approx":
-		return kspr.LPCTA, true, nil
+		return kspr.KSkybandCTA, nil
 	default:
-		return 0, false, fmt.Errorf("unknown algorithm %q", s)
+		return 0, fmt.Errorf("unknown algorithm %q (want cta, p-cta, lp-cta, k-skyband)", s)
 	}
 }
 
@@ -448,76 +441,132 @@ func (s *Server) handleDatasetUnload(w http.ResponseWriter, r *http.Request) {
 
 // ---- kSPR query ----------------------------------------------------------
 
-// cacheKey canonicalizes a query into the result-cache key: it is built
-// from the PARSED algorithm/space/bounds, so spelling variants of the
-// same query ("lp-cta", "lpcta", "") share one entry, and from only the
-// parameters that can change the answer: the effective epsilon enters
-// for approx queries alone, and the seed only when Monte-Carlo volumes
-// are on. The generation prefix makes reloads invalidate implicitly.
-func cacheKey(snap *Snapshot, req queryRequest, algo kspr.Algorithm, approx bool,
-	space kspr.Space, bounds kspr.BoundsMode, eps float64) string {
+// querySpec is what decides a kSPR answer besides k and the focal,
+// parsed once per request or batch envelope and already canonical:
+// spelling variants of one algorithm parse to one value, the volume
+// sample count is normalized, and the seed is zero unless Monte-Carlo
+// volumes read it. It renders both the result-cache key and the engine
+// options, so the two cannot disagree.
+type querySpec struct {
+	algo          kspr.Algorithm
+	space         kspr.Space
+	bounds        kspr.BoundsMode
+	geometry      bool
+	volumes       bool
+	volumeSamples int
+	seed          int64
+}
+
+// parseSpec is the one place the request fields that decide a kSPR
+// answer are validated and canonicalized.
+func parseSpec(algorithm, space, bounds string, volumes bool, volumeSamples int, noGeometry bool, seed int64) (querySpec, error) {
+	spec := querySpec{
+		geometry:      !noGeometry,
+		volumes:       volumes,
+		volumeSamples: normalizeVolumeSamples(volumes, volumeSamples),
+	}
+	if volumes {
+		spec.seed = seed
+	}
+	var err error
+	if spec.algo, err = parseAlgorithm(algorithm); err != nil {
+		return querySpec{}, err
+	}
+	if spec.space, err = parseSpace(space); err != nil {
+		return querySpec{}, err
+	}
+	if spec.bounds, err = parseBounds(bounds); err != nil {
+		return querySpec{}, err
+	}
+	return spec, nil
+}
+
+// ksprKeyPrefix starts every kSPR result-cache key of snap's generation,
+// so a reload or mutation orphans the old keys and migrateCache can scan
+// for them.
+func ksprKeyPrefix(snap *Snapshot) string {
+	return fmt.Sprintf("%s@%d|kspr|", snap.Name, snap.Generation)
+}
+
+// key renders the result-cache key of the query (k, focal) under the spec
+// on snap. focal is the dense id, or -1 for the focal vector vec.
+func (q querySpec) key(snap *Snapshot, k, focal int, vec []float64) string {
 	var b strings.Builder
-	algoName := algo.String()
-	if approx {
-		algoName = "approx"
-	} else {
-		eps = 0
-	}
-	seed := req.Seed
-	if !req.Volumes {
-		seed = 0
-	}
-	fmt.Fprintf(&b, "%s@%d|kspr|k=%d|a=%s|s=%s|b=%s|v=%t|vs=%d|g=%t|e=%g|seed=%d",
-		snap.Name, snap.Generation, req.K,
-		algoName, space.String(), bounds.String(),
-		req.Volumes, req.VolumeSamples, !req.NoGeometry, eps, seed)
-	if req.FocalVector != nil {
+	b.WriteString(ksprKeyPrefix(snap))
+	fmt.Fprintf(&b, "k=%d|a=%s|s=%s|b=%s|v=%t|vs=%d|g=%t|seed=%d",
+		k, q.algo.String(), q.space.String(), q.bounds.String(),
+		q.volumes, q.volumeSamples, q.geometry, q.seed)
+	if vec != nil {
 		b.WriteString("|fv=")
-		for _, v := range req.FocalVector {
+		for _, v := range vec {
 			fmt.Fprintf(&b, "%x,", math.Float64bits(v))
 		}
 	} else {
-		fmt.Fprintf(&b, "|f=%d", req.Focal)
+		fmt.Fprintf(&b, "|f=%d", focal)
 	}
 	return b.String()
 }
 
-// cachedQuery is what the result cache stores: the canonical request (the
-// cache key's input, kept so the mutation path can re-key entries across
-// generations), the wire response, and the raw library result (reused by
+// options renders the engine options of one run under the spec.
+func (q querySpec) options(ctx context.Context, parallelism int, trace *obs.Trace) []kspr.QueryOption {
+	opts := []kspr.QueryOption{
+		kspr.WithContext(ctx),
+		kspr.WithAlgorithm(q.algo),
+		kspr.WithSpace(q.space),
+		kspr.WithBoundsMode(q.bounds),
+		kspr.WithSeed(q.seed),
+		kspr.WithParallelism(parallelism),
+		kspr.WithTrace(trace),
+	}
+	if q.volumes {
+		opts = append(opts, kspr.WithVolumes(q.volumeSamples))
+	}
+	if !q.geometry {
+		opts = append(opts, kspr.WithoutGeometry())
+	}
+	return opts
+}
+
+// cachedQuery is what the result cache stores: the spec, k and focal the
+// entry is keyed by (kept so the mutation path can re-key it across
+// generations), the wire response, and the library result (reused by
 // /v1/impact for region-membership sampling). All are immutable once
 // cached.
 type cachedQuery struct {
-	req  queryRequest
-	resp *queryResponse
-	raw  any // *kspr.Result or *kspr.ApproxResult
+	spec  querySpec
+	k     int
+	focal int       // dense id, or -1 for a focal vector
+	vec   []float64 // nil for a focal id
+	resp  *queryResponse
+	res   *kspr.Result
+}
+
+// cachedKSPR looks key up in the result cache and returns a copy of the
+// cached response marked as cached (its regions are shared, immutable).
+func (s *Server) cachedKSPR(key string) (*queryResponse, *kspr.Result, bool) {
+	v, ok := s.cache.Get(key)
+	if !ok {
+		return nil, nil, false
+	}
+	cq := v.(*cachedQuery)
+	resp := *cq.resp
+	resp.Cached = true
+	return &resp, cq.res, true
 }
 
 // runKSPR executes (or serves from cache) one kSPR query on the pool. It
-// returns the wire response plus the raw library result.
-func (s *Server) runKSPR(ctx context.Context, snap *Snapshot, req queryRequest) (*queryResponse, any, error) {
-	algo, approx, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		return nil, nil, err
-	}
-	space, err := parseSpace(req.Space)
-	if err != nil {
-		return nil, nil, err
-	}
-	bounds, err := parseBounds(req.Bounds)
+// returns the wire response plus the library result.
+func (s *Server) runKSPR(ctx context.Context, snap *Snapshot, req queryRequest) (*queryResponse, *kspr.Result, error) {
+	spec, err := parseSpec(req.Algorithm, req.Space, req.Bounds, req.Volumes, req.VolumeSamples, req.NoGeometry, req.Seed)
 	if err != nil {
 		return nil, nil, err
 	}
 	if req.K < 1 {
 		return nil, nil, fmt.Errorf("k must be >= 1, got %d", req.K)
 	}
-	if approx && space == kspr.Original {
-		return nil, nil, fmt.Errorf("approx queries support only the transformed space")
-	}
-	req.VolumeSamples = normalizeVolumeSamples(req.Volumes, req.VolumeSamples)
-	eps := req.Epsilon
-	if eps <= 0 {
-		eps = 0.01
+	focal := req.Focal
+	if req.FocalVector != nil {
+		focal = -1
 	}
 
 	// EXPLAIN-mode requests bypass the cache entirely: a hit would have no
@@ -526,13 +575,10 @@ func (s *Server) runKSPR(ctx context.Context, snap *Snapshot, req queryRequest) 
 	// is by definition not slow.
 	info := reqInfoFrom(ctx)
 	useCache := !req.NoCache && !info.Debug()
-	key := cacheKey(snap, req, algo, approx, space, bounds, eps)
+	key := spec.key(snap, req.K, focal, req.FocalVector)
 	if useCache {
-		if v, ok := s.cache.Get(key); ok {
-			cq := v.(*cachedQuery)
-			resp := *cq.resp // shallow copy: regions are shared, immutable
-			resp.Cached = true
-			return &resp, cq.raw, nil
+		if resp, res, ok := s.cachedKSPR(key); ok {
+			return resp, res, nil
 		}
 	}
 
@@ -548,33 +594,13 @@ func (s *Server) runKSPR(ctx context.Context, snap *Snapshot, req queryRequest) 
 	}
 
 	val, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-		if approx {
-			if req.FocalVector != nil {
-				return snap.DB.KSPRApproxVectorCtx(ctx, req.FocalVector, req.K, eps)
-			}
-			return snap.DB.KSPRApproxCtx(ctx, req.Focal, req.K, eps)
-		}
 		parallelism := 1
 		if ask > 1 {
 			granted := s.cpu.Acquire(ask - 1)
 			defer s.cpu.Release(granted)
 			parallelism = 1 + granted
 		}
-		opts := []kspr.QueryOption{
-			kspr.WithContext(ctx),
-			kspr.WithAlgorithm(algo),
-			kspr.WithSpace(space),
-			kspr.WithBoundsMode(bounds),
-			kspr.WithSeed(req.Seed),
-			kspr.WithParallelism(parallelism),
-			kspr.WithTrace(info.Trace()),
-		}
-		if req.Volumes {
-			opts = append(opts, kspr.WithVolumes(req.VolumeSamples))
-		}
-		if req.NoGeometry {
-			opts = append(opts, kspr.WithoutGeometry())
-		}
+		opts := spec.options(ctx, parallelism, info.Trace())
 		if req.FocalVector != nil {
 			return snap.DB.KSPRVector(req.FocalVector, req.K, opts...)
 		}
@@ -583,37 +609,26 @@ func (s *Server) runKSPR(ctx context.Context, snap *Snapshot, req queryRequest) 
 	if err != nil {
 		return nil, nil, err
 	}
+	res := val.(*kspr.Result)
+	resp := newQueryResponse(snap, spec, req.K, focal, res)
+	if useCache {
+		s.cache.Put(key, &cachedQuery{spec: spec, k: req.K, focal: focal, vec: req.FocalVector, resp: resp, res: res})
+	}
+	return resp, res, nil
+}
 
+// newQueryResponse renders one kSPR result in the wire shape shared by
+// single queries and batch lines; focal is -1 for a focal vector.
+func newQueryResponse(snap *Snapshot, spec querySpec, k, focal int, res *kspr.Result) *queryResponse {
 	resp := &queryResponse{
 		Dataset:    snap.Name,
 		Generation: snap.Generation,
-		Focal:      req.Focal,
-		K:          req.K,
-		Space:      space.String(),
+		Focal:      focal,
+		K:          k,
+		Algorithm:  spec.algo.String(),
+		Space:      spec.space.String(),
+		Regions:    make([]regionWire, len(res.Regions)),
 	}
-	if req.FocalVector != nil {
-		resp.Focal = -1
-	}
-	switch res := val.(type) {
-	case *kspr.Result:
-		resp.Algorithm = algo.String()
-		fillResult(resp, snap, res)
-	case *kspr.ApproxResult:
-		resp.Algorithm = "approx"
-		fillResult(resp, snap, &res.Result)
-		resp.UncertainCount = len(res.Uncertain)
-		resp.UncertainVolume = res.UncertainVolume
-		conv := res.Converged
-		resp.Converged = &conv
-	}
-	if useCache {
-		s.cache.Put(key, &cachedQuery{req: req, resp: resp, raw: val})
-	}
-	return resp, val, nil
-}
-
-func fillResult(resp *queryResponse, snap *Snapshot, res *kspr.Result) {
-	resp.Regions = make([]regionWire, len(res.Regions))
 	for i := range res.Regions {
 		reg := &res.Regions[i]
 		wire := regionWire{
@@ -651,6 +666,7 @@ func fillResult(resp *queryResponse, snap *Snapshot, res *kspr.Result) {
 		Regions:          len(res.Regions),
 		ElapsedMs:        float64(res.Stats.Elapsed) / float64(time.Millisecond),
 	}
+	return resp
 }
 
 func (s *Server) handleKSPR(w http.ResponseWriter, r *http.Request) {
@@ -665,62 +681,53 @@ func (s *Server) handleKSPR(w http.ResponseWriter, r *http.Request) {
 // surface as the POST body (minus focal_vector, which has no natural
 // query-string encoding), convenient for curl and EXPLAIN-mode poking:
 // GET /v1/kspr?dataset=d&focal=3&k=5&algorithm=lp-cta&debug=trace.
+// Like the POST body it rejects names it does not know, so a typo is a
+// 400 rather than a silent default; debug, read by the request
+// middleware, is the one extra name. An empty value means absent.
 func (s *Server) handleKSPRGet(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	req := queryRequest{
-		Dataset:   q.Get("dataset"),
-		Algorithm: q.Get("algorithm"),
-		Space:     q.Get("space"),
-		Bounds:    q.Get("bounds"),
-	}
-	intFields := map[string]*int{
-		"focal": &req.Focal, "k": &req.K,
-		"volume_samples": &req.VolumeSamples,
-		"timeout_ms":     &req.TimeoutMs,
-		"parallelism":    &req.Parallelism,
-	}
-	for name, dst := range intFields {
-		raw := q.Get(name)
+	var req queryRequest
+	for name, vals := range r.URL.Query() {
+		raw := vals[0]
 		if raw == "" {
 			continue
 		}
-		v, err := strconv.Atoi(raw)
+		var err error
+		switch name {
+		case "dataset":
+			req.Dataset = raw
+		case "algorithm":
+			req.Algorithm = raw
+		case "space":
+			req.Space = raw
+		case "bounds":
+			req.Bounds = raw
+		case "focal":
+			req.Focal, err = strconv.Atoi(raw)
+		case "k":
+			req.K, err = strconv.Atoi(raw)
+		case "volume_samples":
+			req.VolumeSamples, err = strconv.Atoi(raw)
+		case "timeout_ms":
+			req.TimeoutMs, err = strconv.Atoi(raw)
+		case "parallelism":
+			req.Parallelism, err = strconv.Atoi(raw)
+		case "volumes":
+			req.Volumes, err = strconv.ParseBool(raw)
+		case "no_geometry":
+			req.NoGeometry, err = strconv.ParseBool(raw)
+		case "no_cache":
+			req.NoCache, err = strconv.ParseBool(raw)
+		case "seed":
+			req.Seed, err = strconv.ParseInt(raw, 10, 64)
+		case "debug":
+		default:
+			writeError(w, http.StatusBadRequest, "unknown query parameter %q", name)
+			return
+		}
 		if err != nil {
 			writeError(w, http.StatusBadRequest, "invalid %s=%q: %v", name, raw, err)
 			return
 		}
-		*dst = v
-	}
-	boolFields := map[string]*bool{
-		"volumes": &req.Volumes, "no_geometry": &req.NoGeometry, "no_cache": &req.NoCache,
-	}
-	for name, dst := range boolFields {
-		raw := q.Get(name)
-		if raw == "" {
-			continue
-		}
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid %s=%q: %v", name, raw, err)
-			return
-		}
-		*dst = v
-	}
-	if raw := q.Get("epsilon"); raw != "" {
-		v, err := strconv.ParseFloat(raw, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid epsilon=%q: %v", raw, err)
-			return
-		}
-		req.Epsilon = v
-	}
-	if raw := q.Get("seed"); raw != "" {
-		v, err := strconv.ParseInt(raw, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid seed=%q: %v", raw, err)
-			return
-		}
-		req.Seed = v
 	}
 	s.serveKSPR(w, r, req)
 }
@@ -883,32 +890,18 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "batch of %d exceeds limit %d", len(items), s.cfg.MaxBatch)
 		return
 	}
-	algo, approx, err := parseAlgorithm(req.Algorithm)
+	spec, err := parseSpec(req.Algorithm, req.Space, req.Bounds, req.Volumes, req.VolumeSamples, req.NoGeometry, req.Seed)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	space, err := parseSpace(req.Space)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	bounds, err := parseBounds(req.Bounds)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	if approx && space == kspr.Original {
-		writeError(w, http.StatusBadRequest, "approx queries support only the transformed space")
-		return
-	}
-	req.VolumeSamples = normalizeVolumeSamples(req.Volumes, req.VolumeSamples)
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
 	defer cancel()
 	// Under ?debug=trace the batch skips the result cache (traced runs must
 	// actually run) and appends one trailer line with the batch-wide phase
 	// breakdown; see batchLine.Trace.
 	info := reqInfoFrom(ctx)
+	useCache := !req.NoCache && !info.Debug()
 
 	emitter := newBatchEmitter(len(items))
 
@@ -918,7 +911,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	var queries []kspr.BatchQuery
 	var idx []int
 	var keys []string
-	var reqs []queryRequest
 	for i, q := range items {
 		if msg, bad := parseErrs[i]; bad {
 			emitter.settle(i, batchLine{Index: i, Error: msg, Status: http.StatusBadRequest})
@@ -933,39 +925,32 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 				Error: fmt.Sprintf("k must be >= 1, got %d", k), Status: http.StatusBadRequest})
 			continue
 		}
-		qr := s.batchItemRequest(req, q, k)
-		key := cacheKey(snap, qr, algo, approx, space, bounds, 0)
-		if !req.NoCache && !approx && !info.Debug() {
-			if v, cached := s.cache.Get(key); cached {
-				cq := v.(*cachedQuery)
-				resp := *cq.resp
-				resp.Cached = true
-				emitter.settle(i, batchLine{Index: i, Result: &resp})
+		focal := q.Focal
+		if q.FocalVector != nil {
+			focal = -1
+		}
+		key := spec.key(snap, k, focal, q.FocalVector)
+		if useCache {
+			if resp, _, ok := s.cachedKSPR(key); ok {
+				emitter.settle(i, batchLine{Index: i, Result: resp})
 				continue
 			}
 		}
-		bq := kspr.BatchQuery{FocalID: q.Focal, K: k}
-		if q.FocalVector != nil {
-			bq.FocalID, bq.Focal = -1, q.FocalVector
-		}
-		queries = append(queries, bq)
+		queries = append(queries, kspr.BatchQuery{FocalID: focal, Focal: q.FocalVector, K: k})
 		idx = append(idx, i)
 		keys = append(keys, key)
-		reqs = append(reqs, qr)
 	}
 
 	// Grant engine parallelism for the whole batch from the shared CPU
 	// budget. An exhausted budget is load: shed it visibly with 429 before
 	// any stream output, rather than silently running N queries serially.
-	// The approx path never uses engine parallelism, so it acquires
-	// nothing.
 	parallelism := 1
 	ask := req.Parallelism
 	if ask > s.cfg.MaxParallelism {
 		ask = s.cfg.MaxParallelism
 	}
 	var granted int
-	if len(queries) > 0 && ask > 1 && !approx {
+	if len(queries) > 0 && ask > 1 {
 		granted, err = s.cpu.AcquireRequired(ask - 1)
 		if err != nil {
 			// A shed batch is a store-level incident worth correlating
@@ -991,38 +976,22 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 
 	if len(queries) == 0 {
 		emitter.finish(nil)
-	} else if approx {
-		go s.runBatchApprox(ctx, snap, req, queries, idx, emitter)
 	} else {
 		go func() {
 			defer s.cpu.Release(granted)
 			_, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-				qopts := []kspr.QueryOption{
-					kspr.WithContext(ctx),
-					kspr.WithAlgorithm(algo),
-					kspr.WithSpace(space),
-					kspr.WithBoundsMode(bounds),
-					kspr.WithSeed(req.Seed),
-					kspr.WithParallelism(parallelism),
-					kspr.WithTrace(info.Trace()),
-				}
-				if req.Volumes {
-					qopts = append(qopts, kspr.WithVolumes(req.VolumeSamples))
-				}
-				if req.NoGeometry {
-					qopts = append(qopts, kspr.WithoutGeometry())
-				}
 				bopts := []kspr.BatchOption{
-					kspr.WithBatchOptions(qopts...),
+					kspr.WithBatchOptions(spec.options(ctx, parallelism, info.Trace())...),
 					kspr.WithBatchOnOutcome(func(j int, o kspr.BatchOutcome) {
 						i := idx[j]
 						if o.Err != nil {
 							emitter.settle(i, batchLine{Index: i, Error: o.Err.Error(), Status: errStatusCode(o.Err)})
 							return
 						}
-						resp := s.batchItemResponse(snap, items[i], queries[j], algo, space, o.Result)
-						if !req.NoCache && !info.Debug() {
-							s.cache.Put(keys[j], &cachedQuery{req: reqs[j], resp: resp, raw: o.Result})
+						bq := queries[j]
+						resp := newQueryResponse(snap, spec, bq.K, bq.FocalID, o.Result)
+						if useCache {
+							s.cache.Put(keys[j], &cachedQuery{spec: spec, k: bq.K, focal: bq.FocalID, vec: bq.Focal, resp: resp, res: o.Result})
 						}
 						emitter.settle(i, batchLine{Index: i, Result: resp})
 					}),
@@ -1064,82 +1033,6 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		"items": len(items), "computed": len(queries), "failed": failed,
 		"parallelism": parallelism,
 	})
-}
-
-// batchItemRequest maps one batch item to the equivalent single-query
-// request, the canonical input of the result-cache key (so batch and
-// single-query traffic share cache entries).
-func (s *Server) batchItemRequest(req batchRequest, q batchQuery, k int) queryRequest {
-	return queryRequest{
-		Dataset:       req.Dataset,
-		Focal:         q.Focal,
-		FocalVector:   q.FocalVector,
-		K:             k,
-		Algorithm:     req.Algorithm,
-		Space:         req.Space,
-		Bounds:        req.Bounds,
-		Volumes:       req.Volumes,
-		VolumeSamples: req.VolumeSamples,
-		NoGeometry:    req.NoGeometry,
-		Seed:          req.Seed,
-	}
-}
-
-// batchItemResponse renders one engine outcome in the single-query wire
-// shape.
-func (s *Server) batchItemResponse(snap *Snapshot, item batchQuery, bq kspr.BatchQuery,
-	algo kspr.Algorithm, space kspr.Space, res *kspr.Result) *queryResponse {
-	resp := &queryResponse{
-		Dataset:    snap.Name,
-		Generation: snap.Generation,
-		Focal:      item.Focal,
-		K:          bq.K,
-		Algorithm:  algo.String(),
-		Space:      space.String(),
-	}
-	if item.FocalVector != nil {
-		resp.Focal = -1
-	}
-	fillResult(resp, snap, res)
-	return resp
-}
-
-// runBatchApprox serves an approx-algorithm batch: KSPRBatch runs only the
-// exact engine, so approx items fan out as individual pool tasks and
-// settle on the shared emitter.
-func (s *Server) runBatchApprox(ctx context.Context, snap *Snapshot, req batchRequest,
-	queries []kspr.BatchQuery, idx []int, emitter *batchEmitter) {
-	var wg sync.WaitGroup
-	for j := range queries {
-		wg.Add(1)
-		go func(j int) {
-			defer wg.Done()
-			q := queries[j]
-			i := idx[j]
-			qr := queryRequest{
-				Dataset:     req.Dataset,
-				Focal:       q.FocalID,
-				FocalVector: q.Focal,
-				K:           q.K,
-				Algorithm:   req.Algorithm,
-				Space:       req.Space,
-				Bounds:      req.Bounds,
-				Epsilon:     req.Epsilon,
-				Volumes:     req.Volumes,
-				NoGeometry:  req.NoGeometry,
-				Seed:        req.Seed,
-				NoCache:     req.NoCache,
-			}
-			resp, _, err := s.runKSPR(ctx, snap, qr)
-			if err != nil {
-				emitter.settle(i, batchLine{Index: i, Error: err.Error(), Status: errStatusCode(err)})
-				return
-			}
-			emitter.settle(i, batchLine{Index: i, Result: resp})
-		}(j)
-	}
-	wg.Wait()
-	emitter.finish(nil)
 }
 
 // ---- top-k / skyline / impact -------------------------------------------
@@ -1302,15 +1195,6 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	reqInfoFrom(r.Context()).noteDataset(snap)
-	// Region-membership sampling needs an exact kSPR result; reject approx
-	// upfront rather than after burning a worker on the query.
-	if _, approx, err := parseAlgorithm(req.Algorithm); err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	} else if approx {
-		writeError(w, http.StatusBadRequest, "impact needs an exact algorithm (cta, p-cta, lp-cta, k-skyband)")
-		return
-	}
 	pdf, densityName, err := buildDensity(req.Density, snap.DB.Dim())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -1327,7 +1211,7 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
 	defer cancel()
 
-	qresp, raw, err := s.runKSPR(ctx, snap, queryRequest{
+	qresp, res, err := s.runKSPR(ctx, snap, queryRequest{
 		Dataset:   req.Dataset,
 		Focal:     req.Focal,
 		K:         req.K,
@@ -1337,11 +1221,6 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 	})
 	if err != nil {
 		writeError(w, errStatusCode(err), "%v", err)
-		return
-	}
-	res, ok := raw.(*kspr.Result)
-	if !ok {
-		writeError(w, http.StatusBadRequest, "impact needs an exact algorithm (cta, p-cta, lp-cta, k-skyband)")
 		return
 	}
 	val, err := s.pool.Submit(ctx, func(context.Context) (any, error) {

@@ -228,12 +228,10 @@ func (s *Server) handleDatasetMutate(w http.ResponseWriter, r *http.Request) {
 // i.e. simply left to age out under their old-generation keys, which no
 // request will ever build again. Returns (migrated, dropped).
 func (s *Server) migrateCache(old, cur *Snapshot, deltas []kspr.Delta) (int, int) {
-	prefix := fmt.Sprintf("%s@%d|kspr|", old.Name, old.Generation)
-	type hit struct{ cq *cachedQuery }
-	var hits []hit
-	s.cache.EachPrefix(prefix, func(key string, val any) {
+	var hits []*cachedQuery
+	s.cache.EachPrefix(ksprKeyPrefix(old), func(_ string, val any) {
 		if cq, ok := val.(*cachedQuery); ok {
-			hits = append(hits, hit{cq})
+			hits = append(hits, cq)
 		}
 	})
 	if len(hits) == 0 {
@@ -241,23 +239,10 @@ func (s *Server) migrateCache(old, cur *Snapshot, deltas []kspr.Delta) (int, int
 	}
 	mi := kspr.NewMutationImpact(old.DB, cur.DB, deltas)
 	migrated, dropped := 0, 0
-	for _, h := range hits {
-		cq := h.cq
-		res, ok := cq.raw.(*kspr.Result)
-		if !ok {
-			dropped++ // approximate results carry no exact region set
-			continue
-		}
-		algo, approx, err := parseAlgorithm(cq.req.Algorithm)
-		if err != nil || approx {
-			dropped++
-			continue
-		}
-		oldDense, newDense := -1, -1
-		req2 := cq.req
-		if cq.req.FocalVector == nil {
-			oldDense = cq.req.Focal
-			stable, ok := old.DB.StableID(oldDense)
+	for _, cq := range hits {
+		newDense := -1
+		if cq.vec == nil {
+			stable, ok := old.DB.StableID(cq.focal)
 			if !ok {
 				dropped++
 				continue
@@ -267,35 +252,22 @@ func (s *Server) migrateCache(old, cur *Snapshot, deltas []kspr.Delta) (int, int
 				dropped++ // the focal option was deleted
 				continue
 			}
-			if !float64sEqual(old.DB.Record(oldDense), cur.DB.Record(nd)) {
+			if !float64sEqual(old.DB.Record(cq.focal), cur.DB.Record(nd)) {
 				dropped++ // the focal option was repriced
 				continue
 			}
 			newDense = nd
-			req2.Focal = nd
 		}
-		if !mi.Unaffected(res.Focal, oldDense, newDense, cq.req.K, algo) {
+		if !mi.Unaffected(cq.res.Focal, cq.focal, newDense, cq.k, cq.spec.algo) {
 			dropped++
 			continue
 		}
-		space, err := parseSpace(req2.Space)
-		if err != nil {
-			dropped++
-			continue
-		}
-		bounds, err := parseBounds(req2.Bounds)
-		if err != nil {
-			dropped++
-			continue
-		}
-		resp2 := *cq.resp
-		resp2.Generation = cur.Generation
-		resp2.Focal = cq.resp.Focal
-		if cq.req.FocalVector == nil {
-			resp2.Focal = newDense
-		}
-		key2 := cacheKey(cur, req2, algo, false, space, bounds, 0)
-		s.cache.Put(key2, &cachedQuery{req: req2, resp: &resp2, raw: cq.raw})
+		resp := *cq.resp
+		resp.Generation = cur.Generation
+		resp.Focal = newDense
+		s.cache.Put(cq.spec.key(cur, cq.k, newDense, cq.vec), &cachedQuery{
+			spec: cq.spec, k: cq.k, focal: newDense, vec: cq.vec, resp: &resp, res: cq.res,
+		})
 		migrated++
 	}
 	return migrated, dropped

@@ -237,6 +237,65 @@ func TestMutationMigratesUnaffectedCache(t *testing.T) {
 	}
 }
 
+// TestMutationMigrationShiftsDenseID: a delete below the focal shifts its
+// dense id down by one. The migrated entry must answer under the new id,
+// by POST and by GET, and the old id, now another record, must miss.
+func TestMutationMigrationShiftsDenseID(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	loadGenerated(t, ts, "live", 150, 3, 5)
+
+	snap, _ := srv.Registry().Get("live")
+	band := snap.DB.KSkyband(3)
+	focal := band[len(band)-1]
+	if focal <= 4 {
+		t.Fatalf("focal %d does not sit above the deleted record", focal)
+	}
+	resp, body := postJSON(t, ts.URL+"/v1/kspr", queryRequest{Dataset: "live", Focal: focal, K: 3})
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("query status %d: %s", resp.StatusCode, body)
+	}
+	var before queryResponse
+	json.Unmarshal(body, &before)
+
+	// Record 4 is dominated by dozens of records, so no 3-skyband focal
+	// can see it; deleting it shifts every later dense id down by one.
+	code, mr := postMutate(t, ts, "live", `{"op":"delete","id":4}`)
+	if code != http.StatusOK {
+		t.Fatalf("mutate status %d", code)
+	}
+	if mr.CacheMigrated != 1 {
+		t.Fatalf("cache_migrated = %d, want 1: %+v", mr.CacheMigrated, mr)
+	}
+
+	moved := focal - 1
+	_, body = postJSON(t, ts.URL+"/v1/kspr", queryRequest{Dataset: "live", Focal: moved, K: 3})
+	var viaPost queryResponse
+	json.Unmarshal(body, &viaPost)
+	resp, err := http.Get(fmt.Sprintf("%s/v1/kspr?dataset=live&focal=%d&k=3", ts.URL, moved))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var viaGet queryResponse
+	json.NewDecoder(resp.Body).Decode(&viaGet)
+	resp.Body.Close()
+	for form, got := range map[string]queryResponse{"POST": viaPost, "GET": viaGet} {
+		if !got.Cached || got.Focal != moved || got.Generation != mr.Generation {
+			t.Fatalf("%s at the new dense id %d: cached %v, focal %d, generation %d (want true, %d, %d)",
+				form, moved, got.Cached, got.Focal, got.Generation, moved, mr.Generation)
+		}
+		if len(got.Regions) != len(before.Regions) {
+			t.Fatalf("%s: migrated regions %d != original %d", form, len(got.Regions), len(before.Regions))
+		}
+	}
+
+	_, body = postJSON(t, ts.URL+"/v1/kspr", queryRequest{Dataset: "live", Focal: focal, K: 3})
+	var stale queryResponse
+	json.Unmarshal(body, &stale)
+	if stale.Cached {
+		t.Fatalf("old dense id %d, now another record, was served the migrated entry", focal)
+	}
+}
+
 // TestMutateDurableStore exercises the full durable path: a store-backed
 // server, mutations, then a fresh server over the same directory
 // recovering the exact pre-crash generation.

@@ -590,8 +590,9 @@ func TestKSPRGetValidation(t *testing.T) {
 		"/v1/kspr?dataset=ind&focal=1&k=5&volumes=maybe",
 		"/v1/kspr?dataset=ind&focal=1&k=5&epsilon=wide",
 		"/v1/kspr?dataset=ind&focal=1&k=5&seed=1e9",
-		"/v1/kspr?dataset=ind&focal=2&k=5&algorithm=approx&epsilon=NaN",
-		"/v1/kspr?dataset=ind&focal=2&k=5&algorithm=approx&epsilon=Inf",
+		"/v1/kspr?dataset=ind&focal=2&k=5&algorithm=approx",
+		"/v1/kspr?dataset=ind&focal=1&k=5&volume=true",
+		"/v1/kspr?dataset=ind&focal=1&k=5&algoritm=cta",
 	} {
 		resp, err := http.Get(ts.URL + bad)
 		if err != nil {
@@ -620,5 +621,18 @@ func TestKSPRGetValidation(t *testing.T) {
 	if len(viaGet.Regions) != len(viaPost.Regions) || viaGet.Algorithm != viaPost.Algorithm {
 		t.Fatalf("GET and POST disagree: %d/%s vs %d/%s",
 			len(viaGet.Regions), viaGet.Algorithm, len(viaPost.Regions), viaPost.Algorithm)
+	}
+
+	// debug, read by the request middleware, is the one name outside the
+	// query surface.
+	resp, err = http.Get(ts.URL + "/v1/kspr?dataset=ind&focal=1&k=5&debug=trace")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var traced queryResponse
+	json.NewDecoder(resp.Body).Decode(&traced)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK || traced.Trace == nil {
+		t.Fatalf("debug=trace GET: status %d, trace %v", resp.StatusCode, traced.Trace)
 	}
 }

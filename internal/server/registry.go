@@ -2,8 +2,8 @@
 // dataset registry with hot reload and live mutation, a bounded worker
 // pool with per-request deadlines, a sharded LRU result cache with
 // cross-generation migration, and HTTP/JSON handlers for the paper's
-// query repertoire (kSPR, approximate kSPR, top-k, skyline, market
-// impact) plus the dataset mutation API.
+// query repertoire (exact kSPR, top-k, skyline, market impact) plus the
+// dataset mutation API.
 package server
 
 import (

@@ -162,9 +162,8 @@ func TestCacheHitMiss(t *testing.T) {
 		t.Fatal(`algorithm "lpcta" must hit the cache entry made by the default spelling`)
 	}
 
-	// Parameters an exact answer never reads share the entry too:
-	// epsilon (approx only) and, without volumes, the seed (Monte-Carlo
-	// volumes only).
+	// Without volumes the seed shares the entry too: only Monte-Carlo
+	// volumes read it.
 	cachedAs := func(req queryRequest) bool {
 		t.Helper()
 		resp, body := postJSON(t, ts.URL+"/v1/kspr", req)
@@ -177,13 +176,10 @@ func TestCacheHitMiss(t *testing.T) {
 		}
 		return qr.Cached
 	}
-	if !cachedAs(queryRequest{Dataset: "ind", Focal: 4, K: 5, Epsilon: 0.5}) {
-		t.Fatal("an exact query with epsilon set must hit the entry made without it")
-	}
 	if !cachedAs(queryRequest{Dataset: "ind", Focal: 4, K: 5, Seed: 7}) {
 		t.Fatal("an exact query with a seed but no volumes must hit the entry made without it")
 	}
-	// Where they are read, they stay in the key.
+	// Where it is read, it stays in the key.
 	vol := queryRequest{Dataset: "ind", Focal: 4, K: 5, Volumes: true, VolumeSamples: 500, Seed: 1}
 	if cachedAs(vol) || !cachedAs(vol) {
 		t.Fatal("a volume query must miss once, then hit")
@@ -191,14 +187,6 @@ func TestCacheHitMiss(t *testing.T) {
 	vol.Seed = 2
 	if cachedAs(vol) {
 		t.Fatal("a volume query with another seed must miss")
-	}
-	approx := queryRequest{Dataset: "ind", Focal: 4, K: 5, Algorithm: "approx", Epsilon: 0.5}
-	if cachedAs(approx) || !cachedAs(approx) {
-		t.Fatal("an approx query must miss once, then hit")
-	}
-	approx.Epsilon = 0.4
-	if cachedAs(approx) {
-		t.Fatal("an approx query with another epsilon must miss")
 	}
 
 	// A different k must miss.
@@ -325,21 +313,39 @@ func TestTimeoutReturns504(t *testing.T) {
 	}
 }
 
+// TestApproxQuery: ksprd serves exact kSPR only. algorithm=approx is a
+// 400 on every endpoint that takes an algorithm, and epsilon, which only
+// approx read, is an unknown field on POST and an unknown name on GET.
 func TestApproxQuery(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	loadGenerated(t, ts, "ind", 200, 3, 9)
-	resp, body := postJSON(t, ts.URL+"/v1/kspr", queryRequest{
-		Dataset: "ind", Focal: 3, K: 5, Algorithm: "approx", Epsilon: 0.05,
-	})
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d: %s", resp.StatusCode, body)
-	}
-	var qr queryResponse
-	if err := json.Unmarshal(body, &qr); err != nil {
-		t.Fatal(err)
-	}
-	if qr.Algorithm != "approx" || qr.Converged == nil {
-		t.Fatalf("approx response missing fields: %+v", qr)
+	const algo = "unknown algorithm"
+	for _, c := range []struct{ target, body, want string }{
+		{"/v1/kspr", `{"dataset":"ind","focal":3,"k":5,"algorithm":"approx"}`, algo},
+		{"/v1/kspr?dataset=ind&focal=3&k=5&algorithm=approx", "", algo},
+		{"/v1/kspr", `{"dataset":"ind","focal":3,"k":5,"epsilon":0.05}`, "epsilon"},
+		{"/v1/kspr?dataset=ind&focal=3&k=5&epsilon=0.05", "", "epsilon"},
+		{"/v1/impact", `{"dataset":"ind","focal":3,"k":5,"algorithm":"approx"}`, algo},
+		{"/v1/impact:competitors?dataset=ind&focal=3&k=5&algorithm=approx", "", algo},
+		{"/v1/whatif:price", `{"dataset":"ind","focal":3,"k":5,"attr":0,"target":0.5,"algorithm":"approx"}`, algo},
+		{"/v1/whatif:frontier", `{"dataset":"ind","focal":3,"k":5,"attr":0,"min":0.1,"max":0.9,"algorithm":"approx"}`, algo},
+	} {
+		var resp *http.Response
+		var err error
+		if c.body == "" {
+			resp, err = http.Get(ts.URL + c.target)
+		} else {
+			resp, err = http.Post(ts.URL+c.target, "application/json", strings.NewReader(c.body))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		buf.ReadFrom(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(buf.String(), c.want) {
+			t.Errorf("%s %s: status %d (%s), want 400 naming %q", c.target, c.body, resp.StatusCode, buf.Bytes(), c.want)
+		}
 	}
 }
 

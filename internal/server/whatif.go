@@ -142,19 +142,6 @@ type frontierResponse struct {
 
 // ---- helpers -------------------------------------------------------------
 
-// parseExactAlgorithm resolves an algorithm name for endpoints that need
-// exact region sets (everything what-if).
-func parseExactAlgorithm(s string) (kspr.Algorithm, error) {
-	algo, approx, err := parseAlgorithm(s)
-	if err != nil {
-		return 0, err
-	}
-	if approx {
-		return 0, fmt.Errorf("what-if queries need an exact algorithm (cta, p-cta, lp-cta, k-skyband)")
-	}
-	return algo, nil
-}
-
 // clampSamples applies the per-request Monte-Carlo bound with the
 // library's what-if default, so cache keys and responses stay consistent
 // with what the library would do on its own.
@@ -219,7 +206,7 @@ func (s *Server) handleCompetitors(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	algo, err := parseExactAlgorithm(q.Get("algorithm"))
+	algo, err := parseAlgorithm(q.Get("algorithm"))
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -301,7 +288,7 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "k must be >= 1, got %d", req.K)
 		return
 	}
-	algo, err := parseExactAlgorithm(req.Algorithm)
+	algo, err := parseAlgorithm(req.Algorithm)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
@@ -421,7 +408,7 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "frontier of %d steps exceeds limit %d", req.Steps, s.cfg.MaxBatch)
 		return
 	}
-	algo, err := parseExactAlgorithm(req.Algorithm)
+	algo, err := parseAlgorithm(req.Algorithm)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
 		return
