@@ -194,3 +194,53 @@ func BenchmarkOpenStore(b *testing.B) {
 		})
 	}
 }
+
+// whatIfBenchDB is the what-if benchmarks' workload: IND n=20,000, d=3,
+// and the first record outside the 5-skyband as the focal, a seller whose
+// low prices are hopeless.
+func whatIfBenchDB(b *testing.B) (*kspr.DB, int) {
+	b.Helper()
+	ds, err := dataset.Generate(dataset.Independent, 20000, 3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := kspr.Open(ds.Float64s())
+	if err != nil {
+		b.Fatal(err)
+	}
+	inBand := make(map[int]bool)
+	for _, id := range db.KSkyband(5) {
+		inBand[id] = true
+	}
+	focal := 0
+	for inBand[focal] {
+		focal++
+	}
+	return db, focal
+}
+
+// BenchmarkPriceToTarget times one repricing bisection to a 5% impact
+// share on the what-if workload.
+func BenchmarkPriceToTarget(b *testing.B) {
+	db, focal := whatIfBenchDB(b)
+	spec := kspr.RepriceSpec{Attr: 0, Target: 0.05, Eps: 1e-3, Samples: 2000, Seed: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.PriceToTarget(focal, 5, spec, kspr.WithoutGeometry(), kspr.WithParallelism(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFrontier times one 16-point impact-price frontier, from the
+// focal's current value to the dataset maximum, on the what-if workload.
+func BenchmarkFrontier(b *testing.B) {
+	db, focal := whatIfBenchDB(b)
+	spec := kspr.FrontierSpec{Attr: 0, Steps: 16, Samples: 2000, Seed: 1}
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.Frontier(focal, 5, spec, kspr.WithoutGeometry(), kspr.WithParallelism(1)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}

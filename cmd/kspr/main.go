@@ -347,7 +347,7 @@ func runWhatIf(db *kspr.DB, ds *dataset.Dataset, focal, k, attr int, target floa
 	default:
 		fmt.Printf("  minimal change: %+.4f (value %.4f -> %.4f), impact %.4f -> %.4f\n",
 			rp.Delta, rp.Value-rp.Delta, rp.Value, rp.Baseline, rp.Impact)
-		fmt.Printf("  probes: %d (%d kept by the incremental path, keep rate %.0f%%)\n",
+		fmt.Printf("  probes: %d (%d kept by the dominator count, keep rate %.0f%%)\n",
 			rp.Stats.Probes, rp.Stats.Kept, 100*rp.Stats.KeepRate)
 	}
 
@@ -361,7 +361,7 @@ func runWhatIf(db *kspr.DB, ds *dataset.Dataset, focal, k, attr int, target floa
 	for _, p := range curve.Points {
 		marker := ""
 		if p.Kept {
-			marker = "  (classified empty, no engine run)"
+			marker = "  (dominated out: no cell tree built)"
 		}
 		fmt.Printf("  value %8.4f  delta %+8.4f  impact %.4f  regions %3d%s\n",
 			p.Value, p.Delta, p.Impact, p.Regions, marker)

@@ -201,8 +201,8 @@ type benchSummary struct {
 	// skyband focal (grid spanning dominated through competitive prices)
 	// plus one repricing bisection. WhatIfProbeNs is the frontier's average
 	// wall-clock per grid probe, WhatIfKeepRate the fraction of probes the
-	// incremental classification answered without an engine run (the gate
-	// asserts it stays > 0), and WhatIfPriceNs the full bisection search.
+	// engine answered from its dominator count (the gate asserts it stays
+	// > 0), and WhatIfPriceNs the full bisection search.
 	WhatIfPoints   int     `json:"whatif_points,omitempty"`
 	WhatIfProbeNs  int64   `json:"whatif_probe_ns,omitempty"`
 	WhatIfKeepRate float64 `json:"whatif_keep_rate,omitempty"`
@@ -573,13 +573,13 @@ func runLargeNSweep(sum *benchSummary, dist string, seed int64, topN int) error 
 }
 
 // runWhatIfSweep measures the what-if layer: one nw-point impact-price
-// frontier plus one full repricing bisection against the maintained
-// scratch dataset. The focal is a DOMINATED record (outside the
-// k-skyband) — the realistic seller asking what reprice would make the
-// option competitive — so the grid's low end is provably empty and
-// answered by the incremental classification without an engine run: the
-// recorded keep rate reflects the fast path actually firing, and the
-// bench gate fails if it ever drops to zero.
+// frontier plus one full repricing bisection, both probing the repriced
+// focal against an index of its competitors. The focal is a DOMINATED
+// record (outside the k-skyband) — the realistic seller asking what
+// reprice would make the option competitive — so the grid's low end is
+// provably empty and answered from the engine's dominator count before
+// any cell-tree work: the recorded keep rate reflects that exit actually
+// firing, and the bench gate fails if it ever drops to zero.
 func runWhatIfSweep(sum *benchSummary, db *kspr.DB, band []int, k int, seed int64, nw int) error {
 	inBand := make(map[int]bool, len(band))
 	for _, id := range band {

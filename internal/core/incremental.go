@@ -145,10 +145,9 @@ func (s *FocalState) Unaffected(deltas []Delta) bool {
 // MaintStats counts a Maintainer's generation-by-generation decisions.
 type MaintStats struct {
 	// Kept counts generations absorbed without an engine run: mutations
-	// classified irrelevant with the prior result revalidated and reused,
-	// or — after a focal reprice — the result proven empty by the
-	// dominator-count shortcut. Recomputed counts cold reruns. Generations
-	// is their sum.
+	// classified irrelevant, with the prior result revalidated and reused.
+	// Recomputed counts engine reruns, every reprice of the focal included.
+	// Generations is their sum.
 	Kept, Recomputed, Generations uint64
 }
 
@@ -161,7 +160,6 @@ type MaintStats struct {
 // recomputed. Not safe for concurrent use; callers serialize.
 type Maintainer struct {
 	opts    Options
-	tree    *rtree.Tree
 	focalID int
 	state   *FocalState
 	res     *Result
@@ -178,7 +176,6 @@ func NewMaintainer(tree *rtree.Tree, focal geom.Vector, focalID int, opts Option
 	}
 	return &Maintainer{
 		opts:    opts,
-		tree:    tree,
 		focalID: focalID,
 		state:   NewFocalState(tree, focal, focalID, opts.K, opts.Algorithm),
 		res:     res,
@@ -208,42 +205,23 @@ func (m *Maintainer) Apply(tree *rtree.Tree, focalID int, deltas []Delta) (*Resu
 		// Revalidation: the kept result is only valid if the focal option
 		// still carries the exact values it was computed for (bit-exact:
 		// even a sub-epsilon reprice changes the cold recompute's bytes).
+		// A repriced focal is recomputed for its new vector; when the
+		// reprice leaves it with >= K strict dominators, Run answers empty
+		// after its one Dominators walk.
 		if !ExactlyEqual(tree.Records[focalID], focal) {
 			focal = tree.Records[focalID]
-			// Reprice shortcut: when the repriced focal has at least K
-			// strict dominators in the new tree, the cold recompute is
-			// provably the empty result (kAdj <= 0 short-circuits before any
-			// cell-tree work), so synthesize it — byte-identical under
-			// EncodeResult — instead of running the engine. This is the keep
-			// path what-if reprice probes hit while the probed price is
-			// still hopeless. The other deltas in the batch need no
-			// classification: emptiness is determined by the new tree alone.
-			doms := tree.Dominators(focal, func(id int) bool { return id == focalID })
-			if len(doms) >= m.opts.K {
-				res := &Result{Focal: focal.Clone(), K: m.opts.K, Space: m.opts.Space}
-				res.Stats.BaseRank = len(doms)
-				m.stats.Generations++
-				m.stats.Kept++
-				m.tree, m.focalID = tree, focalID
-				m.state = NewFocalState(tree, focal, focalID, m.opts.K, m.opts.Algorithm)
-				m.res = res
-				return res, false, nil
-			}
 			recompute = true
 		}
 	}
 	if !recompute {
 		classifySpan := m.opts.Trace.Span(PhaseClassify)
-		unaffected := m.state.Unaffected(deltas)
+		recompute = !m.state.Unaffected(deltas)
 		classifySpan.End()
-		if !unaffected {
-			recompute = true
-		}
 	}
 	m.stats.Generations++
 	if !recompute {
 		m.stats.Kept++
-		m.tree, m.focalID = tree, focalID
+		m.focalID = focalID
 		return m.res, false, nil
 	}
 	res, err := Run(tree, focal, focalID, m.opts)
@@ -251,7 +229,7 @@ func (m *Maintainer) Apply(tree *rtree.Tree, focalID int, deltas []Delta) (*Resu
 		return nil, false, err
 	}
 	m.stats.Recomputed++
-	m.tree, m.focalID = tree, focalID
+	m.focalID = focalID
 	m.state = NewFocalState(tree, focal, focalID, m.opts.K, m.opts.Algorithm)
 	m.res = res
 	return res, true, nil

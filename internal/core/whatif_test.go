@@ -115,11 +115,11 @@ func TestAttributeAccounting(t *testing.T) {
 	}
 }
 
-// TestMaintainerRepriceShortcutMatrix pins the reprice keep tier across
-// all four algorithms at the core level: a reprice into >= K dominators
-// keeps (with the synthesized empty result equal to a cold run), and a
-// reprice back out recomputes.
-func TestMaintainerRepriceShortcutMatrix(t *testing.T) {
+// TestMaintainerRepriceRecomputesMatrix pins how the Maintainer follows a
+// focal reprice across all four algorithms at the core level: a reprice
+// into >= K dominators and a reprice back out both recompute, each equal
+// to a cold run.
+func TestMaintainerRepriceRecomputesMatrix(t *testing.T) {
 	base := []geom.Vector{
 		{0.5, 0.5, 0.5},
 		{0.9, 0.92, 0.95},
@@ -146,17 +146,17 @@ func TestMaintainerRepriceShortcutMatrix(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%v: %v", algo, err)
 		}
-		if recomputed {
-			t.Fatalf("%v: dominated reprice should keep", algo)
+		if !recomputed {
+			t.Fatalf("%v: dominated reprice should recompute", algo)
 		}
 		cold, err := Run(tree2, down[0], 0, Options{K: 2, Algorithm: algo})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if string(EncodeResult(res)) != string(EncodeResult(cold)) {
-			t.Fatalf("%v: synthesized empty result diverges from cold run", algo)
+			t.Fatalf("%v: dominated reprice's result diverges from cold run", algo)
 		}
-		if st := m.Stats(); st.Kept != 1 || st.Recomputed != 0 {
+		if st := m.Stats(); st.Kept != 0 || st.Recomputed != 1 {
 			t.Fatalf("%v: stats %+v", algo, st)
 		}
 

@@ -118,6 +118,68 @@ func TestDebugFlightCapture(t *testing.T) {
 	}
 }
 
+// TestDebugFlightWhatIfAndImpactDecisions pins that the wide events of
+// what-if and /v1/impact requests carry the cache decision and the
+// request's stats, as /v1/kspr's do: a competitors GET, a price POST, an
+// unreachable price POST (a 422) and an impact POST, each sent twice,
+// record a miss and then a hit, both with stats, and the what-if stats
+// count probes.
+func TestDebugFlightWhatIfAndImpactDecisions(t *testing.T) {
+	_, ts := newTestServer(t, Config{FlightSampleEvery: 1})
+	loadGenerated(t, ts, "wi", 120, 3, 9)
+	comp := ts.URL + "/v1/impact:competitors?dataset=wi&focal=2&k=3&samples=500&seed=1"
+	price := priceRequest{whatifRequest: whatifRequest{Dataset: "wi", Focal: 2, K: 3, Samples: 500, Seed: 1},
+		Attr: 0, Target: 0.5, Eps: 1e-2}
+	unreachable := price
+	unreachable.Target, unreachable.MaxDelta = 0.99, 1e-9
+	impact := impactRequest{Dataset: "wi", Focal: 2, K: 3, Samples: 500}
+	for i := 0; i < 2; i++ {
+		if resp, body := getJSON(t, comp, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("competitors: status %d: %s", resp.StatusCode, body)
+		}
+		if resp, body := postJSON(t, ts.URL+"/v1/whatif:price", price); resp.StatusCode != http.StatusOK {
+			t.Fatalf("price: status %d: %s", resp.StatusCode, body)
+		}
+		if resp, body := postJSON(t, ts.URL+"/v1/whatif:price", unreachable); resp.StatusCode != http.StatusUnprocessableEntity {
+			t.Fatalf("unreachable price: status %d: %s", resp.StatusCode, body)
+		}
+		if resp, body := postJSON(t, ts.URL+"/v1/impact", impact); resp.StatusCode != http.StatusOK {
+			t.Fatalf("impact: status %d: %s", resp.StatusCode, body)
+		}
+	}
+	events := map[string][]obs.WideEvent{}
+	for _, ev := range getFlight(t, ts, "").Events {
+		ep := ev.Endpoint
+		if ev.Status == http.StatusUnprocessableEntity {
+			ep += " 422"
+		}
+		events[ep] = append(events[ep], ev)
+	}
+	for _, ep := range []string{"impact.competitors", "whatif.price", "whatif.price 422", "impact"} {
+		evs := events[ep]
+		if len(evs) != 2 {
+			t.Fatalf("%s: %d events, want 2", ep, len(evs))
+		}
+		if evs[0].Cached || !evs[1].Cached {
+			t.Fatalf("%s: cached flags %t then %t, want false then true", ep, evs[0].Cached, evs[1].Cached)
+		}
+		for _, ev := range evs {
+			stats, ok := ev.Stats.(map[string]any)
+			if !ok {
+				t.Fatalf("%s: event stats = %#v, want an object", ep, ev.Stats)
+			}
+			if ep != "impact" {
+				if probes, _ := stats["probes"].(float64); probes < 1 {
+					t.Fatalf("%s: event stats %v carry no probes", ep, stats)
+				}
+				if _, ok := stats["kept"]; !ok {
+					t.Fatalf("%s: event stats %v carry no kept count", ep, stats)
+				}
+			}
+		}
+	}
+}
+
 func TestDebugFlightDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{FlightCapacity: -1})
 	resp, err := http.Get(ts.URL + "/v1/debug:flight")

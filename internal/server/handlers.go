@@ -681,17 +681,10 @@ func (s *Server) handleKSPR(w http.ResponseWriter, r *http.Request) {
 // surface as the POST body (minus focal_vector, which has no natural
 // query-string encoding), convenient for curl and EXPLAIN-mode poking:
 // GET /v1/kspr?dataset=d&focal=3&k=5&algorithm=lp-cta&debug=trace.
-// Like the POST body it rejects names it does not know, so a typo is a
-// 400 rather than a silent default; debug, read by the request
-// middleware, is the one extra name. An empty value means absent.
+// Like the POST body it rejects names it does not know (parseQuery).
 func (s *Server) handleKSPRGet(w http.ResponseWriter, r *http.Request) {
 	var req queryRequest
-	for name, vals := range r.URL.Query() {
-		raw := vals[0]
-		if raw == "" {
-			continue
-		}
-		var err error
+	if !parseQuery(w, r, func(name, raw string) (err error) {
 		switch name {
 		case "dataset":
 			req.Dataset = raw
@@ -719,17 +712,41 @@ func (s *Server) handleKSPRGet(w http.ResponseWriter, r *http.Request) {
 			req.NoCache, err = strconv.ParseBool(raw)
 		case "seed":
 			req.Seed, err = strconv.ParseInt(raw, 10, 64)
-		case "debug":
 		default:
-			writeError(w, http.StatusBadRequest, "unknown query parameter %q", name)
-			return
+			return errUnknownParam
 		}
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid %s=%q: %v", name, raw, err)
-			return
-		}
+		return err
+	}) {
+		return
 	}
 	s.serveKSPR(w, r, req)
+}
+
+// errUnknownParam is what a parseQuery setter returns for a name it does
+// not know.
+var errUnknownParam = errors.New("unknown query parameter")
+
+// parseQuery reads a GET request's query string through set, one name at
+// a time: an empty value means absent, and debug, read by the request
+// middleware, is the one name set never sees. It answers 400 and returns
+// false for a name set does not know (errUnknownParam), so a typo is an
+// error rather than a silent default, and for a value set cannot parse.
+func parseQuery(w http.ResponseWriter, r *http.Request, set func(name, raw string) error) bool {
+	for name, vals := range r.URL.Query() {
+		raw := vals[0]
+		if raw == "" || name == "debug" {
+			continue
+		}
+		switch err := set(name, raw); {
+		case errors.Is(err, errUnknownParam):
+			writeError(w, http.StatusBadRequest, "unknown query parameter %q", name)
+			return false
+		case err != nil:
+			writeError(w, http.StatusBadRequest, "invalid %s=%q: %v", name, raw, err)
+			return false
+		}
+	}
+	return true
 }
 
 // serveKSPR is the shared tail of the GET and POST query handlers.
@@ -1194,7 +1211,8 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
 		return
 	}
-	reqInfoFrom(r.Context()).noteDataset(snap)
+	info := reqInfoFrom(r.Context())
+	info.noteDataset(snap)
 	pdf, densityName, err := buildDensity(req.Density, snap.DB.Dim())
 	if err != nil {
 		writeError(w, http.StatusBadRequest, "%v", err)
@@ -1223,6 +1241,8 @@ func (s *Server) handleImpact(w http.ResponseWriter, r *http.Request) {
 		writeError(w, errStatusCode(err), "%v", err)
 		return
 	}
+	info.noteCached(qresp.Cached)
+	info.noteStats(qresp.Stats)
 	val, err := s.pool.Submit(ctx, func(context.Context) (any, error) {
 		return snap.DB.ImpactProbabilityPDF(res, pdf, req.Samples, req.Seed), nil
 	})

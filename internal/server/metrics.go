@@ -98,7 +98,7 @@ func (m *Metrics) AddRecoveries(n int) {
 }
 
 // AddWhatIf records one what-if call's probe economy: probes evaluated and
-// how many of them the incremental keep/classification path absorbed.
+// how many of them the engine answered from its dominator count.
 func (m *Metrics) AddWhatIf(probes, kept uint64) {
 	m.whatifProbes.Add(probes)
 	m.whatifKept.Add(kept)
@@ -107,8 +107,8 @@ func (m *Metrics) AddWhatIf(probes, kept uint64) {
 // WhatIfMetrics is the /metrics view of the what-if layer.
 type WhatIfMetrics struct {
 	// Probes counts impact evaluations across all what-if calls; Kept the
-	// ones answered without an engine run (Maintainer keep tiers, frontier
-	// dominator classification).
+	// ones the engine answered from its dominator count, before any
+	// cell-tree work.
 	Probes uint64 `json:"probes_total"`
 	Kept   uint64 `json:"kept_total"`
 }
@@ -392,12 +392,12 @@ func (snap *MetricsSnapshot) WriteProm(w io.Writer) error {
 	p.Counter("kspr_mutations_total", "Individual mutations applied.", float64(snap.Mutations.Mutations))
 	p.Counter("kspr_wal_recoveries_total", "Datasets restored by WAL replay at startup.", float64(snap.Mutations.Recoveries))
 	p.Counter("kspr_whatif_probes_total", "What-if impact probes evaluated.", float64(snap.WhatIf.Probes))
-	p.Counter("kspr_whatif_kept_total", "What-if probes absorbed by the incremental keep path.", float64(snap.WhatIf.Kept))
+	p.Counter("kspr_whatif_kept_total", "What-if probes answered from the engine's dominator count.", float64(snap.WhatIf.Kept))
 	keepRate := 0.0
 	if snap.WhatIf.Probes > 0 {
 		keepRate = float64(snap.WhatIf.Kept) / float64(snap.WhatIf.Probes)
 	}
-	p.Gauge("kspr_whatif_keep_rate", "Fraction of what-if probes answered without an engine run.", keepRate)
+	p.Gauge("kspr_whatif_keep_rate", "Fraction of what-if probes answered from the engine's dominator count.", keepRate)
 	p.Gauge("kspr_datasets", "Datasets currently registered.", float64(len(snap.Datasets)))
 	if len(snap.Datasets) > 0 {
 		// 1 = the candidate index came from the persisted layout (warm

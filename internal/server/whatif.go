@@ -1,8 +1,10 @@
 // The what-if endpoints: competitive impact attribution
 // (GET /v1/impact:competitors), repricing search (POST /v1/whatif:price),
-// and impact–price frontiers (POST /v1/whatif:frontier). All three call
-// the library's what-if layer on a pool worker, bound the Monte-Carlo work
-// per request, and cache responses under generation-prefixed keys, so a
+// and impact–price frontiers (POST /v1/whatif:frontier). Each handler
+// parses its request and maps the library's answer to its wire shape;
+// serveWhatIf is the one request path they share. It calls the library's
+// what-if layer on a pool worker, bounds the Monte-Carlo work per
+// request, and caches responses under generation-prefixed keys, so a
 // mutation batch implicitly orphans stale what-if answers (reprices of the
 // focal can flip who dominates whom, so — unlike plain kSPR results — the
 // mutation path never migrates these across generations).
@@ -65,21 +67,14 @@ type competitorsResponse struct {
 }
 
 type priceRequest struct {
-	Dataset string  `json:"dataset"`
-	Focal   int     `json:"focal"`
-	K       int     `json:"k"`
-	Attr    int     `json:"attr"`
-	Target  float64 `json:"target"`
+	whatifRequest
+	Attr   int     `json:"attr"`
+	Target float64 `json:"target"`
 	// MaxDelta bounds the attribute increase (0 = automatic bracket
 	// expansion); Eps is the bisection resolution (0 = 1e-6).
 	MaxDelta     float64 `json:"max_delta,omitempty"`
 	Eps          float64 `json:"eps,omitempty"`
-	Samples      int     `json:"samples,omitempty"`
-	Seed         int64   `json:"seed,omitempty"`
 	VolumeMetric bool    `json:"volume_metric,omitempty"`
-	Algorithm    string  `json:"algorithm,omitempty"`
-	TimeoutMs    int     `json:"timeout_ms,omitempty"`
-	NoCache      bool    `json:"no_cache,omitempty"`
 }
 
 type priceResponse struct {
@@ -103,20 +98,13 @@ type priceResponse struct {
 }
 
 type frontierRequest struct {
-	Dataset string  `json:"dataset"`
-	Focal   int     `json:"focal"`
-	K       int     `json:"k"`
-	Attr    int     `json:"attr"`
-	Min     float64 `json:"min,omitempty"`
-	Max     float64 `json:"max,omitempty"`
+	whatifRequest
+	Attr int     `json:"attr"`
+	Min  float64 `json:"min,omitempty"`
+	Max  float64 `json:"max,omitempty"`
 	// Steps is the grid size (0 = 16); capped by the server's MaxBatch.
-	Steps        int    `json:"steps,omitempty"`
-	Samples      int    `json:"samples,omitempty"`
-	Seed         int64  `json:"seed,omitempty"`
-	VolumeMetric bool   `json:"volume_metric,omitempty"`
-	Algorithm    string `json:"algorithm,omitempty"`
-	TimeoutMs    int    `json:"timeout_ms,omitempty"`
-	NoCache      bool   `json:"no_cache,omitempty"`
+	Steps        int  `json:"steps,omitempty"`
+	VolumeMetric bool `json:"volume_metric,omitempty"`
 }
 
 type frontierPointWire struct {
@@ -140,7 +128,141 @@ type frontierResponse struct {
 	Trace *traceWire `json:"trace,omitempty"`
 }
 
-// ---- helpers -------------------------------------------------------------
+// ---- the shared request path ---------------------------------------------
+
+// whatifRequest holds the fields every what-if request carries. The price
+// and frontier bodies embed it; the competitors GET fills it from its
+// query string.
+type whatifRequest struct {
+	Dataset   string `json:"dataset"`
+	Focal     int    `json:"focal"`
+	K         int    `json:"k"`
+	Samples   int    `json:"samples,omitempty"`
+	Seed      int64  `json:"seed,omitempty"`
+	Algorithm string `json:"algorithm,omitempty"`
+	TimeoutMs int    `json:"timeout_ms,omitempty"`
+	NoCache   bool   `json:"no_cache,omitempty"`
+}
+
+// whatifResponse is the answer body of a what-if endpoint.
+type whatifResponse interface {
+	// probeCounts reports the impact probes the answer took and how many
+	// of them the engine answered from its dominator count.
+	probeCounts() (probes, kept uint64)
+	// asCached returns a copy marked as served from the cache.
+	asCached() whatifResponse
+	setTrace(*traceWire)
+}
+
+func (r *competitorsResponse) probeCounts() (uint64, uint64) { return 1, 0 }
+func (r *competitorsResponse) asCached() whatifResponse      { c := *r; c.Cached = true; return &c }
+func (r *competitorsResponse) setTrace(t *traceWire)         { r.Trace = t }
+
+func (r *priceResponse) probeCounts() (uint64, uint64) {
+	return uint64(r.Stats.Probes), uint64(r.Stats.Kept)
+}
+func (r *priceResponse) asCached() whatifResponse { c := *r; c.Cached = true; return &c }
+func (r *priceResponse) setTrace(t *traceWire)    { r.Trace = t }
+
+func (r *frontierResponse) probeCounts() (uint64, uint64) {
+	return uint64(r.Stats.Probes), uint64(r.Stats.Kept)
+}
+func (r *frontierResponse) asCached() whatifResponse { c := *r; c.Cached = true; return &c }
+func (r *frontierResponse) setTrace(t *traceWire)    { r.Trace = t }
+
+// whatifEntry is what the result cache stores for a what-if request: the
+// answer and, for an unreachable price target, the message of its 422.
+type whatifEntry struct {
+	resp        whatifResponse
+	unreachable string
+}
+
+// serveWhatIf is the one request path of the what-if endpoints. It
+// resolves the dataset, validates and canonicalizes the shared fields of
+// req (run reads the clamped sample count from it), answers from the
+// result cache when it can, and otherwise calls run on a pool worker with
+// the engine options every what-if call takes. kind and keyTail complete
+// the cache key with what the endpoint's own fields decide. An
+// unreachable price target is a 422, cached like an answer: it is as
+// deterministic (same generation, same sample set), and serving it from
+// cache stops a repeated unreachable target from re-burning the whole
+// bisection on a pool worker.
+func (s *Server) serveWhatIf(w http.ResponseWriter, r *http.Request, req *whatifRequest, kind, keyTail string,
+	run func(snap *Snapshot, opts []kspr.QueryOption) (whatifResponse, error)) {
+	snap, ok := s.registry.Get(req.Dataset)
+	if !ok {
+		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
+		return
+	}
+	info := reqInfoFrom(r.Context())
+	info.noteDataset(snap)
+	if req.K < 1 {
+		writeError(w, http.StatusBadRequest, "k must be >= 1, got %d", req.K)
+		return
+	}
+	algo, err := parseAlgorithm(req.Algorithm)
+	if err != nil {
+		writeError(w, http.StatusBadRequest, "%v", err)
+		return
+	}
+	req.Samples = clampSamples(req.Samples)
+	noteProbes := func(resp whatifResponse) {
+		probes, kept := resp.probeCounts()
+		info.noteStats(map[string]uint64{"probes": probes, "kept": kept})
+	}
+
+	// EXPLAIN mode bypasses the cache; see runKSPR.
+	useCache := !req.NoCache && !info.Debug()
+	key := fmt.Sprintf("%s@%d|whatif.%s|f=%d|k=%d|a=%s|n=%d|seed=%d|%s", snap.Name, snap.Generation, kind,
+		req.Focal, req.K, algo.String(), req.Samples, req.Seed, keyTail)
+	if useCache {
+		if v, ok := s.cache.Get(key); ok {
+			e := v.(*whatifEntry)
+			info.noteCached(true)
+			noteProbes(e.resp)
+			if e.unreachable != "" {
+				writeError(w, http.StatusUnprocessableEntity, "%s", e.unreachable)
+				return
+			}
+			writeJSON(w, http.StatusOK, e.resp.asCached())
+			return
+		}
+	}
+
+	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
+	defer cancel()
+	val, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
+		return run(snap, []kspr.QueryOption{kspr.WithAlgorithm(algo), kspr.WithContext(ctx),
+			kspr.WithParallelism(1), kspr.WithoutGeometry(), kspr.WithTrace(info.Trace())})
+	})
+	// An unreachable target comes with the search's answer, so its probes
+	// count like a success's.
+	resp, _ := val.(whatifResponse)
+	if resp != nil {
+		s.metrics.AddWhatIf(resp.probeCounts())
+		noteProbes(resp)
+	}
+	switch {
+	case errors.Is(err, kspr.ErrTargetUnreachable):
+		// A well-formed request whose answer is "no such price": 422, not
+		// 400.
+		if useCache {
+			s.cache.Put(key, &whatifEntry{resp: resp, unreachable: err.Error()})
+		}
+		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		return
+	case err != nil:
+		writeError(w, errStatusCode(err), "%v", err)
+		return
+	}
+	if useCache {
+		s.cache.Put(key, &whatifEntry{resp: resp})
+	}
+	if info.Debug() {
+		resp.setTrace(traceToWire(info))
+	}
+	writeJSON(w, http.StatusOK, resp)
+}
 
 // clampSamples applies the per-request Monte-Carlo bound with the
 // library's what-if default, so cache keys and responses stay consistent
@@ -155,120 +277,64 @@ func clampSamples(n int) int {
 	return n
 }
 
-// serveCached returns true after writing the cached response for key, with
-// its Cached flag set via mark.
-func (s *Server) serveCached(w http.ResponseWriter, key string, noCache bool, mark func(any) any) bool {
-	if noCache {
-		return false
-	}
-	v, ok := s.cache.Get(key)
-	if !ok {
-		return false
-	}
-	writeJSON(w, http.StatusOK, mark(v))
-	return true
-}
-
 // ---- handlers ------------------------------------------------------------
 
 // handleCompetitors serves GET /v1/impact:competitors: per-competitor
-// attribution of the focal option's missing preference space.
+// attribution of the focal option's missing preference space. Like GET
+// /v1/kspr it rejects query parameter names it does not know.
 func (s *Server) handleCompetitors(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	snap, ok := s.registry.Get(q.Get("dataset"))
-	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", q.Get("dataset"))
-		return
-	}
-	reqInfoFrom(r.Context()).noteDataset(snap)
-	focal, err := strconv.Atoi(q.Get("focal"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "invalid focal %q", q.Get("focal"))
-		return
-	}
-	k, err := strconv.Atoi(q.Get("k"))
-	if err != nil || k < 1 {
-		writeError(w, http.StatusBadRequest, "invalid k %q", q.Get("k"))
-		return
-	}
-	samples := 0
-	if v := q.Get("samples"); v != "" {
-		if samples, err = strconv.Atoi(v); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid samples %q", v)
-			return
+	var req whatifRequest
+	if !parseQuery(w, r, func(name, raw string) (err error) {
+		switch name {
+		case "dataset":
+			req.Dataset = raw
+		case "algorithm":
+			req.Algorithm = raw
+		case "focal":
+			req.Focal, err = strconv.Atoi(raw)
+		case "k":
+			req.K, err = strconv.Atoi(raw)
+		case "samples":
+			req.Samples, err = strconv.Atoi(raw)
+		case "seed":
+			req.Seed, err = strconv.ParseInt(raw, 10, 64)
+		case "no_cache":
+			req.NoCache, err = strconv.ParseBool(raw)
+		default:
+			return errUnknownParam
 		}
-	}
-	samples = clampSamples(samples)
-	var seed int64
-	if v := q.Get("seed"); v != "" {
-		if seed, err = strconv.ParseInt(v, 10, 64); err != nil {
-			writeError(w, http.StatusBadRequest, "invalid seed %q", v)
-			return
-		}
-	}
-	algo, err := parseAlgorithm(q.Get("algorithm"))
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	noCache := q.Get("no_cache") == "1" || q.Get("no_cache") == "true"
-	// EXPLAIN mode must actually run (and must not share its traced
-	// response through the cache); see runKSPR.
-	info := reqInfoFrom(r.Context())
-	noCache = noCache || info.Debug()
-
-	key := fmt.Sprintf("%s@%d|whatif.comp|f=%d|k=%d|a=%s|n=%d|seed=%d",
-		snap.Name, snap.Generation, focal, k, algo.String(), samples, seed)
-	if s.serveCached(w, key, noCache, func(v any) any {
-		resp := *(v.(*competitorsResponse))
-		resp.Cached = true
-		return &resp
+		return err
 	}) {
 		return
 	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(0))
-	defer cancel()
-	val, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-		return snap.DB.Competitors(focal, k, samples, seed,
-			kspr.WithAlgorithm(algo), kspr.WithContext(ctx), kspr.WithParallelism(1),
-			kspr.WithoutGeometry(), kspr.WithTrace(info.Trace()))
+	s.serveWhatIf(w, r, &req, "comp", "", func(snap *Snapshot, opts []kspr.QueryOption) (whatifResponse, error) {
+		attr, err := snap.DB.Competitors(req.Focal, req.K, req.Samples, req.Seed, opts...)
+		if err != nil {
+			return nil, err
+		}
+		resp := &competitorsResponse{
+			Dataset:     snap.Name,
+			Generation:  snap.Generation,
+			Focal:       attr.Focal,
+			K:           attr.K,
+			Samples:     attr.Samples,
+			Impact:      attr.Impact,
+			Miss:        attr.Miss,
+			Competitors: make([]competitorWire, len(attr.Competitors)),
+		}
+		for i, c := range attr.Competitors {
+			resp.Competitors[i] = competitorWire{
+				ID:            c.ID,
+				StableID:      c.StableID,
+				MissShare:     c.MissShare,
+				PressureShare: c.PressureShare,
+			}
+			if c.ID < len(snap.Dataset.Labels) {
+				resp.Competitors[i].Label = snap.Dataset.Labels[c.ID]
+			}
+		}
+		return resp, nil
 	})
-	if err != nil {
-		writeError(w, errStatusCode(err), "%v", err)
-		return
-	}
-	attr := val.(*kspr.Attribution)
-	resp := &competitorsResponse{
-		Dataset:    snap.Name,
-		Generation: snap.Generation,
-		Focal:      attr.Focal,
-		K:          attr.K,
-		Samples:    attr.Samples,
-		Impact:     attr.Impact,
-		Miss:       attr.Miss,
-	}
-	resp.Competitors = make([]competitorWire, len(attr.Competitors))
-	for i, c := range attr.Competitors {
-		cw := competitorWire{
-			ID:            c.ID,
-			StableID:      c.StableID,
-			MissShare:     c.MissShare,
-			PressureShare: c.PressureShare,
-		}
-		if c.ID < len(snap.Dataset.Labels) {
-			cw.Label = snap.Dataset.Labels[c.ID]
-		}
-		resp.Competitors[i] = cw
-	}
-	if !noCache {
-		s.cache.Put(key, resp)
-	}
-	s.metrics.AddWhatIf(1, 0)
-	if info.Debug() {
-		resp.Trace = traceToWire(info)
-	}
-	writeJSON(w, http.StatusOK, resp)
 }
 
 // handlePrice serves POST /v1/whatif:price: the minimal reprice of one
@@ -278,52 +344,10 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	snap, ok := s.registry.Get(req.Dataset)
-	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
-		return
-	}
-	reqInfoFrom(r.Context()).noteDataset(snap)
-	if req.K < 1 {
-		writeError(w, http.StatusBadRequest, "k must be >= 1, got %d", req.K)
-		return
-	}
-	algo, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	req.Samples = clampSamples(req.Samples)
-	// EXPLAIN mode bypasses the cache; see runKSPR.
-	info := reqInfoFrom(r.Context())
-	req.NoCache = req.NoCache || info.Debug()
-
-	key := fmt.Sprintf("%s@%d|whatif.price|f=%d|k=%d|a=%s|attr=%d|t=%x|md=%x|e=%x|n=%d|seed=%d|vm=%t",
-		snap.Name, snap.Generation, req.Focal, req.K, algo.String(), req.Attr,
-		math.Float64bits(req.Target), math.Float64bits(req.MaxDelta), math.Float64bits(req.Eps),
-		req.Samples, req.Seed, req.VolumeMetric)
-	if !req.NoCache {
-		if v, ok := s.cache.Get(key); ok {
-			e := v.(*priceCacheEntry)
-			if e.unreachable != "" {
-				// The 422 is as deterministic as the success answer (same
-				// generation, same sample set); serving it from cache stops
-				// a repeated unreachable target from re-burning the full
-				// bisection on a pool worker each time.
-				writeError(w, http.StatusUnprocessableEntity, "%s", e.unreachable)
-				return
-			}
-			resp := *e.resp
-			resp.Cached = true
-			writeJSON(w, http.StatusOK, &resp)
-			return
-		}
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
-	defer cancel()
-	val, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-		return snap.DB.PriceToTarget(req.Focal, req.K, kspr.RepriceSpec{
+	keyTail := fmt.Sprintf("attr=%d|t=%x|md=%x|e=%x|vm=%t", req.Attr, math.Float64bits(req.Target),
+		math.Float64bits(req.MaxDelta), math.Float64bits(req.Eps), req.VolumeMetric)
+	s.serveWhatIf(w, r, &req.whatifRequest, "price", keyTail, func(snap *Snapshot, opts []kspr.QueryOption) (whatifResponse, error) {
+		rp, err := snap.DB.PriceToTarget(req.Focal, req.K, kspr.RepriceSpec{
 			Attr:         req.Attr,
 			Target:       req.Target,
 			MaxDelta:     req.MaxDelta,
@@ -331,57 +355,27 @@ func (s *Server) handlePrice(w http.ResponseWriter, r *http.Request) {
 			Samples:      req.Samples,
 			Seed:         req.Seed,
 			VolumeMetric: req.VolumeMetric,
-		}, kspr.WithAlgorithm(algo), kspr.WithContext(ctx), kspr.WithParallelism(1),
-			kspr.WithoutGeometry(), kspr.WithTrace(info.Trace()))
-	})
-	if err != nil {
-		// An unreachable target is a well-formed request whose answer is
-		// "no such price": 422, not 400 — and deterministic, so cache it.
-		if errors.Is(err, kspr.ErrTargetUnreachable) {
-			if !req.NoCache {
-				s.cache.Put(key, &priceCacheEntry{unreachable: err.Error()})
-			}
-			if rp, ok := val.(*kspr.Reprice); ok && rp != nil {
-				s.metrics.AddWhatIf(uint64(rp.Stats.Probes), uint64(rp.Stats.Kept))
-			}
-			writeError(w, http.StatusUnprocessableEntity, "%v", err)
-			return
+		}, opts...)
+		if rp == nil {
+			return nil, err
 		}
-		writeError(w, errStatusCode(err), "%v", err)
-		return
-	}
-	rp := val.(*kspr.Reprice)
-	resp := &priceResponse{
-		Dataset:     snap.Name,
-		Generation:  snap.Generation,
-		Focal:       rp.Focal,
-		Attr:        rp.Attr,
-		K:           rp.K,
-		Target:      rp.Target,
-		Delta:       rp.Delta,
-		Value:       rp.Value,
-		Impact:      rp.Impact,
-		Baseline:    rp.Baseline,
-		AlreadyMet:  rp.AlreadyMet,
-		LowerDelta:  rp.LowerDelta,
-		LowerImpact: rp.LowerImpact,
-		Stats:       toStatsWire(rp.Stats),
-	}
-	if !req.NoCache {
-		s.cache.Put(key, &priceCacheEntry{resp: resp})
-	}
-	s.metrics.AddWhatIf(uint64(rp.Stats.Probes), uint64(rp.Stats.Kept))
-	if info.Debug() {
-		resp.Trace = traceToWire(info)
-	}
-	writeJSON(w, http.StatusOK, resp)
-}
-
-// priceCacheEntry is what the cache stores for /v1/whatif:price: the
-// success response, or the deterministic unreachable-target 422 message.
-type priceCacheEntry struct {
-	resp        *priceResponse
-	unreachable string
+		return &priceResponse{
+			Dataset:     snap.Name,
+			Generation:  snap.Generation,
+			Focal:       rp.Focal,
+			Attr:        rp.Attr,
+			K:           rp.K,
+			Target:      rp.Target,
+			Delta:       rp.Delta,
+			Value:       rp.Value,
+			Impact:      rp.Impact,
+			Baseline:    rp.Baseline,
+			AlreadyMet:  rp.AlreadyMet,
+			LowerDelta:  rp.LowerDelta,
+			LowerImpact: rp.LowerImpact,
+			Stats:       toStatsWire(rp.Stats),
+		}, err
+	})
 }
 
 // handleFrontier serves POST /v1/whatif:frontier: the impact-vs-price
@@ -391,16 +385,6 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	snap, ok := s.registry.Get(req.Dataset)
-	if !ok {
-		writeError(w, http.StatusNotFound, "dataset %q not found", req.Dataset)
-		return
-	}
-	reqInfoFrom(r.Context()).noteDataset(snap)
-	if req.K < 1 {
-		writeError(w, http.StatusBadRequest, "k must be >= 1, got %d", req.K)
-		return
-	}
 	if req.Steps == 0 {
 		req.Steps = 16 // resolve the library default BEFORE the cap check
 	}
@@ -408,32 +392,10 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadRequest, "frontier of %d steps exceeds limit %d", req.Steps, s.cfg.MaxBatch)
 		return
 	}
-	algo, err := parseAlgorithm(req.Algorithm)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	req.Samples = clampSamples(req.Samples)
-	// EXPLAIN mode bypasses the cache; see runKSPR.
-	info := reqInfoFrom(r.Context())
-	req.NoCache = req.NoCache || info.Debug()
-
-	key := fmt.Sprintf("%s@%d|whatif.frontier|f=%d|k=%d|a=%s|attr=%d|min=%x|max=%x|st=%d|n=%d|seed=%d|vm=%t",
-		snap.Name, snap.Generation, req.Focal, req.K, algo.String(), req.Attr,
-		math.Float64bits(req.Min), math.Float64bits(req.Max), req.Steps,
-		req.Samples, req.Seed, req.VolumeMetric)
-	if s.serveCached(w, key, req.NoCache, func(v any) any {
-		resp := *(v.(*frontierResponse))
-		resp.Cached = true
-		return &resp
-	}) {
-		return
-	}
-
-	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(req.TimeoutMs))
-	defer cancel()
-	val, err := s.pool.Submit(ctx, func(ctx context.Context) (any, error) {
-		return snap.DB.Frontier(req.Focal, req.K, kspr.FrontierSpec{
+	keyTail := fmt.Sprintf("attr=%d|min=%x|max=%x|st=%d|vm=%t", req.Attr,
+		math.Float64bits(req.Min), math.Float64bits(req.Max), req.Steps, req.VolumeMetric)
+	s.serveWhatIf(w, r, &req.whatifRequest, "frontier", keyTail, func(snap *Snapshot, opts []kspr.QueryOption) (whatifResponse, error) {
+		curve, err := snap.DB.Frontier(req.Focal, req.K, kspr.FrontierSpec{
 			Attr:         req.Attr,
 			Min:          req.Min,
 			Max:          req.Max,
@@ -441,38 +403,28 @@ func (s *Server) handleFrontier(w http.ResponseWriter, r *http.Request) {
 			Samples:      req.Samples,
 			Seed:         req.Seed,
 			VolumeMetric: req.VolumeMetric,
-		}, kspr.WithAlgorithm(algo), kspr.WithContext(ctx), kspr.WithParallelism(1),
-			kspr.WithoutGeometry(), kspr.WithTrace(info.Trace()))
-	})
-	if err != nil {
-		writeError(w, errStatusCode(err), "%v", err)
-		return
-	}
-	curve := val.(*kspr.FrontierCurve)
-	resp := &frontierResponse{
-		Dataset:    snap.Name,
-		Generation: snap.Generation,
-		Focal:      curve.Focal,
-		Attr:       curve.Attr,
-		K:          curve.K,
-		Stats:      toStatsWire(curve.Stats),
-	}
-	resp.Points = make([]frontierPointWire, len(curve.Points))
-	for i, p := range curve.Points {
-		resp.Points[i] = frontierPointWire{
-			Value:   p.Value,
-			Delta:   p.Delta,
-			Impact:  p.Impact,
-			Regions: p.Regions,
-			Kept:    p.Kept,
+		}, opts...)
+		if err != nil {
+			return nil, err
 		}
-	}
-	if !req.NoCache {
-		s.cache.Put(key, resp)
-	}
-	s.metrics.AddWhatIf(uint64(curve.Stats.Probes), uint64(curve.Stats.Kept))
-	if info.Debug() {
-		resp.Trace = traceToWire(info)
-	}
-	writeJSON(w, http.StatusOK, resp)
+		resp := &frontierResponse{
+			Dataset:    snap.Name,
+			Generation: snap.Generation,
+			Focal:      curve.Focal,
+			Attr:       curve.Attr,
+			K:          curve.K,
+			Points:     make([]frontierPointWire, len(curve.Points)),
+			Stats:      toStatsWire(curve.Stats),
+		}
+		for i, p := range curve.Points {
+			resp.Points[i] = frontierPointWire{
+				Value:   p.Value,
+				Delta:   p.Delta,
+				Impact:  p.Impact,
+				Regions: p.Regions,
+				Kept:    p.Kept,
+			}
+		}
+		return resp, nil
+	})
 }

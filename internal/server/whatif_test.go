@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"strings"
 	"testing"
 )
 
@@ -50,7 +51,8 @@ func getJSON(t *testing.T, url string, out any) (*http.Response, []byte) {
 }
 
 // TestCompetitorsEndpoint exercises GET /v1/impact:competitors: shape,
-// accounting, generation-keyed caching, and invalidation by mutation.
+// accounting, generation-keyed caching, invalidation by mutation, and the
+// query-string rules.
 func TestCompetitorsEndpoint(t *testing.T) {
 	srv, ts := newTestServer(t, Config{})
 	loadGenerated(t, ts, "comp", 120, 3, 3)
@@ -107,6 +109,24 @@ func TestCompetitorsEndpoint(t *testing.T) {
 	if resp, _ := getJSON(t, fmt.Sprintf("%s/v1/impact:competitors?dataset=comp&focal=%d&k=3&algorithm=approx", ts.URL, focal), nil); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("approx algorithm: status %d", resp.StatusCode)
 	}
+
+	// Like GET /v1/kspr, the query string admits only the names it knows
+	// (debug is the one extra) and parses no_cache as a boolean: a typo
+	// must not silently run the default or be served from the cache.
+	for _, tc := range []struct{ query, want string }{
+		{"&sample=500", `unknown query parameter \"sample\"`},
+		{"&algoritm=cta", `unknown query parameter \"algoritm\"`},
+		{"&no_cache=yes", `invalid no_cache=\"yes\"`},
+	} {
+		resp, body := getJSON(t, url+tc.query, nil)
+		if resp.StatusCode != http.StatusBadRequest || !strings.Contains(string(body), tc.want) {
+			t.Fatalf("%s: status %d, body %s; want 400 with %s", tc.query, resp.StatusCode, body, tc.want)
+		}
+	}
+	var traced competitorsResponse
+	if resp, body := getJSON(t, url+"&debug=trace", &traced); resp.StatusCode != http.StatusOK || traced.Trace == nil {
+		t.Fatalf("debug=trace: status %d, body %s; want 200 with a trace", resp.StatusCode, body)
+	}
 }
 
 // TestWhatIfPriceEndpoint exercises POST /v1/whatif:price end-to-end:
@@ -117,8 +137,8 @@ func TestWhatIfPriceEndpoint(t *testing.T) {
 	snap, _ := srv.Registry().Get("price")
 	focal := snap.DB.KSkyband(3)[0]
 
-	req := priceRequest{Dataset: "price", Focal: focal, K: 3, Attr: 0,
-		Target: 0.6, Eps: 1e-3, Samples: 2000, Seed: 5}
+	req := priceRequest{whatifRequest: whatifRequest{Dataset: "price", Focal: focal, K: 3, Samples: 2000, Seed: 5},
+		Attr: 0, Target: 0.6, Eps: 1e-3}
 	resp, body := postJSON(t, ts.URL+"/v1/whatif:price", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)
@@ -163,10 +183,10 @@ func TestWhatIfPriceEndpoint(t *testing.T) {
 		t.Fatalf("repeat unreachable target re-ran the search: %d -> %d probes", probesAfterFirst, got)
 	}
 
-	if resp, _ := postJSON(t, ts.URL+"/v1/whatif:price", priceRequest{Dataset: "price", Focal: focal, K: 0, Target: 0.5}); resp.StatusCode != http.StatusBadRequest {
+	if resp, _ := postJSON(t, ts.URL+"/v1/whatif:price", priceRequest{whatifRequest: whatifRequest{Dataset: "price", Focal: focal, K: 0}, Target: 0.5}); resp.StatusCode != http.StatusBadRequest {
 		t.Fatalf("bad k: status %d", resp.StatusCode)
 	}
-	if resp, _ := postJSON(t, ts.URL+"/v1/whatif:price", priceRequest{Dataset: "nope", Focal: 0, K: 1, Target: 0.5}); resp.StatusCode != http.StatusNotFound {
+	if resp, _ := postJSON(t, ts.URL+"/v1/whatif:price", priceRequest{whatifRequest: whatifRequest{Dataset: "nope", Focal: 0, K: 1}, Target: 0.5}); resp.StatusCode != http.StatusNotFound {
 		t.Fatalf("unknown dataset: status %d", resp.StatusCode)
 	}
 }
@@ -179,8 +199,8 @@ func TestWhatIfFrontierEndpoint(t *testing.T) {
 	snap, _ := srv.Registry().Get("front")
 	focal := snap.DB.KSkyband(3)[2]
 
-	req := frontierRequest{Dataset: "front", Focal: focal, K: 3, Attr: 0,
-		Min: 0.01, Max: 1.2, Steps: 6, Samples: 1500, Seed: 3}
+	req := frontierRequest{whatifRequest: whatifRequest{Dataset: "front", Focal: focal, K: 3, Samples: 1500, Seed: 3},
+		Attr: 0, Min: 0.01, Max: 1.2, Steps: 6}
 	resp, body := postJSON(t, ts.URL+"/v1/whatif:frontier", req)
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("status %d: %s", resp.StatusCode, body)

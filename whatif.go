@@ -5,12 +5,12 @@ package kspr
 // All three answer the paper's motivating seller questions — "who takes my
 // preference space, and what is the cheapest reprice that wins a target
 // share of it" — on top of the existing machinery: attribution aggregates
-// the exact per-region Outscorers facts the cell tree proved, reprice
-// probes run against a Freeze-pinned scratch dataset kept warm by
-// MaintainKSPR (so hopeless prices are absorbed by the incremental keep
-// path instead of engine runs), and frontier sweeps run their surviving
-// grid points as one KSPRBatch call. See docs/ARCHITECTURE.md, "What-if
-// layer".
+// the exact per-region Outscorers facts the cell tree proved, and the
+// reprice search and the frontier sweep share one probe (repricer) that
+// queries repriced focals against an index of the focal's competitors,
+// one KSPRBatch call per probe round. A hopeless price is decided where
+// every kSPR query decides it: the engine's dominator count. See
+// docs/ARCHITECTURE.md, "What-if layer".
 
 import (
 	"errors"
@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/geom"
 	"repro/internal/rtree"
 )
 
@@ -34,14 +33,14 @@ var ErrTargetUnreachable = errors.New("kspr: target impact unreachable within th
 const DefaultWhatIfSamples = 20000
 
 // WhatIfStats reports how a what-if call spent its probes: how many impact
-// evaluations ran, how many the incremental machinery answered without an
-// engine recompute (the Maintainer keep tiers for reprice probes, the
-// dominator-count classification for frontier grid points), and the
+// evaluations ran, how many the engine answered from its dominator count
+// alone (the repriced focal has at least k strictly dominating
+// competitors, so the result is empty before any cell-tree work), and the
 // average wall-clock cost per probe.
 type WhatIfStats struct {
 	// Probes is the number of impact evaluations the call performed
-	// (including the baseline); Kept of them were answered by the
-	// incremental keep/classification path, Recomputed ran the engine.
+	// (including PriceToTarget's baseline); Kept of them were answered from
+	// the dominator count, Recomputed built a cell tree.
 	Probes     int
 	Kept       int
 	Recomputed int
@@ -200,7 +199,7 @@ type Reprice struct {
 	LowerDelta  float64
 	LowerImpact float64
 	// Stats reports the probe economy, including how many probes the
-	// incremental keep path absorbed.
+	// engine answered from the dominator count.
 	Stats WhatIfStats
 }
 
@@ -209,11 +208,11 @@ type Reprice struct {
 // improving an attribute never shrinks the focal's top-k region, and each
 // probe reuses the same sample set, so the empirical impact is
 // nondecreasing in the change and the bracket invariant is exact. Each
-// probe is a reprice Apply against a scratch copy of the pinned current
-// generation whose result MaintainKSPR keeps warm — probes at prices where
-// the focal is still dominated out are absorbed by the incremental keep
-// path (Stats records the keep rate). The search mutates only the scratch
-// dataset, never db.
+// probe, the baseline included, queries the repriced focal against an
+// index of its competitors in the pinned current generation; probes at
+// prices where the focal is still dominated out are answered from the
+// dominator count (Stats records the keep rate). The search never
+// mutates db.
 func (db *DB) PriceToTarget(focalID, k int, spec RepriceSpec, opts ...QueryOption) (*Reprice, error) {
 	start := time.Now()
 	st := db.cur()
@@ -237,24 +236,18 @@ func (db *DB) PriceToTarget(focalID, k int, spec RepriceSpec, opts ...QueryOptio
 		spec.Eps = 1e-6
 	}
 
-	// Scratch dataset: a mutable in-memory copy of the pinned generation.
-	// Dense indexes (and therefore stable ids) match st's by construction.
-	if spec.VolumeMetric {
-		opts = append(opts[:len(opts):len(opts)], WithVolumes(spec.Samples), WithSeed(spec.Seed))
-	}
-
-	recs, maxAttr := snapshotRecords(st, spec.Attr)
-	scratch, err := Open(recs, WithFanout(db.treeFanout()))
+	r, err := db.newRepricer(st, focalID, spec.Attr, k, spec.Samples, spec.Seed, spec.VolumeMetric, opts)
 	if err != nil {
 		return nil, err
 	}
-	lq, err := scratch.MaintainKSPR(focalID, k, opts...)
-	if err != nil {
-		return nil, err
+	base := r.focal[spec.Attr]
+	probe := func(value float64) (float64, error) {
+		pts, err := r.probe(value)
+		if err != nil {
+			return 0, err
+		}
+		return pts[0].Impact, nil
 	}
-	defer lq.Close()
-	stable, _ := scratch.StableID(focalID)
-	base := recs[focalID][spec.Attr]
 
 	rp := &Reprice{
 		Focal:      focalID,
@@ -263,35 +256,13 @@ func (db *DB) PriceToTarget(focalID, k int, spec RepriceSpec, opts ...QueryOptio
 		Target:     spec.Target,
 		Generation: st.gen,
 	}
-	probe := func(delta float64) (float64, error) {
-		rp.Stats.Probes++
-		vec := append([]float64(nil), recs[focalID]...)
-		vec[spec.Attr] = base + delta
-		if _, err := scratch.Apply(Update(stable, vec...)); err != nil {
-			return 0, err
-		}
-		res, _, err := lq.Result()
-		if err != nil {
-			return 0, err
-		}
-		return impactOf(scratch, res, spec.Samples, spec.Seed, spec.VolumeMetric), nil
-	}
-
-	// Baseline: the maintained query's initial cold run.
-	res0, _, err := lq.Result()
-	if err != nil {
-		return nil, err
-	}
-	rp.Stats.Probes++
-	rp.Baseline = impactOf(scratch, res0, spec.Samples, spec.Seed, spec.VolumeMetric)
 	finish := func() *Reprice {
-		ms := lq.Stats()
-		// +1: the baseline's initial cold run is an engine probe too, so
-		// Probes == Kept + Recomputed holds, matching Frontier's accounting
-		// and the WhatIfStats contract.
-		rp.Stats.Kept, rp.Stats.Recomputed = int(ms.Kept), int(ms.Recomputed)+1
+		rp.Stats = r.stats
 		rp.Stats.fill(time.Since(start))
 		return rp
+	}
+	if rp.Baseline, err = probe(base); err != nil {
+		return nil, err
 	}
 	if rp.Baseline >= spec.Target {
 		rp.AlreadyMet = true
@@ -305,12 +276,12 @@ func (db *DB) PriceToTarget(focalID, k int, spec RepriceSpec, opts ...QueryOptio
 	hi := spec.MaxDelta
 	auto := hi <= 0
 	if auto {
-		hi = maxAttr - base
+		hi = r.maxAttr - base
 		if hi <= 0 {
 			hi = math.Max(math.Abs(base), 1)
 		}
 	}
-	hiImpact, err := probe(hi)
+	hiImpact, err := probe(base + hi)
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +298,7 @@ func (db *DB) PriceToTarget(focalID, k int, spec RepriceSpec, opts ...QueryOptio
 				ErrTargetUnreachable, hiImpact, spec.Target, hi)
 		}
 		hi *= 2
-		if hiImpact, err = probe(hi); err != nil {
+		if hiImpact, err = probe(base + hi); err != nil {
 			return nil, err
 		}
 	}
@@ -338,7 +309,7 @@ func (db *DB) PriceToTarget(focalID, k int, spec RepriceSpec, opts ...QueryOptio
 		if mid <= lo || mid >= hi {
 			break // the bracket is below float resolution
 		}
-		imp, err := probe(mid)
+		imp, err := probe(base + mid)
 		if err != nil {
 			return nil, err
 		}
@@ -380,9 +351,9 @@ type FrontierPoint struct {
 	// kSPR region count behind it (0 for classified-empty points).
 	Impact  float64
 	Regions int
-	// Kept reports the point was answered by the incremental
-	// classification fast path (the probed price has >= k strict
-	// dominators, so the result is provably empty) without an engine run.
+	// Kept reports the engine answered the point from its dominator count
+	// alone: at least k competitors strictly dominate the repriced focal,
+	// so the result is empty before any cell-tree work.
 	Kept bool
 }
 
@@ -398,21 +369,20 @@ type FrontierCurve struct {
 	// probability metric the curve is nondecreasing in Value (same sample
 	// set at every point).
 	Points []FrontierPoint
-	// Stats reports the probe economy: Kept counts grid points the
-	// dominator-count classification answered, Recomputed the points that
-	// went through the engine's batch.
+	// Stats reports the probe economy: Kept counts grid points answered
+	// from the dominator count, Recomputed the points that built a cell
+	// tree.
 	Stats WhatIfStats
 }
 
 // Frontier sweeps an impact-vs-price curve for the focal option: each grid
 // point reprices one attribute to an absolute value and measures the
-// resulting impact. Grid points where the repriced focal is dominated by
-// at least k competitors are classified empty from dominator counts alone
-// (the incremental fast path; Kept in Stats); the surviving points run as
-// one KSPRBatch call over the competitor set, scheduled across the
-// parallelism budget, whose k-skyband table the first point that needs it
-// builds and the rest read. The sweep reads a pinned generation and never
-// mutates db.
+// resulting impact. The whole grid runs as one KSPRBatch call over the
+// focal's competitors, scheduled across the parallelism budget, whose
+// k-skyband table the first point that needs it builds and the rest read.
+// Points where the repriced focal is dominated by at least k competitors
+// are answered from the dominator count (Kept in Stats). The sweep reads a
+// pinned generation and never mutates db.
 func (db *DB) Frontier(focalID, k int, spec FrontierSpec, opts ...QueryOption) (*FrontierCurve, error) {
 	start := time.Now()
 	st := db.cur()
@@ -431,77 +401,31 @@ func (db *DB) Frontier(focalID, k int, spec FrontierSpec, opts ...QueryOption) (
 	if spec.Steps < 2 {
 		return nil, fmt.Errorf("kspr: frontier needs at least 2 steps, got %d", spec.Steps)
 	}
+	if spec.Max < spec.Min {
+		return nil, fmt.Errorf("kspr: frontier range [%g, %g] is inverted", spec.Min, spec.Max)
+	}
 	if spec.Samples <= 0 {
 		spec.Samples = DefaultWhatIfSamples
 	}
-	if spec.VolumeMetric {
-		opts = append(opts[:len(opts):len(opts)], WithVolumes(spec.Samples), WithSeed(spec.Seed))
+	r, err := db.newRepricer(st, focalID, spec.Attr, k, spec.Samples, spec.Seed, spec.VolumeMetric, opts)
+	if err != nil {
+		return nil, err
 	}
-	recs, maxAttr := snapshotRecords(st, spec.Attr)
-	base := recs[focalID][spec.Attr]
 	if spec.Min == 0 && spec.Max == 0 {
-		spec.Min, spec.Max = base, maxAttr
+		spec.Min, spec.Max = r.focal[spec.Attr], r.maxAttr
 		if spec.Max <= spec.Min {
 			spec.Max = spec.Min + 1
 		}
 	}
-	if spec.Max < spec.Min {
-		return nil, fmt.Errorf("kspr: frontier range [%g, %g] is inverted", spec.Min, spec.Max)
+	values := make([]float64, spec.Steps)
+	for i := range values {
+		values[i] = spec.Min + (spec.Max-spec.Min)*float64(i)/float64(spec.Steps-1)
 	}
-
-	// Competitor-only scratch: the sweep queries hypothetical repriced
-	// focals, so the focal's current record must not compete with them.
-	comp := append(recs[:focalID:focalID], recs[focalID+1:]...)
-	var cdb *DB
-	if len(comp) > 0 {
-		var err error
-		if cdb, err = Open(comp, WithFanout(db.treeFanout())); err != nil {
-			return nil, err
-		}
+	pts, err := r.probe(values...)
+	if err != nil {
+		return nil, err
 	}
-
-	curve := &FrontierCurve{Focal: focalID, Attr: spec.Attr, K: k, Generation: st.gen}
-	curve.Points = make([]FrontierPoint, spec.Steps)
-	var queries []BatchQuery
-	var engineIdx []int
-	for i := range curve.Points {
-		value := spec.Min + (spec.Max-spec.Min)*float64(i)/float64(spec.Steps-1)
-		vec := append([]float64(nil), recs[focalID]...)
-		vec[spec.Attr] = value
-		curve.Points[i] = FrontierPoint{Value: value, Delta: value - base}
-		curve.Stats.Probes++
-		switch {
-		case cdb == nil:
-			// No competitors: the focal is shortlisted everywhere.
-			curve.Points[i].Impact = 1
-			curve.Points[i].Kept = true
-			curve.Stats.Kept++
-		case len(cdb.cur().tree.Dominators(geom.Vector(vec), nil)) >= k:
-			// >= k strict dominators: the kSPR result is provably empty
-			// (kAdj <= 0), exactly what the engine would conclude before
-			// building any cell tree.
-			curve.Points[i].Kept = true
-			curve.Stats.Kept++
-		default:
-			queries = append(queries, BatchQuery{FocalID: -1, Focal: vec})
-			engineIdx = append(engineIdx, i)
-			curve.Stats.Recomputed++
-		}
-	}
-	if len(queries) > 0 {
-		outs, err := cdb.KSPRBatch(queries, k, WithBatchOptions(opts...))
-		if err != nil {
-			return nil, err
-		}
-		for j, o := range outs {
-			i := engineIdx[j]
-			if o.Err != nil {
-				return nil, fmt.Errorf("kspr: frontier point %d (value %g): %w", i, curve.Points[i].Value, o.Err)
-			}
-			curve.Points[i].Impact = impactOf(cdb, o.Result, spec.Samples, spec.Seed, spec.VolumeMetric)
-			curve.Points[i].Regions = len(o.Result.Regions)
-		}
-	}
+	curve := &FrontierCurve{Focal: focalID, Attr: spec.Attr, K: k, Generation: st.gen, Points: pts, Stats: r.stats}
 	curve.Stats.fill(time.Since(start))
 	return curve, nil
 }
@@ -514,18 +438,95 @@ func finite(field string, v float64) error {
 	return nil
 }
 
-// snapshotRecords copies the pinned generation's records and reports the
-// dataset-wide maximum of the given attribute.
-func snapshotRecords(st *dbState, attr int) ([][]float64, float64) {
-	recs := make([][]float64, st.tree.Len())
-	maxAttr := math.Inf(-1)
+// repricer is the what-if layer's one probe: the focal's record and an
+// index of every other record of one pinned generation, against which
+// PriceToTarget and Frontier price the focal's attribute at hypothetical
+// values. Querying the competitors alone keeps the focal's current record
+// from competing with its repriced self.
+type repricer struct {
+	cdb     *DB // nil when the focal has no competitors
+	focal   []float64
+	attr, k int
+	maxAttr float64 // the attribute's maximum over the generation
+	impact  func(*Result) float64
+	opts    []QueryOption
+	stats   WhatIfStats
+}
+
+// newRepricer builds the probe for focalID on st. Under the volume metric
+// every probe measures its regions with samples and seed.
+func (db *DB) newRepricer(st *dbState, focalID, attr, k, samples int, seed int64, volume bool, opts []QueryOption) (*repricer, error) {
+	if k < 1 {
+		return nil, fmt.Errorf("kspr: k must be positive, got %d", k)
+	}
+	r := &repricer{attr: attr, k: k, maxAttr: math.Inf(-1)}
+	comp := make([][]float64, 0, st.tree.Len()-1)
 	for i, rec := range st.tree.Records {
-		recs[i] = geom.Vector(rec).Clone()
-		if rec[attr] > maxAttr {
-			maxAttr = rec[attr]
+		if rec[attr] > r.maxAttr {
+			r.maxAttr = rec[attr]
+		}
+		if i == focalID {
+			r.focal = rec
+		} else {
+			comp = append(comp, rec)
 		}
 	}
-	return recs, maxAttr
+	if len(comp) > 0 {
+		// Open packs its own backing, so the index aliases nothing of st.
+		var err error
+		if r.cdb, err = Open(comp, WithFanout(db.treeFanout())); err != nil {
+			return nil, err
+		}
+	}
+	if volume {
+		opts = append(opts[:len(opts):len(opts)], WithVolumes(samples), WithSeed(seed))
+	}
+	r.opts = opts
+	r.impact = func(res *Result) float64 { return impactOf(r.cdb, res, samples, seed, volume) }
+	return r, nil
+}
+
+// probe prices the focal's attribute at each value and measures the
+// impact there, all values in one KSPRBatch call. A point whose result the
+// engine decided from its dominator count (BaseRank >= k: at least k
+// competitors strictly dominate the repriced focal) is kept, with impact
+// 0; without competitors every point is kept with impact 1.
+func (r *repricer) probe(values ...float64) ([]FrontierPoint, error) {
+	base := r.focal[r.attr]
+	pts := make([]FrontierPoint, len(values))
+	queries := make([]BatchQuery, len(values))
+	for i, v := range values {
+		vec := append([]float64(nil), r.focal...)
+		vec[r.attr] = v
+		pts[i] = FrontierPoint{Value: v, Delta: v - base}
+		queries[i] = BatchQuery{FocalID: -1, Focal: vec}
+	}
+	r.stats.Probes += len(values)
+	if r.cdb == nil {
+		for i := range pts {
+			pts[i].Impact, pts[i].Kept = 1, true
+		}
+		r.stats.Kept += len(values)
+		return pts, nil
+	}
+	outs, err := r.cdb.KSPRBatch(queries, r.k, WithBatchOptions(r.opts...))
+	if err != nil {
+		return nil, err
+	}
+	for i, o := range outs {
+		switch {
+		case o.Err != nil:
+			return nil, fmt.Errorf("kspr: what-if probe at value %g: %w", values[i], o.Err)
+		case o.Result.Stats.BaseRank >= r.k:
+			pts[i].Kept = true
+			r.stats.Kept++
+		default:
+			pts[i].Impact = r.impact(o.Result)
+			pts[i].Regions = len(o.Result.Regions)
+			r.stats.Recomputed++
+		}
+	}
+	return pts, nil
 }
 
 // treeFanout resolves the fanout scratch datasets are indexed with.

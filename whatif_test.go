@@ -3,6 +3,7 @@ package kspr
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -64,70 +65,82 @@ func coldImpactAt(t *testing.T, recs [][]float64, focal, k, attr int, delta floa
 }
 
 // TestPriceToTargetMatchesColdRecompute is the what-if subsystem's pinned
-// correctness invariant: across randomized datasets and all four exact
-// algorithms, the bisection's returned price reaches the target under a
-// cold recompute on a fresh DB, and the failing bracket (price - eps) does
-// not.
+// correctness invariant: across randomized datasets, all four exact
+// algorithms and both preference spaces, the bisection's returned price
+// reaches the target under a cold recompute on a fresh DB, the failing
+// bracket (price - eps) does not, and the impacts the search reports at
+// the current price, at the returned price and at the failing bracket
+// equal the cold recompute's exactly.
 func TestPriceToTargetMatchesColdRecompute(t *testing.T) {
 	const (
 		n, d, k = 40, 3, 3
 		samples = 3000
 		mcSeed  = int64(42)
 	)
-	for _, a := range whatifAlgos {
-		for seed := int64(1); seed <= 3; seed++ {
-			recs := whatifRecords(seed, n, d)
-			db, err := Open(recs)
-			if err != nil {
-				t.Fatalf("open: %v", err)
-			}
-			opts := []QueryOption{WithAlgorithm(a.algo), WithoutGeometry()}
-			baseline := coldImpactAt(t, recs, 0, k, 0, 0, samples, mcSeed, opts...)
-			target := baseline + 0.2
-			if target > 0.9 {
-				target = (baseline + 1) / 2
-			}
-			spec := RepriceSpec{Attr: 0, Target: target, Eps: 1e-4, Samples: samples, Seed: mcSeed}
-			rp, err := db.PriceToTarget(0, k, spec, opts...)
-			if err != nil {
-				t.Fatalf("%s seed %d: PriceToTarget: %v", a.name, seed, err)
-			}
-			if rp.AlreadyMet {
-				t.Fatalf("%s seed %d: target %.4f unexpectedly already met (baseline %.4f)",
-					a.name, seed, target, rp.Baseline)
-			}
-			if rp.Delta <= 0 {
-				t.Fatalf("%s seed %d: non-positive delta %g", a.name, seed, rp.Delta)
-			}
-			if rp.Delta-rp.LowerDelta > spec.Eps*1.01 {
-				t.Fatalf("%s seed %d: bracket [%g, %g] wider than eps %g",
-					a.name, seed, rp.LowerDelta, rp.Delta, spec.Eps)
-			}
-			cold := coldImpactAt(t, recs, 0, k, 0, rp.Delta, samples, mcSeed, opts...)
-			if cold < target {
-				t.Fatalf("%s seed %d: cold recompute at delta %g gives impact %.4f < target %.4f",
-					a.name, seed, rp.Delta, cold, target)
-			}
-			if cold != rp.Impact {
-				t.Fatalf("%s seed %d: probe impact %.6f != cold impact %.6f",
-					a.name, seed, rp.Impact, cold)
-			}
-			coldLow := coldImpactAt(t, recs, 0, k, 0, rp.LowerDelta, samples, mcSeed, opts...)
-			if coldLow >= target {
-				t.Fatalf("%s seed %d: cold recompute at the failing bracket %g reaches the target (%.4f >= %.4f)",
-					a.name, seed, rp.LowerDelta, coldLow, target)
-			}
-			if rp.Stats.Probes < 3 || rp.Stats.Probes != rp.Stats.Kept+rp.Stats.Recomputed {
-				t.Fatalf("%s seed %d: probes must partition into kept+recomputed: %+v", a.name, seed, rp.Stats)
+	for _, space := range []Space{Transformed, Original} {
+		for _, a := range whatifAlgos {
+			for seed := int64(1); seed <= 3; seed++ {
+				name := fmt.Sprintf("%s/%v/seed %d", a.name, space, seed)
+				recs := whatifRecords(seed, n, d)
+				db, err := Open(recs)
+				if err != nil {
+					t.Fatalf("open: %v", err)
+				}
+				opts := []QueryOption{WithAlgorithm(a.algo), WithSpace(space), WithoutGeometry()}
+				baseline := coldImpactAt(t, recs, 0, k, 0, 0, samples, mcSeed, opts...)
+				target := baseline + 0.2
+				if target > 0.9 {
+					target = (baseline + 1) / 2
+				}
+				spec := RepriceSpec{Attr: 0, Target: target, Eps: 1e-4, Samples: samples, Seed: mcSeed}
+				rp, err := db.PriceToTarget(0, k, spec, opts...)
+				if err != nil {
+					t.Fatalf("%s: PriceToTarget: %v", name, err)
+				}
+				if rp.AlreadyMet {
+					t.Fatalf("%s: target %.4f unexpectedly already met (baseline %.4f)",
+						name, target, rp.Baseline)
+				}
+				if rp.Baseline != baseline {
+					t.Fatalf("%s: baseline %.6f != cold impact %.6f at the current price",
+						name, rp.Baseline, baseline)
+				}
+				if rp.Delta <= 0 {
+					t.Fatalf("%s: non-positive delta %g", name, rp.Delta)
+				}
+				if rp.Delta-rp.LowerDelta > spec.Eps*1.01 {
+					t.Fatalf("%s: bracket [%g, %g] wider than eps %g",
+						name, rp.LowerDelta, rp.Delta, spec.Eps)
+				}
+				cold := coldImpactAt(t, recs, 0, k, 0, rp.Delta, samples, mcSeed, opts...)
+				if cold < target {
+					t.Fatalf("%s: cold recompute at delta %g gives impact %.4f < target %.4f",
+						name, rp.Delta, cold, target)
+				}
+				if cold != rp.Impact {
+					t.Fatalf("%s: probe impact %.6f != cold impact %.6f", name, rp.Impact, cold)
+				}
+				coldLow := coldImpactAt(t, recs, 0, k, 0, rp.LowerDelta, samples, mcSeed, opts...)
+				if coldLow >= target {
+					t.Fatalf("%s: cold recompute at the failing bracket %g reaches the target (%.4f >= %.4f)",
+						name, rp.LowerDelta, coldLow, target)
+				}
+				if coldLow != rp.LowerImpact {
+					t.Fatalf("%s: failing-bracket impact %.6f != cold impact %.6f at delta %g",
+						name, rp.LowerImpact, coldLow, rp.LowerDelta)
+				}
+				if rp.Stats.Probes < 3 || rp.Stats.Probes != rp.Stats.Kept+rp.Stats.Recomputed {
+					t.Fatalf("%s: probes must partition into kept+recomputed: %+v", name, rp.Stats)
+				}
 			}
 		}
 	}
 }
 
 // TestPriceToTargetKeepsDominatedProbes pins that reprice probes at
-// hopeless prices are absorbed by the incremental keep path: starting from
-// a deeply dominated focal, the bisection's low-side probes synthesize the
-// provably empty result instead of running the engine.
+// hopeless prices are kept: starting from a deeply dominated focal, the
+// engine answers the bisection's low-side probes from its dominator count,
+// before any cell-tree work.
 func TestPriceToTargetKeepsDominatedProbes(t *testing.T) {
 	// The competitors dominate the focal until its first attribute clears
 	// ~1.45, which is past the bisection's first midpoint (MaxDelta/2 = 1),
@@ -158,10 +171,10 @@ func TestPriceToTargetKeepsDominatedProbes(t *testing.T) {
 }
 
 // TestFrontierKeepRateAndColdAgreement pins the frontier acceptance
-// criteria: grid points in dominated territory are classified by the
-// incremental fast path (keep-rate > 0), the curve is nondecreasing under
-// the shared sample set, and engine-computed points agree exactly with a
-// cold recompute of the repriced dataset.
+// criteria: grid points in dominated territory are answered from the
+// dominator count (keep-rate > 0), the curve is nondecreasing under
+// the shared sample set, and every point, kept or engine-computed, agrees
+// exactly with a cold recompute of the repriced dataset.
 func TestFrontierKeepRateAndColdAgreement(t *testing.T) {
 	recs := whatifRecords(5, 30, 3)
 	db, err := Open(recs)
@@ -193,11 +206,9 @@ func TestFrontierKeepRateAndColdAgreement(t *testing.T) {
 		if p.Kept && (p.Impact != 0 || p.Regions != 0) {
 			t.Fatalf("kept point %+v should be classified empty", p)
 		}
-		if !p.Kept {
-			cold := coldImpactAt(t, recs, 0, k, 0, p.Delta, samples, seed, WithoutGeometry())
-			if math.Abs(cold-p.Impact) > 1e-12 {
-				t.Fatalf("frontier point value %g: impact %.6f != cold %.6f", p.Value, p.Impact, cold)
-			}
+		cold := coldImpactAt(t, recs, 0, k, 0, p.Delta, samples, seed, WithoutGeometry())
+		if math.Abs(cold-p.Impact) > 1e-12 {
+			t.Fatalf("frontier point value %g (kept %t): impact %.6f != cold %.6f", p.Value, p.Kept, p.Impact, cold)
 		}
 	}
 }
@@ -333,11 +344,11 @@ func TestPriceToTargetExpansionBounded(t *testing.T) {
 	}
 }
 
-// TestMaintainedRepriceShortcut pins the Maintainer's reprice keep tier
-// end-to-end through the live DB: repricing the maintained focal to a
-// value with >= K strict dominators must count as Kept, and the maintained
-// result must stay byte-identical to a cold recompute.
-func TestMaintainedRepriceShortcut(t *testing.T) {
+// TestMaintainedRepriceRecomputes pins how the live DB follows a reprice
+// of the maintained focal: every reprice, into territory with >= K strict
+// dominators and back out of it, counts as Recomputed, and the maintained
+// result stays byte-identical to a cold recompute.
+func TestMaintainedRepriceRecomputes(t *testing.T) {
 	recs := [][]float64{
 		{0.5, 0.5, 0.5},
 		{0.9, 0.92, 0.95},
@@ -356,13 +367,14 @@ func TestMaintainedRepriceShortcut(t *testing.T) {
 	stable, _ := db.StableID(0)
 
 	// Reprice into deeply dominated territory: >= 2 strict dominators, so
-	// the result is provably empty and the shortcut must keep.
+	// the recompute is the empty result the engine's dominator count
+	// decides.
 	if _, err := db.Apply(Update(stable, 0.01, 0.01, 0.01)); err != nil {
 		t.Fatal(err)
 	}
 	st := lq.Stats()
-	if st.Kept != 1 || st.Recomputed != 0 {
-		t.Fatalf("dominated reprice should be kept, got %+v", st)
+	if st.Kept != 0 || st.Recomputed != 1 {
+		t.Fatalf("dominated reprice should recompute, got %+v", st)
 	}
 	res, _, err := lq.Result()
 	if err != nil {
@@ -373,7 +385,7 @@ func TestMaintainedRepriceShortcut(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(core.EncodeResult(res), core.EncodeResult(cold)) {
-		t.Fatal("kept (synthesized) result diverges from cold recompute")
+		t.Fatal("dominated reprice's result diverges from cold recompute")
 	}
 
 	// Reprice back out of dominated territory: must recompute and match.
@@ -381,7 +393,7 @@ func TestMaintainedRepriceShortcut(t *testing.T) {
 		t.Fatal(err)
 	}
 	st = lq.Stats()
-	if st.Recomputed != 1 {
+	if st.Recomputed != 2 {
 		t.Fatalf("competitive reprice should recompute, got %+v", st)
 	}
 	res, _, err = lq.Result()
