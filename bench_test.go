@@ -244,3 +244,46 @@ func BenchmarkFrontier(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkMutationImpact times the cache-migration classification of one
+// mutation batch on IND n=100,000, d=3: a deep-interior insert and the
+// delete of the record with the smallest attribute sum, classified
+// against 64 focals from the 5-skyband at k=5.
+func BenchmarkMutationImpact(b *testing.B) {
+	ds, err := dataset.Generate(dataset.Independent, 100000, 3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	db, err := kspr.Open(ds.Float64s())
+	if err != nil {
+		b.Fatal(err)
+	}
+	deepest, low := 0, 3.0
+	for i := 0; i < db.Len(); i++ {
+		r := db.Record(i)
+		if s := r[0] + r[1] + r[2]; s < low {
+			deepest, low = i, s
+		}
+	}
+	stable, _ := db.StableID(deepest)
+	band := db.KSkyband(5)
+	focals := make([][]float64, 64)
+	for i := range focals {
+		focals[i] = db.Record(band[i%len(band)])
+	}
+	old := db.Freeze()
+	res, err := db.Apply(kspr.Insert(0.05, 0.05, 0.05), kspr.Delete(stable))
+	if err != nil {
+		b.Fatal(err)
+	}
+	cur := db.Freeze()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		mi := kspr.NewMutationImpact(old, cur, res.Deltas, 5)
+		for _, f := range focals {
+			if !mi.Unaffected(f, 5, kspr.LPCTA) {
+				b.Fatal("a deep-interior batch affected a 5-skyband focal")
+			}
+		}
+	}
+}

@@ -88,7 +88,7 @@ type Stats struct {
 	Splits           int // leaf splits (case III at a leaf)
 	FeasibilityTests int // LP feasibility tests issued
 	WStarSkips       int // case tests skipped thanks to a cached w*
-	DomShortcuts     int // case II decided by the dominance graph
+	DomShortcuts     int // case II decided by a processed dominator (optInsert)
 	GeomDecides      int // cases decided by exact vertex geometry
 	ConstraintRows   int // total constraint rows across feasibility tests
 }

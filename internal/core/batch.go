@@ -11,8 +11,8 @@
 //     batch keeps every core on a distinct query;
 //   - a batch-wide celltree.Forks token pool, so insertion fan-out capacity
 //     migrates to whichever item can use it;
-//   - per-item errors, contexts and timeouts, fail-fast, and outcomes
-//     streamed as items settle.
+//   - per-item errors, contexts and timeouts, and outcomes streamed as
+//     items settle.
 //
 // Each item's Result is byte-identical to a serial Run of that item (see
 // TestBatchMatchesSerial); only scheduling-observable fields (Elapsed,
@@ -21,20 +21,14 @@ package core
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/celltree"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 )
-
-// ErrBatchAborted marks items that were never started because an earlier
-// item failed and the batch runs in fail-fast mode.
-var ErrBatchAborted = errors.New("core: batch item skipped after earlier item failed")
 
 // BatchItem is one focal option of a batch. Focal may be nil when FocalID
 // names a dataset record; a non-nil Focal is used verbatim (FocalID < 0
@@ -64,9 +58,6 @@ type BatchOutcome struct {
 // cancellation).
 type BatchOptions struct {
 	Options
-	// FailFast aborts items not yet started once any item errors; they
-	// settle with ErrBatchAborted.
-	FailFast bool
 	// ItemTimeout, when positive, bounds each item's processing time: the
 	// item's context is derived with this timeout when the item starts
 	// running (queue time does not count), so one pathological item times
@@ -149,9 +140,6 @@ func RunBatch(tree *rtree.Tree, items []BatchItem, opts BatchOptions) ([]BatchOu
 	}
 
 	outcomes := make([]BatchOutcome, len(items))
-	var next atomic.Int64
-	next.Store(-1)
-	var aborted atomic.Bool
 	var emitMu sync.Mutex
 	settle := func(i int, o BatchOutcome) {
 		outcomes[i] = o
@@ -162,10 +150,6 @@ func RunBatch(tree *rtree.Tree, items []BatchItem, opts BatchOptions) ([]BatchOu
 		}
 	}
 	runItem := func(i int) {
-		if opts.FailFast && aborted.Load() {
-			settle(i, BatchOutcome{Err: ErrBatchAborted})
-			return
-		}
 		it := items[i]
 		o := opts.Options
 		if it.K != 0 {
@@ -203,35 +187,16 @@ func RunBatch(tree *rtree.Tree, items []BatchItem, opts BatchOptions) ([]BatchOu
 			res, err = runQuery(tree, focal, it.FocalID, o, forks)
 		}
 		if err != nil {
-			if opts.FailFast {
-				aborted.Store(true)
-			}
 			settle(i, BatchOutcome{Err: err})
 			return
 		}
 		settle(i, BatchOutcome{Result: res})
 	}
 
-	if outer == 1 {
-		for i := range items {
-			runItem(i)
-		}
-		return outcomes, nil
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < outer; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1))
-				if i >= len(items) {
-					return
-				}
-				runItem(i)
-			}
-		}()
-	}
-	wg.Wait()
+	// Item failures settle in their outcome, never as a parallelDo error.
+	parallelDo(outer, len(items), func(_, i int) error {
+		runItem(i)
+		return nil
+	})
 	return outcomes, nil
 }

@@ -148,36 +148,6 @@ func TestBatchPerItemErrors(t *testing.T) {
 	}
 }
 
-// TestBatchFailFast: after the first failure, unstarted items settle with
-// ErrBatchAborted instead of running.
-func TestBatchFailFast(t *testing.T) {
-	tr, _ := buildRandom(t, 60, 3, 11)
-	items := make([]BatchItem, 12)
-	for i := range items {
-		items[i] = BatchItem{FocalID: 9999} // every item invalid
-	}
-	got, err := RunBatch(tr, items, BatchOptions{
-		Options:  Options{K: 4, Algorithm: LPCTA, Parallelism: 1},
-		FailFast: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0].Err == nil {
-		t.Fatal("first item must fail")
-	}
-	aborted := 0
-	for _, o := range got[1:] {
-		if errors.Is(o.Err, ErrBatchAborted) {
-			aborted++
-		}
-	}
-	if aborted != len(items)-1 {
-		t.Fatalf("want %d aborted items after first failure (serial scheduler), got %d",
-			len(items)-1, aborted)
-	}
-}
-
 // TestBatchItemCancellation: an item runs under both the batch context
 // and its own. A done item context fails only that item; a done batch
 // context fails every item, including one whose own context is live, with

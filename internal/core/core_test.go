@@ -364,7 +364,7 @@ func TestTiesAreIgnored(t *testing.T) {
 		for _, focalID := range []int{0, -1} {
 			r := &runner{tree: tr, focal: focal, focalID: focalID}
 			for id, rec := range c.recs {
-				tie := id == focalID || ExactlyEqual(rec, focal)
+				tie := id == focalID || slices.Equal(rec, focal)
 				wantSkip := tie || geom.Dominates(rec, focal) || geom.Dominates(focal, rec)
 				wantRankSkip := tie || geom.Dominates(focal, rec)
 				if r.skip(id) != wantSkip || r.rankSkip(id) != wantRankSkip {

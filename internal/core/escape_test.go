@@ -63,7 +63,8 @@ func bruteEscapes(recs []geom.Vector, open map[int]bool, pivots []int) bool {
 // sequence of tests interleaved with processing and insertion, so lazily
 // filled rows are reused across tests, and compares every answer with a
 // geom.Dominates scan over the open candidates, until every candidate is
-// processed. Candidate counts straddle the 64-bit word boundaries;
+// processed. Each step also checks the dominator list of one record
+// against a scan over the inserted records. Candidate counts straddle the 64-bit word boundaries;
 // candidates close lowest id first on even steps, so low words empty
 // while high ones still hold escapees.
 func TestEscapeCheckMatchesBruteForce(t *testing.T) {
@@ -79,7 +80,7 @@ func TestEscapeCheckMatchesBruteForce(t *testing.T) {
 			for _, id := range ids {
 				open[id] = true
 			}
-			var inserted, pivots []int
+			var inserted, pivots, doms []int
 			isInserted := make(map[int]bool)
 			var outcomes [2]int
 			for step := 0; step < 60 || len(open) > 0; step++ {
@@ -114,6 +115,20 @@ func TestEscapeCheckMatchesBruteForce(t *testing.T) {
 						inserted = append(inserted, id)
 						e.add(id, recs[id])
 					}
+				}
+				// The insert walk's dominator list: the inserted records
+				// that dominate v, in insertion order, into reused
+				// scratch; a duplicate of v is not one of them.
+				v := recs[rng.Intn(len(recs))]
+				var wantDoms []int
+				for _, id := range inserted {
+					if geom.Dominates(recs[id], v) {
+						wantDoms = append(wantDoms, id)
+					}
+				}
+				if doms = e.dominators(v, doms); !slices.Equal(doms, wantDoms) {
+					t.Fatalf("nc=%d ties=%v step %d: dominators(%v) = %v, want %v",
+						nc, ties, step, v, doms, wantDoms)
 				}
 				for q := 0; q < 6; q++ {
 					keep := []float64{0, 0.2, 0.6, 0.95}[rng.Intn(4)]

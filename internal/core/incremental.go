@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
@@ -31,111 +32,77 @@ func WeakDominates(p, v geom.Vector) bool {
 	return true
 }
 
-// ExactlyEqual reports bit-exact component equality. The incremental
-// keep-path must use this, NOT the epsilon-tolerant geom.Vector.Equal: a
+// MutationImpact classifies one applied mutation batch against any
+// number of kSPR queries: the batch's changed vectors and their strict
+// dominator counts are computed once, and each query's Unaffected check
+// is then a dominance test and a comparison per vector. Incremental
+// maintenance (Maintainer) and the serving layer's cache migration share
+// it.
+type MutationImpact struct {
+	vecs []geom.Vector // the changed vectors
+	doms []int         // doms[i]: strict dominators of vecs[i], capped
+}
+
+// NewMutationImpact counts every changed vector's strict dominators in
+// its own generation: an old vector in oldTree, the index before the
+// batch, and a new one in newTree, the index after it (nil for an empty
+// generation). maxK caps the counts: it is the largest k Unaffected will
+// be asked. Value-preserving updates change nothing and are left out,
+// compared bit-exact, NOT with the epsilon-tolerant geom.Vector.Equal: a
 // sub-epsilon reprice still changes the hyperplane bits a cold recompute
 // would build, and the kept-result guarantee is BYTE identity.
-func ExactlyEqual(a, b geom.Vector) bool {
-	if len(a) != len(b) {
-		return false
+func NewMutationImpact(oldTree, newTree *rtree.Tree, deltas []Delta, maxK int) *MutationImpact {
+	mi := &MutationImpact{}
+	count := func(tree *rtree.Tree, v geom.Vector) {
+		n := 0
+		if tree != nil {
+			n = tree.CountDominators(v, maxK)
+		}
+		mi.vecs = append(mi.vecs, v)
+		mi.doms = append(mi.doms, n)
 	}
-	for i, x := range a {
-		if x != b[i] {
-			return false
+	for _, d := range deltas {
+		if d.Old != nil && d.New != nil && slices.Equal(d.Old, d.New) {
+			continue
+		}
+		if d.Old != nil {
+			count(oldTree, d.Old)
+		}
+		if d.New != nil {
+			count(newTree, d.New)
 		}
 	}
-	return true
+	return mi
 }
 
-// FocalState is the cached per-focal classification state incremental
-// maintenance tests mutations against: the focal vector plus the record
-// vectors that can certify a mutation irrelevant — the focal's k-skyband
-// together with the focal's dominators. It is built once per (focal, K)
-// from the dataset index and consulted with pure dominance tests, so
-// classifying a mutation batch touches no index structures at all.
-type FocalState struct {
-	// Focal is the focal option's attribute vector; K the shortlist size;
-	// Algorithm the processing algorithm the maintained result was
-	// computed with.
-	Focal     geom.Vector
-	K         int
-	Algorithm Algorithm
-	refs      []geom.Vector
-}
-
-// NewFocalState caches the classification state for one focal option.
-// focalID is the focal's index in tree (or -1 for a hypothetical record).
-func NewFocalState(tree *rtree.Tree, focal geom.Vector, focalID, k int, algo Algorithm) *FocalState {
-	s := &FocalState{Focal: focal.Clone(), K: k, Algorithm: algo}
-	band := tree.KSkybandExcluding(k, focalID)
-	for _, id := range band {
-		rec := tree.Records[id]
-		// Records the focal weakly dominates can never certify a mutation
-		// irrelevant on their own: whenever such a record dominates the
-		// mutated vector, so does the focal, and the Tier-A test already
-		// catches that.
-		if !WeakDominates(focal, rec) {
-			s.refs = append(s.refs, rec)
-		}
-	}
-	return s
-}
-
-// VectorIrrelevant reports whether a record with attribute vector v is
-// provably irrelevant to the focal's kSPR result — inserting, deleting,
-// or repricing away from/to v cannot change the result's regions:
+// Unaffected reports whether the batch provably cannot change the kSPR
+// result of the query with the given focal vector, k and algorithm:
+// inserting, deleting or repricing away from or to a changed vector v
+// leaves the result's regions alone when
 //
 //   - Tier A (any algorithm): the focal weakly dominates v, so v never
 //     strictly outscores the focal anywhere in preference space and is
 //     excluded from processing outright;
 //   - Tier B (dominance-ordered algorithms, i.e. everything but plain
-//     CTA): at least K cached reference records strictly dominate v, so
-//     wherever v outscores the focal, K others already do — v lies
+//     CTA): at least k records strictly dominate v in its generation, so
+//     wherever v outscores the focal, k others already do — v lies
 //     outside the k-skyband and outside every bound, pivot, and batch
-//     decision the engine makes.
+//     decision the engine makes (Lemma 6). The focal is never one of
+//     them: a focal that dominates v passes Tier A.
 //
-// Counting dominators within the cached references is exact: a dominator
-// of v outside the k-skyband has >= K skyband dominators of its own that
-// also dominate v, and skyband dominators the focal weakly dominates
-// imply Tier A.
-func (s *FocalState) VectorIrrelevant(v geom.Vector) bool {
-	if len(v) != len(s.Focal) {
-		return false
-	}
-	if WeakDominates(s.Focal, v) {
-		return true
-	}
-	if s.Algorithm == CTA {
-		// CTA inserts hyperplanes in dataset order, so even a K-dominated
+// A k above NewMutationImpact's maxK never passes Tier B. Mutations of
+// the focal record itself must be detected by identity upstream:
+// Unaffected classifies by value and would treat a tie's removal and the
+// focal's removal alike.
+func (mi *MutationImpact) Unaffected(focal geom.Vector, k int, algo Algorithm) bool {
+	for i, v := range mi.vecs {
+		if WeakDominates(focal, v) {
+			continue
+		}
+		// CTA inserts hyperplanes in dataset order, so even a k-dominated
 		// record can transiently split live cells before its dominators
 		// close them; only Tier A preserves the output bit-for-bit.
-		return false
-	}
-	n := 0
-	for _, r := range s.refs {
-		if geom.Dominates(r, v) {
-			n++
-			if n >= s.K {
-				return true
-			}
-		}
-	}
-	return false
-}
-
-// Unaffected reports whether the whole mutation batch is provably unable
-// to change the focal's kSPR result. Mutations of the focal record itself
-// must be detected by identity upstream — FocalState classifies by value
-// and would treat a tie's removal and the focal's removal alike.
-func (s *FocalState) Unaffected(deltas []Delta) bool {
-	for _, d := range deltas {
-		if d.Old != nil && d.New != nil && ExactlyEqual(d.Old, d.New) {
-			continue // value-preserving update: the dataset is unchanged
-		}
-		if d.Old != nil && !s.VectorIrrelevant(d.Old) {
-			return false
-		}
-		if d.New != nil && !s.VectorIrrelevant(d.New) {
+		if algo == CTA || mi.doms[i] < k {
 			return false
 		}
 	}
@@ -152,34 +119,30 @@ type MaintStats struct {
 }
 
 // Maintainer keeps one focal option's kSPR result current across dataset
-// generations. Apply classifies each mutation batch against the cached
-// per-focal state: when every mutation is provably irrelevant the prior
-// result is revalidated (the focal's presence and values are re-checked
-// against the new index) and reused — byte-identical to what a cold rerun
-// on the new generation would produce — and only otherwise is the query
-// recomputed. Not safe for concurrent use; callers serialize.
+// generations. Apply classifies each mutation batch with a MutationImpact
+// between the generation the result answers and the new one: when every
+// mutation is provably irrelevant the prior result is revalidated (the
+// focal's presence and values are re-checked against the new index) and
+// reused — byte-identical to what a cold rerun on the new generation
+// would produce — and only otherwise is the query recomputed. Not safe
+// for concurrent use; callers serialize.
 type Maintainer struct {
 	opts    Options
 	focalID int
-	state   *FocalState
+	tree    *rtree.Tree // the generation res answers
 	res     *Result
 	stats   MaintStats
 }
 
-// NewMaintainer answers the query cold on tree and caches the per-focal
-// classification state. focal is the focal vector (tree.Records[focalID]
-// when focalID >= 0); opts.K must be positive.
+// NewMaintainer answers the query cold on tree. focal is the focal
+// vector (tree.Records[focalID] when focalID >= 0); opts.K must be
+// positive.
 func NewMaintainer(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options) (*Maintainer, error) {
 	res, err := Run(tree, focal, focalID, opts)
 	if err != nil {
 		return nil, err
 	}
-	return &Maintainer{
-		opts:    opts,
-		focalID: focalID,
-		state:   NewFocalState(tree, focal, focalID, opts.K, opts.Algorithm),
-		res:     res,
-	}, nil
+	return &Maintainer{opts: opts, focalID: focalID, tree: tree, res: res}, nil
 }
 
 // Result returns the current maintained result.
@@ -196,7 +159,7 @@ func (m *Maintainer) Stats() MaintStats { return m.stats }
 // repriced, the maintained query follows it: the result is recomputed for
 // the new focal vector.
 func (m *Maintainer) Apply(tree *rtree.Tree, focalID int, deltas []Delta) (*Result, bool, error) {
-	focal := m.state.Focal
+	focal := m.res.Focal
 	recompute := false
 	if m.focalID >= 0 {
 		if focalID < 0 || focalID >= tree.Len() {
@@ -208,20 +171,21 @@ func (m *Maintainer) Apply(tree *rtree.Tree, focalID int, deltas []Delta) (*Resu
 		// A repriced focal is recomputed for its new vector; when the
 		// reprice leaves it with >= K strict dominators, Run answers empty
 		// after its one Dominators walk.
-		if !ExactlyEqual(tree.Records[focalID], focal) {
+		if !slices.Equal(tree.Records[focalID], focal) {
 			focal = tree.Records[focalID]
 			recompute = true
 		}
 	}
 	if !recompute {
 		classifySpan := m.opts.Trace.Span(PhaseClassify)
-		recompute = !m.state.Unaffected(deltas)
+		mi := NewMutationImpact(m.tree, tree, deltas, m.opts.K)
+		recompute = !mi.Unaffected(focal, m.opts.K, m.opts.Algorithm)
 		classifySpan.End()
 	}
 	m.stats.Generations++
 	if !recompute {
 		m.stats.Kept++
-		m.focalID = focalID
+		m.focalID, m.tree = focalID, tree
 		return m.res, false, nil
 	}
 	res, err := Run(tree, focal, focalID, m.opts)
@@ -229,9 +193,7 @@ func (m *Maintainer) Apply(tree *rtree.Tree, focalID int, deltas []Delta) (*Resu
 		return nil, false, err
 	}
 	m.stats.Recomputed++
-	m.focalID = focalID
-	m.state = NewFocalState(tree, focal, focalID, m.opts.K, m.opts.Algorithm)
-	m.res = res
+	m.focalID, m.tree, m.res = focalID, tree, res
 	return res, true, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
@@ -219,7 +220,8 @@ func TestIncrementalFollowsRepricedFocal(t *testing.T) {
 	}
 }
 
-// TestFocalStateClassification pins the irrelevance tiers directly.
+// TestFocalStateClassification pins the irrelevance tiers directly: each
+// case is a one-mutation batch classified against the focal record 3.
 func TestFocalStateClassification(t *testing.T) {
 	recs := []geom.Vector{
 		{0.9, 0.9}, {0.8, 0.95}, {0.95, 0.8}, // skyline
@@ -230,37 +232,192 @@ func TestFocalStateClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s := NewFocalState(tree, recs[3], 3, 2, LPCTA)
+	focal := recs[3]
+	// unaffected classifies inserting v at k=2.
+	unaffected := func(v geom.Vector, algo Algorithm) bool {
+		grown, err := rtree.Build(append(slices.Clip(recs), v))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return NewMutationImpact(tree, grown, []Delta{{New: v}}, 2).Unaffected(focal, 2, algo)
+	}
 
-	if !s.VectorIrrelevant(geom.Vector{0.4, 0.3}) {
+	if !unaffected(geom.Vector{0.4, 0.3}, LPCTA) {
 		t.Fatal("focal-dominated vector classified relevant")
 	}
-	if !s.VectorIrrelevant(geom.Vector{0.5, 0.5}) {
+	if !unaffected(geom.Vector{0.5, 0.5}, LPCTA) {
 		t.Fatal("exact tie classified relevant")
 	}
-	if !s.VectorIrrelevant(geom.Vector{0.6, 0.6}) {
+	if !unaffected(geom.Vector{0.6, 0.6}, LPCTA) {
 		t.Fatal("2-dominated vector classified relevant (K=2)")
 	}
-	if s.VectorIrrelevant(geom.Vector{0.97, 0.97}) {
+	if unaffected(geom.Vector{0.97, 0.97}, LPCTA) {
 		t.Fatal("new skyline point classified irrelevant")
 	}
-	if s.VectorIrrelevant(geom.Vector{0.85, 0.9}) {
+	if unaffected(geom.Vector{0.85, 0.9}, LPCTA) {
 		t.Fatal("1-dominated vector classified irrelevant at K=2")
 	}
 
-	cta := NewFocalState(tree, recs[3], 3, 2, CTA)
-	if cta.VectorIrrelevant(geom.Vector{0.6, 0.6}) {
+	if unaffected(geom.Vector{0.6, 0.6}, CTA) {
 		t.Fatal("CTA must not keep through Tier B")
 	}
-	if !cta.VectorIrrelevant(geom.Vector{0.4, 0.3}) {
+	if !unaffected(geom.Vector{0.4, 0.3}, CTA) {
 		t.Fatal("CTA Tier A broken")
 	}
 
-	if !s.Unaffected([]Delta{{Old: geom.Vector{0.9, 0.9}, New: geom.Vector{0.9, 0.9}}}) {
+	noop := NewMutationImpact(tree, tree, []Delta{{Old: geom.Vector{0.9, 0.9}, New: geom.Vector{0.9, 0.9}}}, 2)
+	if !noop.Unaffected(focal, 2, LPCTA) {
 		t.Fatal("value-preserving update classified affected")
 	}
-	if s.Unaffected([]Delta{{New: geom.Vector{0.99, 0.99}}}) {
+	if unaffected(geom.Vector{0.99, 0.99}, LPCTA) {
 		t.Fatal("skyline insert classified unaffected")
+	}
+	// Counts stop at maxK, so a deeper k never keeps through Tier B.
+	grown, err := rtree.Build(append(slices.Clip(recs), geom.Vector{0.6, 0.6}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if NewMutationImpact(tree, grown, []Delta{{New: geom.Vector{0.6, 0.6}}}, 2).Unaffected(focal, 3, LPCTA) {
+		t.Fatal("k above maxK kept through Tier B")
+	}
+}
+
+// TestMutationImpactMatchesBruteForce pins the classifier to the rule it
+// implements, evaluated by brute force: every changed vector the focal
+// does not weakly dominate needs, for every algorithm but CTA, at least k
+// strict dominators among all records of its own generation (old vectors
+// before the batch, new ones after). Batches of one to four inserts,
+// deletes, updates and value-preserving updates run on random and
+// integer-grid data (ties and duplicates); a mutation often inserts or
+// removes a dominator of the one before it, so the two generations count
+// differently. Focals are drawn from the dataset or hypothetical, and
+// every k from 1 to 6 runs under all four algorithms.
+func TestMutationImpactMatchesBruteForce(t *testing.T) {
+	const maxK = 6
+	rng := rand.New(rand.NewSource(41))
+	algos := []Algorithm{CTA, KSkybandCTA, PCTA, LPCTA}
+	vec := func(d int, grid bool) geom.Vector {
+		if !grid {
+			return randVec(rng, d, 0, 1)
+		}
+		v := make(geom.Vector, d)
+		for j := range v {
+			v[j] = float64(rng.Intn(4))
+		}
+		return v
+	}
+	kept, cases := 0, 0
+	for trial := 0; trial < 300; trial++ {
+		d := 2 + trial%3
+		grid := trial%2 == 1
+		old := make([]geom.Vector, 2+rng.Intn(60))
+		for i := range old {
+			old[i] = vec(d, grid)
+		}
+		cur := slices.Clone(old)
+		var deltas []Delta
+		var last geom.Vector // the previous mutation's vector
+		for range 1 + rng.Intn(4) {
+			i := rng.Intn(len(cur))
+			if last != nil && rng.Intn(2) == 0 {
+				// Mutate a dominator of the previous vector, so that its
+				// count differs between the two generations.
+				for j, r := range cur {
+					if geom.Dominates(r, last) {
+						i = j
+						if rng.Intn(3) == 0 {
+							break
+						}
+					}
+				}
+			}
+			switch rng.Intn(4) {
+			case 0:
+				v := vec(d, grid)
+				switch {
+				case rng.Intn(3) == 0:
+					v = cur[i].Clone() // a duplicate
+				case last != nil && rng.Intn(2) == 0:
+					v = last.Clone() // a dominator of the previous vector
+					v[rng.Intn(d)]++
+				}
+				cur = append(cur, v)
+				deltas = append(deltas, Delta{New: v})
+				last = v
+			case 1:
+				if len(cur) > 1 {
+					deltas = append(deltas, Delta{Old: cur[i]})
+					last = cur[i]
+					cur = slices.Delete(cur, i, i+1)
+				}
+			case 2:
+				v := vec(d, grid)
+				deltas = append(deltas, Delta{Old: cur[i], New: v})
+				last = cur[i]
+				cur[i] = v
+			default:
+				deltas = append(deltas, Delta{Old: cur[i], New: cur[i].Clone()})
+			}
+		}
+		fanout := rtree.WithFanout(4 + trial%13)
+		oldTree, err := rtree.Build(old, fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		curTree, err := rtree.Build(cur, fanout)
+		if err != nil {
+			t.Fatal(err)
+		}
+		mi := NewMutationImpact(oldTree, curTree, deltas, maxK)
+
+		// irrelevant is the rule for one changed vector v of generation gen.
+		irrelevant := func(focal, v geom.Vector, gen []geom.Vector, k int, algo Algorithm) bool {
+			if WeakDominates(focal, v) {
+				return true
+			}
+			if algo == CTA {
+				return false
+			}
+			n := 0
+			for _, r := range gen {
+				if geom.Dominates(r, v) {
+					n++
+				}
+			}
+			return n >= k
+		}
+		for f := 0; f < 6; f++ {
+			focal := old[rng.Intn(len(old))]
+			if f%3 == 2 {
+				focal = vec(d, grid)
+			}
+			for k := 1; k <= maxK; k++ {
+				for _, algo := range algos {
+					want := true
+					for _, dl := range deltas {
+						if dl.Old != nil && dl.New != nil && slices.Equal(dl.Old, dl.New) {
+							continue
+						}
+						if dl.Old != nil && !irrelevant(focal, dl.Old, old, k, algo) ||
+							dl.New != nil && !irrelevant(focal, dl.New, cur, k, algo) {
+							want = false
+							break
+						}
+					}
+					if got := mi.Unaffected(focal, k, algo); got != want {
+						t.Fatalf("trial %d focal %v k %d %s deltas %v: Unaffected = %v, want %v",
+							trial, focal, k, algo, deltas, got, want)
+					}
+					cases++
+					if want {
+						kept++
+					}
+				}
+			}
+		}
+	}
+	if kept == 0 || kept == cases {
+		t.Fatalf("%d of %d cases unaffected: both outcomes must occur", kept, cases)
 	}
 }
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"repro/internal/celltree"
-	"repro/internal/dominance"
 	"repro/internal/geom"
 	"repro/internal/kernel"
 	"repro/internal/lp"
@@ -344,6 +343,7 @@ type escapeCheck struct {
 	cands    []float64 // candidate records, row-major
 	open     []uint64
 	slot     map[int]int // inserted record id -> its row
+	added    []int       // row s's record id
 	inserted []float64   // inserted records, row-major by row
 	rows     []uint64    // row s is rows[s*words : (s+1)*words]
 	filled   []int       // leading words of row s filled so far
@@ -373,9 +373,23 @@ func (e *escapeCheck) process(id int) {
 // add gives the record id, with values v, an unfilled row.
 func (e *escapeCheck) add(id int, v geom.Vector) {
 	e.slot[id] = len(e.filled)
+	e.added = append(e.added, id)
 	e.filled = append(e.filled, 0)
 	e.rows = append(e.rows, make([]uint64, e.words)...)
 	e.inserted = append(e.inserted, v...)
+}
+
+// dominators overwrites dst with the ids of the added records that
+// dominate v, in the order they were added.
+func (e *escapeCheck) dominators(v geom.Vector, dst []int) []int {
+	dst = dst[:0]
+	d := e.d
+	for s, id := range e.added {
+		if geom.Dominates(e.inserted[s*d:(s+1)*d], v) {
+			dst = append(dst, id)
+		}
+	}
+	return dst
 }
 
 // escapes reports whether some open candidate is dominated by none of
@@ -437,7 +451,6 @@ func (r *runner) runCTA(ids []int) error {
 // dominance order with pivot-based early reporting, plus (for LP-CTA)
 // look-ahead rank bounds on freshly created cells.
 func (r *runner) runProgressive() error {
-	dg := dominance.New()
 	processed := make(map[int]bool)
 
 	// The pivot checks' candidates; LP-CTA's rank bounds walk an R-tree
@@ -464,9 +477,10 @@ func (r *runner) runProgressive() error {
 
 	r.ct.TakeFreshLeaves() // the root cell's bounds are trivially [1, n]
 
-	// Pivot-check scratch, reused across every leaf of every batch: a
-	// leaf's pivot and non-pivot ids.
-	var neg, pos []int
+	// Scratch reused across every batch: an inserted record's processed
+	// dominators (the insert walk's shortcut, Algorithm 2's optInsert), and
+	// a leaf's pivot and non-pivot ids.
+	var doms, neg, pos []int
 	for len(batch) > 0 && !r.ct.Done() {
 		r.result.Stats.Batches++
 		sort.Ints(batch)
@@ -484,8 +498,11 @@ func (r *runner) runProgressive() error {
 			if h.Kind != geom.Proper {
 				continue
 			}
-			dg.Add(id, r.tree.Records[id])
-			if err := r.ct.Insert(h, dg.Dominators(id)); err != nil {
+			// A batch is a skyline of D minus the skipped records and the
+			// non-pivot union, so every non-skipped dominator of a batch
+			// record was inserted before it: the rows hold them all.
+			doms = esc.dominators(r.tree.Records[id], doms)
+			if err := r.ct.Insert(h, doms); err != nil {
 				return err
 			}
 			esc.add(id, r.tree.Records[id])

@@ -1,7 +1,6 @@
 // Package kernel provides the flat-array dominance kernels behind the
-// large-n hot paths: R-tree skyline/k-skyband filtering, the progressive
-// dominance graph, and the per-record candidate bitsets of P-CTA's
-// reportability test.
+// large-n hot paths: R-tree skyline/k-skyband filtering and the
+// per-record candidate bitsets of P-CTA's reportability test.
 //
 // The package exists because the naive representation — a slice of
 // per-record []float64 slices — costs one pointer chase per record per
@@ -9,8 +8,7 @@
 // Kernels here operate on one dense row-major layout instead:
 // vals[i*d+j] is attribute j of record i — the layout the R-tree packs
 // its records into, the layout the accumulating band scratch (Band)
-// uses, the layout the dominance graph appends to, and the layout a
-// P-CTA query packs its candidates into once.
+// uses, and the layout a P-CTA query packs its candidates into once.
 //
 // Inner loops are branch-light: dominance is evaluated with comparison
 // counters (compiled to conditional moves on amd64, and to wider vector
@@ -18,10 +16,10 @@
 // early exits happen only at record granularity.
 //
 // Contract: every kernel must agree exactly — on NaN-free input — with
-// the reference semantics of geom.Dominates and geom.Compare ("larger is
-// better": no smaller in every dimension, strictly larger in at least
-// one, compared without epsilon). The property tests in this package pin
-// that agreement on randomized and adversarially tied datasets.
+// the reference semantics of geom.Dominates ("larger is better": no
+// smaller in every dimension, strictly larger in at least one, compared
+// without epsilon). The property tests in this package pin that
+// agreement on randomized and adversarially tied datasets.
 package kernel
 
 // PackRows copies the given records into one dense row-major backing
@@ -125,46 +123,4 @@ func (b *Band) CountDominatorsCapped(x []float64, limit int) int {
 		}
 	}
 	return count
-}
-
-// CompareResult mirrors geom.DomRelation for flat rows without importing
-// geom: 0 none, 1 first dominates, 2 second dominates, 3 equal.
-type CompareResult int
-
-// The flat-comparison outcomes, numerically aligned with
-// geom.DomNone/DomFirst/DomSecond/DomEqual.
-const (
-	// CmpNone means neither row dominates the other.
-	CmpNone CompareResult = iota
-	// CmpFirst means the first row dominates the second.
-	CmpFirst
-	// CmpSecond means the second row dominates the first.
-	CmpSecond
-	// CmpEqual means the rows are component-wise identical.
-	CmpEqual
-)
-
-// CompareFlat classifies the dominance relation between two length-d
-// flat rows, matching geom.Compare exactly.
-func CompareFlat(a, b []float64, d int) CompareResult {
-	aBetter, bBetter := 0, 0
-	for j := 0; j < d; j++ {
-		av, bv := a[j], b[j]
-		if av > bv {
-			aBetter = 1
-		}
-		if av < bv {
-			bBetter = 1
-		}
-	}
-	switch {
-	case aBetter == 1 && bBetter == 1:
-		return CmpNone
-	case aBetter == 1:
-		return CmpFirst
-	case bBetter == 1:
-		return CmpSecond
-	default:
-		return CmpEqual
-	}
 }

@@ -278,6 +278,40 @@ func (t *Tree) Dominators(p geom.Vector, exclude ExcludeFunc) []int {
 	return out
 }
 
+// CountDominators returns the number of records that dominate p, capped
+// at limit: the walk stops once limit dominators are counted, so asking
+// whether p has at least limit dominators costs no more than finding
+// them. A subtree whose min-corner dominates p holds only dominators of
+// p and is counted whole from its aggregate count; one whose max-corner
+// fails to cover p is pruned.
+func (t *Tree) CountDominators(p geom.Vector, limit int) int {
+	count := 0
+	var walk func(n *Node)
+	walk = func(n *Node) {
+		t.visit(n)
+		for _, e := range n.Entries {
+			if count >= limit {
+				return
+			}
+			switch {
+			case !coversOrEqual(e.High, p):
+			case e.Child == nil:
+				if geom.Dominates(t.Records[e.RecordID], p) {
+					count++
+				}
+			case t.Aggregate && geom.Dominates(e.Low, p):
+				count += e.Count
+			default:
+				walk(e.Child)
+			}
+		}
+	}
+	if limit > 0 {
+		walk(t.Root)
+	}
+	return min(count, limit)
+}
+
 // coversOrEqual reports x >= y in every dimension.
 func coversOrEqual(x, y geom.Vector) bool {
 	for i, v := range x {

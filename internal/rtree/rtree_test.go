@@ -411,6 +411,66 @@ func TestDominators(t *testing.T) {
 	}
 }
 
+// TestCountDominatorsMatchesBruteForce pins CountDominators to a direct
+// count capped at the limit, on random data and on an integer grid dense
+// with ties and duplicates, for probes that are records of the tree (so a
+// record equal to p is always present), grid points and random points,
+// across fanouts and every limit from 0 past the record count. It also
+// runs the non-aggregate tree, which has no subtree counts to add.
+func TestCountDominatorsMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 40; trial++ {
+		d := 2 + trial%3
+		n := 1 + rng.Intn(150)
+		grid := trial%2 == 1
+		recs := randRecords(rng, n, d)
+		if grid {
+			for i, r := range recs {
+				if i > 0 && rng.Intn(5) == 0 {
+					recs[i] = recs[rng.Intn(i)].Clone()
+					continue
+				}
+				for j := range r {
+					r[j] = float64(rng.Intn(4))
+				}
+			}
+		}
+		fanout := 4 + trial%13
+		opts := []Option{WithFanout(fanout)}
+		if trial%8 == 7 {
+			opts = append(opts, WithoutAggregates())
+		}
+		tr, err := Build(recs, opts...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for probe := 0; probe < 12; probe++ {
+			p := recs[rng.Intn(n)]
+			switch {
+			case probe%3 == 1 && grid:
+				p = make(geom.Vector, d)
+				for j := range p {
+					p[j] = float64(rng.Intn(4))
+				}
+			case probe%3 == 1:
+				p = randRecords(rng, 1, d)[0]
+			}
+			want := 0
+			for _, r := range recs {
+				if geom.Dominates(r, p) {
+					want++
+				}
+			}
+			for limit := 0; limit <= n+1; limit++ {
+				if got := tr.CountDominators(p, limit); got != min(want, limit) {
+					t.Fatalf("trial %d (fanout %d, grid %v): CountDominators(%v, %d) = %d, want %d",
+						trial, fanout, grid, p, limit, got, min(want, limit))
+				}
+			}
+		}
+	}
+}
+
 type countTracker struct{ visits int }
 
 func (c *countTracker) Visit(int) { c.visits++ }

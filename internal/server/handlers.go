@@ -1103,23 +1103,32 @@ func dot(a, b []float64) float64 {
 	return s
 }
 
+// handleSkyline serves GET /v1/skyline: the skyline, or with k the
+// k-skyband. Like GET /v1/kspr it rejects names it does not know.
 func (s *Server) handleSkyline(w http.ResponseWriter, r *http.Request) {
-	name := r.URL.Query().Get("dataset")
+	var name string
+	k := 0
+	if !parseQuery(w, r, func(param, raw string) (err error) {
+		switch param {
+		case "dataset":
+			name = raw
+		case "k":
+			if k, err = strconv.Atoi(raw); err == nil && k < 1 {
+				err = errors.New("k must be positive")
+			}
+		default:
+			return errUnknownParam
+		}
+		return err
+	}) {
+		return
+	}
 	snap, ok := s.registry.Get(name)
 	if !ok {
 		writeError(w, http.StatusNotFound, "dataset %q not found", name)
 		return
 	}
 	reqInfoFrom(r.Context()).noteDataset(snap)
-	k := 0
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		var err error
-		k, err = strconv.Atoi(ks)
-		if err != nil || k < 1 {
-			writeError(w, http.StatusBadRequest, "invalid k %q", ks)
-			return
-		}
-	}
 	ctx, cancel := context.WithTimeout(r.Context(), s.timeout(0))
 	defer cancel()
 	val, err := s.pool.Submit(ctx, func(context.Context) (any, error) {

@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 
 	kspr "repro"
@@ -237,7 +238,11 @@ func (s *Server) migrateCache(old, cur *Snapshot, deltas []kspr.Delta) (int, int
 	if len(hits) == 0 {
 		return 0, 0
 	}
-	mi := kspr.NewMutationImpact(old.DB, cur.DB, deltas)
+	maxK := 0
+	for _, cq := range hits {
+		maxK = max(maxK, cq.k)
+	}
+	mi := kspr.NewMutationImpact(old.DB, cur.DB, deltas, maxK)
 	migrated, dropped := 0, 0
 	for _, cq := range hits {
 		newDense := -1
@@ -252,13 +257,15 @@ func (s *Server) migrateCache(old, cur *Snapshot, deltas []kspr.Delta) (int, int
 				dropped++ // the focal option was deleted
 				continue
 			}
-			if !float64sEqual(old.DB.Record(cq.focal), cur.DB.Record(nd)) {
+			// Bit-exact, like the engine's keep rule: even a sub-epsilon
+			// reprice changes the bytes a cold recompute would build.
+			if !slices.Equal(old.DB.Record(cq.focal), cur.DB.Record(nd)) {
 				dropped++ // the focal option was repriced
 				continue
 			}
 			newDense = nd
 		}
-		if !mi.Unaffected(cq.res.Focal, cq.focal, newDense, cq.k, cq.spec.algo) {
+		if !mi.Unaffected(cq.res.Focal, cq.k, cq.spec.algo) {
 			dropped++
 			continue
 		}
@@ -271,17 +278,4 @@ func (s *Server) migrateCache(old, cur *Snapshot, deltas []kspr.Delta) (int, int
 		migrated++
 	}
 	return migrated, dropped
-}
-
-// float64sEqual compares two attribute vectors exactly.
-func float64sEqual(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

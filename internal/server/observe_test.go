@@ -636,3 +636,29 @@ func TestKSPRGetValidation(t *testing.T) {
 		t.Fatalf("debug=trace GET: status %d, trace %v", resp.StatusCode, traced.Trace)
 	}
 }
+
+// TestSkylineGetValidation pins GET /v1/skyline to the same query-string
+// parser: an unknown name or a k that is not a positive integer is a 400,
+// and debug stays outside the query surface.
+func TestSkylineGetValidation(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	loadGenerated(t, ts, "ind", 60, 3, 2)
+
+	for path, want := range map[string]int{
+		"/v1/skyline?dataset=ind&kk=3":        http.StatusBadRequest,
+		"/v1/skyline?dataset=ind&k=0":         http.StatusBadRequest,
+		"/v1/skyline?dataset=ind&k=x":         http.StatusBadRequest,
+		"/v1/skyline?dataset=ind&debug=trace": http.StatusOK,
+		"/v1/skyline?dataset=ind&k=3":         http.StatusOK,
+		"/v1/skyline?dataset=nope":            http.StatusNotFound,
+	} {
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != want {
+			t.Errorf("%s: status %d, want %d", path, resp.StatusCode, want)
+		}
+	}
+}

@@ -367,12 +367,6 @@ func WithBatchOptions(opts ...QueryOption) BatchOption {
 	}
 }
 
-// WithBatchFailFast aborts items not yet started once any item errors;
-// they settle with core.ErrBatchAborted.
-func WithBatchFailFast() BatchOption {
-	return func(b *core.BatchOptions) { b.FailFast = true }
-}
-
 // WithBatchOnOutcome streams each item's outcome as soon as it settles
 // (completion order, calls serialized) — the batch analogue of
 // WithProgressive, used by serving paths to emit results before the whole

@@ -510,11 +510,7 @@ func (q *LiveQuery) onApply(ev ApplyEvent) {
 		q.err = fmt.Errorf("kspr: maintained focal option %d was deleted at generation %d", q.stable, ev.Generation)
 		return
 	}
-	deltas := make([]core.Delta, len(ev.Deltas))
-	for i, d := range ev.Deltas {
-		deltas[i] = core.Delta{Old: geom.Vector(d.Old), New: geom.Vector(d.New)}
-	}
-	if _, _, err := q.m.Apply(st.tree, dense, deltas); err != nil {
+	if _, _, err := q.m.Apply(st.tree, dense, coreDeltas(ev.Deltas)); err != nil {
 		q.err = err
 		return
 	}
@@ -553,86 +549,29 @@ func (q *LiveQuery) Close() {
 }
 
 // MutationImpact classifies one applied mutation batch against many focal
-// queries cheaply: the per-delta dominator sets are computed once against
-// the old and new generations' indexes, and each focal's Unaffected check
-// is then a handful of comparisons. The serving layer uses it to migrate
-// cached results across generations instead of invalidating them. old and
-// new must be handles on the generations immediately before and after the
-// batch.
-type MutationImpact struct {
-	deltas []Delta
-	facts  []deltaFacts
+// queries cheaply: every changed vector's strict dominators are counted
+// once, in its own generation, and each focal's Unaffected check is then
+// a handful of comparisons. The serving layer uses it to migrate cached
+// results across generations instead of invalidating them; maintained
+// queries (MaintainKSPR) classify with the same rule. Unaffected
+// classifies by value, not identity: callers must separately ensure the
+// focal option itself was not mutated.
+type MutationImpact = core.MutationImpact
+
+// NewMutationImpact analyzes the batch against both generations: old and
+// new must be handles on the generations immediately before and after
+// it. maxK is the largest k Unaffected will be asked; a larger k is
+// always classified affected unless the focal weakly dominates every
+// changed vector.
+func NewMutationImpact(oldDB, newDB *DB, deltas []Delta, maxK int) *MutationImpact {
+	return core.NewMutationImpact(oldDB.cur().tree, newDB.cur().tree, coreDeltas(deltas), maxK)
 }
 
-type deltaFacts struct {
-	old, new     geom.Vector
-	oldDoms      []int // dominator dense ids in the old generation
-	newDoms      []int // dominator dense ids in the new generation
-	valueNoop    bool
-	oldOK, newOK bool
-}
-
-// NewMutationImpact analyzes the batch's dominance structure against both
-// generations.
-func NewMutationImpact(oldDB, newDB *DB, deltas []Delta) *MutationImpact {
-	mi := &MutationImpact{deltas: deltas, facts: make([]deltaFacts, len(deltas))}
-	oldTree, newTree := oldDB.cur().tree, newDB.cur().tree
+// coreDeltas converts deltas to the engine's form.
+func coreDeltas(deltas []Delta) []core.Delta {
+	out := make([]core.Delta, len(deltas))
 	for i, d := range deltas {
-		f := &mi.facts[i]
-		f.old, f.new = geom.Vector(d.Old), geom.Vector(d.New)
-		if f.old != nil && f.new != nil && core.ExactlyEqual(f.old, f.new) {
-			f.valueNoop = true
-			continue
-		}
-		if f.old != nil && oldTree != nil {
-			f.oldDoms, f.oldOK = oldTree.Dominators(f.old, nil), true
-		}
-		if f.new != nil && newTree != nil {
-			f.newDoms, f.newOK = newTree.Dominators(f.new, nil), true
-		}
+		out[i] = core.Delta{Old: geom.Vector(d.Old), New: geom.Vector(d.New)}
 	}
-	return mi
-}
-
-// Unaffected reports whether the batch provably cannot change the kSPR
-// result of the given focal query: every mutated vector is either weakly
-// dominated by the focal (any algorithm) or strictly dominated by at
-// least k records other than the focal (dominance-ordered algorithms).
-// focal is the focal vector; oldFocalID/newFocalID its dense indexes in
-// the two generations (-1 for hypothetical focals). Callers must
-// separately ensure the focal option itself was not mutated — Unaffected
-// classifies by value, not identity.
-func (mi *MutationImpact) Unaffected(focal []float64, oldFocalID, newFocalID, k int, algo Algorithm) bool {
-	fv := geom.Vector(focal)
-	check := func(v geom.Vector, doms []int, ok bool, focalID int) bool {
-		if len(v) != len(fv) {
-			return false
-		}
-		if core.WeakDominates(fv, v) {
-			return true
-		}
-		if algo == core.CTA || !ok {
-			return false
-		}
-		n := len(doms)
-		if focalID >= 0 {
-			// doms is sorted (rtree.Dominators); discount the focal itself.
-			if i := sort.SearchInts(doms, focalID); i < len(doms) && doms[i] == focalID {
-				n--
-			}
-		}
-		return n >= k
-	}
-	for _, f := range mi.facts {
-		if f.valueNoop {
-			continue
-		}
-		if f.old != nil && !check(f.old, f.oldDoms, f.oldOK, oldFocalID) {
-			return false
-		}
-		if f.new != nil && !check(f.new, f.newDoms, f.newOK, newFocalID) {
-			return false
-		}
-	}
-	return true
+	return out
 }

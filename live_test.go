@@ -231,15 +231,15 @@ func TestMutationImpactClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	cur := db.Freeze()
-	mi := NewMutationImpact(old, cur, res.Deltas)
+	mi := NewMutationImpact(old, cur, res.Deltas, 5)
 	focal := old.Record(3)
-	if !mi.Unaffected(focal, 3, 3, 2, LPCTA) {
+	if !mi.Unaffected(focal, 2, LPCTA) {
 		t.Fatal("2-dominated insert classified affecting at k=2")
 	}
-	if mi.Unaffected(focal, 3, 3, 5, LPCTA) {
+	if mi.Unaffected(focal, 5, LPCTA) {
 		t.Fatal("insert classified unaffecting at k=5 (only 4 dominators exist)")
 	}
-	if mi.Unaffected(focal, 3, 3, 2, CTA) {
+	if mi.Unaffected(focal, 2, CTA) {
 		t.Fatal("CTA must not keep through Tier B")
 	}
 	// Tier A: a record below the focal is irrelevant for any algorithm.
@@ -247,8 +247,8 @@ func TestMutationImpactClassification(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mi2 := NewMutationImpact(cur, db.Freeze(), res2.Deltas)
-	if !mi2.Unaffected(focal, 3, 3, 2, CTA) {
+	mi2 := NewMutationImpact(cur, db.Freeze(), res2.Deltas, 2)
+	if !mi2.Unaffected(focal, 2, CTA) {
 		t.Fatal("focal-dominated insert classified affecting for CTA")
 	}
 }
