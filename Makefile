@@ -120,12 +120,12 @@ crashsmoke:
 
 # ci mirrors the GitHub workflow locally: formatting, vet, build, race
 # tests, doc gates, the crash-recovery smoke test, one iteration of the
-# index-build, reload, store-open, what-if (PriceToTarget, Frontier),
-# mutation-impact, metrics, cell-tree insert, cell-clip and
-# progressive-engine (P-CTA, LP-CTA) benchmarks (so they keep compiling
-# and running),
-# lint, the coverage floor, the bench regression gate, the large-N
-# regression gate, a short fuzz smoke, and the load regression gate.
+# index-build, reload, store-open, apply (in-memory and WAL-backed), open,
+# what-if (PriceToTarget, Frontier), mutation-impact, metrics, cell-tree
+# insert, cell-clip and progressive-engine (P-CTA, LP-CTA) benchmarks (so
+# they keep compiling and running), lint, the coverage floor, the bench
+# regression gate, the large-N regression gate, a short fuzz smoke, and the
+# load regression gate.
 ci:
 	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 	$(GO) vet ./...
@@ -136,7 +136,7 @@ ci:
 	./scripts/check_docs.sh
 	$(MAKE) crashsmoke
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild|BenchmarkApplyRecordsReload|BenchmarkMetricsObserveParallel|BenchmarkSampleInto|BenchmarkSamplerTick|BenchmarkMetricsScrape' -benchtime 1x ./internal/rtree ./internal/store ./internal/server
-	$(GO) test -run '^$$' -bench '^Benchmark(OpenStore|PriceToTarget|Frontier|MutationImpact)$$' -benchtime 1x .
+	$(GO) test -run '^$$' -bench '^Benchmark(OpenStore|Apply|Open|PriceToTarget|Frontier|MutationImpact)$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^(BenchmarkInsert_|BenchmarkCut$$)' -benchtime 1x ./internal/celltree
 	$(GO) test -run '^$$' -bench '^Benchmark(P|LP)CTA_n2k_k10$$' -benchtime 1x ./internal/core
 	$(MAKE) lint

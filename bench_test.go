@@ -195,6 +195,80 @@ func BenchmarkOpenStore(b *testing.B) {
 	}
 }
 
+// BenchmarkApply times one mutation batch shaped like the wide
+// workload's writer on IND n=100000, d=3: an insert drawn from
+// [0, 0.5]^3 plus the delete of the record the previous batch inserted,
+// so n stays put. memory runs it on a DB built by Open; wal on a
+// WAL-backed DB, whose automatic snapshots (every 256 batches) also
+// write the index file.
+func BenchmarkApply(b *testing.B) {
+	ds, err := dataset.Generate(dataset.Independent, 100000, 3, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	open := map[string]func(b *testing.B) *kspr.DB{
+		"memory": func(b *testing.B) *kspr.DB {
+			db, err := kspr.Open(ds.Float64s())
+			if err != nil {
+				b.Fatal(err)
+			}
+			return db
+		},
+		"wal": func(b *testing.B) *kspr.DB {
+			db, err := kspr.OpenStore(b.TempDir())
+			if err != nil {
+				b.Fatal(err)
+			}
+			muts := make([]kspr.Mutation, ds.Len())
+			for i, r := range ds.Float64s() {
+				muts[i] = kspr.Insert(r...)
+			}
+			if _, err := db.Apply(muts...); err != nil {
+				b.Fatal(err)
+			}
+			return db
+		},
+	}
+	for _, name := range []string{"memory", "wal"} {
+		b.Run(name, func(b *testing.B) {
+			db := open[name](b)
+			defer db.Close()
+			rng := rand.New(rand.NewSource(1))
+			insert := func() kspr.Mutation {
+				return kspr.Insert(0.5*rng.Float64(), 0.5*rng.Float64(), 0.5*rng.Float64())
+			}
+			res, err := db.Apply(insert())
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if res, err = db.Apply(insert(), kspr.Delete(res.IDs[0])); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkOpen times kspr.Open on the deep workload's dataset, IND
+// n=1000, d=4: validation plus the index build.
+func BenchmarkOpen(b *testing.B) {
+	ds, err := dataset.Generate(dataset.Independent, 1000, 4, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	recs := ds.Float64s()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := kspr.Open(recs); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // whatIfBenchDB is the what-if benchmarks' workload: IND n=20,000, d=3,
 // and the first record outside the 5-skyband as the focal, a seller whose
 // low prices are hopeless.

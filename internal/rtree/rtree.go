@@ -454,9 +454,6 @@ func (t *Tree) visit(n *Node) {
 // Pages returns the total number of pages (nodes) in the tree.
 func (t *Tree) Pages() int { return t.pages }
 
-// Fanout returns the node capacity the tree was built with.
-func (t *Tree) Fanout() int { return t.fanout }
-
 // FlatRows returns the dense row-major backing array of the records:
 // FlatRows()[i*Dim : (i+1)*Dim] is record i. Whole-dataset kernels (see
 // internal/kernel) consume it directly.

@@ -42,28 +42,25 @@ func (s *Server) handleDebugFlight(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "flight recorder disabled (FlightCapacity < 0)")
 		return
 	}
-	q := r.URL.Query()
-	filter := obs.FlightFilter{Endpoint: q.Get("endpoint"), Dataset: q.Get("dataset")}
-	minLatency, ok := durationParam(w, q, "min_latency_ms", time.Millisecond, false)
-	if !ok {
+	var filter obs.FlightFilter
+	if !parseQuery(w, r, func(name, raw string) (err error) {
+		switch name {
+		case "endpoint":
+			filter.Endpoint = raw
+		case "dataset":
+			filter.Dataset = raw
+		case "min_latency_ms":
+			filter.MinLatency, err = durationParam(raw, time.Millisecond, false)
+		case "errors_only":
+			filter.ErrorsOnly, err = strconv.ParseBool(raw)
+		case "limit":
+			filter.Limit, err = limitParam(raw)
+		default:
+			return errUnknownParam
+		}
+		return err
+	}) {
 		return
-	}
-	filter.MinLatency = minLatency
-	if raw := q.Get("errors_only"); raw != "" {
-		v, err := strconv.ParseBool(raw)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid errors_only=%q: %v", raw, err)
-			return
-		}
-		filter.ErrorsOnly = v
-	}
-	if raw := q.Get("limit"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "invalid limit=%q", raw)
-			return
-		}
-		filter.Limit = v
 	}
 	events := s.flight.Events(filter)
 	if events == nil {
@@ -88,24 +85,20 @@ type eventsResponse struct {
 // cursor: ?since=N returns events with seq > N (oldest retained first),
 // ?limit=M caps the page.
 func (s *Server) handleDebugEvents(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
 	var since uint64
-	if raw := q.Get("since"); raw != "" {
-		v, err := strconv.ParseUint(raw, 10, 64)
-		if err != nil {
-			writeError(w, http.StatusBadRequest, "invalid since=%q: %v", raw, err)
-			return
-		}
-		since = v
-	}
 	limit := 0
-	if raw := q.Get("limit"); raw != "" {
-		v, err := strconv.Atoi(raw)
-		if err != nil || v < 0 {
-			writeError(w, http.StatusBadRequest, "invalid limit=%q", raw)
-			return
+	if !parseQuery(w, r, func(name, raw string) (err error) {
+		switch name {
+		case "since":
+			since, err = strconv.ParseUint(raw, 10, 64)
+		case "limit":
+			limit, err = limitParam(raw)
+		default:
+			return errUnknownParam
 		}
-		limit = v
+		return err
+	}) {
+		return
 	}
 	events := s.journal.Since(since, limit)
 	if events == nil {

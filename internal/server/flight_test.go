@@ -180,6 +180,38 @@ func TestDebugFlightWhatIfAndImpactDecisions(t *testing.T) {
 	}
 }
 
+// TestDebugQueryNames pins that the three debug GETs read their query
+// strings like every other GET: a misspelled name is a 400 that names it
+// instead of a 200 with defaults, and debug is still the one extra.
+func TestDebugQueryNames(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, tc := range []struct {
+		path   string
+		status int
+		named  string // the parameter a 400 must name
+	}{
+		{"/v1/debug:events?sinc=5", http.StatusBadRequest, "sinc"},
+		{"/v1/debug:flight?limt=1", http.StatusBadRequest, "limt"},
+		{"/v1/debug:history?seires=qps_1m", http.StatusBadRequest, "seires"},
+		{"/v1/debug:events?since=0&debug=trace", http.StatusOK, ""},
+		{"/v1/debug:flight?limit=1&debug=trace", http.StatusOK, ""},
+		{"/v1/debug:history?series=qps_1m&debug=trace", http.StatusOK, ""},
+	} {
+		resp, err := http.Get(ts.URL + tc.path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		body, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != tc.status {
+			t.Errorf("%s: status %d, want %d (%s)", tc.path, resp.StatusCode, tc.status, body)
+		}
+		if tc.named != "" && !strings.Contains(string(body), `\"`+tc.named+`\"`) {
+			t.Errorf("%s: 400 body %s does not name %q", tc.path, body, tc.named)
+		}
+	}
+}
+
 func TestDebugFlightDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{FlightCapacity: -1})
 	resp, err := http.Get(ts.URL + "/v1/debug:flight")

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"math"
 	"net/http"
-	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -274,25 +273,31 @@ func errStatusCode(err error) int {
 	}
 }
 
-// durationParam reads query parameter name as a non-negative number of
-// units (time.Second for since_sec and step_sec, time.Millisecond for
-// min_latency_ms); an absent parameter reads as 0. It answers 400 naming
-// the parameter, and returns false, for a value that is not a number, is
-// negative, non-finite or beyond time.Duration's range, or is zero when
-// positive is set. The range check happens before the conversion, whose
-// result Go leaves to the implementation for out-of-range floats.
-func durationParam(w http.ResponseWriter, q url.Values, name string, unit time.Duration, positive bool) (time.Duration, bool) {
-	raw := q.Get(name)
-	if raw == "" {
-		return 0, true
-	}
+// durationParam parses a query value as a non-negative number of units
+// (time.Second for since_sec and step_sec, time.Millisecond for
+// min_latency_ms). It rejects a value that is not a number, is negative,
+// non-finite or beyond time.Duration's range, or is zero when positive is
+// set. The range check happens before the conversion, whose result Go
+// leaves to the implementation for out-of-range floats.
+func durationParam(raw string, unit time.Duration, positive bool) (time.Duration, error) {
 	v, err := strconv.ParseFloat(raw, 64)
 	ns := v * float64(unit)
 	if err != nil || !(ns >= 0) || ns >= math.MaxInt64 || (positive && ns == 0) {
-		writeError(w, http.StatusBadRequest, "invalid %s=%q", name, raw)
-		return 0, false
+		if positive {
+			return 0, errors.New("want a finite number > 0")
+		}
+		return 0, errors.New("want a finite number >= 0")
 	}
-	return time.Duration(ns), true
+	return time.Duration(ns), nil
+}
+
+// limitParam parses a query value as a non-negative result cap.
+func limitParam(raw string) (int, error) {
+	v, err := strconv.Atoi(raw)
+	if err == nil && v < 0 {
+		err = errors.New("must not be negative")
+	}
+	return v, err
 }
 
 func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {

@@ -10,7 +10,9 @@ package server
 // verdict a replica router consumes).
 
 import (
+	"errors"
 	"net/http"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -484,34 +486,36 @@ type historyResponse struct {
 // comma-separated subset (default: the headline rate/latency set),
 // ?since_sec= bounds how far back to read, ?step_sec= downsamples to one
 // sample per step (keeping the last sample of each step, so counter deltas
-// stay exact). Each bad parameter is its own 400.
+// stay exact). An unknown name or a bad value is a 400 naming the
+// parameter.
 func (s *Server) handleDebugHistory(w http.ResponseWriter, r *http.Request) {
 	if s.sampler == nil {
 		writeError(w, http.StatusNotFound, "telemetry history disabled (HistoryInterval < 0)")
 		return
 	}
-	q := r.URL.Query()
 	names := defaultHistorySeries
-	if raw := q.Get("series"); raw != "" {
-		names = strings.Split(raw, ",")
-		for _, n := range names {
-			if strings.TrimSpace(n) == "" {
-				writeError(w, http.StatusBadRequest, "invalid series=%q: empty name in list", raw)
-				return
+	var back, step time.Duration
+	if !parseQuery(w, r, func(name, raw string) (err error) {
+		switch name {
+		case "series":
+			names = strings.Split(raw, ",")
+			if slices.ContainsFunc(names, func(n string) bool { return strings.TrimSpace(n) == "" }) {
+				err = errors.New("empty name in list")
 			}
+		case "since_sec":
+			back, err = durationParam(raw, time.Second, true)
+		case "step_sec":
+			step, err = durationParam(raw, time.Second, false)
+		default:
+			return errUnknownParam
 		}
+		return err
+	}) {
+		return
 	}
 	ts := s.sampler.ts
-	back, ok := durationParam(w, q, "since_sec", time.Second, true)
-	if !ok {
-		return
-	}
 	if back == 0 {
 		back = time.Duration(ts.Capacity()) * ts.Interval()
-	}
-	step, ok := durationParam(w, q, "step_sec", time.Second, false)
-	if !ok {
-		return
 	}
 	res := ts.Range(names, time.Now().Add(-back), step)
 	resp := historyResponse{

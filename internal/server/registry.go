@@ -498,7 +498,7 @@ func (r *Registry) Live(name string) (*kspr.DB, bool) {
 	return e.db, true
 }
 
-// Unload removes name from the registry and closes its store (if any).
+// Unload removes name from the registry and closes its live DB.
 // In-flight queries holding the snapshot are unaffected; the on-disk
 // store directory is kept (Recover or a reload re-registers it).
 func (r *Registry) Unload(name string) bool {

@@ -5,6 +5,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/geom"
 )
 
 // FuzzDecodeWALPayload fuzzes the WAL frame payload parser — the bytes a
@@ -80,16 +82,12 @@ func FuzzDecodeIndex(f *testing.F) {
 
 // FuzzLoadSnapshot fuzzes the snapshot file parser with arbitrary file
 // contents. Accepted snapshots must survive a write/reload round trip
-// with an identical version; everything else must be a clean error — a
+// with identical records; everything else must be a clean error — a
 // panic or runaway allocation here would take down recovery at startup.
 func FuzzLoadSnapshot(f *testing.F) {
-	dir := f.TempDir()
-	seedPath := filepath.Join(dir, "seed.snap")
-	ver := newVersion(3, []Record{
-		{ID: 1, Values: []float64{0.1, 0.9}},
-		{ID: 4, Values: []float64{0.4, 0.6}},
-	}, 2)
-	if err := writeSnapshot(dir, seedPath, ver, 5); err != nil {
+	seedPath := filepath.Join(f.TempDir(), "seed.snap")
+	recs := Records{Gen: 3, IDs: []int64{1, 4}, Rows: []geom.Vector{{0.1, 0.9}, {0.4, 0.6}}}
+	if err := writeSnapshot(seedPath, recs, 5); err != nil {
 		f.Fatal(err)
 	}
 	seed, err := os.ReadFile(seedPath)
@@ -110,7 +108,7 @@ func FuzzLoadSnapshot(f *testing.F) {
 			return
 		}
 		rt := filepath.Join(tmp, "roundtrip.snap")
-		if err := writeSnapshot(tmp, rt, v, nextID); err != nil {
+		if err := writeSnapshot(rt, v, nextID); err != nil {
 			t.Fatalf("re-writing accepted snapshot: %v", err)
 		}
 		v2, nextID2, err := loadSnapshot(rt)
@@ -118,20 +116,20 @@ func FuzzLoadSnapshot(f *testing.F) {
 			t.Fatalf("reloading re-written snapshot: %v", err)
 		}
 		rt2 := filepath.Join(tmp, "roundtrip2.snap")
-		if err := writeSnapshot(tmp, rt2, v2, nextID2); err != nil {
+		if err := writeSnapshot(rt2, v2, nextID2); err != nil {
 			t.Fatalf("re-writing reloaded snapshot: %v", err)
 		}
 		// The writer is canonical, so equality of the written bytes is
-		// bit-level equality of the versions (and NaN-safe, unlike
+		// bit-level equality of the records (and NaN-safe, unlike
 		// DeepEqual on decoded float records).
 		b1, err1 := os.ReadFile(rt)
 		b2, err2 := os.ReadFile(rt2)
 		if err1 != nil || err2 != nil {
 			t.Fatalf("reading round-trip snapshots: %v / %v", err1, err2)
 		}
-		if v2.Gen != v.Gen || nextID2 != nextID || v2.Dim() != v.Dim() || !bytes.Equal(b1, b2) {
+		if v2.Gen != v.Gen || nextID2 != nextID || v2.dim() != v.dim() || !bytes.Equal(b1, b2) {
 			t.Fatalf("round-trip mismatch: gen %d/%d nextID %d/%d dim %d/%d",
-				v.Gen, v2.Gen, nextID, nextID2, v.Dim(), v2.Dim())
+				v.Gen, v2.Gen, nextID, nextID2, v.dim(), v2.dim())
 		}
 	})
 }

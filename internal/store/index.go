@@ -104,34 +104,10 @@ func decodeIndex(data []byte) (*IndexSnapshot, error) {
 	return idx, nil
 }
 
-// WriteIndex atomically replaces the index file in dir: write to a temp
-// file, fsync, rename, fsync the directory — the snapshot dance.
+// WriteIndex atomically replaces the index file in dir (see
+// writeFileAtomic).
 func WriteIndex(dir string, idx *IndexSnapshot) error {
-	b := encodeIndex(idx)
-	tmp := filepath.Join(dir, "index.tmp")
-	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
-	if err != nil {
-		return err
-	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, filepath.Join(dir, IndexFileName)); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync() // best-effort directory entry durability
-		d.Close()
-	}
-	return nil
+	return writeFileAtomic(filepath.Join(dir, IndexFileName), encodeIndex(idx))
 }
 
 // LoadIndex reads the index file from dir. A missing file returns

@@ -1,9 +1,12 @@
 // Package store implements the durable half of the live-dataset
-// subsystem: a versioned, disk-backed option store with an append-only
-// write-ahead log of mutations, periodic binary snapshots, and MVCC
-// generation handles. Writers advance the generation one atomic mutation
-// batch at a time; readers take an immutable Version and keep using it for
-// as long as they like, so in-flight queries never observe a torn dataset.
+// subsystem: a write-ahead log of mutation batches, periodic binary
+// snapshots, and the id allocator and generation counter behind them.
+// The store is a log, not a second copy of the dataset: its caller holds
+// each generation's records (the kspr package keeps them in the
+// generation's R-tree index) and hands them to Apply, which validates a
+// batch against them, assigns insert ids, appends one WAL frame and
+// returns the next generation's records. A store made by InMemory has no
+// directory: it validates and assigns ids the same way but logs nothing.
 //
 // # On-disk layout
 //
@@ -25,9 +28,8 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sort"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/geom"
 )
@@ -75,63 +77,26 @@ type Applied struct {
 	Old []float64
 }
 
-// Record is one live option: a stable id plus its attribute vector.
-type Record struct {
-	ID     int64
-	Values []float64
-}
-
-// Version is an immutable MVCC handle on one generation of the store.
-// All accessors are safe for concurrent use and remain valid after the
-// store has advanced past (or even closed behind) this generation.
-type Version struct {
-	// Gen is the generation this version materializes; generation 0 is the
+// Records is one generation of a store's records, ascending by stable
+// id: Rows[i] is the attribute vector of option IDs[i]. The store keeps
+// none of it. Open and Apply return a generation's records, and Apply and
+// Snapshot take them back from the caller, which holds them in between
+// (the kspr package in the generation's index). Nothing may modify them.
+type Records struct {
+	// Gen is the generation the records materialize; generation 0 is the
 	// empty store.
 	Gen  uint64
-	recs []Record // ascending stable id
-	rows [][]float64
-	ids  []int64
-	dim  int
+	IDs  []int64
+	Rows []geom.Vector
 }
 
-func newVersion(gen uint64, recs []Record, dim int) *Version {
-	v := &Version{Gen: gen, recs: recs, dim: dim}
-	v.rows = make([][]float64, len(recs))
-	v.ids = make([]int64, len(recs))
-	for i, r := range recs {
-		v.rows[i] = r.Values
-		v.ids[i] = r.ID
+// dim is the records' dimensionality, 0 while there are none.
+func (r Records) dim() int {
+	if len(r.Rows) == 0 {
+		return 0
 	}
-	return v
+	return len(r.Rows[0])
 }
-
-// Len returns the number of live options.
-func (v *Version) Len() int { return len(v.recs) }
-
-// Dim returns the attribute dimensionality (0 while the store is empty).
-func (v *Version) Dim() int { return v.dim }
-
-// Rows returns the live options' attribute vectors in ascending stable-id
-// order — the dense view query indexes are built over. The returned slices
-// are shared and must not be modified.
-func (v *Version) Rows() [][]float64 { return v.rows }
-
-// IDs returns the stable option id at each dense index, ascending. The
-// returned slice is shared and must not be modified.
-func (v *Version) IDs() []int64 { return v.ids }
-
-// Dense maps a stable option id to its dense index in Rows.
-func (v *Version) Dense(id int64) (int, bool) {
-	i := sort.Search(len(v.ids), func(i int) bool { return v.ids[i] >= id })
-	if i < len(v.ids) && v.ids[i] == id {
-		return i, true
-	}
-	return 0, false
-}
-
-// Records returns the live options (id + values), ascending by id. The
-// returned slice is shared and must not be modified.
-func (v *Version) Records() []Record { return v.recs }
 
 // Options tunes a Store.
 type Options struct {
@@ -195,123 +160,147 @@ const DefaultSnapshotEvery = 256
 // errors, which indicate a bad request.
 var ErrIO = errors.New("store: io failure")
 
-// Store is a WAL-backed mutable option set. One writer at a time advances
-// the generation through Apply; any number of readers take Versions.
+// Store logs one dataset's mutation batches: it validates each batch
+// against the records its caller hands it, assigns insert ids, appends
+// the batch to the WAL, writes snapshots and counts generations. One
+// writer at a time advances the generation through Apply.
 type Store struct {
-	dir  string
+	dir  string // "" for a store without a directory (InMemory)
 	opts Options
 
 	mu       sync.Mutex
-	cur      atomic.Pointer[Version]
+	gen      uint64 // the current generation
+	live     int    // its record count
 	nextID   int64
-	wal      *os.File
-	walSize  int64
-	walCount int // batches appended since the last snapshot
+	wal      *os.File // nil without a directory
+	walCount int      // batches appended since the last snapshot
 	closed   bool
 }
 
 // Open opens (or creates) the store directory, recovering state by
-// loading the latest snapshot and replaying the WAL tail. The recovered
-// generation is exactly the last durably applied one.
-func Open(dir string, opts Options) (*Store, error) {
+// loading the latest snapshot and replaying the WAL tail. It returns the
+// recovered records, which are exactly the last durably applied
+// generation's.
+func Open(dir string, opts Options) (*Store, Records, error) {
 	if opts.SnapshotEvery == 0 {
 		opts.SnapshotEvery = DefaultSnapshotEvery
 	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, fmt.Errorf("store: create dir: %w", err)
+		return nil, Records{}, fmt.Errorf("store: create dir: %w", err)
 	}
 	s := &Store{dir: dir, opts: opts}
-	ver, nextID, err := loadSnapshot(s.snapPath())
+	recs, nextID, err := loadSnapshot(s.snapPath())
 	if err != nil {
-		return nil, err
+		return nil, Records{}, err
 	}
 	s.nextID = nextID
-	wal, size, count, ver, err := replayWAL(s.walPath(), ver, s)
-	if err != nil {
-		return nil, err
+	if recs, err = s.replayWAL(recs); err != nil {
+		return nil, Records{}, err
 	}
-	s.wal, s.walSize, s.walCount = wal, size, count
-	s.cur.Store(ver)
-	s.emit(Event{Kind: EventWALRecovery, Gen: ver.Gen, Records: ver.Len(), WALFrames: count})
-	return s, nil
+	s.gen, s.live = recs.Gen, len(recs.IDs)
+	s.emit(Event{Kind: EventWALRecovery, Gen: recs.Gen, Records: s.live, WALFrames: s.walCount})
+	return s, recs, nil
 }
 
-// View returns the current generation's immutable version.
-func (s *Store) View() *Version { return s.cur.Load() }
+// InMemory returns a store without a directory whose generation 1 holds
+// n records with ids 0..n-1, as a freshly loaded dataset does. It
+// validates batches and assigns ids like a store opened with Open, but
+// writes nothing: it has no WAL, and Snapshot fails.
+func InMemory(n int) *Store {
+	return &Store{gen: 1, live: n, nextID: int64(n)}
+}
 
-// Dir returns the store directory.
+// Dir returns the store directory ("" for an InMemory store).
 func (s *Store) Dir() string { return s.dir }
 
-// Apply executes one atomic mutation batch: it validates every mutation
-// against the current generation, appends a single WAL frame, then
-// installs the new Version. Either the whole batch applies (one new
-// generation) or none of it does. It returns the new version together
-// with the executed mutations (assigned ids, captured old values).
-func (s *Store) Apply(muts []Mutation) (*Version, []Applied, error) {
+// Apply executes one atomic mutation batch against cur, the records of
+// the store's current generation: it validates every mutation against
+// them, appends a single WAL frame, and returns the next generation's
+// records together with the executed mutations (assigned ids, captured
+// old values). Either the whole batch applies (one new generation) or
+// none of it does. A cur whose generation or record count is not the
+// store's is an error; cur itself is never modified.
+func (s *Store) Apply(cur Records, muts []Mutation) (Records, []Applied, error) {
 	if len(muts) == 0 {
-		return s.View(), nil, nil
+		return cur, nil, nil
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return nil, nil, fmt.Errorf("store: closed")
+	if err := s.checkLocked(cur); err != nil {
+		return Records{}, nil, err
 	}
-	cur := s.cur.Load()
-	recs, nextID, dim, applied, err := applyRecords(cur.recs, s.nextID, cur.dim, muts, false)
+	next, nextID, applied, err := applyRecords(cur, s.nextID, muts, false)
 	if err != nil {
-		return nil, nil, err
+		return Records{}, nil, err
 	}
-	gen := cur.Gen + 1
-	frame := encodeFrame(gen, applied)
-	if _, err := s.wal.Write(frame); err != nil {
-		return nil, nil, fmt.Errorf("%w: wal append: %v", ErrIO, err)
-	}
-	if s.opts.Sync {
-		if err := s.wal.Sync(); err != nil {
-			return nil, nil, fmt.Errorf("%w: wal sync: %v", ErrIO, err)
+	if s.wal != nil {
+		if _, err := s.wal.Write(encodeFrame(next.Gen, applied)); err != nil {
+			return Records{}, nil, fmt.Errorf("%w: wal append: %v", ErrIO, err)
 		}
+		if s.opts.Sync {
+			if err := s.wal.Sync(); err != nil {
+				return Records{}, nil, fmt.Errorf("%w: wal sync: %v", ErrIO, err)
+			}
+		}
+		s.walCount++
 	}
-	s.walSize += int64(len(frame))
-	s.walCount++
-	s.nextID = nextID
-	s.cur.Store(newVersion(gen, recs, dim))
-	if s.opts.SnapshotEvery > 0 && s.walCount >= s.opts.SnapshotEvery {
+	s.gen, s.live, s.nextID = next.Gen, len(next.IDs), nextID
+	if s.wal != nil && s.opts.SnapshotEvery > 0 && s.walCount >= s.opts.SnapshotEvery {
 		// The batch is already durably committed (WAL) and installed; a
 		// failed snapshot only delays compaction, so it must NOT fail the
 		// Apply — callers would wrongly conclude the batch did not happen.
 		// walCount stays high, so the next batch retries the snapshot; the
 		// failure is reported through the OnEvent hook.
-		if err := s.snapshotLocked(); err != nil {
-			s.emit(Event{Kind: EventSnapshotFailed, Gen: gen, Records: len(recs), WALFrames: s.walCount, Err: err.Error()})
+		if err := s.snapshotLocked(next); err != nil {
+			s.emit(Event{Kind: EventSnapshotFailed, Gen: next.Gen, Records: s.live, WALFrames: s.walCount, Err: err.Error()})
 		}
 	}
-	return s.cur.Load(), applied, nil
+	return next, applied, nil
+}
+
+// checkLocked rejects a closed store and records that are not the
+// current generation's: the cheap guard against a caller handing back
+// some other generation.
+func (s *Store) checkLocked(cur Records) error {
+	if s.closed {
+		return fmt.Errorf("store: closed")
+	}
+	if cur.Gen != s.gen || len(cur.IDs) != s.live || len(cur.Rows) != s.live {
+		return fmt.Errorf("store: handed generation %d with %d ids and %d rows, store is at generation %d with %d records",
+			cur.Gen, len(cur.IDs), len(cur.Rows), s.gen, s.live)
+	}
+	return nil
 }
 
 // SinceSnapshot reports how many applied batches the WAL holds beyond
-// the last durable snapshot. Zero right after an Apply means that Apply
-// triggered an automatic snapshot — the moment callers persist derived
-// artifacts (like the candidate index) alongside it.
+// the last durable snapshot. Zero right after an Apply on a store with a
+// directory means that Apply triggered an automatic snapshot — the moment
+// callers persist derived artifacts (like the candidate index) alongside
+// it.
 func (s *Store) SinceSnapshot() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.walCount
 }
 
-// Snapshot forces a snapshot of the current generation and truncates the
-// WAL. It is called automatically every Options.SnapshotEvery batches.
-func (s *Store) Snapshot() error {
+// Snapshot writes cur, the records of the current generation, as the
+// store's snapshot and truncates the WAL. Apply calls it every
+// Options.SnapshotEvery batches. An InMemory store has nowhere to write
+// one, so Snapshot fails there.
+func (s *Store) Snapshot(cur Records) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.closed {
-		return fmt.Errorf("store: closed")
+	if err := s.checkLocked(cur); err != nil {
+		return err
 	}
-	return s.snapshotLocked()
+	if s.wal == nil {
+		return fmt.Errorf("store: no directory to snapshot to")
+	}
+	return s.snapshotLocked(cur)
 }
 
-func (s *Store) snapshotLocked() error {
-	ver := s.cur.Load()
-	if err := writeSnapshot(s.dir, s.snapPath(), ver, s.nextID); err != nil {
+func (s *Store) snapshotLocked(cur Records) error {
+	if err := writeSnapshot(s.snapPath(), cur, s.nextID); err != nil {
 		return err
 	}
 	// A crash between the snapshot rename and this truncate is harmless:
@@ -323,13 +312,13 @@ func (s *Store) snapshotLocked() error {
 		return fmt.Errorf("store: rewind wal: %w", err)
 	}
 	compacted := s.walCount
-	s.walSize, s.walCount = 0, 0
-	s.emit(Event{Kind: EventSnapshotWrite, Gen: ver.Gen, Records: ver.Len(), WALFrames: compacted})
+	s.walCount = 0
+	s.emit(Event{Kind: EventSnapshotWrite, Gen: cur.Gen, Records: len(cur.IDs), WALFrames: compacted})
 	return nil
 }
 
-// Close syncs and closes the WAL. The store must not be used afterwards;
-// outstanding Versions remain valid.
+// Close syncs and closes the WAL. Apply and Snapshot fail afterwards;
+// records the store handed out stay valid.
 func (s *Store) Close() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -337,6 +326,9 @@ func (s *Store) Close() error {
 		return nil
 	}
 	s.closed = true
+	if s.wal == nil {
+		return nil
+	}
 	if err := s.wal.Sync(); err != nil {
 		s.wal.Close()
 		return fmt.Errorf("store: close sync: %w", err)
@@ -347,78 +339,70 @@ func (s *Store) Close() error {
 func (s *Store) snapPath() string { return filepath.Join(s.dir, "snapshot.snap") }
 func (s *Store) walPath() string  { return filepath.Join(s.dir, "wal.log") }
 
-// ApplyRecords executes a mutation batch against an immutable record
-// slice, producing a fresh slice (copy-on-write; the input and its value
-// slices are never modified). It is the store's single source of truth
-// for mutation semantics, exported so in-memory (WAL-less) datasets apply
-// mutations identically to durable ones. It returns the new records, the
-// advanced id watermark and dimensionality, and the executed mutations.
-func ApplyRecords(in []Record, nextID int64, dim int, muts []Mutation) ([]Record, int64, int, []Applied, error) {
-	return applyRecords(in, nextID, dim, muts, false)
-}
-
-// applyRecords is ApplyRecords plus the WAL-replay mode, where insert ids
+// applyRecords executes a mutation batch against cur, producing the next
+// generation's records (copy-on-write: cur and its rows are never
+// modified) and the advanced id watermark. It is the store's single
+// source of truth for mutation semantics; in WAL-replay mode insert ids
 // arrive pre-assigned. A delete only marks its record dead, and one pass
 // at the end drops the dead, so a batch costs O(n + m log n) however many
 // of its m mutations are deletes.
-func applyRecords(in []Record, nextID int64, dim int, muts []Mutation, replay bool) (
-	[]Record, int64, int, []Applied, error) {
-	recs := append(make([]Record, 0, len(in)+len(muts)), in...)
+func applyRecords(cur Records, nextID int64, muts []Mutation, replay bool) (Records, int64, []Applied, error) {
+	ids := append(make([]int64, 0, len(cur.IDs)+len(muts)), cur.IDs...)
+	rows := append(make([]geom.Vector, 0, len(cur.IDs)+len(muts)), cur.Rows...)
+	dim := cur.dim()
 	applied := make([]Applied, 0, len(muts))
-	dead := make([]bool, cap(recs)) // by position in recs
-	live := len(recs)
+	dead := make([]bool, cap(ids)) // by position in ids
+	live := len(ids)
 	find := func(id int64) (int, bool) {
-		i := sort.Search(len(recs), func(i int) bool { return recs[i].ID >= id })
-		if i < len(recs) && recs[i].ID == id && !dead[i] {
-			return i, true
-		}
-		return 0, false
+		i, ok := slices.BinarySearch(ids, id)
+		return i, ok && !dead[i]
 	}
-	for mi, m := range muts {
+	step := func(m Mutation) error {
 		switch m.Op {
 		case OpInsert:
 			if err := checkValues(m.Values, &dim); err != nil {
-				return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: %w", mi, err)
+				return err
 			}
 			id := m.ID
 			if replay && id != 0 {
 				if id < nextID {
-					return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: replayed insert id %d below next id %d", mi, id, nextID)
+					return fmt.Errorf("replayed insert id %d below next id %d", id, nextID)
 				}
 			} else {
 				if id != 0 {
-					return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: insert must not set an id (store assigns them)", mi)
+					return fmt.Errorf("insert must not set an id (store assigns them)")
 				}
 				id = nextID
 			}
 			nextID = id + 1
 			vals := append([]float64(nil), m.Values...)
-			recs = append(recs, Record{ID: id, Values: vals})
+			ids = append(ids, id)
+			rows = append(rows, vals)
 			live++
 			applied = append(applied, Applied{Mutation: Mutation{Op: OpInsert, ID: id, Values: vals}})
 		case OpUpdate:
 			if err := checkValues(m.Values, &dim); err != nil {
-				return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: %w", mi, err)
+				return err
 			}
 			i, ok := find(m.ID)
 			if !ok {
-				return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: update of unknown option id %d", mi, m.ID)
+				return fmt.Errorf("update of unknown option id %d", m.ID)
 			}
-			old := recs[i].Values
+			old := rows[i]
 			vals := append([]float64(nil), m.Values...)
-			recs[i] = Record{ID: m.ID, Values: vals}
+			rows[i] = vals
 			applied = append(applied, Applied{Mutation: Mutation{Op: OpUpdate, ID: m.ID, Values: vals}, Old: old})
 		case OpDelete:
 			if m.Values != nil {
-				return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: delete must not carry values", mi)
+				return fmt.Errorf("delete must not carry values")
 			}
 			i, ok := find(m.ID)
 			if !ok {
-				return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: delete of unknown option id %d", mi, m.ID)
+				return fmt.Errorf("delete of unknown option id %d", m.ID)
 			}
 			dead[i] = true
 			live--
-			applied = append(applied, Applied{Mutation: Mutation{Op: OpDelete, ID: m.ID}, Old: recs[i].Values})
+			applied = append(applied, Applied{Mutation: Mutation{Op: OpDelete, ID: m.ID}, Old: rows[i]})
 			if live == 0 {
 				// Emptied mid-batch: later inserts in the SAME batch may
 				// establish a new dimensionality (the delete-all + insert-all
@@ -426,21 +410,24 @@ func applyRecords(in []Record, nextID int64, dim int, muts []Mutation, replay bo
 				dim = 0
 			}
 		default:
-			return nil, 0, 0, nil, fmt.Errorf("store: mutation %d: unknown op %d", mi, m.Op)
+			return fmt.Errorf("unknown op %d", m.Op)
+		}
+		return nil
+	}
+	for mi, m := range muts {
+		if err := step(m); err != nil {
+			return Records{}, 0, nil, fmt.Errorf("store: mutation %d: %w", mi, err)
 		}
 	}
-	kept := recs[:0]
-	for i, r := range recs {
+	kept := 0
+	for i := range ids {
 		if !dead[i] {
-			kept = append(kept, r)
+			ids[kept], rows[kept] = ids[i], rows[i]
+			kept++
 		}
 	}
-	clear(recs[len(kept):])
-	recs = kept
-	if live == 0 {
-		dim = 0 // an emptied store accepts any dimensionality again
-	}
-	return recs, nextID, dim, applied, nil
+	clear(rows[kept:])
+	return Records{Gen: cur.Gen + 1, IDs: ids[:kept], Rows: rows[:kept]}, nextID, applied, nil
 }
 
 // checkValues validates an insert/update vector against the store's

@@ -10,65 +10,70 @@ import (
 	"slices"
 	"sort"
 	"testing"
+
+	"repro/internal/geom"
 )
 
-func open(t *testing.T, dir string, opts Options) *Store {
+// handle is a test's side of a store: the store plus the records of its
+// current generation, which the store's caller keeps.
+type handle struct {
+	t   *testing.T
+	s   *Store
+	cur Records
+}
+
+func open(t *testing.T, dir string, opts Options) *handle {
 	t.Helper()
-	s, err := Open(dir, opts)
+	s, recs, err := Open(dir, opts)
 	if err != nil {
 		t.Fatalf("open store: %v", err)
 	}
-	return s
+	return &handle{t: t, s: s, cur: recs}
 }
 
-func apply(t *testing.T, s *Store, muts ...Mutation) (*Version, []Applied) {
-	t.Helper()
-	v, a, err := s.Apply(muts)
+func (h *handle) apply(muts ...Mutation) (Records, []Applied) {
+	h.t.Helper()
+	next, a, err := h.s.Apply(h.cur, muts)
 	if err != nil {
-		t.Fatalf("apply: %v", err)
+		h.t.Fatalf("apply: %v", err)
 	}
-	return v, a
+	h.cur = next
+	return next, a
 }
 
 func TestApplyBasics(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
-	v, a := apply(t, s,
+	h := open(t, t.TempDir(), Options{})
+	v, a := h.apply(
 		Mutation{Op: OpInsert, Values: []float64{1, 2}},
 		Mutation{Op: OpInsert, Values: []float64{3, 4}},
 	)
-	if v.Gen != 1 || v.Len() != 2 || v.Dim() != 2 {
-		t.Fatalf("after insert: gen=%d len=%d dim=%d", v.Gen, v.Len(), v.Dim())
+	if v.Gen != 1 || len(v.IDs) != 2 || v.dim() != 2 {
+		t.Fatalf("after insert: gen=%d len=%d dim=%d", v.Gen, len(v.IDs), v.dim())
 	}
 	if a[0].ID != 0 || a[1].ID != 1 {
 		t.Fatalf("assigned ids %d, %d", a[0].ID, a[1].ID)
 	}
-	v, a = apply(t, s, Mutation{Op: OpUpdate, ID: 0, Values: []float64{9, 9}})
-	if got := v.Rows()[0]; got[0] != 9 {
+	v, a = h.apply(Mutation{Op: OpUpdate, ID: 0, Values: []float64{9, 9}})
+	if got := v.Rows[0]; got[0] != 9 {
 		t.Fatalf("update not applied: %v", got)
 	}
 	if a[0].Old[0] != 1 {
 		t.Fatalf("old values not captured: %v", a[0].Old)
 	}
-	v, _ = apply(t, s, Mutation{Op: OpDelete, ID: 0})
-	if v.Len() != 1 || v.IDs()[0] != 1 {
-		t.Fatalf("delete left %v", v.IDs())
-	}
-	if _, ok := v.Dense(0); ok {
-		t.Fatal("deleted id still dense-resolvable")
-	}
-	if i, ok := v.Dense(1); !ok || i != 0 {
-		t.Fatalf("Dense(1) = %d, %v", i, ok)
+	v, _ = h.apply(Mutation{Op: OpDelete, ID: 0})
+	if len(v.IDs) != 1 || v.IDs[0] != 1 || v.Rows[0][0] != 3 {
+		t.Fatalf("delete left ids %v, rows %v", v.IDs, v.Rows)
 	}
 	// New inserts never reuse a deleted id.
-	_, a = apply(t, s, Mutation{Op: OpInsert, Values: []float64{5, 5}})
+	_, a = h.apply(Mutation{Op: OpInsert, Values: []float64{5, 5}})
 	if a[0].ID != 2 {
 		t.Fatalf("insert reused id: %d", a[0].ID)
 	}
 }
 
 func TestApplyValidation(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
-	apply(t, s, Mutation{Op: OpInsert, Values: []float64{1, 2}})
+	h := open(t, t.TempDir(), Options{})
+	h.apply(Mutation{Op: OpInsert, Values: []float64{1, 2}})
 	cases := []Mutation{
 		{Op: OpInsert, Values: []float64{1, 2, 3}},     // wrong dim
 		{Op: OpInsert, Values: nil},                    // empty
@@ -79,48 +84,63 @@ func TestApplyValidation(t *testing.T) {
 		{Op: Op(9)},
 	}
 	for i, m := range cases {
-		if _, _, err := s.Apply([]Mutation{m}); err == nil {
+		if _, _, err := h.s.Apply(h.cur, []Mutation{m}); err == nil {
 			t.Fatalf("case %d: invalid mutation accepted", i)
 		}
 	}
 	// A failed batch must not change anything.
-	_, _, err := s.Apply([]Mutation{
+	_, _, err := h.s.Apply(h.cur, []Mutation{
 		{Op: OpInsert, Values: []float64{8, 8}},
 		{Op: OpDelete, ID: 42},
 	})
 	if err == nil {
 		t.Fatal("half-bad batch accepted")
 	}
-	v := s.View()
-	if v.Gen != 1 || v.Len() != 1 {
-		t.Fatalf("failed batch mutated state: gen=%d len=%d", v.Gen, v.Len())
+	if h.s.gen != 1 || h.s.live != 1 {
+		t.Fatalf("failed batch mutated state: gen=%d len=%d", h.s.gen, h.s.live)
+	}
+	// Records that are not the current generation's are refused.
+	ok := []Mutation{{Op: OpInsert, Values: []float64{8, 8}}}
+	stale := Records{}
+	short := Records{Gen: h.cur.Gen, IDs: h.cur.IDs, Rows: h.cur.Rows[:0]}
+	for name, cur := range map[string]Records{"stale generation": stale, "short rows": short} {
+		if _, _, err := h.s.Apply(cur, ok); err == nil {
+			t.Fatalf("%s: Apply accepted records the store is not at", name)
+		}
+		if err := h.s.Snapshot(cur); err == nil {
+			t.Fatalf("%s: Snapshot accepted records the store is not at", name)
+		}
+	}
+	if v, _ := h.apply(ok...); v.Gen != 2 || len(v.IDs) != 2 {
+		t.Fatalf("apply after refusals: gen=%d len=%d", v.Gen, len(v.IDs))
 	}
 }
 
+// TestVersionsAreImmutable pins copy-on-write: the records a store hands
+// out for one generation never change when later batches apply.
 func TestVersionsAreImmutable(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
-	v1, _ := apply(t, s, Mutation{Op: OpInsert, Values: []float64{1, 2}})
-	v2, _ := apply(t, s, Mutation{Op: OpUpdate, ID: 0, Values: []float64{7, 7}})
-	if v1.Rows()[0][0] != 1 {
-		t.Fatalf("old version mutated: %v", v1.Rows()[0])
+	h := open(t, t.TempDir(), Options{})
+	v1, _ := h.apply(Mutation{Op: OpInsert, Values: []float64{1, 2}})
+	v2, _ := h.apply(Mutation{Op: OpUpdate, ID: 0, Values: []float64{7, 7}})
+	if v1.Rows[0][0] != 1 {
+		t.Fatalf("old version mutated: %v", v1.Rows[0])
 	}
-	if v2.Rows()[0][0] != 7 {
-		t.Fatalf("new version wrong: %v", v2.Rows()[0])
+	if v2.Rows[0][0] != 7 {
+		t.Fatalf("new version wrong: %v", v2.Rows[0])
 	}
 }
 
 func TestRecoveryFromWALOnly(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{})
-	apply(t, s, Mutation{Op: OpInsert, Values: []float64{1, 2}})
-	apply(t, s, Mutation{Op: OpInsert, Values: []float64{3, 4}})
-	apply(t, s, Mutation{Op: OpDelete, ID: 0})
-	want := s.View()
+	h := open(t, dir, Options{})
+	h.apply(Mutation{Op: OpInsert, Values: []float64{1, 2}})
+	h.apply(Mutation{Op: OpInsert, Values: []float64{3, 4}})
+	h.apply(Mutation{Op: OpDelete, ID: 0})
 	// Simulate a crash: reopen without Close.
-	s2 := open(t, dir, Options{})
-	assertSameVersion(t, want, s2.View())
+	h2 := open(t, dir, Options{})
+	assertSameRecords(t, h.cur, h2.cur)
 	// The recovered store keeps assigning fresh ids.
-	_, a := apply(t, s2, Mutation{Op: OpInsert, Values: []float64{5, 6}})
+	_, a := h2.apply(Mutation{Op: OpInsert, Values: []float64{5, 6}})
 	if a[0].ID != 2 {
 		t.Fatalf("recovered nextID wrong: assigned %d", a[0].ID)
 	}
@@ -128,26 +148,24 @@ func TestRecoveryFromWALOnly(t *testing.T) {
 
 func TestRecoveryWithSnapshotAndTail(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{SnapshotEvery: -1})
-	apply(t, s, Mutation{Op: OpInsert, Values: []float64{1, 2}})
-	apply(t, s, Mutation{Op: OpInsert, Values: []float64{3, 4}})
-	if err := s.Snapshot(); err != nil {
+	h := open(t, dir, Options{SnapshotEvery: -1})
+	h.apply(Mutation{Op: OpInsert, Values: []float64{1, 2}})
+	h.apply(Mutation{Op: OpInsert, Values: []float64{3, 4}})
+	if err := h.s.Snapshot(h.cur); err != nil {
 		t.Fatalf("snapshot: %v", err)
 	}
-	apply(t, s, Mutation{Op: OpUpdate, ID: 1, Values: []float64{8, 8}})
-	want := s.View()
-	s2 := open(t, dir, Options{})
-	assertSameVersion(t, want, s2.View())
-	if s2.View().Gen != 3 {
-		t.Fatalf("recovered generation %d, want 3", s2.View().Gen)
+	h.apply(Mutation{Op: OpUpdate, ID: 1, Values: []float64{8, 8}})
+	h2 := open(t, dir, Options{})
+	assertSameRecords(t, h.cur, h2.cur)
+	if h2.cur.Gen != 3 {
+		t.Fatalf("recovered generation %d, want 3", h2.cur.Gen)
 	}
 }
 
 func TestTornTailIsTruncated(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{})
-	apply(t, s, Mutation{Op: OpInsert, Values: []float64{1, 2}})
-	want := s.View()
+	h := open(t, dir, Options{})
+	want, _ := h.apply(Mutation{Op: OpInsert, Values: []float64{1, 2}})
 	// A crash mid-append leaves a torn frame: some header bytes and part
 	// of a payload.
 	f, err := os.OpenFile(filepath.Join(dir, "wal.log"), os.O_APPEND|os.O_WRONLY, 0o644)
@@ -158,22 +176,22 @@ func TestTornTailIsTruncated(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.Close()
-	s2 := open(t, dir, Options{})
-	assertSameVersion(t, want, s2.View())
+	h2 := open(t, dir, Options{})
+	assertSameRecords(t, want, h2.cur)
 	// The tail was truncated, so appending keeps working.
-	v, _ := apply(t, s2, Mutation{Op: OpInsert, Values: []float64{3, 4}})
-	if v.Gen != 2 || v.Len() != 2 {
-		t.Fatalf("post-truncate apply: gen=%d len=%d", v.Gen, v.Len())
+	v, _ := h2.apply(Mutation{Op: OpInsert, Values: []float64{3, 4}})
+	if v.Gen != 2 || len(v.IDs) != 2 {
+		t.Fatalf("post-truncate apply: gen=%d len=%d", v.Gen, len(v.IDs))
 	}
-	s3 := open(t, dir, Options{})
-	assertSameVersion(t, v, s3.View())
+	h3 := open(t, dir, Options{})
+	assertSameRecords(t, v, h3.cur)
 }
 
 func TestMidLogCorruptionIsAnError(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{})
-	apply(t, s, Mutation{Op: OpInsert, Values: []float64{1, 2}})
-	apply(t, s, Mutation{Op: OpInsert, Values: []float64{3, 4}})
+	h := open(t, dir, Options{})
+	h.apply(Mutation{Op: OpInsert, Values: []float64{1, 2}})
+	h.apply(Mutation{Op: OpInsert, Values: []float64{3, 4}})
 	path := filepath.Join(dir, "wal.log")
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -183,7 +201,7 @@ func TestMidLogCorruptionIsAnError(t *testing.T) {
 	if err := os.WriteFile(path, data, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Open(dir, Options{}); err == nil {
+	if _, _, err := Open(dir, Options{}); err == nil {
 		t.Fatal("mid-log corruption silently accepted")
 	}
 }
@@ -196,7 +214,7 @@ func TestCrashStream(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for round := 0; round < 5; round++ {
 		dir := t.TempDir()
-		s := open(t, dir, Options{SnapshotEvery: 7})
+		h := open(t, dir, Options{SnapshotEvery: 7})
 		var live []int64
 		steps := 10 + rng.Intn(40)
 		for i := 0; i < steps; i++ {
@@ -209,10 +227,7 @@ func TestCrashStream(t *testing.T) {
 			default:
 				m = Mutation{Op: OpDelete, ID: live[rng.Intn(len(live))]}
 			}
-			_, a, err := s.Apply([]Mutation{m})
-			if err != nil {
-				t.Fatalf("round %d step %d: %v", round, i, err)
-			}
+			_, a := h.apply(m)
 			switch a[0].Op {
 			case OpInsert:
 				live = append(live, a[0].ID)
@@ -225,20 +240,19 @@ func TestCrashStream(t *testing.T) {
 				}
 			}
 		}
-		want := s.View()
-		s2 := open(t, dir, Options{}) // crash: no Close
-		assertSameVersion(t, want, s2.View())
-		if s2.View().Gen != want.Gen {
-			t.Fatalf("round %d: recovered gen %d, want %d", round, s2.View().Gen, want.Gen)
+		h2 := open(t, dir, Options{}) // crash: no Close
+		assertSameRecords(t, h.cur, h2.cur)
+		if h2.cur.Gen != h.cur.Gen {
+			t.Fatalf("round %d: recovered gen %d, want %d", round, h2.cur.Gen, h.cur.Gen)
 		}
 	}
 }
 
 func TestSnapshotTruncatesWAL(t *testing.T) {
 	dir := t.TempDir()
-	s := open(t, dir, Options{SnapshotEvery: 3})
+	h := open(t, dir, Options{SnapshotEvery: 3})
 	for i := 0; i < 7; i++ {
-		apply(t, s, Mutation{Op: OpInsert, Values: []float64{float64(i), 1}})
+		h.apply(Mutation{Op: OpInsert, Values: []float64{float64(i), 1}})
 	}
 	// 7 batches with cadence 3: two snapshots happened, WAL holds 1 frame.
 	fi, err := os.Stat(filepath.Join(dir, "wal.log"))
@@ -251,8 +265,8 @@ func TestSnapshotTruncatesWAL(t *testing.T) {
 	if _, err := os.Stat(filepath.Join(dir, "snapshot.snap")); err != nil {
 		t.Fatalf("snapshot missing: %v", err)
 	}
-	s2 := open(t, dir, Options{})
-	assertSameVersion(t, s.View(), s2.View())
+	h2 := open(t, dir, Options{})
+	assertSameRecords(t, h.cur, h2.cur)
 }
 
 // TestAutoSnapshotFailureIsReported makes an automatic snapshot fail
@@ -264,29 +278,29 @@ func TestAutoSnapshotFailureIsReported(t *testing.T) {
 	dir := t.TempDir()
 	var events []Event
 	hook := func(ev Event) { events = append(events, ev) }
-	s := open(t, dir, Options{SnapshotEvery: 1, OnEvent: hook})
+	h := open(t, dir, Options{SnapshotEvery: 1, OnEvent: hook})
 	blocker := filepath.Join(dir, "snapshot.tmp")
 	if err := os.Mkdir(blocker, 0o755); err != nil {
 		t.Fatal(err)
 	}
-	v, _ := apply(t, s, Mutation{Op: OpInsert, Values: []float64{0.5, 0.5}})
+	v, _ := h.apply(Mutation{Op: OpInsert, Values: []float64{0.5, 0.5}})
 	last := events[len(events)-1]
 	if last.Kind != EventSnapshotFailed || last.Err == "" || last.Gen != v.Gen || last.Records != 1 || last.WALFrames != 1 {
 		t.Fatalf("after a failed snapshot the hook saw %+v, want snapshot_failed at gen %d with 1 record, 1 frame and the error", last, v.Gen)
 	}
-	if err := s.Close(); err != nil {
+	if err := h.s.Close(); err != nil {
 		t.Fatal(err)
 	}
 
 	// The WAL still holds the batch.
-	s = open(t, dir, Options{SnapshotEvery: 1, OnEvent: hook})
-	defer s.Close()
-	assertSameVersion(t, v, s.View())
+	h = open(t, dir, Options{SnapshotEvery: 1, OnEvent: hook})
+	defer h.s.Close()
+	assertSameRecords(t, v, h.cur)
 
 	if err := os.Remove(blocker); err != nil {
 		t.Fatal(err)
 	}
-	v, _ = apply(t, s, Mutation{Op: OpInsert, Values: []float64{0.6, 0.4}})
+	v, _ = h.apply(Mutation{Op: OpInsert, Values: []float64{0.6, 0.4}})
 	last = events[len(events)-1]
 	if last.Kind != EventSnapshotWrite || last.Err != "" || last.Gen != v.Gen || last.WALFrames != 2 {
 		t.Fatalf("after the retry the hook saw %+v, want snapshot_write at gen %d compacting 2 frames", last, v.Gen)
@@ -294,54 +308,32 @@ func TestAutoSnapshotFailureIsReported(t *testing.T) {
 }
 
 func TestSyncOption(t *testing.T) {
-	s := open(t, t.TempDir(), Options{Sync: true})
-	v, _ := apply(t, s, Mutation{Op: OpInsert, Values: []float64{1, 2}})
+	h := open(t, t.TempDir(), Options{Sync: true})
+	v, _ := h.apply(Mutation{Op: OpInsert, Values: []float64{1, 2}})
 	if v.Gen != 1 {
 		t.Fatalf("gen %d", v.Gen)
 	}
-	if err := s.Close(); err != nil {
+	if err := h.s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if _, _, err := s.Apply([]Mutation{{Op: OpInsert, Values: []float64{1, 2}}}); err == nil {
+	if _, _, err := h.s.Apply(h.cur, []Mutation{{Op: OpInsert, Values: []float64{1, 2}}}); err == nil {
 		t.Fatal("apply after close accepted")
 	}
 }
 
-func assertSameVersion(t *testing.T, want, got *Version) {
+func assertSameRecords(t *testing.T, want, got Records) {
 	t.Helper()
 	if want.Gen != got.Gen {
 		t.Fatalf("generation %d, want %d", got.Gen, want.Gen)
 	}
-	if !reflect.DeepEqual(want.IDs(), got.IDs()) {
-		t.Fatalf("ids %v, want %v", got.IDs(), want.IDs())
+	if !slices.Equal(want.IDs, got.IDs) {
+		t.Fatalf("ids %v, want %v", got.IDs, want.IDs)
 	}
-	if !reflect.DeepEqual(want.Rows(), got.Rows()) {
+	if !reflect.DeepEqual(want.Rows, got.Rows) {
 		t.Fatalf("rows differ")
 	}
-	if want.Dim() != got.Dim() {
-		t.Fatalf("dim %d, want %d", got.Dim(), want.Dim())
-	}
-}
-
-func TestApplyRecordsExported(t *testing.T) {
-	recs, nextID, dim, applied, err := ApplyRecords(nil, 0, 0, []Mutation{
-		{Op: OpInsert, Values: []float64{1, 2}},
-		{Op: OpInsert, Values: []float64{3, 4}},
-		{Op: OpUpdate, ID: 0, Values: []float64{5, 6}},
-		{Op: OpDelete, ID: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].ID != 0 || recs[0].Values[0] != 5 {
-		t.Fatalf("records %+v", recs)
-	}
-	if nextID != 2 || dim != 2 || len(applied) != 4 {
-		t.Fatalf("nextID=%d dim=%d applied=%d", nextID, dim, len(applied))
-	}
-	// The exported form never accepts pre-assigned insert ids.
-	if _, _, _, _, err := ApplyRecords(nil, 0, 0, []Mutation{{Op: OpInsert, ID: 5, Values: []float64{1, 2}}}); err == nil {
-		t.Fatal("pre-assigned insert id accepted outside replay")
+	if want.dim() != got.dim() {
+		t.Fatalf("dim %d, want %d", got.dim(), want.dim())
 	}
 }
 
@@ -352,13 +344,43 @@ func TestOpStringAndAccessors(t *testing.T) {
 		}
 	}
 	dir := t.TempDir()
-	s := open(t, dir, Options{})
-	if s.Dir() != dir {
-		t.Fatalf("Dir() = %q", s.Dir())
+	h := open(t, dir, Options{})
+	if h.s.Dir() != dir {
+		t.Fatalf("Dir() = %q", h.s.Dir())
 	}
-	v, _ := apply(t, s, Mutation{Op: OpInsert, Values: []float64{1, 2}})
-	if recs := v.Records(); len(recs) != 1 || recs[0].ID != 0 {
-		t.Fatalf("Records() = %+v", recs)
+	if v, _ := h.apply(Mutation{Op: OpInsert, Values: []float64{1, 2}}); len(v.IDs) != 1 || v.IDs[0] != 0 {
+		t.Fatalf("records %+v", v)
+	}
+}
+
+// TestInMemoryStore pins the store without a directory: it starts at
+// generation 1 over ids 0..n-1, validates and assigns ids like a durable
+// store, refuses to snapshot, and stops applying once closed.
+func TestInMemoryStore(t *testing.T) {
+	s := InMemory(2)
+	if s.Dir() != "" {
+		t.Fatalf("Dir() = %q, want none", s.Dir())
+	}
+	cur := Records{Gen: 1, IDs: []int64{0, 1}, Rows: []geom.Vector{{1, 2}, {3, 4}}}
+	if _, _, err := s.Apply(cur, []Mutation{{Op: OpInsert, Values: []float64{1, 2, 3}}}); err == nil {
+		t.Fatal("wrong-width insert accepted")
+	}
+	next, a, err := s.Apply(cur, []Mutation{{Op: OpInsert, Values: []float64{5, 6}}, {Op: OpDelete, ID: 0}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if next.Gen != 2 || a[0].ID != 2 || !slices.Equal(next.IDs, []int64{1, 2}) || s.SinceSnapshot() != 0 {
+		t.Fatalf("after one batch: gen %d, ids %v, assigned %d, %d batches since snapshot",
+			next.Gen, next.IDs, a[0].ID, s.SinceSnapshot())
+	}
+	if err := s.Snapshot(next); err == nil {
+		t.Fatal("snapshot without a directory accepted")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, _, err := s.Apply(next, []Mutation{{Op: OpDelete, ID: 1}}); err == nil {
+		t.Fatal("apply after close accepted")
 	}
 }
 
@@ -366,30 +388,36 @@ func TestOpStringAndAccessors(t *testing.T) {
 // pattern: emptying the store mid-batch frees the dimensionality, so the
 // same atomic batch may re-establish a different one.
 func TestReloadChangesDimensionality(t *testing.T) {
-	s := open(t, t.TempDir(), Options{})
-	apply(t, s, Mutation{Op: OpInsert, Values: []float64{1, 2, 3}},
+	h := open(t, t.TempDir(), Options{})
+	h.apply(Mutation{Op: OpInsert, Values: []float64{1, 2, 3}},
 		Mutation{Op: OpInsert, Values: []float64{4, 5, 6}})
-	v, _ := apply(t, s,
+	v, _ := h.apply(
 		Mutation{Op: OpDelete, ID: 0},
 		Mutation{Op: OpDelete, ID: 1},
 		Mutation{Op: OpInsert, Values: []float64{1, 2, 3, 4}},
 		Mutation{Op: OpInsert, Values: []float64{5, 6, 7, 8}},
 	)
-	if v.Dim() != 4 || v.Len() != 2 {
-		t.Fatalf("after reload batch: dim=%d len=%d", v.Dim(), v.Len())
+	if v.dim() != 4 || len(v.IDs) != 2 {
+		t.Fatalf("after reload batch: dim=%d len=%d", v.dim(), len(v.IDs))
 	}
 	// And the mixed-dim batch without full emptying still fails.
-	if _, _, err := s.Apply([]Mutation{{Op: OpInsert, Values: []float64{1, 2}}}); err == nil {
+	if _, _, err := h.s.Apply(h.cur, []Mutation{{Op: OpInsert, Values: []float64{1, 2}}}); err == nil {
 		t.Fatal("dim mismatch accepted")
 	}
+}
+
+// record is one live option as the reference below keeps it.
+type record struct {
+	ID     int64
+	Values []float64
 }
 
 // refApplyRecords is applyRecords as it was before deletes became
 // tombstones, kept as the reference: each delete closes its gap at once,
 // so a batch of m deletes moves O(n·m) records.
-func refApplyRecords(in []Record, nextID int64, dim int, muts []Mutation, replay bool) (
-	[]Record, int64, int, []Applied, error) {
-	recs := append(make([]Record, 0, len(in)+len(muts)), in...)
+func refApplyRecords(in []record, nextID int64, dim int, muts []Mutation, replay bool) (
+	[]record, int64, int, []Applied, error) {
+	recs := append(make([]record, 0, len(in)+len(muts)), in...)
 	applied := make([]Applied, 0, len(muts))
 	find := func(id int64) (int, bool) {
 		i := sort.Search(len(recs), func(i int) bool { return recs[i].ID >= id })
@@ -417,7 +445,7 @@ func refApplyRecords(in []Record, nextID int64, dim int, muts []Mutation, replay
 			}
 			nextID = id + 1
 			vals := append([]float64(nil), m.Values...)
-			recs = append(recs, Record{ID: id, Values: vals})
+			recs = append(recs, record{ID: id, Values: vals})
 			applied = append(applied, Applied{Mutation: Mutation{Op: OpInsert, ID: id, Values: vals}})
 		case OpUpdate:
 			if err := checkValues(m.Values, &dim); err != nil {
@@ -429,7 +457,7 @@ func refApplyRecords(in []Record, nextID int64, dim int, muts []Mutation, replay
 			}
 			old := recs[i].Values
 			vals := append([]float64(nil), m.Values...)
-			recs[i] = Record{ID: m.ID, Values: vals}
+			recs[i] = record{ID: m.ID, Values: vals}
 			applied = append(applied, Applied{Mutation: Mutation{Op: OpUpdate, ID: m.ID, Values: vals}, Old: old})
 		case OpDelete:
 			if m.Values != nil {
@@ -461,16 +489,16 @@ func refApplyRecords(in []Record, nextID int64, dim int, muts []Mutation, replay
 // wrong width, empty or non-finite. In "reload" mode the batch deletes
 // every live id in ascending order, then inserts records of a new
 // dimensionality, as Registry.Load does.
-func randBatch(rng *rand.Rand, reload bool) ([]Record, int64, int, []Mutation) {
+func randBatch(rng *rand.Rand, reload bool) ([]record, int64, int, []Mutation) {
 	dim := 2 + rng.Intn(2)
-	var recs []Record
+	var recs []record
 	id := int64(rng.Intn(3))
 	for i := rng.Intn(9); i > 0; i-- {
 		vals := make([]float64, dim)
 		for j := range vals {
 			vals[j] = float64(rng.Intn(4))
 		}
-		recs = append(recs, Record{ID: id, Values: vals})
+		recs = append(recs, record{ID: id, Values: vals})
 		id += 1 + int64(rng.Intn(3))
 	}
 	nextID := id + int64(rng.Intn(2))
@@ -552,13 +580,31 @@ func randBatch(rng *rand.Rand, reload bool) ([]Record, int64, int, []Mutation) {
 }
 
 // cloneRecords deep-copies recs, values included; nil stays nil.
-func cloneRecords(recs []Record) []Record {
+func cloneRecords(recs []record) []record {
 	if recs == nil {
 		return nil
 	}
-	out := make([]Record, len(recs))
+	out := make([]record, len(recs))
 	for i, r := range recs {
-		out[i] = Record{ID: r.ID, Values: append([]float64(nil), r.Values...)}
+		out[i] = record{ID: r.ID, Values: append([]float64(nil), r.Values...)}
+	}
+	return out
+}
+
+// toRecords and fromRecords convert between the reference's record list
+// and the store's generation form.
+func toRecords(recs []record) Records {
+	out := Records{IDs: make([]int64, len(recs)), Rows: make([]geom.Vector, len(recs))}
+	for i, r := range recs {
+		out.IDs[i], out.Rows[i] = r.ID, r.Values
+	}
+	return out
+}
+
+func fromRecords(recs Records) []record {
+	out := make([]record, len(recs.IDs))
+	for i, id := range recs.IDs {
+		out[i] = record{ID: id, Values: recs.Rows[i]}
 	}
 	return out
 }
@@ -575,12 +621,13 @@ func TestApplyRecordsMatchesReference(t *testing.T) {
 		in, nextID, dim, muts := randBatch(rng, reload)
 		before := cloneRecords(in)
 		wantRecs, wantNext, wantDim, wantApplied, wantErr := refApplyRecords(cloneRecords(in), nextID, dim, muts, replay)
-		gotRecs, gotNext, gotDim, gotApplied, gotErr := applyRecords(in, nextID, dim, muts, replay)
+		cur := toRecords(in)
+		got, gotNext, gotApplied, gotErr := applyRecords(cur, nextID, muts, replay)
 		if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 			t.Fatalf("trial %d: error %v, reference %v (muts %+v)", trial, gotErr, wantErr, muts)
 		}
-		if !reflect.DeepEqual(in, before) {
-			t.Fatalf("trial %d: input modified: %+v, was %+v", trial, in, before)
+		if !reflect.DeepEqual(cur, toRecords(before)) {
+			t.Fatalf("trial %d: input modified: %+v, was %+v", trial, cur, before)
 		}
 		if wantErr != nil {
 			failed++
@@ -592,10 +639,11 @@ func TestApplyRecordsMatchesReference(t *testing.T) {
 		if dim != 0 && wantDim != 0 && wantDim != dim {
 			redimmed++
 		}
-		if !reflect.DeepEqual(gotRecs, wantRecs) || gotNext != wantNext || gotDim != wantDim ||
+		gotRecs := fromRecords(got)
+		if !reflect.DeepEqual(gotRecs, wantRecs) || gotNext != wantNext || got.dim() != wantDim || got.Gen != cur.Gen+1 ||
 			!reflect.DeepEqual(gotApplied, wantApplied) {
 			t.Fatalf("trial %d: got (%+v, %d, %d, %+v), reference (%+v, %d, %d, %+v) for muts %+v",
-				trial, gotRecs, gotNext, gotDim, gotApplied, wantRecs, wantNext, wantDim, wantApplied, muts)
+				trial, gotRecs, gotNext, got.dim(), gotApplied, wantRecs, wantNext, wantDim, wantApplied, muts)
 		}
 	}
 	if failed < 400 || failed > 3600 || emptied < 40 || redimmed < 40 {
@@ -607,12 +655,12 @@ func TestApplyRecordsMatchesReference(t *testing.T) {
 // BenchmarkApplyRecordsReload times the durable reload batch at n=20,000:
 // delete every live id in ascending order, then insert n new records.
 func BenchmarkApplyRecordsReload(b *testing.B) {
-	const n, d = 20000, 3
+	const n = 20000
 	rng := rand.New(rand.NewSource(1))
-	in := make([]Record, n)
+	in := Records{Gen: 1, IDs: make([]int64, n), Rows: make([]geom.Vector, n)}
 	muts := make([]Mutation, 0, 2*n)
-	for i := range in {
-		in[i] = Record{ID: int64(i), Values: []float64{rng.Float64(), rng.Float64(), rng.Float64()}}
+	for i := range in.IDs {
+		in.IDs[i], in.Rows[i] = int64(i), geom.Vector{rng.Float64(), rng.Float64(), rng.Float64()}
 		muts = append(muts, Mutation{Op: OpDelete, ID: int64(i)})
 	}
 	for i := 0; i < n; i++ {
@@ -621,8 +669,8 @@ func BenchmarkApplyRecordsReload(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if recs, _, _, _, err := ApplyRecords(in, n, d, muts); err != nil || len(recs) != n {
-			b.Fatalf("reload: %d records, %v", len(recs), err)
+		if recs, _, _, err := applyRecords(in, n, muts, false); err != nil || len(recs.IDs) != n {
+			b.Fatalf("reload: %d records, %v", len(recs.IDs), err)
 		}
 	}
 }

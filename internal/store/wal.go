@@ -12,6 +12,9 @@ import (
 	"math"
 	"os"
 	"path/filepath"
+	"strings"
+
+	"repro/internal/geom"
 )
 
 // snapMagic identifies snapshot files (8 bytes, versioned).
@@ -135,23 +138,26 @@ func decodePayload(payload []byte) (uint64, []Mutation, error) {
 }
 
 // replayWAL opens the WAL for appending, replaying every intact frame
-// whose generation exceeds ver's onto it. A torn or corrupt tail frame is
+// whose generation exceeds recs' onto it. A torn or corrupt tail frame is
 // truncated away (the batch never finished committing); corruption before
-// the tail is an error. It returns the opened file positioned at the end,
-// the live size, the replayed batch count, and the recovered version.
-func replayWAL(path string, ver *Version, s *Store) (*os.File, int64, int, *Version, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
+// the tail is an error. It leaves the file positioned at the end in s.wal,
+// the replayed batch count in s.walCount and the advanced id watermark in
+// s.nextID, and returns the recovered records.
+func (s *Store) replayWAL(recs Records) (_ Records, err error) {
+	f, err := os.OpenFile(s.walPath(), os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
-		return nil, 0, 0, nil, fmt.Errorf("store: open wal: %w", err)
+		return Records{}, fmt.Errorf("store: open wal: %w", err)
 	}
+	defer func() {
+		if err != nil {
+			f.Close()
+		}
+	}()
 	data, err := io.ReadAll(f)
 	if err != nil {
-		f.Close()
-		return nil, 0, 0, nil, fmt.Errorf("store: read wal: %w", err)
+		return Records{}, fmt.Errorf("store: read wal: %w", err)
 	}
-	off, count := 0, 0
-	recs, nextID, dim := ver.recs, s.nextID, ver.dim
-	gen := ver.Gen
+	off := 0
 	for off < len(data) {
 		frameStart := off
 		if off+8 > len(data) {
@@ -167,82 +173,82 @@ func replayWAL(path string, ver *Version, s *Store) (*os.File, int64, int, *Vers
 			if off+8+plen == len(data) {
 				break // torn tail: checksum never completed
 			}
-			f.Close()
-			return nil, 0, 0, nil, fmt.Errorf("store: wal corrupt at offset %d (bad crc mid-log)", frameStart)
+			return Records{}, fmt.Errorf("store: wal corrupt at offset %d (bad crc mid-log)", frameStart)
 		}
 		fgen, muts, err := decodePayload(payload)
 		if err != nil {
-			f.Close()
-			return nil, 0, 0, nil, fmt.Errorf("store: wal frame at offset %d: %w", frameStart, err)
+			return Records{}, fmt.Errorf("store: wal frame at offset %d: %w", frameStart, err)
 		}
 		off += 8 + plen
-		if fgen <= gen {
+		if fgen <= recs.Gen {
 			continue // already covered by the snapshot
 		}
-		if fgen != gen+1 {
-			f.Close()
-			return nil, 0, 0, nil, fmt.Errorf("store: wal generation gap: have %d, frame carries %d", gen, fgen)
+		if fgen != recs.Gen+1 {
+			return Records{}, fmt.Errorf("store: wal generation gap: have %d, frame carries %d", recs.Gen, fgen)
 		}
-		recs, nextID, dim, _, err = applyRecords(recs, nextID, dim, muts, true)
-		if err != nil {
-			f.Close()
-			return nil, 0, 0, nil, fmt.Errorf("store: wal replay at offset %d: %w", frameStart, err)
+		if recs, s.nextID, _, err = applyRecords(recs, s.nextID, muts, true); err != nil {
+			return Records{}, fmt.Errorf("store: wal replay at offset %d: %w", frameStart, err)
 		}
-		gen = fgen
-		count++
+		s.walCount++
 	}
 	if off < len(data) {
 		// Drop the torn tail so future appends start from a clean frame
 		// boundary.
 		if err := f.Truncate(int64(off)); err != nil {
-			f.Close()
-			return nil, 0, 0, nil, fmt.Errorf("store: truncate torn wal tail: %w", err)
+			return Records{}, fmt.Errorf("store: truncate torn wal tail: %w", err)
 		}
 	}
 	if _, err := f.Seek(int64(off), 0); err != nil {
-		f.Close()
-		return nil, 0, 0, nil, fmt.Errorf("store: seek wal: %w", err)
+		return Records{}, fmt.Errorf("store: seek wal: %w", err)
 	}
-	s.nextID = nextID
-	return f, int64(off), count, newVersion(gen, recs, dim), nil
+	s.wal = f
+	return recs, nil
 }
 
 // ---- snapshots -----------------------------------------------------------
 
-// writeSnapshot atomically replaces the snapshot file with the given
-// version: write to a temp file, fsync, rename, fsync the directory.
-func writeSnapshot(dir, path string, ver *Version, nextID int64) error {
+// writeSnapshot atomically replaces the snapshot file at path with recs
+// and the id watermark: magic, gen u64, nextID u64, dim u32, count u32,
+// then per record id u64 and values (u32 count + f64 bits), and a
+// whole-file CRC trailer.
+func writeSnapshot(path string, recs Records, nextID int64) error {
 	b := []byte(snapMagic)
-	b = putU64(b, ver.Gen)
+	b = putU64(b, recs.Gen)
 	b = putU64(b, uint64(nextID))
-	b = putU32(b, uint32(ver.dim))
-	b = putU32(b, uint32(len(ver.recs)))
-	for _, r := range ver.recs {
-		b = putU64(b, uint64(r.ID))
-		b = putF64s(b, r.Values)
+	b = putU32(b, uint32(recs.dim()))
+	b = putU32(b, uint32(len(recs.IDs)))
+	for i, id := range recs.IDs {
+		b = putU64(b, uint64(id))
+		b = putF64s(b, recs.Rows[i])
 	}
 	b = putU32(b, crc32.ChecksumIEEE(b))
+	return writeFileAtomic(path, b)
+}
 
-	tmp := filepath.Join(dir, "snapshot.tmp")
+// writeFileAtomic replaces the file at path with b: it writes b to a
+// temp file beside it (path with its extension replaced by .tmp), fsyncs
+// it, renames it over path and fsyncs the directory, so a crash leaves
+// the old file or the new one, never a torn one.
+func writeFileAtomic(path string, b []byte) error {
+	tmp := strings.TrimSuffix(path, filepath.Ext(path)) + ".tmp"
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(b); err != nil {
-		f.Close()
+	_, err = f.Write(b)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
 		return err
 	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		return err
-	}
-	if err := f.Close(); err != nil {
-		return err
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return err
-	}
-	if d, err := os.Open(dir); err == nil {
+	if d, err := os.Open(filepath.Dir(path)); err == nil {
 		d.Sync() // best-effort directory entry durability
 		d.Close()
 	}
@@ -250,47 +256,56 @@ func writeSnapshot(dir, path string, ver *Version, nextID int64) error {
 }
 
 // loadSnapshot reads the snapshot file, returning the empty generation-0
-// version when none exists. A snapshot that fails its CRC is an error —
+// records when none exists. A snapshot that fails its CRC is an error —
 // the rename dance makes a half-written snapshot impossible under crash
-// semantics, so a bad checksum means real corruption.
-func loadSnapshot(path string) (*Version, int64, error) {
+// semantics, so a bad checksum means real corruption. The rows share one
+// backing array.
+func loadSnapshot(path string) (Records, int64, error) {
 	data, err := os.ReadFile(path)
 	if os.IsNotExist(err) {
-		return newVersion(0, nil, 0), 0, nil
+		return Records{}, 0, nil
 	}
 	if err != nil {
-		return nil, 0, fmt.Errorf("store: read snapshot: %w", err)
+		return Records{}, 0, fmt.Errorf("store: read snapshot: %w", err)
 	}
 	if len(data) < len(snapMagic)+4 || string(data[:len(snapMagic)]) != snapMagic {
-		return nil, 0, fmt.Errorf("store: snapshot has wrong magic")
+		return Records{}, 0, fmt.Errorf("store: snapshot has wrong magic")
 	}
 	body, trailer := data[:len(data)-4], data[len(data)-4:]
 	if crc32.ChecksumIEEE(body) != binary.LittleEndian.Uint32(trailer) {
-		return nil, 0, fmt.Errorf("store: snapshot checksum mismatch")
+		return Records{}, 0, fmt.Errorf("store: snapshot checksum mismatch")
 	}
 	r := &reader{b: body, off: len(snapMagic)}
 	gen := r.u64()
 	nextID := int64(r.u64())
 	dim := int(r.u32())
 	n := int(r.u32())
-	// Each record costs at least 12 bytes (id u64 + values count u32), so
-	// a count beyond body/12 cannot be satisfied — reject it before the
-	// records allocation, or a CRC-valid 30-byte file claiming 4 billion
-	// records would OOM recovery.
-	if r.err != nil || n < 0 || n > (len(body)-r.off)/12 {
-		return nil, 0, fmt.Errorf("store: snapshot header corrupt")
+	// Each record costs 12 bytes (id u64 + values count u32) plus 8 per
+	// value, so a count beyond what the body holds cannot be satisfied —
+	// reject it before the allocations, or a CRC-valid 30-byte file
+	// claiming 4 billion records would OOM recovery. A store holds records
+	// exactly while it has a dimensionality.
+	if r.err != nil || (n == 0) != (dim == 0) || n > (len(body)-r.off)/(12+8*dim) {
+		return Records{}, 0, fmt.Errorf("store: snapshot header corrupt")
 	}
-	recs := make([]Record, 0, n)
-	for i := 0; i < n; i++ {
-		id := int64(r.u64())
-		vals := r.f64s()
-		if r.err != nil {
-			return nil, 0, fmt.Errorf("store: snapshot record %d corrupt", i)
+	recs := Records{Gen: gen, IDs: make([]int64, n), Rows: make([]geom.Vector, n)}
+	flat := make([]float64, n*dim)
+	for i := range recs.IDs {
+		recs.IDs[i] = int64(r.u64())
+		if int(r.u32()) != dim {
+			return Records{}, 0, fmt.Errorf("store: snapshot record %d corrupt", i)
 		}
-		recs = append(recs, Record{ID: id, Values: vals})
+		row := flat[i*dim : (i+1)*dim : (i+1)*dim]
+		for j := range row {
+			row[j] = math.Float64frombits(r.u64())
+		}
+		if r.err != nil {
+			return Records{}, 0, fmt.Errorf("store: snapshot record %d corrupt", i)
+		}
+		recs.Rows[i] = row
 	}
 	if r.off != len(body) {
-		return nil, 0, fmt.Errorf("store: snapshot has trailing bytes")
+		return Records{}, 0, fmt.Errorf("store: snapshot has trailing bytes")
 	}
-	return newVersion(gen, recs, dim), nextID, nil
+	return recs, nextID, nil
 }

@@ -32,6 +32,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -102,29 +103,30 @@ func NewTrace() *Trace { return obs.NewTrace() }
 // also for concurrent mutation: Apply advances the dataset one atomic
 // mutation batch (one generation) at a time while every in-flight query
 // keeps the immutable index snapshot it resolved at entry, so readers
-// never observe a torn dataset. Open builds a purely in-memory DB;
-// OpenStore binds one to a WAL-backed directory so mutations survive
+// never observe a torn dataset. A generation's index is the one holder of
+// its records. Every live DB sits on a store that validates batches and
+// assigns option ids: Open's store has no directory and keeps nothing on
+// disk, while OpenStore binds a WAL-backed directory so mutations survive
 // crashes. Freeze pins an immutable handle on the current generation.
 type DB struct {
 	st     atomic.Pointer[dbState]
 	frozen *dbState
 
-	mu       sync.Mutex // serializes Apply and the watcher registry
-	store    *store.Store
+	mu       sync.Mutex   // serializes Apply and SnapshotStore, and guards the watcher registry
+	store    *store.Store // nil on frozen handles
 	watchers map[int64]func(ApplyEvent)
 	nextW    int64
-	fanout   int
 }
 
-// dbState is one immutable generation of a DB: the index, the stable
-// option id behind each dense record index, and the id allocator's
-// watermark (in-memory path; store-backed DBs delegate id assignment).
+// dbState is one immutable generation of a DB: the index, which holds
+// the generation's records, and the stable option id behind each dense
+// record index.
 type dbState struct {
-	tree   *rtree.Tree // nil while the dataset is empty
-	gen    uint64
-	ids    []int64
-	nextID int64
-	dim    int
+	tree *rtree.Tree // nil while the dataset is empty
+	gen  uint64
+	// ids[i] is the stable id of dense record i; nil means every id
+	// equals its dense index, as Open assigns them.
+	ids []int64
 	// warmIndex records that this generation's index was reassembled
 	// from the persisted candidate-index file instead of being rebuilt
 	// from scratch (see OpenStore and docs/ARCHITECTURE.md).
@@ -140,27 +142,44 @@ func (db *DB) cur() *dbState {
 	return db.st.Load()
 }
 
-// DBOption configures Open.
-type DBOption func(*dbConfig)
-
-type dbConfig struct {
-	fanout int
+// len is the generation's record count.
+func (st *dbState) len() int {
+	if st.tree == nil {
+		return 0
+	}
+	return st.tree.Len()
 }
 
-// WithFanout sets the R-tree node capacity (default 64).
-func WithFanout(f int) DBOption {
-	return func(c *dbConfig) { c.fanout = f }
+// stableID maps dense record i of the generation to its stable option id.
+func (st *dbState) stableID(i int) int64 {
+	if st.ids == nil {
+		return int64(i)
+	}
+	return st.ids[i]
+}
+
+// dense maps a stable option id to its dense record index in the
+// generation.
+func (st *dbState) dense(id int64) (int, bool) {
+	if st.ids == nil {
+		if id >= 0 && id < int64(st.len()) {
+			return int(id), true
+		}
+		return 0, false
+	}
+	if i, ok := slices.BinarySearch(st.ids, id); ok {
+		return i, true
+	}
+	return 0, false
 }
 
 // Open copies the records and bulk-loads the aggregate R-tree index over
-// them. Every record must have the same, >= 2, dimensionality.
-func Open(records [][]float64, opts ...DBOption) (*DB, error) {
+// them: generation 1 of an in-memory dataset, whose option ids are the
+// records' indexes. Every record must have the same, >= 2,
+// dimensionality.
+func Open(records [][]float64) (*DB, error) {
 	if len(records) == 0 {
 		return nil, fmt.Errorf("kspr: empty dataset")
-	}
-	cfg := dbConfig{fanout: rtree.DefaultFanout}
-	for _, o := range opts {
-		o(&cfg)
 	}
 	d := len(records[0])
 	if d < 2 {
@@ -178,16 +197,12 @@ func Open(records [][]float64, opts ...DBOption) (*DB, error) {
 		// backing array, so the tree never aliases caller memory.
 		recs[i] = geom.Vector(r)
 	}
-	tree, err := rtree.Build(recs, rtree.WithFanout(cfg.fanout))
+	tree, err := rtree.Build(recs)
 	if err != nil {
 		return nil, fmt.Errorf("kspr: building index: %w", err)
 	}
-	db := &DB{fanout: cfg.fanout}
-	ids := make([]int64, len(recs))
-	for i := range ids {
-		ids[i] = int64(i)
-	}
-	db.st.Store(&dbState{tree: tree, gen: 1, ids: ids, nextID: int64(len(recs)), dim: d})
+	db := &DB{store: store.InMemory(len(recs))}
+	db.st.Store(&dbState{tree: tree, gen: 1})
 	return db, nil
 }
 
@@ -199,17 +214,16 @@ func Open(records [][]float64, opts ...DBOption) (*DB, error) {
 func (db *DB) IndexWarm() bool { return db.cur().warmIndex }
 
 // Len returns the number of records.
-func (db *DB) Len() int {
-	st := db.cur()
-	if st.tree == nil {
-		return 0
-	}
-	return st.tree.Len()
-}
+func (db *DB) Len() int { return db.cur().len() }
 
 // Dim returns the attribute dimensionality d (0 while the dataset is
 // empty).
-func (db *DB) Dim() int { return db.cur().dim }
+func (db *DB) Dim() int {
+	if tree := db.cur().tree; tree != nil {
+		return tree.Dim
+	}
+	return 0
+}
 
 // Record returns (a copy of) the record at dense index id, or nil when
 // the index is out of range (e.g. on an empty live dataset).

@@ -109,7 +109,7 @@ func TestOpenCopiesRecords(t *testing.T) {
 
 func TestBasicQueryAndAccessors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	db, err := Open(randRecords(rng, 100, 3), WithFanout(16))
+	db, err := Open(randRecords(rng, 100, 3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -423,6 +423,9 @@ func TestSkybandContainsSkyline(t *testing.T) {
 	}
 }
 
+// TestKSPRApprox checks that every certain region of the approximate
+// answer lies inside the exact result: its witness and points drawn
+// within its constraints must all be in an exact region.
 func TestKSPRApprox(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	db, err := Open(randRecords(rng, 150, 3))
@@ -437,27 +440,45 @@ func TestKSPRApprox(t *testing.T) {
 	if !res.Converged {
 		t.Fatal("approximate query did not converge")
 	}
-	// Certain regions must agree with the exact result wherever sampled.
+	if len(res.Regions) == 0 {
+		t.Fatal("no certain region: the soundness check would check nothing")
+	}
 	exact, err := db.KSPR(focal, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	agree := 0
-	for s := 0; s < 200; s++ {
-		a, b := rng.Float64(), rng.Float64()
-		if a+b >= 1 {
-			continue
-		}
-		wt := []float64{a, b}
-		if res.ContainsWeight(wt, 1e-9) {
-			if !exact.ContainsWeight(wt, 1e-7) {
-				t.Fatalf("approx-certain point %v not in exact result", wt)
+	for i, reg := range res.Regions {
+		// The region's bounding box in the 2-d transformed space of d=3
+		// data, from its single-axis rows.
+		lo, hi := []float64{0, 0}, []float64{1, 1}
+		for _, c := range reg.Constraints {
+			for j, a := range c.A {
+				if a != 0 && c.A[1-j] == 0 {
+					if a > 0 {
+						hi[j] = math.Min(hi[j], c.B/a)
+					} else {
+						lo[j] = math.Max(lo[j], c.B/a)
+					}
+				}
 			}
-			agree++
 		}
-	}
-	if agree == 0 {
-		t.Skip("no certain hits sampled; focal region too small")
+		pts := [][]float64{reg.Witness}
+		for s := 0; s < 64; s++ {
+			pts = append(pts, []float64{lo[0] + rng.Float64()*(hi[0]-lo[0]), lo[1] + rng.Float64()*(hi[1]-lo[1])})
+		}
+		inside := 0
+		for _, w := range pts {
+			if !reg.Contains(w, 0) {
+				continue // a box corner beyond the simplex
+			}
+			inside++
+			if !exact.ContainsWeight(w, 1e-7) {
+				t.Fatalf("certain region %d: point %v not in the exact result", i, w)
+			}
+		}
+		if inside == 0 {
+			t.Fatalf("certain region %d: no point drawn inside [%v, %v]", i, lo, hi)
+		}
 	}
 	if _, err := db.KSPRApprox(-1, 5, 0.1); err == nil {
 		t.Fatal("expected error for bad focal id")

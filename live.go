@@ -3,12 +3,16 @@ package kspr
 // The live-dataset surface of DB: durable WAL-backed stores (OpenStore),
 // the mutation API (Apply, with Insert/Update/Delete constructors),
 // change notification (Watch), immutable generation handles (Freeze), and
-// incrementally maintained queries (MaintainKSPR). See
-// docs/ARCHITECTURE.md, "Durability & consistency model".
+// incrementally maintained queries (MaintainKSPR). Every live DB, opened
+// by Open or by OpenStore, runs one Apply path: its store validates the
+// batch against the records the current index holds, assigns ids and
+// logs the batch (a store without a directory logs nothing), and the
+// next generation's records are indexed once. Writing the index file
+// beside a snapshot is the one step only a store with a directory takes.
+// See docs/ARCHITECTURE.md, "Durability & consistency model".
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"repro/internal/core"
@@ -87,7 +91,6 @@ type StoreOption func(*storeConfig)
 type storeConfig struct {
 	sync     bool
 	snapshot int
-	fanout   int
 	onEvent  func(StoreEvent)
 }
 
@@ -130,98 +133,102 @@ func WithSnapshotEvery(n int) StoreOption {
 	return func(c *storeConfig) { c.snapshot = n }
 }
 
-// WithStoreFanout sets the R-tree fanout used when indexing the store's
-// generations (default 64).
-func WithStoreFanout(f int) StoreOption {
-	return func(c *storeConfig) { c.fanout = f }
-}
-
 // OpenStore opens (or creates) a WAL-backed dataset store at dir and
 // returns a live DB bound to it: crash recovery replays the WAL on top of
 // the latest snapshot, so the returned DB is at exactly the last applied
 // generation. The DB may be empty (Len 0) until the first insert batch.
 func OpenStore(dir string, opts ...StoreOption) (*DB, error) {
-	cfg := storeConfig{fanout: rtree.DefaultFanout}
+	var cfg storeConfig
 	for _, o := range opts {
 		o(&cfg)
 	}
-	st, err := store.Open(dir, store.Options{Sync: cfg.sync, SnapshotEvery: cfg.snapshot, OnEvent: cfg.onEvent})
+	st, recs, err := store.Open(dir, store.Options{Sync: cfg.sync, SnapshotEvery: cfg.snapshot, OnEvent: cfg.onEvent})
 	if err != nil {
 		return nil, fmt.Errorf("kspr: %w", err)
 	}
-	db := &DB{store: st, fanout: cfg.fanout}
 	// A persisted candidate index lets the warm path reassemble the
 	// R-tree in O(n) without the STR sorts; any load or validation
 	// failure just means a cold rebuild.
 	idx, _ := store.LoadIndex(dir)
-	state, err := db.stateFromVersionWarm(st.View(), idx)
+	state, err := newState(recs, idx)
 	if err != nil {
 		st.Close()
 		return nil, err
 	}
-	if !state.warmIndex && state.tree != nil {
-		// Cold open: persist a fresh index so the next restart is warm.
-		// Persistence is advisory — an unwritable index file must not
-		// fail the open.
-		_ = store.WriteIndex(dir, db.leafLayout(state))
-	}
-	if cfg.onEvent != nil && state.tree != nil {
-		kind := StoreEventIndexCold
-		if state.warmIndex {
-			kind = StoreEventIndexWarm
+	if state.tree != nil {
+		kind := StoreEventIndexWarm
+		if !state.warmIndex {
+			kind = StoreEventIndexCold
+			// Cold open: persist a fresh index so the next restart is
+			// warm. Persistence is advisory — an unwritable index file
+			// must not fail the open.
+			_ = store.WriteIndex(dir, state.leafLayout())
 		}
-		cfg.onEvent(StoreEvent{Kind: kind, Gen: state.gen, Records: len(state.ids)})
+		if cfg.onEvent != nil {
+			cfg.onEvent(StoreEvent{Kind: kind, Gen: state.gen, Records: state.len()})
+		}
 	}
+	db := &DB{store: st}
 	db.st.Store(state)
 	return db, nil
 }
 
-// stateFromVersion indexes one store generation (always cold).
-func (db *DB) stateFromVersion(v *store.Version) (*dbState, error) {
-	return db.stateFromVersionWarm(v, nil)
-}
-
-// stateFromVersionWarm indexes one store generation, reassembling the
-// index from a persisted layout when idx matches the generation exactly
-// (generation number, dimensionality, record count, fanout). A stale or
-// invalid layout silently falls back to the cold build — the index file
-// can never change results, only skip work.
-func (db *DB) stateFromVersionWarm(v *store.Version, idx *store.IndexSnapshot) (*dbState, error) {
-	state := &dbState{gen: v.Gen, ids: v.IDs(), dim: v.Dim()}
-	if v.Len() == 0 {
+// newState indexes one generation's records, reassembling the index from
+// a persisted layout when idx matches the generation exactly (generation
+// number, dimensionality, record count, fanout). A stale or invalid
+// layout silently falls back to the cold build — the index file can
+// never change results, only skip work.
+func newState(recs store.Records, idx *store.IndexSnapshot) (*dbState, error) {
+	state := &dbState{gen: recs.Gen, ids: recs.IDs}
+	n := len(recs.Rows)
+	if n == 0 {
 		return state, nil
 	}
-	if v.Dim() < 2 {
-		return nil, fmt.Errorf("kspr: store records must have at least 2 attributes, got %d", v.Dim())
+	d := len(recs.Rows[0])
+	if d < 2 {
+		return nil, fmt.Errorf("kspr: store records must have at least 2 attributes, got %d", d)
 	}
-	recs := make([]geom.Vector, v.Len())
-	for i, row := range v.Rows() {
-		recs[i] = geom.Vector(row)
-	}
-	if idx != nil && idx.Gen == v.Gen && idx.Dim == v.Dim() &&
-		idx.Fanout == db.fanout && len(idx.Order) == v.Len() {
-		if tree, err := rtree.BuildFromOrder(recs, idx.Order, idx.GroupEnds, rtree.WithFanout(db.fanout)); err == nil {
+	if idx != nil && idx.Gen == recs.Gen && idx.Dim == d &&
+		idx.Fanout == rtree.DefaultFanout && len(idx.Order) == n {
+		if tree, err := rtree.BuildFromOrder(recs.Rows, idx.Order, idx.GroupEnds); err == nil {
 			state.tree = tree
 			state.warmIndex = true
 			return state, nil
 		}
 	}
-	tree, err := rtree.Build(recs, rtree.WithFanout(db.fanout))
+	tree, err := rtree.Build(recs.Rows)
 	if err != nil {
-		return nil, fmt.Errorf("kspr: indexing store generation %d: %w", v.Gen, err)
+		return nil, fmt.Errorf("kspr: indexing store generation %d: %w", recs.Gen, err)
 	}
 	state.tree = tree
 	return state, nil
 }
 
-// leafLayout exports the STR leaf layout of state's tree as a
+// records hands the generation to the store: its stable ids and the rows
+// its index holds.
+func (st *dbState) records() store.Records {
+	recs := store.Records{Gen: st.gen, IDs: st.ids}
+	if st.tree == nil {
+		return recs
+	}
+	recs.Rows = st.tree.Records
+	if recs.IDs == nil {
+		recs.IDs = make([]int64, len(recs.Rows))
+		for i := range recs.IDs {
+			recs.IDs[i] = int64(i)
+		}
+	}
+	return recs
+}
+
+// leafLayout exports the STR leaf layout of the generation's tree as a
 // persistable candidate index, ready for store.WriteIndex.
-func (db *DB) leafLayout(state *dbState) *store.IndexSnapshot {
-	order, groupEnds := state.tree.LeafOrder()
+func (st *dbState) leafLayout() *store.IndexSnapshot {
+	order, groupEnds := st.tree.LeafOrder()
 	return &store.IndexSnapshot{
-		Gen:       state.gen,
-		Fanout:    db.fanout,
-		Dim:       state.dim,
+		Gen:       st.gen,
+		Fanout:    rtree.DefaultFanout,
+		Dim:       st.tree.Dim,
 		Order:     order,
 		GroupEnds: groupEnds,
 	}
@@ -236,44 +243,35 @@ func (db *DB) Generation() uint64 { return db.cur().gen }
 // record's stable option id.
 func (db *DB) StableID(dense int) (int64, bool) {
 	st := db.cur()
-	if dense < 0 || dense >= len(st.ids) {
+	if dense < 0 || dense >= st.len() {
 		return 0, false
 	}
-	return st.ids[dense], true
+	return st.stableID(dense), true
 }
 
 // DenseIndex maps a stable option id to its dense record index in this
 // handle's generation (false when the option does not exist there).
-func (db *DB) DenseIndex(id int64) (int, bool) {
-	return denseOf(db.cur().ids, id)
-}
-
-func denseOf(ids []int64, id int64) (int, bool) {
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i < len(ids) && ids[i] == id {
-		return i, true
-	}
-	return 0, false
-}
+func (db *DB) DenseIndex(id int64) (int, bool) { return db.cur().dense(id) }
 
 // Freeze returns an immutable DB pinned to the current generation. The
 // frozen handle shares the index (cheap) and keeps answering queries for
 // its generation no matter how far the live DB advances — the MVCC handle
 // serving paths hold while a reload or mutation storm runs underneath.
-// Apply on a frozen handle fails; Watch on one never fires.
+// Apply and SnapshotStore on a frozen handle fail, Close is a no-op, and
+// Watch on one never fires.
 func (db *DB) Freeze() *DB {
-	return &DB{frozen: db.cur(), fanout: db.fanout}
+	return &DB{frozen: db.cur()}
 }
 
 // Apply executes one atomic mutation batch against the live dataset: all
 // mutations validate and apply together, producing exactly one new
 // generation, or none do. In-flight queries keep the snapshot they
 // started with; queries issued after Apply returns see the new
-// generation. For store-backed DBs the batch is WAL-appended before it
-// becomes visible, so an acknowledged Apply survives a crash. Watchers
-// run synchronously (in Apply's goroutine) after the swap, in
-// registration order. Apply is safe for concurrent use; batches
-// serialize.
+// generation. For DBs opened with OpenStore the batch is WAL-appended
+// before it becomes visible, so an acknowledged Apply survives a crash.
+// Apply fails once the DB is closed. Watchers run synchronously (in
+// Apply's goroutine) after the swap, in registration order. Apply is
+// safe for concurrent use; batches serialize.
 func (db *DB) Apply(muts ...Mutation) (*ApplyResult, error) {
 	if db.frozen != nil {
 		return nil, fmt.Errorf("kspr: Apply on a frozen DB handle")
@@ -290,50 +288,19 @@ func (db *DB) Apply(muts ...Mutation) (*ApplyResult, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-
-	var state *dbState
-	var applied []store.Applied
-	if db.store != nil {
-		ver, a, err := db.store.Apply(muts)
-		if err != nil {
-			return nil, fmt.Errorf("kspr: %w", err)
-		}
-		applied = a
-		state, err = db.stateFromVersion(ver)
-		if err != nil {
-			return nil, err
-		}
-		if db.store.SinceSnapshot() == 0 && state.tree != nil {
-			// This batch triggered an automatic store snapshot; persist
-			// the candidate index alongside it. Advisory like the
-			// snapshot itself: a failed write never fails the Apply.
-			_ = store.WriteIndex(db.store.Dir(), db.leafLayout(state))
-		}
-	} else {
-		cur := db.st.Load()
-		recs := make([]store.Record, len(cur.ids))
-		for i, id := range cur.ids {
-			recs[i] = store.Record{ID: id, Values: cur.tree.Records[i]}
-		}
-		newRecs, nextID, dim, a, err := store.ApplyRecords(recs, cur.nextID, cur.dim, muts)
-		if err != nil {
-			return nil, fmt.Errorf("kspr: %w", err)
-		}
-		applied = a
-		state = &dbState{gen: cur.gen + 1, nextID: nextID, dim: dim}
-		state.ids = make([]int64, len(newRecs))
-		vecs := make([]geom.Vector, len(newRecs))
-		for i, rec := range newRecs {
-			state.ids[i] = rec.ID
-			vecs[i] = geom.Vector(rec.Values)
-		}
-		if len(vecs) > 0 {
-			tree, err := rtree.Build(vecs, rtree.WithFanout(db.fanout))
-			if err != nil {
-				return nil, fmt.Errorf("kspr: re-indexing after mutation: %w", err)
-			}
-			state.tree = tree
-		}
+	next, applied, err := db.store.Apply(db.st.Load().records(), muts)
+	if err != nil {
+		return nil, fmt.Errorf("kspr: %w", err)
+	}
+	state, err := newState(next, nil)
+	if err != nil {
+		return nil, err
+	}
+	if dir := db.store.Dir(); dir != "" && db.store.SinceSnapshot() == 0 && state.tree != nil {
+		// This batch triggered an automatic store snapshot; persist the
+		// candidate index alongside it. Advisory like the snapshot
+		// itself: a failed write never fails the Apply.
+		_ = store.WriteIndex(dir, state.leafLayout())
 	}
 
 	res := &ApplyResult{Generation: state.gen}
@@ -404,26 +371,29 @@ func (db *DB) watchLocked(fn func(ApplyEvent)) (cancel func()) {
 
 // SnapshotStore forces a store snapshot now (WAL truncation included)
 // and persists the candidate index alongside it, so a restart from this
-// snapshot skips the STR sorts of the index build; a no-op error for
-// in-memory DBs.
+// snapshot skips the STR sorts of the index build. It fails on DBs built
+// by Open, whose store has no directory, and on frozen handles.
 func (db *DB) SnapshotStore() error {
-	if db.store == nil {
-		return fmt.Errorf("kspr: DB has no backing store")
+	if db.frozen != nil {
+		return fmt.Errorf("kspr: SnapshotStore on a frozen DB handle")
 	}
-	if err := db.store.Snapshot(); err != nil {
+	db.mu.Lock()
+	defer db.mu.Unlock()
+	st := db.st.Load()
+	if err := db.store.Snapshot(st.records()); err != nil {
 		return err
 	}
-	st := db.cur()
 	if st.tree == nil {
 		return nil
 	}
-	return store.WriteIndex(db.store.Dir(), db.leafLayout(st))
+	return store.WriteIndex(db.store.Dir(), st.leafLayout())
 }
 
-// Close releases the backing store (if any). Outstanding frozen handles
-// and in-flight queries stay valid; only mutations stop working.
+// Close closes the DB's store, whether Open or OpenStore made it: later
+// Apply calls fail, while frozen handles and in-flight queries keep
+// answering. Close on a frozen handle is a no-op.
 func (db *DB) Close() error {
-	if db.store == nil {
+	if db.frozen != nil {
 		return nil
 	}
 	return db.store.Close()
@@ -485,7 +455,7 @@ func (db *DB) MaintainKSPR(focalID, k int, opts ...QueryOption) (*LiveQuery, err
 		}
 		db.mu.Lock()
 		if db.st.Load() == st {
-			q.stable = st.ids[focalID]
+			q.stable = st.stableID(focalID)
 			q.m = m
 			q.gen = st.gen
 			q.cancel = db.watchLocked(q.onApply)
@@ -505,7 +475,7 @@ func (q *LiveQuery) onApply(ev ApplyEvent) {
 		return
 	}
 	st := q.db.cur()
-	dense, ok := denseOf(st.ids, q.stable)
+	dense, ok := st.dense(q.stable)
 	if !ok {
 		q.err = fmt.Errorf("kspr: maintained focal option %d was deleted at generation %d", q.stable, ev.Generation)
 		return

@@ -88,6 +88,41 @@ func TestFreezePinsGeneration(t *testing.T) {
 	}
 }
 
+// TestCloseStopsApply pins that both kinds of DB close alike: Apply
+// fails after Close, while a handle frozen before it keeps answering.
+func TestCloseStopsApply(t *testing.T) {
+	durable, err := OpenStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var muts []Mutation
+	for _, r := range liveRecords(5, 30, 3) {
+		muts = append(muts, Insert(r...))
+	}
+	if _, err := durable.Apply(muts...); err != nil {
+		t.Fatal(err)
+	}
+	mem, err := Open(liveRecords(5, 30, 3))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, db := range map[string]*DB{"OpenStore": durable, "Open": mem} {
+		frozen := db.Freeze()
+		if err := db.Close(); err != nil {
+			t.Fatalf("%s: Close: %v", name, err)
+		}
+		if _, err := db.Apply(Insert(0.5, 0.5, 0.5)); err == nil {
+			t.Fatalf("%s: Apply after Close accepted", name)
+		}
+		if err := frozen.Close(); err != nil {
+			t.Fatalf("%s: Close on a frozen handle: %v", name, err)
+		}
+		if _, err := frozen.KSPR(frozen.Skyline()[0], 3); err != nil {
+			t.Fatalf("%s: frozen handle stopped answering after Close: %v", name, err)
+		}
+	}
+}
+
 func TestOpenStoreRecovers(t *testing.T) {
 	dir := t.TempDir()
 	db, err := OpenStore(dir, WithSnapshotEvery(4))
@@ -281,11 +316,11 @@ func TestImpactProbabilitySamplesContract(t *testing.T) {
 	}
 }
 
-// TestOpenStoreOptions exercises the store option surface: WAL fsync,
-// custom fanout, and forced snapshots.
+// TestOpenStoreOptions exercises the store option surface: WAL fsync
+// and forced snapshots.
 func TestOpenStoreOptions(t *testing.T) {
 	dir := t.TempDir()
-	db, err := OpenStore(dir, WithWALSync(), WithStoreFanout(8), WithSnapshotEvery(-1))
+	db, err := OpenStore(dir, WithWALSync(), WithSnapshotEvery(-1))
 	if err != nil {
 		t.Fatal(err)
 	}

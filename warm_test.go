@@ -216,13 +216,63 @@ func TestApplySnapshotPersistsIndex(t *testing.T) {
 	if !db2.IndexWarm() {
 		t.Fatal("restart after automatic snapshot was not warm")
 	}
-	// A mismatched fanout must reject the layout, not serve a wrong tree.
-	db3, err := OpenStore(dir, WithStoreFanout(8))
+	// A layout built at another fanout must be rejected, not serve a
+	// wrong tree.
+	st := db2.cur()
+	tree8, err := rtree.Build(st.tree.Records, rtree.WithFanout(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	order, groupEnds := tree8.LeafOrder()
+	if err := store.WriteIndex(dir, &store.IndexSnapshot{Gen: st.gen, Fanout: 8, Dim: tree8.Dim, Order: order, GroupEnds: groupEnds}); err != nil {
+		t.Fatal(err)
+	}
+	db2.Close()
+	db3, err := OpenStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if db3.IndexWarm() {
-		t.Fatal("index built at fanout 64 served a fanout-8 open")
+		t.Fatal("index built at fanout 8 served a fanout-64 open")
+	}
+}
+
+// TestSnapshotStoreDuringApply races forced snapshots against a stream
+// of batches: each snapshot hands the store the generation it is at, so
+// none fails, and a reopen after the last one is warm and complete.
+func TestSnapshotStoreDuringApply(t *testing.T) {
+	dir := t.TempDir()
+	db := fillStore(t, dir, 40, WithSnapshotEvery(-1))
+	done := make(chan error)
+	go func() {
+		for i := 0; i < 20; i++ {
+			if err := db.SnapshotStore(); err != nil {
+				done <- err
+				return
+			}
+		}
+		done <- nil
+	}()
+	for i := 0; i < 30; i++ {
+		if _, err := db.Apply(Insert(0.1, 0.2, 0.3)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("SnapshotStore during Apply: %v", err)
+	}
+	if err := db.SnapshotStore(); err != nil {
+		t.Fatal(err)
+	}
+	db.Close()
+	again, err := OpenStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer again.Close()
+	if again.Generation() != 31 || again.Len() != 70 || !again.IndexWarm() {
+		t.Fatalf("reopened at gen %d with %d records (warm %v), want gen 31, 70 records, warm",
+			again.Generation(), again.Len(), again.IndexWarm())
 	}
 }
 

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/core"
-	"repro/internal/rtree"
 )
 
 // ErrTargetUnreachable reports a PriceToTarget whose target impact is not
@@ -135,7 +134,7 @@ func (db *DB) Competitors(focalID, k, samples int, seed int64, opts ...QueryOpti
 	for i, e := range ca.Entries {
 		attr.Competitors[i] = CompetitorImpact{
 			ID:            e.ID,
-			StableID:      st.ids[e.ID],
+			StableID:      st.stableID(e.ID),
 			MissShare:     e.MissShare,
 			PressureShare: e.PressureShare,
 		}
@@ -219,8 +218,8 @@ func (db *DB) PriceToTarget(focalID, k int, spec RepriceSpec, opts ...QueryOptio
 	if st.tree == nil || focalID < 0 || focalID >= st.tree.Len() {
 		return nil, fmt.Errorf("kspr: focal id %d out of range [0, %d)", focalID, db.Len())
 	}
-	if spec.Attr < 0 || spec.Attr >= st.dim {
-		return nil, fmt.Errorf("kspr: reprice attribute %d out of range [0, %d)", spec.Attr, st.dim)
+	if spec.Attr < 0 || spec.Attr >= st.tree.Dim {
+		return nil, fmt.Errorf("kspr: reprice attribute %d out of range [0, %d)", spec.Attr, st.tree.Dim)
 	}
 	if err := errors.Join(finite("RepriceSpec.Target", spec.Target),
 		finite("RepriceSpec.MaxDelta", spec.MaxDelta), finite("RepriceSpec.Eps", spec.Eps)); err != nil {
@@ -236,7 +235,7 @@ func (db *DB) PriceToTarget(focalID, k int, spec RepriceSpec, opts ...QueryOptio
 		spec.Eps = 1e-6
 	}
 
-	r, err := db.newRepricer(st, focalID, spec.Attr, k, spec.Samples, spec.Seed, spec.VolumeMetric, opts)
+	r, err := newRepricer(st, focalID, spec.Attr, k, spec.Samples, spec.Seed, spec.VolumeMetric, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -389,8 +388,8 @@ func (db *DB) Frontier(focalID, k int, spec FrontierSpec, opts ...QueryOption) (
 	if st.tree == nil || focalID < 0 || focalID >= st.tree.Len() {
 		return nil, fmt.Errorf("kspr: focal id %d out of range [0, %d)", focalID, db.Len())
 	}
-	if spec.Attr < 0 || spec.Attr >= st.dim {
-		return nil, fmt.Errorf("kspr: frontier attribute %d out of range [0, %d)", spec.Attr, st.dim)
+	if spec.Attr < 0 || spec.Attr >= st.tree.Dim {
+		return nil, fmt.Errorf("kspr: frontier attribute %d out of range [0, %d)", spec.Attr, st.tree.Dim)
 	}
 	if err := errors.Join(finite("FrontierSpec.Min", spec.Min), finite("FrontierSpec.Max", spec.Max)); err != nil {
 		return nil, err
@@ -407,7 +406,7 @@ func (db *DB) Frontier(focalID, k int, spec FrontierSpec, opts ...QueryOption) (
 	if spec.Samples <= 0 {
 		spec.Samples = DefaultWhatIfSamples
 	}
-	r, err := db.newRepricer(st, focalID, spec.Attr, k, spec.Samples, spec.Seed, spec.VolumeMetric, opts)
+	r, err := newRepricer(st, focalID, spec.Attr, k, spec.Samples, spec.Seed, spec.VolumeMetric, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -455,7 +454,7 @@ type repricer struct {
 
 // newRepricer builds the probe for focalID on st. Under the volume metric
 // every probe measures its regions with samples and seed.
-func (db *DB) newRepricer(st *dbState, focalID, attr, k, samples int, seed int64, volume bool, opts []QueryOption) (*repricer, error) {
+func newRepricer(st *dbState, focalID, attr, k, samples int, seed int64, volume bool, opts []QueryOption) (*repricer, error) {
 	if k < 1 {
 		return nil, fmt.Errorf("kspr: k must be positive, got %d", k)
 	}
@@ -474,7 +473,7 @@ func (db *DB) newRepricer(st *dbState, focalID, attr, k, samples int, seed int64
 	if len(comp) > 0 {
 		// Open packs its own backing, so the index aliases nothing of st.
 		var err error
-		if r.cdb, err = Open(comp, WithFanout(db.treeFanout())); err != nil {
+		if r.cdb, err = Open(comp); err != nil {
 			return nil, err
 		}
 	}
@@ -527,14 +526,6 @@ func (r *repricer) probe(values ...float64) ([]FrontierPoint, error) {
 		}
 	}
 	return pts, nil
-}
-
-// treeFanout resolves the fanout scratch datasets are indexed with.
-func (db *DB) treeFanout() int {
-	if db.fanout > 0 {
-		return db.fanout
-	}
-	return rtree.DefaultFanout
 }
 
 // impactOf measures a result's impact: Monte-Carlo region membership under
