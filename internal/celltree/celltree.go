@@ -13,7 +13,7 @@
 // through an internal node (case III), its two child subtrees are disjoint,
 // so with a Forks token budget attached the positive subtree is handed to a
 // fresh goroutine while the current one descends the negative side. Each
-// task carries its own DFS state, LP solver and counters, and joins merge
+// task carries its own DFS state and counters, and joins merge
 // child results in negative-before-positive order, so the resulting tree,
 // the fresh-leaf order and every statistic are identical to a serial
 // insert. Only one Insert may run at a time; parallelism is *within* an
@@ -23,7 +23,6 @@ package celltree
 import (
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 
 	"repro/internal/geom"
@@ -180,42 +179,6 @@ type Tree struct {
 	// than a task-local merge — so concurrent subtree tasks and the
 	// coordinating goroutine can all observe pruning progress live.
 	PrunedCells atomic.Int64
-
-	// solver is the root insertion task's reusable LP workspace; forked
-	// tasks draw theirs from the package-level solver pool, so arenas
-	// survive across forks and inserts instead of being rebuilt per task.
-	solver *lp.Solver
-}
-
-// solverPool shares LP workspaces across every cell tree in the process:
-// a tree lives for one kSPR query, and without the shared pool each
-// query rebuilt its simplex arenas from scratch — a dominant source of
-// GC pressure at large candidate counts.
-var solverPool sync.Pool
-
-// takeSolver hands a pooled task solver out, rebound to the task's stats.
-func (t *Tree) takeSolver(stats *lp.Stats) *lp.Solver {
-	if sv, ok := solverPool.Get().(*lp.Solver); ok {
-		sv.SetStats(stats)
-		return sv
-	}
-	return lp.NewSolver(stats)
-}
-
-// putSolver returns a task solver to the pool once its task has finished.
-func (t *Tree) putSolver(sv *lp.Solver) {
-	sv.SetStats(nil)
-	solverPool.Put(sv)
-}
-
-// ReleaseSolvers returns the tree's root solver to the shared pool. Call
-// it when the tree is done with insertions (end of query); the tree
-// remains usable, lazily re-acquiring a solver if needed.
-func (t *Tree) ReleaseSolvers() {
-	if t.solver != nil {
-		t.putSolver(t.solver)
-		t.solver = nil
-	}
 }
 
 // New creates a CellTree whose root covers the whole preference space.
@@ -262,11 +225,9 @@ type insertCtx struct {
 	// domNeg = number of negative halfspaces on the current path whose
 	// record is in domIDs; the dominance shortcut fires while it is > 0.
 	domNeg int
-	// stats / lpStats are the task-local counters; solver the task's
-	// reusable LP workspace (accounting into lpStats).
+	// stats / lpStats are the task-local counters.
 	stats   Stats
 	lpStats lp.Stats
-	solver  *lp.Solver
 	// fresh collects the leaves this task created, in DFS order; joins
 	// concatenate negative-side before positive-side so the merged order
 	// equals the serial insertion order.
@@ -275,7 +236,7 @@ type insertCtx struct {
 
 // forkTask snapshots ctx for a subtree handed to another goroutine: the
 // path state is deep-copied (the parent keeps pushing/popping its own) and
-// the accumulators start empty. The caller attaches a pooled solver.
+// the accumulators start empty.
 func (ctx *insertCtx) forkTask() *insertCtx {
 	return &insertCtx{
 		h:      ctx.h,
@@ -311,11 +272,6 @@ func (t *Tree) Insert(h geom.Hyperplane, domIDs []int) error {
 		domIDs: domIDs,
 		cons:   append([]geom.Constraint(nil), t.Bounds...),
 	}
-	if t.solver == nil {
-		t.solver = t.takeSolver(nil)
-	}
-	t.solver.SetStats(&ctx.lpStats)
-	ctx.solver = t.solver
 	err := t.insert(t.Root, ctx)
 	// Merge the task tree's accumulators (even on error: partial counts
 	// mirror what a serial run would have recorded before failing).
@@ -444,13 +400,10 @@ func (t *Tree) insert(n *Node, ctx *insertCtx) error {
 	// to the serial recursion.
 	if t.Forks.TryAcquire() {
 		posCtx := ctx.forkTask()
-		posCtx.solver = t.takeSolver(&posCtx.lpStats)
 		done := make(chan error, 1)
 		go func() {
 			defer t.Forks.Release()
-			err := t.insert(n.Pos, posCtx)
-			t.putSolver(posCtx.solver)
-			done <- err
+			done <- t.insert(n.Pos, posCtx)
 		}()
 		negErr := t.insert(n.Neg, ctx)
 		posErr := <-done
@@ -496,14 +449,14 @@ func pushSign(ctx *insertCtx, hs geom.Halfspace) {
 	}
 }
 
-// testSide runs the Lemma-2 feasibility test for N ∩ h^sign on the task's
-// own LP solver.
+// testSide runs the Lemma-2 feasibility test for N ∩ h^sign, counting
+// into the task's LP stats.
 func (t *Tree) testSide(ctx *insertCtx, sign geom.Sign) (bool, geom.Vector) {
 	hs := geom.Halfspace{H: ctx.h, Sign: sign}
 	cons := append(ctx.cons, hs.AsConstraint())
 	ctx.stats.FeasibilityTests++
 	ctx.stats.ConstraintRows += len(cons)
-	in, err := ctx.solver.FeasibleInterior(cons, t.Dim)
+	in, err := lp.FeasibleInterior(cons, t.Dim, &ctx.lpStats)
 	if err != nil {
 		// An LP failure here means severe numerical trouble; treat the side
 		// as empty, which only makes the result coarser, never wrong for

@@ -67,21 +67,15 @@ func (h *boxHeap) Pop() interface{} {
 }
 
 // RunApprox answers kSPR approximately: it subdivides the transformed
-// preference space into boxes, classifies each box with the rank bounds of
-// §6 (upper bound <= K: certainly in; lower bound > K: certainly out), and
-// splits inconclusive boxes until their total volume drops below
-// Epsilon x the space's volume. Runtime is independent of the arrangement
-// complexity — no CellTree is built — which is exactly the trade the
-// paper's future-work remark anticipates.
+// preference space into boxes, classifies each box with LP-CTA's
+// look-ahead rank bounds (§6: upper bound <= K: certainly in; lower bound
+// > K: certainly out), and splits inconclusive boxes until their total
+// volume drops below Epsilon x the space's volume. Runtime is independent
+// of the arrangement complexity — no CellTree is built — which is exactly
+// the trade the paper's future-work remark anticipates.
 func RunApprox(tree *rtree.Tree, focal geom.Vector, focalID int, opts ApproxOptions) (*ApproxResult, error) {
-	if opts.K <= 0 {
-		return nil, fmt.Errorf("core: K must be positive, got %d", opts.K)
-	}
 	if math.IsNaN(opts.Epsilon) || math.IsInf(opts.Epsilon, 0) {
 		return nil, fmt.Errorf("core: Epsilon must be finite, got %v", opts.Epsilon)
-	}
-	if len(focal) != tree.Dim {
-		return nil, fmt.Errorf("core: focal record has %d dims, index has %d", len(focal), tree.Dim)
 	}
 	if opts.Epsilon <= 0 {
 		opts.Epsilon = 0.01
@@ -89,24 +83,17 @@ func RunApprox(tree *rtree.Tree, focal geom.Vector, focalID int, opts ApproxOpti
 	if opts.MaxCells <= 0 {
 		opts.MaxCells = 1 << 20
 	}
-	dim := tree.Dim - 1
-	r := &runner{
-		tree: tree, focal: focal, focalID: focalID,
-		opts:   Options{K: opts.K, Algorithm: LPCTA, Ctx: opts.Ctx},
-		dim:    dim,
-		bounds: geom.SpaceBoundsTransformed(dim),
+	// The same set-up as LP-CTA's: the focal's dominators, the space, and
+	// the index of its non-skip K-skyband the bounds walk.
+	r, err := newRunner(tree, focal, focalID, Options{K: opts.K, Algorithm: LPCTA, Ctx: opts.Ctx})
+	if err != nil {
+		return nil, err
 	}
-	r.pObj = make(geom.Vector, dim)
-	d := tree.Dim
-	for j := 0; j < dim; j++ {
-		r.pObj[j] = focal[j] - focal[d-1]
+	if err := r.indexCandidates(r.kSkybandIDs()); err != nil {
+		return nil, err
 	}
-	r.pConst = focal[d-1]
-
-	res := &ApproxResult{}
-	res.Focal = focal.Clone()
-	res.K = opts.K
-	res.Space = Transformed
+	dim := r.dim
+	res := &ApproxResult{Result: *r.result}
 
 	// The whole transformed space is the simplex of volume 1/dim!.
 	spaceVol := 1.0
@@ -134,8 +121,13 @@ func RunApprox(tree *rtree.Tree, focal geom.Vector, focalID int, opts ApproxOpti
 		if box.lo.Sum() >= 1 {
 			continue
 		}
-		cb := &cellBounds{cons: cons, sv: r.lpSolver(), idx: r.tree, skip: r.rankSkip}
-		lower, upper, err := r.boxRankBounds(cb)
+		var verts []geom.Vector
+		if r.dim <= celltree.GeomMaxDim {
+			if g := celltree.BuildCellGeom(cons, r.dim); g != nil {
+				verts = g.Verts
+			}
+		}
+		lower, upper, err := r.rankBounds(cons, verts, &r.lpStats)
 		if err != nil {
 			return nil, err
 		}
@@ -192,30 +184,8 @@ func RunApprox(tree *rtree.Tree, focal geom.Vector, focalID int, opts ApproxOpti
 	res.Stats.Regions = len(res.Regions)
 	res.Stats.RankBoundCells = examined
 	res.Stats.LPSolves = r.lpStats.Solves
+	res.Stats.LPPivots = r.lpStats.Pivots
 	return res, nil
-}
-
-// boxRankBounds computes rank bounds for a box cell, using its exact corner
-// geometry when the dimension permits.
-func (r *runner) boxRankBounds(cb *cellBounds) (int, int, error) {
-	if r.dim <= celltree.GeomMaxDim {
-		if g := celltree.BuildCellGeom(cb.cons, r.dim); g != nil {
-			cb.verts = g.Verts
-		}
-	}
-	var err error
-	cb.pMin, cb.pMax, err = r.interval(cb, r.pObj, r.pConst)
-	if err != nil {
-		return 0, 0, err
-	}
-	cb.wL, cb.wU, err = r.cornerVectors(cb)
-	if err != nil {
-		return 0, 0, err
-	}
-	cb.useFast = true
-	lower, upper := 1, 1
-	err = r.updateRank(r.tree.Root, cb, &lower, &upper)
-	return lower, upper, err
 }
 
 // boxConstraints renders a box (clipped by the simplex) as constraint rows.

@@ -3,7 +3,8 @@
 // through RunBatch, a scheduler over the per-query path Run takes. Items
 // share what every query on the tree already shares: the generation's
 // k-skyband table (rtree.Tree.Band), which the first item that needs it
-// fills and the rest read, and the LP solver pool. The scheduler adds:
+// fills and the rest read, and internal/lp's workspace pool. The scheduler
+// adds:
 //
 //   - one Options.Parallelism budget: with W workers and N items, min(W, N)
 //     items run concurrently and each item's engine gets W/min(W,N)

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/celltree"
 	"repro/internal/geom"
 	"repro/internal/lp"
 	"repro/internal/rtree"
@@ -10,10 +9,10 @@ import (
 // boundFreshLeaves computes look-ahead rank bounds for every leaf created
 // since the previous batch and prunes / reports cells whose bounds decide
 // them (§6.4, Algorithm 3). Classification is a pure function of the
-// (immutable) cell and the index, so with engine workers available it fans
-// out across them, each on its own reusable LP solver; decisions apply in
-// leaf order below either way, keeping results bit-identical to the serial
-// path.
+// (immutable) cell and the candidate index, so from parallelLeafThreshold
+// fresh leaves on it fans out across the engine's workers, each counting
+// its LPs apart; decisions apply in leaf order below either way, keeping
+// results bit-identical to the serial path.
 func (r *runner) boundFreshLeaves() error {
 	span := r.opts.Trace.Span(PhaseRankBounds)
 	fresh := r.ct.TakeFreshLeaves()
@@ -23,41 +22,32 @@ func (r *runner) boundFreshLeaves() error {
 			live = append(live, leaf)
 		}
 	}
+	workers := 1
+	if len(live) >= parallelLeafThreshold {
+		workers = r.workers()
+	}
 	type decision struct {
 		lower, upper int
 	}
 	decisions := make([]decision, len(live))
-	if workers := r.workers(); workers > 1 && len(live) >= parallelLeafThreshold {
-		solvers, stats := r.lpWorkerSolvers(workers)
-		err := parallelDo(workers, len(live), func(w, i int) error {
-			if err := r.cancelled(); err != nil {
-				return err
-			}
-			lo, hi, err := r.rankBounds(live[i], solvers[w])
-			if err != nil {
-				return err
-			}
-			decisions[i] = decision{lo, hi}
-			return nil
-		})
-		for i := range stats {
-			r.lpStats.Add(stats[i])
-		}
-		if err != nil {
+	stats := make([]lp.Stats, workers)
+	err := parallelDo(workers, len(live), func(w, i int) error {
+		if err := r.cancelled(); err != nil {
 			return err
 		}
-	} else {
-		sv := r.lpSolver()
-		for i, leaf := range live {
-			if err := r.cancelled(); err != nil {
-				return err
-			}
-			lo, hi, err := r.rankBounds(leaf, sv)
-			if err != nil {
-				return err
-			}
-			decisions[i] = decision{lo, hi}
+		var verts []geom.Vector
+		if g := live[i].Geom; g != nil {
+			verts = g.Verts
 		}
+		lo, hi, err := r.rankBounds(r.ct.PathConstraints(live[i]), verts, &stats[w])
+		decisions[i] = decision{lo, hi}
+		return err
+	})
+	for i := range stats {
+		r.lpStats.Add(stats[i])
+	}
+	if err != nil {
+		return err
 	}
 	var pending []pendingRegion
 	for i, leaf := range live {
@@ -79,25 +69,11 @@ func (r *runner) boundFreshLeaves() error {
 }
 
 // cellBounds carries the per-cell quantities shared across the index
-// traversal: the focal score interval and (transformed space only) the
-// min/max-vectors that power the fast bounds of §6.3.
+// traversal: the cell, its LP accounting, the focal score interval and
+// (transformed space, FastBounds only) the min/max-vectors that power the
+// fast bounds of §6.3.
 type cellBounds struct {
-	cons       []geom.Constraint
-	pMin, pMax float64
-	// sv solves this cell's bound LPs (and accounts them); per-worker when
-	// bounds are computed in parallel.
-	sv *lp.Solver
-	// idx is the record index the traversal walks (the query's candidate
-	// bounds index, or the full dataset tree for the approximate engine);
-	// skip excludes record ids from leaf-level decisions. The query bounds
-	// leave skip nil — their candidate index already contains only relevant
-	// records — while the approximate engine sets it to the runner's
-	// rankSkip.
-	idx  *rtree.Tree
-	skip rtree.ExcludeFunc
-	// fast bounds (transformed space, FastBounds mode only)
-	useFast bool
-	wL, wU  geom.Vector // original-space d-dimensional corner weight vectors
+	cons []geom.Constraint
 	// verts, when non-nil, holds the cell's exact vertices; linear score
 	// intervals are then min/max over the vertices instead of LP solves.
 	// This is an exact acceleration (a linear function attains its extrema
@@ -105,11 +81,17 @@ type cellBounds struct {
 	// preference spaces; higher dimensions fall back to the LP bounds the
 	// paper describes.
 	verts []geom.Vector
+	// stats counts the calling goroutine's LPs.
+	stats      *lp.Stats
+	pMin, pMax float64
+	// wL, wU are original-space d-dimensional corner weight vectors; nil
+	// when the fast bounds are off.
+	wL, wU geom.Vector
 	// objA/objB are reusable objective buffers for recordObj and
 	// diffInterval, replacing the per-record allocations that dominated
 	// the rank traversal's GC pressure at large candidate counts. Two
-	// buffers, because groupDecide holds the low- and high-corner
-	// objectives simultaneously.
+	// buffers, because decide holds the low- and high-corner objectives
+	// simultaneously.
 	objA, objB geom.Vector
 }
 
@@ -150,288 +132,84 @@ func intervalOverVertices(verts []geom.Vector, obj geom.Vector, c float64) (floa
 	return lo, hi
 }
 
-// rankBounds computes [Rank(c), Rank̄(c)] for a cell: the best and worst
-// rank the focal record can attain inside it. The traversal runs over the
-// query's candidate bounds index (the non-skip k-skyband) with the
-// focal's dominators folded in as a constant: a dominator outranks the
-// focal everywhere, and a record outside the k-skyband can only beat the
-// focal where at least K skyband records already do (Lemma 6's argument),
-// so 1 + baseRank + [certain, possible] skyband beaters brackets the true
-// rank exactly. Beyond being tighter and cheaper than a full-dataset
-// traversal, this makes every bound decision a pure function of the
-// candidate set — the property incremental maintenance relies on. sv is
-// the calling worker's LP solver.
-func (r *runner) rankBounds(leaf *celltree.Node, sv *lp.Solver) (int, int, error) {
-	cb := &cellBounds{cons: r.ct.PathConstraints(leaf), sv: sv}
-	base := 1 + r.baseRank
-
-	if r.opts.Space == Original {
-		// Appendix C: every original-space cell touches the origin, so raw
-		// score intervals all start at 0 and are useless; bound the
-		// difference S(r) - S(p) instead.
-		return r.rankBoundsOriginal(leaf, cb, base)
-	}
-
-	if g := leaf.Geom; g != nil {
-		cb.verts = g.Verts
-	}
-	lower, upper := base, base
+// rankBounds computes [Rank(c), Rank̄(c)] for the cell (a cell-tree leaf,
+// or one of RunApprox's boxes) given by the constraints cons and, when
+// known, its vertices verts: the best and worst rank the focal record can
+// attain inside it. It is Algorithm 3's UpdateRank over the query's
+// candidate bounds index (the non-skip k-skyband) with the focal's
+// dominators folded in as a constant: a dominator outranks the focal
+// everywhere, and a record outside the k-skyband can only beat the focal
+// where at least K skyband records already do (Lemma 6's argument), so
+// 1 + baseRank + [certain, possible] skyband beaters brackets the true
+// rank wherever it is at most K. Beyond being tighter and cheaper than a
+// full-dataset traversal, this makes every bound decision a pure function
+// of the candidate set — the property incremental maintenance relies on.
+// stats counts the calling goroutine's LPs.
+func (r *runner) rankBounds(cons []geom.Constraint, verts []geom.Vector, stats *lp.Stats) (int, int, error) {
+	lower, upper := 1+r.baseRank, 1+r.baseRank
 	if r.boundsIdx == nil {
 		// No candidate can ever outscore the focal record: its rank is
 		// exactly 1 + baseRank throughout the cell.
 		return lower, upper, nil
 	}
-	cb.idx = r.boundsIdx
+	cb := &cellBounds{cons: cons, verts: verts, stats: stats}
 	var err error
-	cb.pMin, cb.pMax, err = r.interval(cb, r.pObj, r.pConst)
-	if err != nil {
-		return 0, 0, err
-	}
-
-	if r.opts.Bounds == FastBounds {
-		cb.wL, cb.wU, err = r.cornerVectors(cb)
-		if err != nil {
+	if r.opts.Space == Transformed {
+		if cb.pMin, cb.pMax, err = interval(cb, r.pObj, r.pConst); err != nil {
 			return 0, 0, err
 		}
-		cb.useFast = true
-	}
-
-	if r.opts.Bounds == RecordBounds {
-		return r.rankBoundsByRecords(cb, lower, upper)
-	}
-	err = r.updateRank(r.boundsIdx.Root, cb, &lower, &upper)
-	return lower, upper, err
-}
-
-// rankBoundsOriginal derives rank bounds in the original space by
-// minimizing/maximizing S(r) - S(p) per entry (Appendix C), over the same
-// candidate bounds index as the transformed space. Fast bounds do not
-// apply there (the min-vector would always be the origin).
-func (r *runner) rankBoundsOriginal(leaf *celltree.Node, cb *cellBounds, base int) (int, int, error) {
-	if g := leaf.Geom; g != nil {
-		cb.verts = g.Verts
-	}
-	lower, upper := base, base
-	if r.boundsIdx == nil {
-		return lower, upper, nil
-	}
-	cb.idx = r.boundsIdx
-	if r.opts.Bounds == RecordBounds {
-		for _, rec := range r.boundsIdx.Records {
-			if err := r.recordDecideOriginal(rec, cb, &lower, &upper); err != nil {
+		if r.opts.Bounds == FastBounds {
+			if cb.wL, cb.wU, err = r.cornerVectors(cb); err != nil {
 				return 0, 0, err
 			}
+		}
+	}
+	if r.opts.Bounds == RecordBounds {
+		// The record_bounds ablation (§6.1 without the index structure):
+		// exact per-record score intervals for every candidate, stopping
+		// like the traversal once the cell is prunable.
+		for _, rec := range r.boundsIdx.Records {
+			var decided bool
+			if decided, err = r.decide(rec, rec, 1, cb, &lower, &upper); err != nil {
+				break
+			}
+			if !decided {
+				upper++
+			}
 			if lower > r.opts.K {
-				return lower, upper, nil
+				break
 			}
 		}
-		return lower, upper, nil
+	} else {
+		err = r.updateRank(r.boundsIdx.Root, cb, &lower, &upper)
 	}
-	err := r.updateRankOriginal(r.boundsIdx.Root, cb, &lower, &upper)
-	return lower, upper, err
-}
-
-// interval returns [min, max] of obj·w + c over the cell closure, using
-// cached vertices when available and LPs otherwise.
-func (r *runner) interval(cb *cellBounds, obj geom.Vector, c float64) (float64, float64, error) {
-	if cb.verts != nil {
-		lo, hi := intervalOverVertices(cb.verts, obj, c)
-		return lo, hi, nil
-	}
-	return scoreInterval(cb.sv, cb.cons, obj, c)
-}
-
-// diffInterval returns min (wantMax=false) or max of (v - focal)·w over the
-// cell closure.
-func (r *runner) diffInterval(cb *cellBounds, v geom.Vector, wantMax bool) (float64, error) {
-	obj := cb.scratchA(len(v))
-	for j := range obj {
-		obj[j] = v[j] - r.focal[j]
-	}
-	if cb.verts != nil {
-		lo, hi := intervalOverVertices(cb.verts, obj, 0)
-		if wantMax {
-			return hi, nil
-		}
-		return lo, nil
-	}
-	val, _, st, err := cb.sv.Bound(cb.cons, obj, wantMax)
-	if err != nil {
-		return 0, err
-	}
-	if st != lp.Optimal {
-		return 0, errStatus(st)
-	}
-	return val, nil
-}
-
-func (r *runner) updateRankOriginal(n *rtree.Node, cb *cellBounds, lower, upper *int) error {
-	if *lower > r.opts.K {
-		return nil
-	}
-	for i := range n.Entries {
-		e := &n.Entries[i]
-		if e.Child != nil {
-			// min over cell of S(GL)-S(p) > 0: the whole group beats p
-			// everywhere in the cell.
-			minLo, err := r.diffInterval(cb, e.Low, false)
-			if err != nil {
-				return err
-			}
-			if minLo > boundEps {
-				*lower += e.Count
-				*upper += e.Count
-			} else {
-				// max of S(GU)-S(p) <= 0: the group never beats p.
-				maxHi, err := r.diffInterval(cb, e.High, true)
-				if err != nil {
-					return err
-				}
-				if maxHi > -boundEps {
-					if err := r.updateRankOriginal(e.Child, cb, lower, upper); err != nil {
-						return err
-					}
-				}
-			}
-			if *lower > r.opts.K {
-				return nil
-			}
-			continue
-		}
-		if cb.skip != nil && cb.skip(e.RecordID) {
-			continue
-		}
-		if err := r.recordDecideOriginal(cb.idx.Records[e.RecordID], cb, lower, upper); err != nil {
-			return err
-		}
-		if *lower > r.opts.K {
-			return nil
-		}
-	}
-	return nil
-}
-
-func (r *runner) recordDecideOriginal(rec geom.Vector, cb *cellBounds, lower, upper *int) error {
-	minD, err := r.diffInterval(cb, rec, false)
-	if err != nil {
-		return err
-	}
-	if minD > boundEps {
-		*lower++
-		*upper++
-		return nil
-	}
-	maxD, err := r.diffInterval(cb, rec, true)
-	if err != nil {
-		return err
-	}
-	if maxD > -boundEps {
-		*upper++
-	}
-	return nil
-}
-
-// scoreInterval returns [min, max] of obj·w + c over the cell closure,
-// solving both LPs on sv.
-func scoreInterval(sv *lp.Solver, cons []geom.Constraint, obj geom.Vector, c float64) (float64, float64, error) {
-	lo, _, st, err := sv.Bound(cons, obj, false)
 	if err != nil {
 		return 0, 0, err
 	}
-	if st != lp.Optimal {
-		return 0, 0, errStatus(st)
-	}
-	hi, _, st, err := sv.Bound(cons, obj, true)
-	if err != nil {
-		return 0, 0, err
-	}
-	if st != lp.Optimal {
-		return 0, 0, errStatus(st)
-	}
-	return lo + c, hi + c, nil
-}
-
-type errStatus lp.Status
-
-func (e errStatus) Error() string { return "core: score-bound LP " + lp.Status(e).String() }
-
-// cornerVectors computes the min-vector wL and max-vector wU of a cell
-// (§6.3): original-space weight vectors such that for every record r and
-// every w in the cell, S(r, wL) <= S(r, w) <= S(r, wU). Component j < d-1
-// is the min/max of w_j over the cell; the last component is the min/max of
-// w_d = 1 - Σ w_j, i.e. one minus the opposite bound of the sum.
-func (r *runner) cornerVectors(cb *cellBounds) (geom.Vector, geom.Vector, error) {
-	d := r.tree.Dim
-	wL := make(geom.Vector, d)
-	wU := make(geom.Vector, d)
-	axis := make(geom.Vector, r.dim)
-	for j := 0; j < r.dim; j++ {
-		for i := range axis {
-			axis[i] = 0
-		}
-		axis[j] = 1
-		lo, hi, err := r.interval(cb, axis, 0)
-		if err != nil {
-			return nil, nil, err
-		}
-		wL[j], wU[j] = lo, hi
-	}
-	ones := make(geom.Vector, r.dim)
-	for i := range ones {
-		ones[i] = 1
-	}
-	sumLo, sumHi, err := r.interval(cb, ones, 0)
-	if err != nil {
-		return nil, nil, err
-	}
-	wL[d-1], wU[d-1] = 1-sumHi, 1-sumLo
-	return wL, wU, nil
-}
-
-// recordObj returns the score objective of a data-space vector v in the
-// processing space, as (objective, constant). In the transformed space
-// the objective is written into dst (a cellBounds scratch buffer); the
-// original space returns v itself.
-func (r *runner) recordObj(v, dst geom.Vector) (geom.Vector, float64) {
-	if r.opts.Space == Original {
-		return v, 0
-	}
-	d := r.tree.Dim
-	obj := dst[:r.dim]
-	for j := 0; j < r.dim; j++ {
-		obj[j] = v[j] - v[d-1]
-	}
-	return obj, v[d-1]
+	return lower, upper, nil
 }
 
 // updateRank is Algorithm 3's UpdateRank: traverse the aggregate R-tree,
-// comparing each entry's score interval in the cell against the focal
-// interval, with the fast bounds as a filtering step.
+// deciding each entry (a group, or a record as a group of one) against the
+// focal in the cell, and descending into the groups its bounds leave
+// undecided.
 func (r *runner) updateRank(n *rtree.Node, cb *cellBounds, lower, upper *int) error {
 	if *lower > r.opts.K {
 		return nil // already prunable; no need to tighten further
 	}
 	for i := range n.Entries {
 		e := &n.Entries[i]
-		if e.Child != nil {
-			decided, err := r.groupDecide(e, cb, lower, upper)
-			if err != nil {
-				return err
+		decided, err := r.decide(e.Low, e.High, e.Count, cb, lower, upper)
+		if err == nil && !decided {
+			if e.Child != nil {
+				err = r.updateRank(e.Child, cb, lower, upper)
+			} else {
+				// The record may or may not beat p depending on w: it
+				// counts toward the worst case only.
+				*upper++
 			}
-			if !decided {
-				if err := r.updateRank(e.Child, cb, lower, upper); err != nil {
-					return err
-				}
-			}
-			if *lower > r.opts.K {
-				return nil
-			}
-			continue
 		}
-		if cb.skip != nil && cb.skip(e.RecordID) {
-			continue
-		}
-		if err := r.recordDecide(cb.idx.Records[e.RecordID], cb, lower, upper); err != nil {
+		if err != nil {
 			return err
 		}
 		if *lower > r.opts.K {
@@ -441,40 +219,52 @@ func (r *runner) updateRank(n *rtree.Node, cb *cellBounds, lower, upper *int) er
 	return nil
 }
 
-// groupDecide tries to classify an entire subtree against the focal score
-// interval. It returns true when the subtree was fully accounted for.
-func (r *runner) groupDecide(e *rtree.Entry, cb *cellBounds, lower, upper *int) (bool, error) {
-	// Fast filtering step (§6.3).
-	if cb.useFast {
-		fastLo := cb.wL.Dot(e.Low)
-		fastHi := cb.wU.Dot(e.High)
-		if done := applyInterval(fastLo, fastHi, e.Count, cb, lower, upper); done {
+// decide tries to account for count records lying between the corners lo
+// and hi — a group's MBR (§6.2), or one record as both corners (§6.1) —
+// against the focal throughout the cell. It returns false when the bounds are
+// inconclusive.
+func (r *runner) decide(lo, hi geom.Vector, count int, cb *cellBounds, lower, upper *int) (bool, error) {
+	if r.opts.Space == Original {
+		// Appendix C: every original-space cell touches the origin, so raw
+		// score intervals all start at 0 and are useless; bound S(r) - S(p)
+		// instead. min over the cell of S(lo)-S(p) > 0: every record beats
+		// p everywhere in the cell; max of S(hi)-S(p) <= 0: none ever does.
+		minLo, err := r.diffInterval(cb, lo, false)
+		if err != nil {
+			return false, err
+		}
+		if minLo > boundEps {
+			*lower += count
+			*upper += count
 			return true, nil
 		}
+		maxHi, err := r.diffInterval(cb, hi, true)
+		return !(maxHi > -boundEps), err
 	}
-	// Tight group bounds (§6.2): interval of S over [GL, GU] across the cell.
-	loObj, loC := r.recordObj(e.Low, cb.scratchA(r.dim))
-	hiObj, hiC := r.recordObj(e.High, cb.scratchB(r.dim))
-	if cb.verts != nil {
-		gLo, _ := intervalOverVertices(cb.verts, loObj, loC)
-		_, gHi := intervalOverVertices(cb.verts, hiObj, hiC)
-		return applyInterval(gLo, gHi, e.Count, cb, lower, upper), nil
+	// Fast filtering step (§6.3).
+	if cb.wL != nil && applyInterval(cb.wL.Dot(lo), cb.wU.Dot(hi), count, cb, lower, upper) {
+		return true, nil
 	}
-	gLo, _, st, err := cb.sv.Bound(cb.cons, loObj, false)
+	// Tight bounds: the interval of S over [lo, hi] across the cell. A
+	// single record is both corners, so one interval serves it.
+	loObj, loC := r.recordObj(lo, cb.scratchA(r.dim))
+	if count == 1 {
+		sLo, sHi, err := interval(cb, loObj, loC)
+		if err != nil {
+			return false, err
+		}
+		return applyInterval(sLo, sHi, 1, cb, lower, upper), nil
+	}
+	hiObj, hiC := r.recordObj(hi, cb.scratchB(r.dim))
+	sLo, err := extremum(cb, loObj, loC, false)
 	if err != nil {
 		return false, err
 	}
-	if st != lp.Optimal {
-		return false, errStatus(st)
-	}
-	gHi, _, st, err := cb.sv.Bound(cb.cons, hiObj, true)
+	sHi, err := extremum(cb, hiObj, hiC, true)
 	if err != nil {
 		return false, err
 	}
-	if st != lp.Optimal {
-		return false, errStatus(st)
-	}
-	return applyInterval(gLo+loC, gHi+hiC, e.Count, cb, lower, upper), nil
+	return applyInterval(sLo, sHi, count, cb, lower, upper), nil
 }
 
 // applyInterval implements the three decisive outcomes of Algorithm 3 for a
@@ -504,40 +294,99 @@ func applyInterval(lo, hi float64, count int, cb *cellBounds, lower, upper *int)
 	}
 }
 
-// recordDecide classifies a single record: fast filter first, then tight
-// per-record score bounds (§6.1).
-func (r *runner) recordDecide(rec geom.Vector, cb *cellBounds, lower, upper *int) error {
-	if cb.useFast {
-		fastLo := cb.wL.Dot(rec)
-		fastHi := cb.wU.Dot(rec)
-		if applyInterval(fastLo, fastHi, 1, cb, lower, upper) {
-			return nil
+// extremum returns min (wantMax=false) or max of obj·w + c over the cell
+// closure, using cached vertices when available and an LP otherwise.
+func extremum(cb *cellBounds, obj geom.Vector, c float64, wantMax bool) (float64, error) {
+	if cb.verts != nil {
+		lo, hi := intervalOverVertices(cb.verts, obj, c)
+		if wantMax {
+			return hi, nil
 		}
+		return lo, nil
 	}
-	obj, c := r.recordObj(rec, cb.scratchA(r.dim))
-	rLo, rHi, err := r.interval(cb, obj, c)
+	val, _, st, err := lp.Bound(cb.cons, obj, wantMax, cb.stats)
 	if err != nil {
-		return err
+		return 0, err
 	}
-	if !applyInterval(rLo, rHi, 1, cb, lower, upper) {
-		// Tight bounds straddle the focal interval: the record may or may
-		// not beat p depending on w — count it toward the worst case only.
-		*upper++
+	if st != lp.Optimal {
+		return 0, errStatus(st)
 	}
-	return nil
+	return val + c, nil
 }
 
-// rankBoundsByRecords is the record_bounds ablation (§6.1 without the
-// index structure): exact per-record score intervals for every candidate.
-func (r *runner) rankBoundsByRecords(cb *cellBounds, lower, upper int) (int, int, error) {
-	for _, rec := range r.boundsIdx.Records {
-		if err := r.recordDecide(rec, cb, &lower, &upper); err != nil {
-			return 0, 0, err
-		}
-		if lower > r.opts.K {
-			// Enough to prune; bail out early like the traversal does.
-			return lower, upper, nil
-		}
+// interval returns [min, max] of obj·w + c over the cell closure, in one
+// pass over cached vertices when available.
+func interval(cb *cellBounds, obj geom.Vector, c float64) (float64, float64, error) {
+	if cb.verts != nil {
+		lo, hi := intervalOverVertices(cb.verts, obj, c)
+		return lo, hi, nil
 	}
-	return lower, upper, nil
+	lo, err := extremum(cb, obj, c, false)
+	if err != nil {
+		return 0, 0, err
+	}
+	hi, err := extremum(cb, obj, c, true)
+	if err != nil {
+		return 0, 0, err
+	}
+	return lo, hi, nil
+}
+
+// diffInterval returns min (wantMax=false) or max of (v - focal)·w over the
+// cell closure.
+func (r *runner) diffInterval(cb *cellBounds, v geom.Vector, wantMax bool) (float64, error) {
+	obj := cb.scratchA(len(v))
+	for j := range obj {
+		obj[j] = v[j] - r.focal[j]
+	}
+	return extremum(cb, obj, 0, wantMax)
+}
+
+type errStatus lp.Status
+
+func (e errStatus) Error() string { return "core: score-bound LP " + lp.Status(e).String() }
+
+// cornerVectors computes the min-vector wL and max-vector wU of a cell
+// (§6.3): original-space weight vectors such that for every record r and
+// every w in the cell, S(r, wL) <= S(r, w) <= S(r, wU). Component j < d-1
+// is the min/max of w_j over the cell; the last component is the min/max of
+// w_d = 1 - Σ w_j, i.e. one minus the opposite bound of the sum.
+func (r *runner) cornerVectors(cb *cellBounds) (geom.Vector, geom.Vector, error) {
+	d := r.tree.Dim
+	wL := make(geom.Vector, d)
+	wU := make(geom.Vector, d)
+	axis := make(geom.Vector, r.dim)
+	for j := 0; j < r.dim; j++ {
+		for i := range axis {
+			axis[i] = 0
+		}
+		axis[j] = 1
+		lo, hi, err := interval(cb, axis, 0)
+		if err != nil {
+			return nil, nil, err
+		}
+		wL[j], wU[j] = lo, hi
+	}
+	ones := make(geom.Vector, r.dim)
+	for i := range ones {
+		ones[i] = 1
+	}
+	sumLo, sumHi, err := interval(cb, ones, 0)
+	if err != nil {
+		return nil, nil, err
+	}
+	wL[d-1], wU[d-1] = 1-sumHi, 1-sumLo
+	return wL, wU, nil
+}
+
+// recordObj returns the transformed-space score objective of a data-space
+// vector v, as (objective, constant), the objective written into dst (a
+// cellBounds scratch buffer).
+func (r *runner) recordObj(v, dst geom.Vector) (geom.Vector, float64) {
+	d := r.tree.Dim
+	obj := dst[:r.dim]
+	for j := 0; j < r.dim; j++ {
+		obj[j] = v[j] - v[d-1]
+	}
+	return obj, v[d-1]
 }

@@ -228,7 +228,9 @@ func TestOraclePastOneBitsetWord(t *testing.T) {
 
 // TestProgressiveWorkPinned pins the progressive engine's work on fixed
 // queries, at parallelism 1 and 2. A reportability test that never
-// reports early still returns correct answers, so only the counts show it.
+// reports early still returns correct answers, so only the counts show it;
+// the same holds for look-ahead bounds that decide fewer cells, in either
+// space and every bound mode.
 func TestProgressiveWorkPinned(t *testing.T) {
 	tr, recs, focals := deepFocals(t)
 	if !slices.Equal(focals, []int{177, 495, 842}) {
@@ -238,30 +240,42 @@ func TestProgressiveWorkPinned(t *testing.T) {
 		return Stats{
 			ProcessedRecords: s.ProcessedRecords, CellTreeNodes: s.CellTreeNodes, Batches: s.Batches,
 			DomShortcuts: s.DomShortcuts, CellsPruned: s.CellsPruned, RankBoundCells: s.RankBoundCells,
-			EarlyReported: s.EarlyReported, EarlyPruned: s.EarlyPruned,
+			EarlyReported: s.EarlyReported, EarlyPruned: s.EarlyPruned, LPSolves: s.LPSolves,
 		}
 	}
 	for _, c := range []struct {
-		focal int
-		algo  Algorithm
-		want  Stats
+		focal  int
+		algo   Algorithm
+		space  Space
+		bounds BoundsMode
+		want   Stats
 	}{
-		{177, PCTA, Stats{ProcessedRecords: 20, CellTreeNodes: 17, Batches: 1, CellsPruned: 9}},
-		{177, LPCTA, Stats{ProcessedRecords: 20, CellTreeNodes: 17, Batches: 1, CellsPruned: 9}},
-		{495, PCTA, Stats{ProcessedRecords: 107, CellTreeNodes: 397, Batches: 3, DomShortcuts: 4, CellsPruned: 168}},
-		{495, LPCTA, Stats{ProcessedRecords: 107, CellTreeNodes: 395, Batches: 3, DomShortcuts: 4, CellsPruned: 222,
-			RankBoundCells: 94, EarlyPruned: 57}},
-		{842, PCTA, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52, CellsPruned: 379}},
-		{842, LPCTA, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52, CellsPruned: 461,
-			RankBoundCells: 220, EarlyReported: 1, EarlyPruned: 83}},
+		{177, PCTA, Transformed, FastBounds, Stats{ProcessedRecords: 20, CellTreeNodes: 17, Batches: 1, CellsPruned: 9}},
+		{177, LPCTA, Transformed, FastBounds, Stats{ProcessedRecords: 20, CellTreeNodes: 17, Batches: 1, CellsPruned: 9}},
+		{495, PCTA, Transformed, FastBounds, Stats{ProcessedRecords: 107, CellTreeNodes: 397, Batches: 3, DomShortcuts: 4,
+			CellsPruned: 168}},
+		{495, LPCTA, Transformed, FastBounds, Stats{ProcessedRecords: 107, CellTreeNodes: 395, Batches: 3, DomShortcuts: 4,
+			CellsPruned: 222, RankBoundCells: 94, EarlyPruned: 57}},
+		{495, LPCTA, Original, FastBounds, Stats{ProcessedRecords: 107, CellTreeNodes: 397, Batches: 3, DomShortcuts: 4,
+			CellsPruned: 168, RankBoundCells: 95, LPSolves: 47147}},
+		{842, PCTA, Transformed, FastBounds, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
+			CellsPruned: 379}},
+		{842, LPCTA, Transformed, FastBounds, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
+			CellsPruned: 461, RankBoundCells: 220, EarlyReported: 1, EarlyPruned: 83}},
+		{842, LPCTA, Transformed, GroupBounds, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
+			CellsPruned: 461, RankBoundCells: 220, EarlyReported: 1, EarlyPruned: 83}},
+		{842, LPCTA, Transformed, RecordBounds, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
+			CellsPruned: 461, RankBoundCells: 220, EarlyReported: 1, EarlyPruned: 83}},
 	} {
 		for _, par := range []int{1, 2} {
-			res, err := Run(tr, recs[c.focal], c.focal, Options{K: 5, Algorithm: c.algo, Parallelism: par})
+			res, err := Run(tr, recs[c.focal], c.focal, Options{K: 5, Algorithm: c.algo, Space: c.space, Bounds: c.bounds,
+				Parallelism: par})
 			if err != nil {
 				t.Fatal(err)
 			}
 			if got := work(res.Stats); got != c.want {
-				t.Errorf("%v focal %d parallelism %d: work %+v, want %+v", c.algo, c.focal, par, got, c.want)
+				t.Errorf("%v %v %v focal %d parallelism %d: work %+v, want %+v", c.algo, c.space, c.bounds, c.focal, par,
+					got, c.want)
 			}
 		}
 	}
@@ -335,7 +349,7 @@ func tieGrid() []geom.Vector {
 
 // TestTiesAreIgnored runs focals with ties through every engine path,
 // both as a dataset record and as a hypothetical vector. The per-record
-// skip predicates must equal the brute-force sets: exact ties are
+// skip predicate must equal the brute-force set: exact ties are
 // skipped, records merely within geom.Eps of the focal are not (the
 // grid's near-ties have degenerate hyperplanes, so the arrangement
 // ignores them anyway).
@@ -366,10 +380,8 @@ func TestTiesAreIgnored(t *testing.T) {
 			for id, rec := range c.recs {
 				tie := id == focalID || slices.Equal(rec, focal)
 				wantSkip := tie || geom.Dominates(rec, focal) || geom.Dominates(focal, rec)
-				wantRankSkip := tie || geom.Dominates(focal, rec)
-				if r.skip(id) != wantSkip || r.rankSkip(id) != wantRankSkip {
-					t.Fatalf("%s focal %d record %d: skip %v rankSkip %v, want %v %v",
-						c.name, focalID, id, r.skip(id), r.rankSkip(id), wantSkip, wantRankSkip)
+				if r.skip(id) != wantSkip {
+					t.Fatalf("%s focal %d record %d: skip %v, want %v", c.name, focalID, id, r.skip(id), wantSkip)
 				}
 			}
 			rng := rand.New(rand.NewSource(5))

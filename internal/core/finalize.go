@@ -83,30 +83,19 @@ func (r *runner) appendRegion(region Region) {
 	}
 }
 
-// emitAll finalizes the pending cells — concurrently when the engine has
-// more than one worker and geometry work makes it worthwhile — and appends
-// them in order, so the result list and the OnRegion callback sequence are
-// identical to a serial run.
+// emitAll finalizes the pending cells — across the engine's workers when
+// geometry work makes it worthwhile — and appends them in order, so the
+// result list and the OnRegion callback sequence are identical to a serial
+// run.
 func (r *runner) emitAll(pending []pendingRegion) error {
 	if len(pending) == 0 {
 		return nil
 	}
 	span := r.opts.Trace.Span(PhaseFinalize)
 	defer span.End()
-	workers := r.workers()
-	heavy := r.opts.FinalizeGeometry || r.opts.ComputeVolumes
-	if workers <= 1 || len(pending) < 2 || !heavy {
-		for _, p := range pending {
-			if err := r.cancelled(); err != nil {
-				return err
-			}
-			region, err := r.buildRegion(p, len(r.result.Regions), &r.lpStats)
-			if err != nil {
-				return err
-			}
-			r.appendRegion(region)
-		}
-		return nil
+	workers := 1
+	if r.opts.FinalizeGeometry || r.opts.ComputeVolumes {
+		workers = r.workers()
 	}
 	base := len(r.result.Regions)
 	regions := make([]Region, len(pending))
@@ -116,11 +105,8 @@ func (r *runner) emitAll(pending []pendingRegion) error {
 			return err
 		}
 		region, err := r.buildRegion(pending[i], base+i, &stats[w])
-		if err != nil {
-			return err
-		}
 		regions[i] = region
-		return nil
+		return err
 	})
 	for i := range stats {
 		r.lpStats.Add(stats[i])

@@ -151,7 +151,7 @@ type Options struct {
 	// Parallelism is the number of goroutines the expansion engine may use
 	// for this query: cell-subtree insertion, look-ahead rank-bound
 	// classification, and region finalization all fan out across this many
-	// workers, each with its own reusable LP solver state. Results are
+	// workers, each counting its own LP stats. Results are
 	// byte-identical to the serial run for every value — the engine merges
 	// work in deterministic order — so the setting trades CPU for latency
 	// only. <= 0 (the default) uses one worker per available CPU

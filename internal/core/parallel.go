@@ -9,9 +9,10 @@
 //     task results in deterministic negative-before-positive order;
 //   - rank bounds and finalization pull work items from a shared atomic
 //     cursor (work-stealing at item granularity) into per-worker slots,
-//     then apply the results in item order;
-//   - every worker owns a reusable lp.Solver, so LP scratch memory is
-//     per-worker arena state rather than per-call garbage;
+//     then apply the results in item order; one worker is the serial loop;
+//   - every worker counts its LPs into its own lp.Stats, merged after the
+//     phase; LP scratch memory is borrowed per solve from internal/lp's
+//     workspace pool;
 //   - the CellTree's atomic prune counter and closure flags are the only
 //     cross-worker shared state, both lock-free.
 package core
@@ -47,7 +48,7 @@ func (r *runner) workers() int { return resolveParallelism(r.opts.Parallelism) }
 // workers goroutines. Items are claimed from a shared atomic cursor, so a
 // worker that finishes its item immediately steals the next unclaimed one.
 // Each in-flight worker sees a distinct worker index in [0, workers), so
-// callers can give workers private state (solvers, stats) sized by the
+// callers can give workers private state (LP stats) sized by the
 // workers argument. Errors are collected per item and the lowest-index one
 // is returned — the same error a serial left-to-right loop would surface —
 // with remaining items abandoned on the first failure.

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/celltree"
@@ -14,27 +13,6 @@ import (
 	"repro/internal/lp"
 	"repro/internal/rtree"
 )
-
-// querySolverPool shares LP workspaces across queries, batch items
-// included: the serial-path solver and the per-worker rank-bound solvers
-// are drawn here and returned when the query finishes, so repeated
-// queries stop rebuilding simplex arenas.
-var querySolverPool sync.Pool
-
-// getPooledSolver draws a solver from the query pool, rebound to stats.
-func getPooledSolver(stats *lp.Stats) *lp.Solver {
-	if sv, ok := querySolverPool.Get().(*lp.Solver); ok {
-		sv.SetStats(stats)
-		return sv
-	}
-	return lp.NewSolver(stats)
-}
-
-// putPooledSolver returns a solver to the query pool.
-func putPooledSolver(sv *lp.Solver) {
-	sv.SetStats(nil)
-	querySolverPool.Put(sv)
-}
 
 // Run answers a kSPR query: it reports every region of the preference space
 // where focal ranks within the top opts.K records of the indexed dataset.
@@ -47,6 +25,27 @@ func Run(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options) (*Resul
 // runQuery runs one kSPR query. forks is the batch-wide insertion token
 // pool when the query is a batch item, nil otherwise.
 func runQuery(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options, forks *celltree.Forks) (*Result, error) {
+	if opts.VolumeSamples <= 0 {
+		opts.VolumeSamples = 10000
+	}
+	start := time.Now()
+	r, err := newRunner(tree, focal, focalID, opts)
+	if err != nil {
+		return nil, err
+	}
+	r.batchForks = forks
+	res, err := r.run()
+	if err != nil {
+		return nil, err
+	}
+	res.Stats.Elapsed = time.Since(start)
+	return res, nil
+}
+
+// newRunner validates a query and runs the set-up every engine shares,
+// Run's and RunApprox's alike: the focal's dominators (§3.1), counted
+// into baseRank, and the processing space.
+func newRunner(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options) (*runner, error) {
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("core: K must be positive, got %d", opts.K)
 	}
@@ -56,21 +55,47 @@ func runQuery(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options, fo
 	if tree.Dim < 2 {
 		return nil, fmt.Errorf("core: kSPR needs at least 2 data dimensions")
 	}
-	if opts.VolumeSamples <= 0 {
-		opts.VolumeSamples = 10000
+	r := &runner{tree: tree, focal: focal, focalID: focalID, opts: opts}
+
+	domSpan := r.opts.Trace.Span(PhaseDominance)
+	r.domIDs = r.tree.Dominators(r.focal, func(id int) bool { return id == r.focalID })
+	domSpan.End()
+	r.baseRank = len(r.domIDs)
+	r.kAdj = r.opts.K - r.baseRank
+	r.result = &Result{Focal: r.focal.Clone(), K: r.opts.K, Space: r.opts.Space}
+	r.result.Stats.BaseRank = r.baseRank
+
+	d := tree.Dim
+	switch r.opts.Space {
+	case Transformed:
+		r.dim = d - 1
+		r.bounds = geom.SpaceBoundsTransformed(r.dim)
+		r.pObj = make(geom.Vector, r.dim)
+		for j := 0; j < r.dim; j++ {
+			r.pObj[j] = r.focal[j] - r.focal[d-1]
+		}
+		r.pConst = r.focal[d-1]
+	case Original:
+		r.dim = d
+		r.bounds = geom.SpaceBoundsOriginal(d)
+	default:
+		return nil, fmt.Errorf("core: unknown space %d", r.opts.Space)
 	}
-	start := time.Now()
-	r := &runner{tree: tree, focal: focal, focalID: focalID, opts: opts, batchForks: forks}
-	res, err := r.run()
-	// All insertion forks and rank-bound workers have joined: hand the
-	// query's pooled LP workspaces back (on the error path too — solvers
-	// carry no state between solves).
-	r.releaseSolvers()
-	if err != nil {
-		return nil, err
+	return r, nil
+}
+
+// indexCandidates builds boundsIdx over the candidates ids (ascending).
+func (r *runner) indexCandidates(ids []int) error {
+	if len(ids) == 0 {
+		return nil
 	}
-	res.Stats.Elapsed = time.Since(start)
-	return res, nil
+	recs := make([]geom.Vector, len(ids))
+	for i, id := range ids {
+		recs[i] = r.tree.Records[id]
+	}
+	idx, err := rtree.Build(recs)
+	r.boundsIdx = idx
+	return err
 }
 
 // cancelled reports context.Cause of Ctx once the query's context is done
@@ -101,33 +126,25 @@ type runner struct {
 	bounds []geom.Constraint
 
 	// dominance filtering (§3.1): the dominators are listed, everything
-	// else is tested per record (see skip and rankSkip)
+	// else is tested per record (see skip)
 	baseRank int   // records dominating focal: they outrank it everywhere
 	domIDs   []int // the dominators themselves (ascending), for Region.Outscorers
 	kAdj     int   // K - baseRank: threshold inside the CellTree
 
 	ct      *celltree.Tree
 	lpStats lp.Stats
-	// boundsIdx is the candidate index LP-CTA's look-ahead rank bounds
-	// traverse: an aggregate R-tree over exactly this query's non-skip
-	// k-skyband in ascending dataset id, the pivot checks' candidates. The
-	// bound decisions (group MBRs, counts, traversal order) are therefore a
-	// pure function of the candidate set, identical across dataset
-	// generations that leave it untouched (incremental maintenance's
-	// keep-path guarantee). nil when the query has no candidates or no
-	// look-ahead.
+	// boundsIdx is the candidate index the look-ahead rank bounds
+	// traverse (LP-CTA's and RunApprox's): an aggregate R-tree over
+	// exactly this query's non-skip k-skyband in ascending dataset id, the
+	// pivot checks' candidates. The bound decisions (group MBRs, counts,
+	// traversal order) are therefore a pure function of the candidate set,
+	// identical across dataset generations that leave it untouched
+	// (incremental maintenance's keep-path guarantee). nil when the query
+	// has no candidates or no look-ahead.
 	boundsIdx *rtree.Tree
-	// solver is the coordinating goroutine's reusable LP workspace, drawn
-	// from querySolverPool on first use; engine workers get their own (see
-	// parallel.go).
-	solver *lp.Solver
-	// workerSolvers / workerStats are the rank-bound workers' persistent
-	// arenas, created once per query so solver workspaces survive across
-	// progressive batches.
-	workerSolvers []*lp.Solver
-	workerStats   []lp.Stats
 
-	// score bounds machinery (per-space objective for S(p))
+	// S(p) as a transformed-space objective and constant, for the score
+	// bounds (the original space bounds S(r) - S(p) instead)
 	pObj   geom.Vector
 	pConst float64
 
@@ -138,51 +155,6 @@ type runner struct {
 	result *Result
 }
 
-// lpSolver returns the runner's serial-path LP solver, drawn from the
-// query pool on first use and accounting into the query's LP totals.
-func (r *runner) lpSolver() *lp.Solver {
-	if r.solver == nil {
-		r.solver = getPooledSolver(&r.lpStats)
-	}
-	return r.solver
-}
-
-// releaseSolvers returns every pooled LP workspace the query acquired:
-// the serial-path solver, the rank bound workers' solvers, and the cell
-// tree's insertion solver. Called once per query after all workers have
-// joined.
-func (r *runner) releaseSolvers() {
-	if r.solver != nil {
-		putPooledSolver(r.solver)
-		r.solver = nil
-	}
-	for _, sv := range r.workerSolvers {
-		putPooledSolver(sv)
-	}
-	r.workerSolvers = nil
-	if r.ct != nil {
-		r.ct.ReleaseSolvers()
-	}
-}
-
-// lpWorkerSolvers returns the query's persistent per-worker solvers with
-// their stats counters reset, ready for one parallel phase. workers is
-// constant for a query (r.workers()), so the slices are sized once and the
-// solvers' stats pointers stay valid for the query's lifetime.
-func (r *runner) lpWorkerSolvers(workers int) ([]*lp.Solver, []lp.Stats) {
-	if r.workerSolvers == nil {
-		r.workerStats = make([]lp.Stats, workers)
-		r.workerSolvers = make([]*lp.Solver, workers)
-		for w := range r.workerSolvers {
-			r.workerSolvers[w] = getPooledSolver(&r.workerStats[w])
-		}
-	}
-	for w := range r.workerStats {
-		r.workerStats[w] = lp.Stats{}
-	}
-	return r.workerSolvers, r.workerStats
-}
-
 // skip reports whether record id is excluded from hyperplane processing:
 // the focal itself, its dominators (counted in baseRank), the records it
 // dominates, and its exact ties (the paper ignores ties). Like
@@ -191,54 +163,19 @@ func (r *runner) skip(id int) bool {
 	return id == r.focalID || geom.Compare(r.focal, r.tree.Records[id]) != geom.DomNone
 }
 
-// rankSkip reports whether record id is excluded from rank bound
-// computations: the focal itself, the records it dominates, and its exact
-// ties can never outscore it. Dominators stay IN rank bounds: they count
-// toward K there.
-func (r *runner) rankSkip(id int) bool {
-	return id == r.focalID || WeakDominates(r.focal, r.tree.Records[id])
-}
-
 func (r *runner) run() (*Result, error) {
-	d := r.tree.Dim
-
-	domSpan := r.opts.Trace.Span(PhaseDominance)
-	r.domIDs = r.tree.Dominators(r.focal, func(id int) bool { return id == r.focalID })
-	domSpan.End()
-
-	r.baseRank = len(r.domIDs)
-	r.kAdj = r.opts.K - r.baseRank
-	r.result = &Result{Focal: r.focal.Clone(), K: r.opts.K, Space: r.opts.Space}
-	r.result.Stats.BaseRank = r.baseRank
 	if r.kAdj <= 0 {
 		// p is beaten everywhere by at least K records: empty result.
 		return r.finish(), nil
 	}
-
-	// Space-dependent machinery.
-	switch r.opts.Space {
-	case Transformed:
-		r.dim = d - 1
-		r.bounds = geom.SpaceBoundsTransformed(r.dim)
-		r.ct = celltree.New(r.dim, r.kAdj, r.bounds, geom.SimplexCenter(r.dim), &r.lpStats)
-		r.pObj = make(geom.Vector, r.dim)
-		for j := 0; j < r.dim; j++ {
-			r.pObj[j] = r.focal[j] - r.focal[d-1]
+	interior := geom.SimplexCenter(r.dim)
+	if r.opts.Space == Original {
+		interior = make(geom.Vector, r.dim)
+		for j := range interior {
+			interior[j] = 0.5
 		}
-		r.pConst = r.focal[d-1]
-	case Original:
-		r.dim = d
-		r.bounds = geom.SpaceBoundsOriginal(d)
-		center := make(geom.Vector, d)
-		for j := range center {
-			center[j] = 0.5
-		}
-		r.ct = celltree.New(r.dim, r.kAdj, r.bounds, center, &r.lpStats)
-		r.pObj = r.focal.Clone()
-		r.pConst = 0
-	default:
-		return nil, fmt.Errorf("core: unknown space %d", r.opts.Space)
 	}
+	r.ct = celltree.New(r.dim, r.kAdj, r.bounds, interior, &r.lpStats)
 	// Insertions may fan disjoint cell subtrees out across goroutines: a
 	// batch item draws tokens from the pool it shares with its siblings,
 	// a standalone query on w > 1 workers gets w-1 of its own. A batch
@@ -459,16 +396,10 @@ func (r *runner) runProgressive() error {
 	cands := r.kSkybandIDs()
 	esc := newEscapeCheck(cands, r.tree.Records, r.tree.Dim)
 	lookahead := r.opts.Algorithm == LPCTA
-	if lookahead && len(cands) > 0 {
-		recs := make([]geom.Vector, len(cands))
-		for i, id := range cands {
-			recs[i] = r.tree.Records[id]
-		}
-		idx, err := rtree.Build(recs)
-		if err != nil {
+	if lookahead {
+		if err := r.indexCandidates(cands); err != nil {
 			return err
 		}
-		r.boundsIdx = idx
 	}
 
 	// First batch: the skyline of the competing records (Invariant 1).

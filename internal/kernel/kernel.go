@@ -96,17 +96,6 @@ func (b *Band) Push(v []float64) {
 	b.n++
 }
 
-// AnyDominates reports whether any band member dominates x.
-func (b *Band) AnyDominates(x []float64) bool {
-	d := b.d
-	for off := 0; off < len(b.vals); off += d {
-		if dominatesFlat(b.vals[off:off+d], x, d) {
-			return true
-		}
-	}
-	return false
-}
-
 // CountDominatorsCapped returns the number of band members dominating x,
 // capped at limit: once limit dominators are found the scan stops, so
 // comparisons against the cap (the k of a k-skyband) remain exact while

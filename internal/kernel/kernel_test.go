@@ -69,16 +69,11 @@ func TestKernelsMatchReference(t *testing.T) {
 		// Band membership tests match a naive scan over the same prefix.
 		band := NewBand(d)
 		for i, r := range recs {
-			anyRef := false
 			cntRef := 0
 			for k := 0; k < i; k++ {
 				if geom.Dominates(recs[k], r) {
-					anyRef = true
 					cntRef++
 				}
-			}
-			if got := band.AnyDominates(r); got != anyRef {
-				t.Fatalf("trial %d rec %d: AnyDominates = %v, want %v", trial, i, got, anyRef)
 			}
 			for limit := 1; limit <= cntRef+2; limit++ {
 				want := cntRef

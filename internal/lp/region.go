@@ -33,8 +33,25 @@ type Interior struct {
 // exactly the paper's notion of an infeasible cell (§4.2). The maximizing w
 // doubles as the cached interior point of §4.3.2.
 func FeasibleInterior(cons []geom.Constraint, dim int, stats *Stats) (Interior, error) {
-	s := Solver{stats: stats}
-	return s.FeasibleInterior(cons, dim)
+	s := borrow(stats)
+	defer s.release()
+	a, b, err := s.constraintScratch(cons, dim+1, true)
+	if err != nil {
+		return Interior{}, err
+	}
+	if cap(s.obj) < dim+1 {
+		s.obj = make([]float64, dim+1)
+	}
+	obj := s.obj[:dim+1]
+	for i := range obj {
+		obj[i] = 0
+	}
+	obj[dim] = 1
+	sol, err := s.maximize(obj, a, b)
+	if err != nil || sol.Status != Optimal || sol.Objective <= InteriorEps {
+		return Interior{}, err
+	}
+	return Interior{Feasible: true, Point: geom.Vector(sol.X[:dim:dim]), Slack: sol.Objective}, nil
 }
 
 // Bound optimizes a linear objective over the CLOSURE of the region defined
@@ -44,6 +61,20 @@ func FeasibleInterior(cons []geom.Constraint, dim int, stats *Stats) (Interior, 
 // maximize=true computes sup obj·w, otherwise inf obj·w. The caller adds
 // any constant term itself (e.g. the p_d term of a transformed score).
 func Bound(cons []geom.Constraint, obj geom.Vector, maximize bool, stats *Stats) (float64, geom.Vector, Status, error) {
-	s := Solver{stats: stats}
-	return s.Bound(cons, obj, maximize)
+	s := borrow(stats)
+	defer s.release()
+	a, b, err := s.constraintScratch(cons, len(obj), false)
+	if err != nil {
+		return 0, nil, Optimal, err
+	}
+	var sol Solution
+	if maximize {
+		sol, err = s.maximize(obj, a, b)
+	} else {
+		sol, err = s.minimize(obj, a, b)
+	}
+	if err != nil || sol.Status != Optimal {
+		return 0, nil, sol.Status, err
+	}
+	return sol.Objective, sol.X, Optimal, nil
 }

@@ -71,8 +71,8 @@ var ErrIterationLimit = errors.New("lp: iteration limit exceeded")
 
 // Stats counts solver activity for instrumentation (e.g. the paper's
 // "number of LP calls" side metrics). Counters are not goroutine-safe;
-// each query (and, under the parallel engine, each worker) runs its own
-// Stats and merges with Add.
+// each query (and, under the parallel engine, each worker) counts into
+// its own Stats and merges with Add.
 type Stats struct {
 	// Solves is the number of LPs solved; Pivots the total simplex pivots.
 	Solves int
@@ -80,8 +80,8 @@ type Stats struct {
 }
 
 // Add accumulates o into s. The parallel expansion engine uses it to merge
-// per-worker solver counters back into a query's totals; addition commutes,
-// so the merged totals match a serial run exactly.
+// per-worker counters back into a query's totals; addition commutes, so
+// the merged totals match a serial run exactly.
 func (s *Stats) Add(o Stats) {
 	s.Solves += o.Solves
 	s.Pivots += o.Pivots
@@ -99,17 +99,19 @@ type tableau struct {
 	unbounded bool
 }
 
-// Maximize solves max c·x s.t. A·x <= b, x >= 0. It builds a throwaway
-// workspace; hot paths that solve many LPs should hold a Solver instead.
+// Maximize solves max c·x s.t. A·x <= b, x >= 0, counting into stats (nil
+// disables accounting).
 func Maximize(c []float64, a [][]float64, b []float64, stats *Stats) (Solution, error) {
-	s := Solver{stats: stats}
-	return s.Maximize(c, a, b)
+	s := borrow(stats)
+	defer s.release()
+	return s.maximize(c, a, b)
 }
 
 // Minimize solves min c·x s.t. A·x <= b, x >= 0.
 func Minimize(c []float64, a [][]float64, b []float64, stats *Stats) (Solution, error) {
-	s := Solver{stats: stats}
-	return s.Minimize(c, a, b)
+	s := borrow(stats)
+	defer s.release()
+	return s.minimize(c, a, b)
 }
 
 // priceOut makes the cost row consistent with the current basis by

@@ -3,6 +3,8 @@ package lp
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"sync"
 	"testing"
 
 	"repro/internal/geom"
@@ -123,6 +125,75 @@ func TestStatsCounting(t *testing.T) {
 	}
 	if st.Pivots == 0 {
 		t.Fatal("expected at least one pivot")
+	}
+}
+
+// TestPooledWorkspacesConcurrent solves the same LPs from several
+// goroutines at once, every solve borrowing a pooled workspace: each
+// answer, kept while later solves reuse the workspaces, must equal the
+// serial one, and each goroutine's Stats must count exactly its own
+// solves.
+func TestPooledWorkspacesConcurrent(t *testing.T) {
+	type answer struct {
+		in     Interior
+		lo, hi float64
+		x      geom.Vector
+	}
+	rng := rand.New(rand.NewSource(3))
+	cells := make([][]geom.Constraint, 40)
+	objs := make([]geom.Vector, len(cells))
+	for i := range cells {
+		cells[i] = randomCell(rng, 3, 5+rng.Intn(20))
+		objs[i] = geom.Vector{rng.NormFloat64(), rng.NormFloat64(), rng.NormFloat64()}
+	}
+	solveAll := func(st *Stats) ([]answer, error) {
+		out := make([]answer, len(cells))
+		for i, cons := range cells {
+			var err error
+			if out[i].in, err = FeasibleInterior(cons, 3, st); err != nil {
+				return nil, err
+			}
+			if out[i].lo, _, _, err = Bound(cons, objs[i], false, st); err != nil {
+				return nil, err
+			}
+			if out[i].hi, out[i].x, _, err = Bound(cons, objs[i], true, st); err != nil {
+				return nil, err
+			}
+		}
+		return out, nil
+	}
+	var serialStats Stats
+	want, err := solveAll(&serialStats)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 4
+	got := make([][]answer, workers)
+	stats := make([]Stats, workers)
+	errs := make([]error, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			got[w], errs[w] = solveAll(&stats[w])
+		}(w)
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		if errs[w] != nil {
+			t.Fatal(errs[w])
+		}
+		if stats[w] != serialStats {
+			t.Fatalf("worker %d stats %+v, want %+v", w, stats[w], serialStats)
+		}
+		for i := range want {
+			g, s := got[w][i], want[i]
+			if g.in.Feasible != s.in.Feasible || !slices.Equal(g.in.Point, s.in.Point) || g.in.Slack != s.in.Slack ||
+				g.lo != s.lo || g.hi != s.hi || !slices.Equal(g.x, s.x) {
+				t.Fatalf("worker %d cell %d: %+v, want %+v", w, i, g, s)
+			}
+		}
 	}
 }
 

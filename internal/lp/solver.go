@@ -2,21 +2,17 @@ package lp
 
 import (
 	"fmt"
+	"sync"
 
 	"repro/internal/geom"
 )
 
-// Solver is a reusable simplex workspace: the tableau rows, cost row, basis
-// and constraint-matrix scratch survive across solves, so the per-LP
-// allocation cost is paid once per worker instead of once per call. The
-// parallel expansion engine in internal/core hands every worker goroutine
-// its own Solver (its per-worker "arena"), drawn from a pool shared by all
-// queries and rebound to each query's accounting with SetStats; the
-// package-level Maximize, Minimize, FeasibleInterior and Bound helpers
-// remain as one-shot conveniences that build a throwaway workspace.
-//
-// A Solver is NOT safe for concurrent use: create one per goroutine.
-type Solver struct {
+// workspace is a reusable simplex workspace: the tableau rows, cost row,
+// basis and constraint-matrix scratch survive across solves. Maximize,
+// Minimize, FeasibleInterior and Bound each borrow one from workspaces for
+// the length of the call, so LP scratch memory is reused across calls,
+// goroutines and queries without any caller owning a workspace.
+type workspace struct {
 	stats *Stats
 	tab   tableau
 	// backing arenas, grown on demand and reused across solves
@@ -33,18 +29,28 @@ type Solver struct {
 	negObj []float64
 }
 
-// NewSolver returns a Solver counting its activity into stats; a nil stats
-// disables accounting. Rebind later with SetStats.
-func NewSolver(stats *Stats) *Solver { return &Solver{stats: stats} }
+// workspaces is the one pool every solve borrows from.
+var workspaces = sync.Pool{New: func() any { return new(workspace) }}
 
-// SetStats redirects the solver's activity counters, e.g. when a reused
-// solver is handed to a new query or worker.
-func (s *Solver) SetStats(stats *Stats) { s.stats = stats }
+// borrow takes a workspace from the pool, counting its activity into
+// stats; a nil stats disables accounting. Hand it back with release.
+func borrow(stats *Stats) *workspace {
+	s := workspaces.Get().(*workspace)
+	s.stats = stats
+	return s
+}
+
+// release returns the workspace to the pool. Nothing a solve returns
+// aliases workspace memory.
+func (s *workspace) release() {
+	s.stats = nil
+	workspaces.Put(s)
+}
 
 // prep (re)initializes the embedded tableau for an m-row, cols-column
 // problem, reusing the solver's backing arrays. All rows and the cost row
 // come back zeroed.
-func (s *Solver) prep(m, cols, nArt int) *tableau {
+func (s *workspace) prep(m, cols, nArt int) *tableau {
 	t := &s.tab
 	t.m, t.cols, t.nArt, t.unbounded = m, cols, nArt, false
 	need := m * (cols + 1)
@@ -71,7 +77,7 @@ func (s *Solver) prep(m, cols, nArt int) *tableau {
 }
 
 // zeroCost returns the reused cost row of length cols+1, zeroed.
-func (s *Solver) zeroCost(cols int) []float64 {
+func (s *workspace) zeroCost(cols int) []float64 {
 	if cap(s.cost) < cols+1 {
 		s.cost = make([]float64, cols+1)
 	}
@@ -82,9 +88,8 @@ func (s *Solver) zeroCost(cols int) []float64 {
 	return c
 }
 
-// Maximize solves max c·x s.t. A·x <= b, x >= 0, like the package-level
-// Maximize but reusing the solver's workspace.
-func (s *Solver) Maximize(c []float64, a [][]float64, b []float64) (Solution, error) {
+// maximize solves max c·x s.t. A·x <= b, x >= 0 in the workspace.
+func (s *workspace) maximize(c []float64, a [][]float64, b []float64) (Solution, error) {
 	if s.stats != nil {
 		s.stats.Solves++
 	}
@@ -173,8 +178,8 @@ func (s *Solver) Maximize(c []float64, a [][]float64, b []float64) (Solution, er
 	return Solution{Status: Optimal, X: x, Objective: obj}, nil
 }
 
-// Minimize solves min c·x s.t. A·x <= b, x >= 0, reusing the workspace.
-func (s *Solver) Minimize(c []float64, a [][]float64, b []float64) (Solution, error) {
+// minimize solves min c·x s.t. A·x <= b, x >= 0 in the workspace.
+func (s *workspace) minimize(c []float64, a [][]float64, b []float64) (Solution, error) {
 	if cap(s.negObj) < len(c) {
 		s.negObj = make([]float64, len(c))
 	}
@@ -182,7 +187,7 @@ func (s *Solver) Minimize(c []float64, a [][]float64, b []float64) (Solution, er
 	for i, v := range c {
 		neg[i] = -v
 	}
-	sol, err := s.Maximize(neg, a, b)
+	sol, err := s.maximize(neg, a, b)
 	if err != nil || sol.Status != Optimal {
 		return sol, err
 	}
@@ -196,7 +201,7 @@ func (s *Solver) Minimize(c []float64, a [][]float64, b []float64) (Solution, er
 // rows — the FeasibleInterior formulation); otherwise rows must match width
 // exactly, so dimension mismatches fail loudly instead of being truncated
 // or zero-padded into a plausible-but-wrong solve.
-func (s *Solver) constraintScratch(cons []geom.Constraint, width int, slack bool) ([][]float64, []float64, error) {
+func (s *workspace) constraintScratch(cons []geom.Constraint, width int, slack bool) ([][]float64, []float64, error) {
 	rowLen := width
 	if slack {
 		rowLen = width - 1
@@ -231,56 +236,4 @@ func (s *Solver) constraintScratch(cons []geom.Constraint, width int, slack bool
 		b[i] = c.B
 	}
 	return a, b, nil
-}
-
-// FeasibleInterior is the workspace-reusing equivalent of the package-level
-// FeasibleInterior: it decides whether the open region defined by cons has
-// non-empty interior and returns a deep-interior witness.
-func (s *Solver) FeasibleInterior(cons []geom.Constraint, dim int) (Interior, error) {
-	a, b, err := s.constraintScratch(cons, dim+1, true)
-	if err != nil {
-		return Interior{}, err
-	}
-	if cap(s.obj) < dim+1 {
-		s.obj = make([]float64, dim+1)
-	}
-	obj := s.obj[:dim+1]
-	for i := range obj {
-		obj[i] = 0
-	}
-	obj[dim] = 1
-	sol, err := s.Maximize(obj, a, b)
-	if err != nil {
-		return Interior{}, err
-	}
-	if sol.Status != Optimal || sol.Objective <= InteriorEps {
-		return Interior{}, nil
-	}
-	return Interior{
-		Feasible: true,
-		Point:    geom.Vector(sol.X[:dim]).Clone(),
-		Slack:    sol.Objective,
-	}, nil
-}
-
-// Bound is the workspace-reusing equivalent of the package-level Bound: it
-// optimizes obj over the closure of the region defined by cons.
-func (s *Solver) Bound(cons []geom.Constraint, obj geom.Vector, maximize bool) (float64, geom.Vector, Status, error) {
-	a, b, err := s.constraintScratch(cons, len(obj), false)
-	if err != nil {
-		return 0, nil, Optimal, err
-	}
-	var sol Solution
-	if maximize {
-		sol, err = s.Maximize(obj, a, b)
-	} else {
-		sol, err = s.Minimize(obj, a, b)
-	}
-	if err != nil {
-		return 0, nil, Optimal, err
-	}
-	if sol.Status != Optimal {
-		return 0, nil, sol.Status, nil
-	}
-	return sol.Objective, geom.Vector(sol.X).Clone(), Optimal, nil
 }

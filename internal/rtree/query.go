@@ -32,44 +32,11 @@ func (h *entryHeap) Pop() interface{} {
 }
 
 // Skyline returns the IDs of the records not dominated by any other record,
-// considering only records for which exclude(id) is false. It is the
-// branch-and-bound skyline (BBS) of Papadias et al. adapted to "larger is
-// better" semantics: entries are processed in decreasing order of the
-// coordinate sum of their max-corner, which guarantees every potential
-// dominator of a record is examined before the record itself.
+// considering only records for which exclude(id) is false, in ascending
+// order: the 1-skyband, from the same branch-and-bound (BBS) traversal of
+// Papadias et al. as KSkyband.
 func (t *Tree) Skyline(exclude ExcludeFunc) []int {
-	var sky []int
-	band := kernel.NewBand(t.Dim)
-	h := &entryHeap{}
-	t.visit(t.Root)
-	for _, e := range t.Root.Entries {
-		heap.Push(h, heapItem{e, e.High.Sum()})
-	}
-	for h.Len() > 0 {
-		it := heap.Pop(h).(heapItem)
-		e := it.entry
-		if band.AnyDominates(e.High) {
-			continue
-		}
-		if e.Child != nil {
-			t.visit(e.Child)
-			for _, ce := range e.Child.Entries {
-				if !band.AnyDominates(ce.High) {
-					heap.Push(h, heapItem{ce, ce.High.Sum()})
-				}
-			}
-			continue
-		}
-		if exclude != nil && exclude(e.RecordID) {
-			continue
-		}
-		r := t.Records[e.RecordID]
-		if !band.AnyDominates(r) {
-			sky = append(sky, e.RecordID)
-			band.Push(r)
-		}
-	}
-	sort.Ints(sky)
+	sky, _ := t.kSkybandScan(1, exclude)
 	return sky
 }
 
@@ -149,8 +116,12 @@ func (t *Tree) KSkybandTable(k int) *BandTable {
 	return b
 }
 
-// kSkybandScan is the shared BBS k-skyband traversal, returning members
-// sorted ascending with their dominator counts.
+// kSkybandScan is the shared BBS k-skyband traversal of Papadias et al.,
+// adapted to "larger is better" semantics: entries are processed in
+// decreasing order of the coordinate sum of their max-corner, which
+// guarantees every potential dominator of a record is examined before the
+// record itself. It returns the members sorted ascending with their
+// dominator counts.
 func (t *Tree) kSkybandScan(k int, exclude ExcludeFunc) ([]int, []int32) {
 	var ids []int
 	var cnts []int32

@@ -249,7 +249,8 @@ func TestBatchSharesCacheWithSingleQueries(t *testing.T) {
 // TestOneCacheEntryPerQuery: every request form of one query resolves to
 // one result-cache entry, whichever form primes it: GET and POST, a focal
 // vector as a single query and as a batch item, a batch item with its own
-// k, and a volumes query with a seed.
+// k, a volumes query with a seed, and an algorithm that ignores the bound
+// mode asked with two different ones.
 func TestOneCacheEntryPerQuery(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	loadGenerated(t, ts, "ind", 150, 3, 7)
@@ -291,6 +292,8 @@ func TestOneCacheEntryPerQuery(t *testing.T) {
 		{"BATCH " + `{"dataset":"ind","k":5}` + "\n" + `{"focal":8,"k":2}`, `POST {"dataset":"ind","focal":8,"k":2}`},
 		{"BATCH " + `{"dataset":"ind","k":4,"volumes":true,"volume_samples":500,"seed":3}` + "\n" + `{"focal":9}`,
 			"GET dataset=ind&focal=9&k=4&volumes=true&volume_samples=500&seed=3"},
+		{`POST {"dataset":"ind","focal":10,"k":5,"algorithm":"p-cta","bounds":"group"}`,
+			"GET dataset=ind&focal=10&k=5&algorithm=p-cta&bounds=record"},
 	} {
 		if send(c.first).Cached {
 			t.Fatalf("%s: the priming request claims cached", c.first)

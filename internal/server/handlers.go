@@ -449,8 +449,9 @@ func (s *Server) handleDatasetUnload(w http.ResponseWriter, r *http.Request) {
 // querySpec is what decides a kSPR answer besides k and the focal,
 // parsed once per request or batch envelope and already canonical:
 // spelling variants of one algorithm parse to one value, the volume
-// sample count is normalized, and the seed is zero unless Monte-Carlo
-// volumes read it. It renders both the result-cache key and the engine
+// sample count is normalized, the bound mode is the default unless the
+// algorithm is LP-CTA, and the seed is zero unless Monte-Carlo volumes
+// read it. It renders both the result-cache key and the engine
 // options, so the two cannot disagree.
 type querySpec struct {
 	algo          kspr.Algorithm
@@ -482,6 +483,10 @@ func parseSpec(algorithm, space, bounds string, volumes bool, volumeSamples int,
 	}
 	if spec.bounds, err = parseBounds(bounds); err != nil {
 		return querySpec{}, err
+	}
+	if spec.algo != kspr.LPCTA {
+		// Only LP-CTA's look-ahead reads the bound mode.
+		spec.bounds = kspr.FastBounds
 	}
 	return spec, nil
 }

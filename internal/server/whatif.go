@@ -61,6 +61,7 @@ type competitorsResponse struct {
 	Impact      float64          `json:"impact"`
 	Miss        float64          `json:"miss"`
 	Competitors []competitorWire `json:"competitors"`
+	Stats       whatifStatsWire  `json:"stats"`
 	Cached      bool             `json:"cached"`
 	// Trace carries the engine phase breakdown under ?debug=trace.
 	Trace *traceWire `json:"trace,omitempty"`
@@ -154,21 +155,19 @@ type whatifResponse interface {
 	setTrace(*traceWire)
 }
 
-func (r *competitorsResponse) probeCounts() (uint64, uint64) { return 1, 0 }
+func (s whatifStatsWire) probeCounts() (uint64, uint64) { return uint64(s.Probes), uint64(s.Kept) }
+
+func (r *competitorsResponse) probeCounts() (uint64, uint64) { return r.Stats.probeCounts() }
 func (r *competitorsResponse) asCached() whatifResponse      { c := *r; c.Cached = true; return &c }
 func (r *competitorsResponse) setTrace(t *traceWire)         { r.Trace = t }
 
-func (r *priceResponse) probeCounts() (uint64, uint64) {
-	return uint64(r.Stats.Probes), uint64(r.Stats.Kept)
-}
-func (r *priceResponse) asCached() whatifResponse { c := *r; c.Cached = true; return &c }
-func (r *priceResponse) setTrace(t *traceWire)    { r.Trace = t }
+func (r *priceResponse) probeCounts() (uint64, uint64) { return r.Stats.probeCounts() }
+func (r *priceResponse) asCached() whatifResponse      { c := *r; c.Cached = true; return &c }
+func (r *priceResponse) setTrace(t *traceWire)         { r.Trace = t }
 
-func (r *frontierResponse) probeCounts() (uint64, uint64) {
-	return uint64(r.Stats.Probes), uint64(r.Stats.Kept)
-}
-func (r *frontierResponse) asCached() whatifResponse { c := *r; c.Cached = true; return &c }
-func (r *frontierResponse) setTrace(t *traceWire)    { r.Trace = t }
+func (r *frontierResponse) probeCounts() (uint64, uint64) { return r.Stats.probeCounts() }
+func (r *frontierResponse) asCached() whatifResponse      { c := *r; c.Cached = true; return &c }
+func (r *frontierResponse) setTrace(t *traceWire)         { r.Trace = t }
 
 // whatifEntry is what the result cache stores for a what-if request: the
 // answer and, for an unreachable price target, the message of its 422.
@@ -321,6 +320,7 @@ func (s *Server) handleCompetitors(w http.ResponseWriter, r *http.Request) {
 			Impact:      attr.Impact,
 			Miss:        attr.Miss,
 			Competitors: make([]competitorWire, len(attr.Competitors)),
+			Stats:       toStatsWire(attr.Stats),
 		}
 		for i, c := range attr.Competitors {
 			resp.Competitors[i] = competitorWire{

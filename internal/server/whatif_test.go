@@ -129,6 +129,54 @@ func TestCompetitorsEndpoint(t *testing.T) {
 	}
 }
 
+// TestCompetitorsProbeStats checks that an attribution counts its one
+// impact probe the way the price and frontier endpoints count theirs: kept
+// when k others dominate the focal out of every top-k, recomputed
+// otherwise, in the response's stats and in /metrics' what-if counters.
+func TestCompetitorsProbeStats(t *testing.T) {
+	srv, ts := newTestServer(t, Config{})
+	loadGenerated(t, ts, "probe", 120, 3, 3)
+	snap, _ := srv.Registry().Get("probe")
+	const k = 3
+	skyband := snap.DB.KSkyband(k)[0]
+	dominated := -1
+	for id := 0; id < snap.DB.Len() && dominated < 0; id++ {
+		res, err := snap.DB.KSPR(id, k)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Stats.BaseRank >= k {
+			dominated = id
+		}
+	}
+	if dominated < 0 {
+		t.Fatal("no focal dominated by k others")
+	}
+	for _, c := range []struct {
+		focal            int
+		kept, recomputed int
+		keepRate         float64
+	}{
+		{dominated, 1, 0, 1},
+		{skyband, 0, 1, 0},
+	} {
+		var got competitorsResponse
+		url := fmt.Sprintf("%s/v1/impact:competitors?dataset=probe&focal=%d&k=%d&samples=500", ts.URL, c.focal, k)
+		if resp, body := getJSON(t, url, &got); resp.StatusCode != http.StatusOK {
+			t.Fatalf("focal %d: status %d: %s", c.focal, resp.StatusCode, body)
+		}
+		st := got.Stats
+		if st.Probes != 1 || st.Kept != c.kept || st.Recomputed != c.recomputed || st.KeepRate != c.keepRate {
+			t.Fatalf("focal %d: stats %+v, want 1 probe, %d kept, %d recomputed", c.focal, st, c.kept, c.recomputed)
+		}
+	}
+	var m MetricsSnapshot
+	fetchJSON(t, ts.URL+"/metrics", http.StatusOK, &m)
+	if m.WhatIf.Probes != 2 || m.WhatIf.Kept != 1 {
+		t.Fatalf("/metrics whatif %+v, want 2 probes, 1 kept", m.WhatIf)
+	}
+}
+
 // TestWhatIfPriceEndpoint exercises POST /v1/whatif:price end-to-end:
 // a successful search, the cache round-trip, and the 422 unreachable case.
 func TestWhatIfPriceEndpoint(t *testing.T) {

@@ -439,8 +439,9 @@ type ApproxResult = core.ApproxResult
 // it returns regions where the focal record is provably top-k plus an
 // uncertain set whose measure is at most epsilon times the preference
 // space. It implements the approximate processing the paper proposes as
-// future work (§8) and can be much faster than the exact algorithms when
-// the kSPR result has intricate boundaries.
+// future work (§8), bounding its boxes with LP-CTA's look-ahead rank
+// bounds; EXPERIMENTS.md records how its time compares with the exact
+// algorithms'.
 func (db *DB) KSPRApprox(focalID, k int, epsilon float64) (*ApproxResult, error) {
 	return db.KSPRApproxCtx(context.Background(), focalID, k, epsilon)
 }

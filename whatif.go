@@ -96,6 +96,9 @@ type Attribution struct {
 	// Competitors lists every record observed taking or pressuring the
 	// focal's space, MissShare (then PressureShare, then ID) descending.
 	Competitors []CompetitorImpact
+	// Stats reports the call's one impact probe: the focal's kSPR query,
+	// Kept when the engine answered it from the dominator count.
+	Stats WhatIfStats
 }
 
 // Competitors attributes the focal option's missing preference space to
@@ -106,6 +109,7 @@ type Attribution struct {
 // samples <= 0 uses 20000. The attribution is computed on one pinned
 // generation — concurrent mutations do not tear it.
 func (db *DB) Competitors(focalID, k, samples int, seed int64, opts ...QueryOption) (*Attribution, error) {
+	start := time.Now()
 	st := db.cur()
 	if st.tree == nil || focalID < 0 || focalID >= st.tree.Len() {
 		return nil, fmt.Errorf("kspr: focal id %d out of range [0, %d)", focalID, db.Len())
@@ -129,6 +133,12 @@ func (db *DB) Competitors(focalID, k, samples int, seed int64, opts ...QueryOpti
 		Samples:    ca.Samples,
 		Impact:     ca.Impact,
 		Miss:       ca.Miss,
+		Stats:      WhatIfStats{Probes: 1},
+	}
+	if res.Stats.BaseRank >= k {
+		attr.Stats.Kept = 1
+	} else {
+		attr.Stats.Recomputed = 1
 	}
 	attr.Competitors = make([]CompetitorImpact, len(ca.Entries))
 	for i, e := range ca.Entries {
@@ -139,6 +149,7 @@ func (db *DB) Competitors(focalID, k, samples int, seed int64, opts ...QueryOpti
 			PressureShare: e.PressureShare,
 		}
 	}
+	attr.Stats.fill(time.Since(start))
 	return attr, nil
 }
 
