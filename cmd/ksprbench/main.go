@@ -417,31 +417,6 @@ func runBenchJSON(name, dist string, d, k int, scale float64, queries int, seed 
 		}
 	}
 
-	// The approximate query is the library's §8 extension; ksprd does not
-	// serve it (EXPERIMENTS.md records why). Time it anyway, so
-	// BENCH_core.json keeps tracking it against the exact engines.
-	var approxTotal int64
-	approxLats := make([]int64, 0, len(focals))
-	for _, f := range focals {
-		start := time.Now()
-		if _, err := db.KSPRApprox(f, k, 0.05); err != nil {
-			return fmt.Errorf("approx focal %d: %w", f, err)
-		}
-		ns := time.Since(start).Nanoseconds()
-		approxLats = append(approxLats, ns)
-		approxTotal += ns
-	}
-	sum.Algorithms["approx"] = approxTotal / int64(len(focals))
-	if recordTails {
-		slices.Sort(approxLats)
-		sum.AlgorithmsP95["approx"] = approxLats[obs.NearestRank(len(approxLats), 0.95)-1]
-		sum.AlgorithmsP99["approx"] = approxLats[obs.NearestRank(len(approxLats), 0.99)-1]
-		fmt.Printf("%-10s %12d ns/op (p95 %d, p99 %d)\n",
-			"approx", sum.Algorithms["approx"], sum.AlgorithmsP95["approx"], sum.AlgorithmsP99["approx"])
-	} else {
-		fmt.Printf("%-10s %12d ns/op\n", "approx", sum.Algorithms["approx"])
-	}
-
 	out := fmt.Sprintf("BENCH_%s.json", name)
 	return writeBenchFile(out, &sum, dist, n, d, k, queries)
 }

@@ -27,18 +27,12 @@ const GeomMaxDim = 3
 // geomTol is the tightness tolerance used when pruning facets.
 const geomTol = 1e-7
 
-// geomCombosCap bounds the from-scratch enumeration of BuildCellGeom — the
-// root cell and the approximate engine's boxes; cuts clip instead and are
-// not bounded by it. Those row lists stay small, so this triggers only in
-// degenerate configurations.
-const geomCombosCap = 20000
-
 // BuildCellGeom enumerates vertices over rows (plus the implicit axis
 // facets, which polytope.EnumerateVertices owns) and prunes rows that are
 // tight at no vertex. It returns nil when the region is lower-dimensional
 // or empty (fewer than dim+1 vertices).
 func BuildCellGeom(rows []geom.Constraint, dim int) *CellGeom {
-	verts := polytope.EnumerateVertices(rows, dim, geomCombosCap)
+	verts := polytope.EnumerateVertices(rows, dim)
 	if len(verts) < dim+1 {
 		return nil
 	}

@@ -178,7 +178,7 @@ func buildCellGeomDupAxis(rows []geom.Constraint, dim int) *CellGeom {
 		a[i] = -1
 		all = append(all, geom.Constraint{A: a, B: 0})
 	}
-	verts := polytope.EnumerateVertices(all, dim, 0)
+	verts := polytope.EnumerateVertices(all, dim)
 	if len(verts) < dim+1 {
 		return nil
 	}

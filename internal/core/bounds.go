@@ -132,19 +132,19 @@ func intervalOverVertices(verts []geom.Vector, obj geom.Vector, c float64) (floa
 	return lo, hi
 }
 
-// rankBounds computes [Rank(c), Rank̄(c)] for the cell (a cell-tree leaf,
-// or one of RunApprox's boxes) given by the constraints cons and, when
-// known, its vertices verts: the best and worst rank the focal record can
-// attain inside it. It is Algorithm 3's UpdateRank over the query's
-// candidate bounds index (the non-skip k-skyband) with the focal's
-// dominators folded in as a constant: a dominator outranks the focal
-// everywhere, and a record outside the k-skyband can only beat the focal
-// where at least K skyband records already do (Lemma 6's argument), so
-// 1 + baseRank + [certain, possible] skyband beaters brackets the true
-// rank wherever it is at most K. Beyond being tighter and cheaper than a
-// full-dataset traversal, this makes every bound decision a pure function
-// of the candidate set — the property incremental maintenance relies on.
-// stats counts the calling goroutine's LPs.
+// rankBounds computes [Rank(c), Rank̄(c)] for the cell-tree leaf given by
+// the constraints cons and, when known, its vertices verts: the best and
+// worst rank the focal record can attain inside it. It is Algorithm 3's
+// UpdateRank over the query's candidate bounds index (the non-skip
+// k-skyband) with the focal's dominators folded in as a constant: a
+// dominator outranks the focal everywhere, and a record outside the
+// k-skyband can only beat the focal where at least K skyband records
+// already do (Lemma 6's argument), so 1 + baseRank + [certain, possible]
+// skyband beaters brackets the true rank wherever it is at most K. Beyond
+// being tighter and cheaper than a full-dataset traversal, this makes
+// every bound decision a pure function of the candidate set — the
+// property incremental maintenance relies on. stats counts the calling
+// goroutine's LPs.
 func (r *runner) rankBounds(cons []geom.Constraint, verts []geom.Vector, stats *lp.Stats) (int, int, error) {
 	lower, upper := 1+r.baseRank, 1+r.baseRank
 	if r.boundsIdx == nil {

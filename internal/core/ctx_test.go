@@ -72,13 +72,3 @@ func TestRunNilContextUnaffected(t *testing.T) {
 		t.Fatalf("ctx changed the result: %d vs %d regions", len(res.Regions), len(res2.Regions))
 	}
 }
-
-func TestRunApproxHonoursCancelledContext(t *testing.T) {
-	tree := ctxTestTree(t, 500, 4)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	_, err := RunApprox(tree, tree.Records[2], 2, ApproxOptions{K: 10, Epsilon: 0.01, Ctx: ctx})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-}

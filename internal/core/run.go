@@ -42,9 +42,8 @@ func runQuery(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options, fo
 	return res, nil
 }
 
-// newRunner validates a query and runs the set-up every engine shares,
-// Run's and RunApprox's alike: the focal's dominators (§3.1), counted
-// into baseRank, and the processing space.
+// newRunner validates a query and runs Run's set-up: the focal's
+// dominators (§3.1), counted into baseRank, and the processing space.
 func newRunner(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options) (*runner, error) {
 	if opts.K <= 0 {
 		return nil, fmt.Errorf("core: K must be positive, got %d", opts.K)
@@ -133,14 +132,14 @@ type runner struct {
 
 	ct      *celltree.Tree
 	lpStats lp.Stats
-	// boundsIdx is the candidate index the look-ahead rank bounds
-	// traverse (LP-CTA's and RunApprox's): an aggregate R-tree over
-	// exactly this query's non-skip k-skyband in ascending dataset id, the
-	// pivot checks' candidates. The bound decisions (group MBRs, counts,
-	// traversal order) are therefore a pure function of the candidate set,
-	// identical across dataset generations that leave it untouched
-	// (incremental maintenance's keep-path guarantee). nil when the query
-	// has no candidates or no look-ahead.
+	// boundsIdx is the candidate index LP-CTA's look-ahead rank bounds
+	// traverse: an aggregate R-tree over exactly this query's non-skip
+	// k-skyband in ascending dataset id, the pivot checks' candidates.
+	// The bound decisions (group MBRs, counts, traversal order) are
+	// therefore a pure function of the candidate set, identical across
+	// dataset generations that leave it untouched (incremental
+	// maintenance's keep-path guarantee). nil when the query has no
+	// candidates or no look-ahead.
 	boundsIdx *rtree.Tree
 
 	// S(p) as a transformed-space objective and constant, for the score

@@ -88,7 +88,6 @@ func All() []Experiment {
 		{"fig22", "transformed vs original preference space", Fig22},
 		{"fig23", "index construction cost (R-tree vs aR-tree)", Fig23},
 		{"fig24", "amortized response time (construction cost amortized)", Fig24},
-		{"ext-approx", "EXTENSION: approximate kSPR with accuracy guarantees (§8 future work)", ExtApprox},
 	}
 }
 

@@ -42,7 +42,7 @@ func BenchmarkEnumerateVertices_d3_rows15(b *testing.B) {
 	cons := benchCell(rng, 3, 15)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		EnumerateVertices(cons, 3, 0)
+		EnumerateVertices(cons, 3)
 	}
 }
 

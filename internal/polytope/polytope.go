@@ -96,14 +96,12 @@ func FromConstraints(cons []geom.Constraint, dim int, stats *lp.Stats) (*Polytop
 // EnumerateVertices computes the vertices of {rows} ∩ {w >= 0} directly by
 // combinatorial enumeration over ALL rows (no LP-based redundancy
 // elimination first). It owns the implicit w >= 0 rows: callers pass cons
-// without them. It returns nil when the subset count would exceed
-// maxCombos — callers fall back to LP bounds then. This trades the m LP
-// solves of RemoveRedundant for C(m+dim, dim) tiny linear solves, which wins
-// whenever cells are described by few constraints (the common case thanks
-// to Lemma 2). The cell tree calls it only for its root cell and the
-// approximate engine's boxes; a split derives child geometry from its
-// parent's with ClipVertices instead.
-func EnumerateVertices(cons []geom.Constraint, dim, maxCombos int) []geom.Vector {
+// without them. This trades the m LP solves of RemoveRedundant for
+// C(m+dim, dim) tiny linear solves, which wins whenever cells are
+// described by few constraints (the common case thanks to Lemma 2). The
+// cell tree calls it only for its root cell; a split derives child
+// geometry from its parent's with ClipVertices instead.
+func EnumerateVertices(cons []geom.Constraint, dim int) []geom.Vector {
 	rows := make([]geom.Constraint, 0, len(cons)+dim)
 	rows = append(rows, cons...)
 	for i := 0; i < dim; i++ {
@@ -111,25 +109,7 @@ func EnumerateVertices(cons []geom.Constraint, dim, maxCombos int) []geom.Vector
 		a[i] = -1
 		rows = append(rows, geom.Constraint{A: a, B: 0})
 	}
-	if maxCombos > 0 && binomial(len(rows), dim) > maxCombos {
-		return nil
-	}
 	return enumerateVertices(rows, dim)
-}
-
-// binomial returns C(n, k) with saturation to avoid overflow.
-func binomial(n, k int) int {
-	if k > n {
-		return 0
-	}
-	c := 1
-	for i := 0; i < k; i++ {
-		c = c * (n - i) / (i + 1)
-		if c > 1<<30 {
-			return 1 << 30
-		}
-	}
-	return c
 }
 
 // enumerateVertices finds all intersection points of dim-subsets of the

@@ -375,7 +375,7 @@ func TestClipVerticesMatchesEnumeration(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	for dim := 1; dim <= 5; dim++ {
 		box := unitBox(dim, 1)
-		verts := EnumerateVertices(box, dim, 0)
+		verts := EnumerateVertices(box, dim)
 		for trial := 0; trial < 20; trial++ {
 			a := make(geom.Vector, dim)
 			for j := range a {
@@ -387,7 +387,7 @@ func TestClipVerticesMatchesEnumeration(t *testing.T) {
 			}
 			row := geom.Constraint{A: a, B: lo + (0.1+0.8*rng.Float64())*(hi-lo)}
 			got := ClipVertices(verts, box, row, dim)
-			want := EnumerateVertices(append(box[:len(box):len(box)], row), dim, 0)
+			want := EnumerateVertices(append(box[:len(box):len(box)], row), dim)
 			if len(got) != len(want) {
 				t.Fatalf("dim %d: clip has %d vertices, enumeration %d", dim, len(got), len(want))
 			}

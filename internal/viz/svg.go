@@ -22,9 +22,6 @@ type Options struct {
 	Title string
 	// XLabel / YLabel name the two weight axes (default w1 / w2).
 	XLabel, YLabel string
-	// ShowUncertain additionally draws the regions in Extra (e.g. the
-	// uncertain set of an approximate result) hatched in a second colour.
-	Extra []core.Region
 }
 
 // rankPalette colours regions by rank (best rank = strongest).
@@ -42,11 +39,8 @@ func WriteSVG(w io.Writer, res *core.Result, opts Options) error {
 	if res.Space != core.Transformed {
 		return fmt.Errorf("viz: only transformed-space results can be plotted")
 	}
-	for _, reg := range res.Regions {
-		if len(reg.Witness) != 2 {
-			return fmt.Errorf("viz: regions are %d-dimensional, need 2", len(reg.Witness))
-		}
-		break
+	if len(res.Focal) != 3 {
+		return fmt.Errorf("viz: data is %d-dimensional, need 3", len(res.Focal))
 	}
 	if opts.Size <= 0 {
 		opts.Size = 480
@@ -72,10 +66,7 @@ func WriteSVG(w io.Writer, res *core.Result, opts Options) error {
 		toX(0), toY(0), toX(1), toY(0), toX(0), toY(1))
 
 	for _, reg := range res.Regions {
-		drawRegion(w, reg, toX, toY, fillForRank(reg.Rank, res.K), "#333", 1.0)
-	}
-	for _, reg := range opts.Extra {
-		drawRegion(w, reg, toX, toY, "#cccccc", "#888", 0.8)
+		drawRegion(w, reg, toX, toY, fillForRank(reg.Rank, res.K))
 	}
 
 	// Axes.
@@ -110,7 +101,7 @@ func fillForRank(rank, k int) string {
 	return rankPalette[idx]
 }
 
-func drawRegion(w io.Writer, reg core.Region, toX, toY func(float64) float64, fill, stroke string, opacity float64) {
+func drawRegion(w io.Writer, reg core.Region, toX, toY func(float64) float64, fill string) {
 	verts := reg.Vertices
 	if len(verts) < 3 {
 		// No finalized geometry: draw the witness as a dot.
@@ -125,8 +116,8 @@ func drawRegion(w io.Writer, reg core.Region, toX, toY func(float64) float64, fi
 	for _, v := range ordered {
 		points += fmt.Sprintf("%.2f,%.2f ", toX(v[0]), toY(v[1]))
 	}
-	fmt.Fprintf(w, `<polygon points="%s" fill="%s" fill-opacity="%.2f" stroke="%s" stroke-width="0.6"/>`+"\n",
-		points, fill, opacity, stroke)
+	fmt.Fprintf(w, `<polygon points="%s" fill="%s" fill-opacity="1.00" stroke="#333" stroke-width="0.6"/>`+"\n",
+		points, fill)
 }
 
 // angularOrder sorts polygon vertices around their centroid so the SVG

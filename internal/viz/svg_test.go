@@ -3,6 +3,7 @@ package viz
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -60,26 +61,35 @@ func TestWriteSVGValidation(t *testing.T) {
 	if err := WriteSVG(&bytes.Buffer{}, bad, Options{}); err == nil {
 		t.Fatal("expected error for original-space result")
 	}
-	threeD := &core.Result{Space: core.Transformed, Regions: []core.Region{{Witness: geom.Vector{0.1, 0.2, 0.3}}}}
+	threeD := &core.Result{Focal: geom.Vector{0.1, 0.2, 0.3, 0.4}, Space: core.Transformed,
+		Regions: []core.Region{{Witness: geom.Vector{0.1, 0.2, 0.3}}}}
 	if err := WriteSVG(&bytes.Buffer{}, threeD, Options{}); err == nil {
 		t.Fatal("expected error for 3-d regions")
 	}
-}
-
-func TestWriteSVGWithUncertainExtra(t *testing.T) {
-	ds, _ := dataset.Generate(dataset.Independent, 80, 3, 5)
-	tr, _ := rtree.Build(ds.Records)
-	focal := tr.Skyline(nil)[0]
-	approx, err := core.RunApprox(tr, ds.Records[focal], focal, core.ApproxOptions{K: 4, Epsilon: 0.05})
+	// A dominated focal on d=4 data has no region whose witness could
+	// reveal the dimensionality; it must be refused all the same.
+	ds, err := dataset.Generate(dataset.Independent, 80, 4, 5)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := WriteSVG(&buf, &approx.Result, Options{Extra: approx.Uncertain}); err != nil {
+	tr, err := rtree.Build(ds.Records)
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(buf.String(), "#cccccc") {
-		t.Fatal("uncertain overlay not drawn")
+	band := tr.KSkyband(4, nil)
+	focal := 0
+	for slices.Contains(band, focal) {
+		focal++
+	}
+	empty, err := core.Run(tr, ds.Records[focal], focal, core.Options{K: 4, Algorithm: core.LPCTA})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(empty.Regions) != 0 {
+		t.Fatalf("focal %d outside the 4-skyband has %d regions", focal, len(empty.Regions))
+	}
+	if err := WriteSVG(&bytes.Buffer{}, empty, Options{}); err == nil {
+		t.Fatal("expected error for an empty d=4 result")
 	}
 }
 

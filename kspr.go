@@ -413,11 +413,7 @@ func (db *DB) KSPRBatch(queries []BatchQuery, k int, opts ...BatchOption) ([]Bat
 	if st.tree == nil {
 		return nil, fmt.Errorf("kspr: empty dataset")
 	}
-	b := core.BatchOptions{Options: core.Options{
-		K:                k,
-		Algorithm:        LPCTA,
-		FinalizeGeometry: true,
-	}}
+	b := core.BatchOptions{Options: buildOptions(k, nil)}
 	for _, o := range opts {
 		o(&b)
 	}
@@ -431,50 +427,6 @@ func (db *DB) KSPRBatch(queries []BatchQuery, k int, opts ...BatchOption) ([]Bat
 	return core.RunBatch(st.tree, items, b)
 }
 
-// ApproxResult is the outcome of the approximate kSPR query; see
-// core.ApproxResult for field docs.
-type ApproxResult = core.ApproxResult
-
-// KSPRApprox answers the query approximately with an accuracy guarantee:
-// it returns regions where the focal record is provably top-k plus an
-// uncertain set whose measure is at most epsilon times the preference
-// space. It implements the approximate processing the paper proposes as
-// future work (§8), bounding its boxes with LP-CTA's look-ahead rank
-// bounds; EXPERIMENTS.md records how its time compares with the exact
-// algorithms'.
-func (db *DB) KSPRApprox(focalID, k int, epsilon float64) (*ApproxResult, error) {
-	return db.KSPRApproxCtx(context.Background(), focalID, k, epsilon)
-}
-
-// KSPRApproxCtx is KSPRApprox with cancellation: the refinement loop polls
-// ctx and returns ctx.Err() once it is done.
-func (db *DB) KSPRApproxCtx(ctx context.Context, focalID, k int, epsilon float64) (*ApproxResult, error) {
-	st := db.cur()
-	if st.tree == nil || focalID < 0 || focalID >= st.tree.Len() {
-		return nil, fmt.Errorf("kspr: focal id %d out of range [0, %d)", focalID, db.Len())
-	}
-	return core.RunApprox(st.tree, st.tree.Records[focalID], focalID,
-		core.ApproxOptions{K: k, Epsilon: epsilon, Ctx: ctx})
-}
-
-// KSPRApproxVector is KSPRApprox for a focal record outside the dataset.
-func (db *DB) KSPRApproxVector(focal []float64, k int, epsilon float64) (*ApproxResult, error) {
-	return db.KSPRApproxVectorCtx(context.Background(), focal, k, epsilon)
-}
-
-// KSPRApproxVectorCtx is KSPRApproxVector with cancellation.
-func (db *DB) KSPRApproxVectorCtx(ctx context.Context, focal []float64, k int, epsilon float64) (*ApproxResult, error) {
-	st := db.cur()
-	if st.tree == nil {
-		return nil, fmt.Errorf("kspr: empty dataset")
-	}
-	if err := geom.CheckFinite(focal); err != nil {
-		return nil, fmt.Errorf("kspr: focal: %w", err)
-	}
-	return core.RunApprox(st.tree, geom.Vector(focal), -1,
-		core.ApproxOptions{K: k, Epsilon: epsilon, Ctx: ctx})
-}
-
 // SVGOptions control WriteSVG rendering.
 type SVGOptions = viz.Options
 
@@ -486,11 +438,11 @@ func WriteSVG(w io.Writer, res *Result, opts SVGOptions) error {
 }
 
 // TopK returns the ids of the k best records under original-space weights
-// w (len d, need not be normalized), best first. Non-finite weights yield
-// nil.
+// w (len d, need not be normalized), best first. Weights of another
+// length, or non-finite ones, yield nil.
 func (db *DB) TopK(w []float64, k int) []int {
 	st := db.cur()
-	if st.tree == nil || geom.CheckFinite(w) != nil {
+	if st.tree == nil || len(w) != st.tree.Dim || geom.CheckFinite(w) != nil {
 		return nil
 	}
 	return st.tree.TopK(geom.Vector(w), k, nil)
@@ -516,13 +468,13 @@ func (db *DB) KSkyband(k int) []int {
 
 // Rank computes the rank of record focalID under weights w (1 = best);
 // ties with other records are ignored, as in the paper. An out-of-range
-// focalID (e.g. on an empty live dataset) or a non-finite weight yields
-// 0. The scan streams the index's flat row-major backing, so large-n
-// ranking touches one contiguous array instead of chasing per-record
-// slice headers.
+// focalID (e.g. on an empty live dataset), weights of another length than
+// Dim, or a non-finite weight yield 0. The scan streams the index's flat
+// row-major backing, so large-n ranking touches one contiguous array
+// instead of chasing per-record slice headers.
 func (db *DB) Rank(focalID int, w []float64) int {
 	tree := db.cur().tree
-	if tree == nil || focalID < 0 || focalID >= tree.Len() || geom.CheckFinite(w) != nil {
+	if tree == nil || focalID < 0 || focalID >= tree.Len() || len(w) != tree.Dim || geom.CheckFinite(w) != nil {
 		return 0
 	}
 	wv := geom.Vector(w)

@@ -3,11 +3,13 @@ package kspr
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
 
 	"repro/internal/dataset"
+	"repro/internal/geom"
 )
 
 func randRecords(rng *rand.Rand, n, d int) [][]float64 {
@@ -36,7 +38,8 @@ func TestOpenValidation(t *testing.T) {
 
 // TestRejectsNonFinite feeds NaN and ±Inf to every public entry point
 // that takes records, focal vectors or weights: each must reject the
-// value before it reaches the dominance kernels or the engine.
+// value before it reaches the dominance kernels or the engine. Weights
+// of the wrong length are rejected the same way.
 func TestRejectsNonFinite(t *testing.T) {
 	db, err := Open(randRecords(rand.New(rand.NewSource(3)), 40, 3))
 	if err != nil {
@@ -56,25 +59,17 @@ func TestRejectsNonFinite(t *testing.T) {
 				_, err := db.KSPRVector(vec, 3)
 				return err != nil
 			}},
-			{"KSPRApproxVector", func() bool {
-				_, err := db.KSPRApproxVector(vec, 3, 0.05)
-				return err != nil
-			}},
-			{"KSPRApprox epsilon", func() bool {
-				_, err := db.KSPRApprox(1, 3, bad)
-				return err != nil
-			}},
-			{"KSPRApproxVector epsilon", func() bool {
-				_, err := db.KSPRApproxVector([]float64{0.5, 0.5, 0.5}, 3, bad)
-				return err != nil
-			}},
 			{"KSPRBatch", func() bool {
 				// Per item: the finite sibling still gets its answer.
 				out, err := db.KSPRBatch([]BatchQuery{{FocalID: 1}, {FocalID: -1, Focal: vec}}, 3)
 				return err == nil && out[0].Err == nil && out[1].Err != nil
 			}},
 			{"TopK", func() bool { return db.TopK(vec, 3) == nil }},
+			{"TopK short", func() bool { return db.TopK([]float64{0.5, 0.5}, 3) == nil }},
+			{"TopK long", func() bool { return db.TopK([]float64{0.5, 0.5, 0.5, 0.5}, 3) == nil }},
 			{"Rank", func() bool { return db.Rank(1, vec) == 0 }},
+			{"Rank short", func() bool { return db.Rank(1, []float64{0.5, 0.5}) == 0 }},
+			{"Rank long", func() bool { return db.Rank(1, []float64{0.5, 0.5, 0.5, 0.5}) == 0 }},
 			{"Apply", func() bool {
 				_, err := db.Apply(Insert(vec...))
 				return err != nil
@@ -203,42 +198,53 @@ func TestKSPRBatchMatchesSingleQueries(t *testing.T) {
 		{FocalID: -1, Focal: []float64{0.9, 0.9, 0.9}},
 		{FocalID: 10},
 	}
-	outs, err := db.KSPRBatch(queries, 6,
-		WithBatchOptions(WithAlgorithm(PCTA), WithParallelism(3)))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, q := range queries {
-		if outs[i].Err != nil {
-			t.Fatalf("item %d: %v", i, outs[i].Err)
-		}
-		k := q.K
-		if k == 0 {
-			k = 6
-		}
-		var want *Result
-		if q.FocalID < 0 {
-			want, err = db.KSPRVector(q.Focal, k, WithAlgorithm(PCTA), WithParallelism(1))
-		} else {
-			want, err = db.KSPR(q.FocalID, k, WithAlgorithm(PCTA), WithParallelism(1))
-		}
+	for _, c := range []struct {
+		name   string
+		batch  []BatchOption
+		single []QueryOption
+	}{
+		{"P-CTA", []BatchOption{WithBatchOptions(WithAlgorithm(PCTA), WithParallelism(3))},
+			[]QueryOption{WithAlgorithm(PCTA), WithParallelism(1)}},
+		// No options on either side: a batch starts from KSPR's defaults.
+		{"defaults", nil, nil},
+	} {
+		outs, err := db.KSPRBatch(queries, 6, c.batch...)
 		if err != nil {
-			t.Fatalf("item %d single query: %v", i, err)
+			t.Fatal(err)
 		}
-		got := outs[i].Result
-		if len(got.Regions) != len(want.Regions) {
-			t.Fatalf("item %d: batch %d regions, single %d", i, len(got.Regions), len(want.Regions))
-		}
-		for j := range got.Regions {
-			if got.Regions[j].Rank != want.Regions[j].Rank ||
-				!got.Regions[j].Witness.Equal(want.Regions[j].Witness) {
-				t.Fatalf("item %d region %d differs", i, j)
+		for i, q := range queries {
+			if outs[i].Err != nil {
+				t.Fatalf("%s item %d: %v", c.name, i, outs[i].Err)
+			}
+			k := q.K
+			if k == 0 {
+				k = 6
+			}
+			var want *Result
+			if q.FocalID < 0 {
+				want, err = db.KSPRVector(q.Focal, k, c.single...)
+			} else {
+				want, err = db.KSPR(q.FocalID, k, c.single...)
+			}
+			if err != nil {
+				t.Fatalf("%s item %d single query: %v", c.name, i, err)
+			}
+			got := outs[i].Result
+			if len(got.Regions) != len(want.Regions) {
+				t.Fatalf("%s item %d: batch %d regions, single %d", c.name, i, len(got.Regions), len(want.Regions))
+			}
+			for j := range got.Regions {
+				g, w := &got.Regions[j], &want.Regions[j]
+				if g.Rank != w.Rank || !g.Witness.Equal(w.Witness) ||
+					!slices.EqualFunc(g.Vertices, w.Vertices, geom.Vector.Equal) {
+					t.Fatalf("%s item %d region %d differs", c.name, i, j)
+				}
 			}
 		}
 	}
 
 	// Per-item failures stay per-item.
-	outs, err = db.KSPRBatch([]BatchQuery{{FocalID: 0}, {FocalID: 10000}}, 4)
+	outs, err := db.KSPRBatch([]BatchQuery{{FocalID: 0}, {FocalID: 10000}}, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,70 +426,5 @@ func TestSkybandContainsSkyline(t *testing.T) {
 	}
 	if len(band) < len(sky) {
 		t.Fatal("3-skyband smaller than skyline")
-	}
-}
-
-// TestKSPRApprox checks that every certain region of the approximate
-// answer lies inside the exact result: its witness and points drawn
-// within its constraints must all be in an exact region.
-func TestKSPRApprox(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	db, err := Open(randRecords(rng, 150, 3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	focal := db.Skyline()[0]
-	res, err := db.KSPRApprox(focal, 5, 0.02)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Converged {
-		t.Fatal("approximate query did not converge")
-	}
-	if len(res.Regions) == 0 {
-		t.Fatal("no certain region: the soundness check would check nothing")
-	}
-	exact, err := db.KSPR(focal, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, reg := range res.Regions {
-		// The region's bounding box in the 2-d transformed space of d=3
-		// data, from its single-axis rows.
-		lo, hi := []float64{0, 0}, []float64{1, 1}
-		for _, c := range reg.Constraints {
-			for j, a := range c.A {
-				if a != 0 && c.A[1-j] == 0 {
-					if a > 0 {
-						hi[j] = math.Min(hi[j], c.B/a)
-					} else {
-						lo[j] = math.Max(lo[j], c.B/a)
-					}
-				}
-			}
-		}
-		pts := [][]float64{reg.Witness}
-		for s := 0; s < 64; s++ {
-			pts = append(pts, []float64{lo[0] + rng.Float64()*(hi[0]-lo[0]), lo[1] + rng.Float64()*(hi[1]-lo[1])})
-		}
-		inside := 0
-		for _, w := range pts {
-			if !reg.Contains(w, 0) {
-				continue // a box corner beyond the simplex
-			}
-			inside++
-			if !exact.ContainsWeight(w, 1e-7) {
-				t.Fatalf("certain region %d: point %v not in the exact result", i, w)
-			}
-		}
-		if inside == 0 {
-			t.Fatalf("certain region %d: no point drawn inside [%v, %v]", i, lo, hi)
-		}
-	}
-	if _, err := db.KSPRApprox(-1, 5, 0.1); err == nil {
-		t.Fatal("expected error for bad focal id")
-	}
-	if _, err := db.KSPRApproxVector([]float64{0.9, 0.9, 0.9}, 3, 0.05); err != nil {
-		t.Fatal(err)
 	}
 }

@@ -1,7 +1,8 @@
 // Command benchcmp is the bench regression gate's comparator: it reads two
 // BENCH_<name>.json files (see cmd/ksprbench -json), checks that they
 // measured the same workload, and fails when any algorithm's fresh ns/op
-// exceeds the baseline by more than -max-regress.
+// exceeds the baseline by more than -max-regress, or when the fresh run
+// did not measure an algorithm the baseline has.
 //
 //	go run ./scripts/benchcmp -baseline BENCH_core.json -fresh BENCH_ci.json
 //
@@ -21,6 +22,7 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 )
@@ -112,37 +114,59 @@ func main() {
 		largeNGate(baseline, fresh, *largenRegress, *inject)
 		return
 	}
+	failed, err := coreGate(os.Stdout, baseline, fresh, *maxRegress, *inject)
+	if err != nil {
+		fatal(err)
+	}
+	if len(failed) > 0 {
+		fmt.Fprintf(os.Stderr, "benchcmp: %d metric(s) regressed beyond +%.0f%% or went unmeasured: %v\n",
+			len(failed), *maxRegress*100, failed)
+		fmt.Fprintln(os.Stderr, "benchcmp: if this slowdown is intended, refresh the baseline (make bench) or apply the skip-bench-gate label")
+		os.Exit(1)
+	}
+	fmt.Println("bench gate: pass")
+}
+
+// coreGate compares a fresh core summary against the baseline, printing
+// one verdict line per metric to w, and returns the metrics that failed:
+// every baseline ns_per_op algorithm the fresh run did not measure, and
+// every mean, tail or what-if figure beyond maxRegress after multiplying
+// the fresh side by inject. An error means the summaries measured
+// different workloads.
+func coreGate(w io.Writer, baseline, fresh benchFile, maxRegress, inject float64) ([]string, error) {
 	if baseline.Dist != fresh.Dist || baseline.N != fresh.N ||
 		baseline.D != fresh.D || baseline.K != fresh.K || baseline.Seed != fresh.Seed {
-		fatal(fmt.Errorf("workload mismatch: baseline %s n=%d d=%d k=%d seed=%d, fresh %s n=%d d=%d k=%d seed=%d",
+		return nil, fmt.Errorf("workload mismatch: baseline %s n=%d d=%d k=%d seed=%d, fresh %s n=%d d=%d k=%d seed=%d",
 			baseline.Dist, baseline.N, baseline.D, baseline.K, baseline.Seed,
-			fresh.Dist, fresh.N, fresh.D, fresh.K, fresh.Seed))
+			fresh.Dist, fresh.N, fresh.D, fresh.K, fresh.Seed)
 	}
 
+	fmt.Fprintf(w, "bench gate: baseline %q (%d cpus) vs fresh %q (%d cpus), tolerance +%.0f%%\n",
+		baseline.Name, baseline.CPUs, fresh.Name, fresh.CPUs, maxRegress*100)
 	names := make([]string, 0, len(baseline.Algorithms))
 	for name := range baseline.Algorithms {
-		if _, ok := fresh.Algorithms[name]; ok {
-			names = append(names, name)
-		}
+		names = append(names, name)
 	}
 	sort.Strings(names)
-	if len(names) == 0 {
-		fatal(fmt.Errorf("no algorithms in common between %s and %s", *baselinePath, *freshPath))
-	}
-
-	fmt.Printf("bench gate: baseline %q (%d cpus) vs fresh %q (%d cpus), tolerance +%.0f%%\n",
-		baseline.Name, baseline.CPUs, fresh.Name, fresh.CPUs, *maxRegress*100)
 	var regressed []string
 	for _, name := range names {
 		base := baseline.Algorithms[name]
-		now := int64(float64(fresh.Algorithms[name]) * *inject)
+		measured, ok := fresh.Algorithms[name]
+		if !ok {
+			// An algorithm the fresh run dropped fails by name: passing
+			// it would let an engine stop being measured without notice.
+			fmt.Fprintf(w, "  %-10s %12d -> %12s ns/op  MISSING\n", name, base, "-")
+			regressed = append(regressed, name+"/missing")
+			continue
+		}
+		now := int64(float64(measured) * inject)
 		ratio := float64(now) / float64(base)
 		verdict := "ok"
-		if ratio > 1+*maxRegress {
+		if ratio > 1+maxRegress {
 			verdict = "REGRESSED"
 			regressed = append(regressed, name)
 		}
-		fmt.Printf("  %-10s %12d -> %12d ns/op  (%.2fx)  %s\n", name, base, now, ratio, verdict)
+		fmt.Fprintf(w, "  %-10s %12d -> %12d ns/op  (%.2fx)  %s\n", name, base, now, ratio, verdict)
 	}
 	// Tail-latency gate: same tolerance, applied to p95/p99 per algorithm.
 	// Both files must carry the maps (baselines predating them skip
@@ -152,7 +176,7 @@ func main() {
 	tooFewSamples := baseline.Queries > 0 && baseline.Queries < minTailSamples ||
 		fresh.Queries > 0 && fresh.Queries < minTailSamples
 	if tooFewSamples {
-		fmt.Printf("  tails: skipped (baseline %d / fresh %d queries, need >= %d for meaningful p95/p99)\n",
+		fmt.Fprintf(w, "  tails: skipped (baseline %d / fresh %d queries, need >= %d for meaningful p95/p99)\n",
 			baseline.Queries, fresh.Queries, minTailSamples)
 	}
 	for _, tail := range []struct {
@@ -172,41 +196,35 @@ func main() {
 			if !okB || !okF || base <= 0 {
 				continue
 			}
-			now = int64(float64(now) * *inject)
+			now = int64(float64(now) * inject)
 			ratio := float64(now) / float64(base)
 			verdict := "ok"
-			if ratio > 1+*maxRegress {
+			if ratio > 1+maxRegress {
 				verdict = "REGRESSED"
 				regressed = append(regressed, name+"/"+tail.label)
 			}
-			fmt.Printf("  %-10s %12d -> %12d ns/%s (%.2fx)  %s\n", name, base, now, tail.label, ratio, verdict)
+			fmt.Fprintf(w, "  %-10s %12d -> %12d ns/%s (%.2fx)  %s\n", name, base, now, tail.label, ratio, verdict)
 		}
 	}
 	// What-if gate: only when both files carry the sweep (the fresh CI run
 	// includes it; older baselines without the keys are skipped cleanly).
 	if baseline.WhatIfProbeNs > 0 && fresh.WhatIfProbeNs > 0 {
-		now := int64(float64(fresh.WhatIfProbeNs) * *inject)
+		now := int64(float64(fresh.WhatIfProbeNs) * inject)
 		ratio := float64(now) / float64(baseline.WhatIfProbeNs)
 		verdict := "ok"
-		if ratio > 1+*maxRegress {
+		if ratio > 1+maxRegress {
 			verdict = "REGRESSED"
 			regressed = append(regressed, "whatif_probe_ns")
 		}
-		fmt.Printf("  %-10s %12d -> %12d ns/probe (%.2fx)  %s\n",
+		fmt.Fprintf(w, "  %-10s %12d -> %12d ns/probe (%.2fx)  %s\n",
 			"whatif", baseline.WhatIfProbeNs, now, ratio, verdict)
 		if fresh.WhatIfKeepRate <= 0 {
-			fmt.Printf("  %-10s keep rate %.2f -> %.2f  DEAD (incremental path no longer fires)\n",
+			fmt.Fprintf(w, "  %-10s keep rate %.2f -> %.2f  DEAD (incremental path no longer fires)\n",
 				"whatif", baseline.WhatIfKeepRate, fresh.WhatIfKeepRate)
 			regressed = append(regressed, "whatif_keep_rate")
 		}
 	}
-	if len(regressed) > 0 {
-		fmt.Fprintf(os.Stderr, "benchcmp: %d metric(s) regressed beyond +%.0f%%: %v\n",
-			len(regressed), *maxRegress*100, regressed)
-		fmt.Fprintln(os.Stderr, "benchcmp: if this slowdown is intended, refresh the baseline (make bench) or apply the skip-bench-gate label")
-		os.Exit(1)
-	}
-	fmt.Println("bench gate: pass")
+	return regressed, nil
 }
 
 func fatal(err error) {
