@@ -21,6 +21,7 @@
 package celltree
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -172,6 +173,11 @@ type Tree struct {
 	// across extra goroutines (see the package comment); nil keeps
 	// insertion single-threaded as in the paper.
 	Forks *Forks
+
+	// Ctx, when non-nil, is polled before each node's LP side tests;
+	// once it is done, Insert stops and returns context.Cause(Ctx), so a
+	// deadline holds inside one insertion. nil polls nothing.
+	Ctx context.Context
 
 	// PrunedCells counts subtrees eliminated by the top-k rank bound
 	// (Algorithm 1 lines 12-13 and look-ahead prunes). It is the one
@@ -334,6 +340,9 @@ func (t *Tree) insert(n *Node, ctx *insertCtx) error {
 	}
 
 	if !decided {
+		if t.Ctx != nil && t.Ctx.Err() != nil {
+			return context.Cause(t.Ctx)
+		}
 		// Classify against the cached interior point to skip one
 		// feasibility test (§4.3.2).
 		side := geom.Sign(0)

@@ -1,6 +1,8 @@
 package celltree
 
 import (
+	"context"
+	"errors"
 	"math/rand"
 	"slices"
 	"testing"
@@ -57,6 +59,26 @@ func TestInsertRejectsNonProper(t *testing.T) {
 	h := geom.Hyperplane{Kind: geom.AlwaysPositive}
 	if err := tr.Insert(h, nil); err == nil {
 		t.Fatal("expected error for non-proper hyperplane")
+	}
+}
+
+// TestInsertHonoursCancelledContext inserts into a tree one dimension
+// past GeomMaxDim, whose cells carry no geometry, so every side test is
+// an LP: with the tree's context already cancelled, Insert returns the
+// cause before the first one and adds no node.
+func TestInsertHonoursCancelledContext(t *testing.T) {
+	tr := newTestTree(GeomMaxDim+1, 3)
+	cause := errors.New("query deadline")
+	ctx, cancel := context.WithCancelCause(context.Background())
+	cancel(cause)
+	tr.Ctx = ctx
+	h := randHyperplane(rand.New(rand.NewSource(1)), 0, GeomMaxDim+2)
+	if err := tr.Insert(h, nil); !errors.Is(err, cause) {
+		t.Fatalf("Insert = %v, want %v", err, cause)
+	}
+	if got := tr.CountNodes(); got != 1 || tr.Stats.NodesCreated != 1 || tr.Stats.FeasibilityTests != 0 {
+		t.Fatalf("cancelled Insert left %d nodes (%d created, %d feasibility tests), want 1, 1, 0",
+			got, tr.Stats.NodesCreated, tr.Stats.FeasibilityTests)
 	}
 }
 

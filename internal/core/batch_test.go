@@ -40,7 +40,7 @@ func TestBatchMatchesSerial(t *testing.T) {
 				// A panel of focal options: skyline records (real work),
 				// an arbitrary mid-dataset record, a hypothetical vector
 				// focal, and one item overriding the batch K.
-				sky := tr.Skyline(nil)
+				sky := tr.Skyline()
 				items := []BatchItem{
 					{FocalID: sky[0]},
 					{FocalID: sky[len(sky)/2]},
@@ -125,10 +125,10 @@ func TestBatchMatchesSerial(t *testing.T) {
 func TestBatchPerItemErrors(t *testing.T) {
 	tr, _ := buildRandom(t, 80, 3, 5)
 	items := []BatchItem{
-		{FocalID: tr.Skyline(nil)[0]},
+		{FocalID: tr.Skyline()[0]},
 		{FocalID: 9999},                         // out of range
 		{FocalID: -1, Focal: geom.Vector{1, 1}}, // wrong dimensionality
-		{FocalID: tr.Skyline(nil)[0], K: 3},     // fine
+		{FocalID: tr.Skyline()[0], K: 3},        // fine
 	}
 	got, err := RunBatch(tr, items, BatchOptions{Options: Options{K: 5, Algorithm: LPCTA, Parallelism: 2}})
 	if err != nil {
@@ -154,7 +154,7 @@ func TestBatchPerItemErrors(t *testing.T) {
 // the error of the context that fired.
 func TestBatchItemCancellation(t *testing.T) {
 	tr, _ := buildRandom(t, 120, 3, 23)
-	sky := tr.Skyline(nil)
+	sky := tr.Skyline()
 	cancelled, cancel := context.WithCancel(context.Background())
 	cancel()
 	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
@@ -217,7 +217,7 @@ func TestBatchSharesBandTable(t *testing.T) {
 		t.Fatal("a freshly built tree already holds a band table")
 	}
 	// Skyline focals reach the skyband read at every K.
-	sky := batchTree.Skyline(nil)
+	sky := batchTree.Skyline()
 	const maxK = 8
 	items := make([]BatchItem, 6)
 	for i := range items {
@@ -259,7 +259,7 @@ func TestBatchSharesBandTable(t *testing.T) {
 // same outcome that lands in the returned slice.
 func TestBatchOnOutcome(t *testing.T) {
 	tr, _ := buildRandom(t, 80, 3, 31)
-	sky := tr.Skyline(nil)
+	sky := tr.Skyline()
 	items := make([]BatchItem, 6)
 	for i := range items {
 		items[i] = BatchItem{FocalID: sky[i%len(sky)]}

@@ -258,13 +258,13 @@ func TestProgressiveWorkPinned(t *testing.T) {
 			CellsPruned: 222, RankBoundCells: 94, EarlyPruned: 57}},
 		{495, LPCTA, Original, FastBounds, Stats{ProcessedRecords: 107, CellTreeNodes: 397, Batches: 3, DomShortcuts: 4,
 			CellsPruned: 168, RankBoundCells: 95, LPSolves: 47147}},
-		{842, PCTA, Transformed, FastBounds, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
+		{842, PCTA, Transformed, FastBounds, Stats{ProcessedRecords: 122, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
 			CellsPruned: 379}},
-		{842, LPCTA, Transformed, FastBounds, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
+		{842, LPCTA, Transformed, FastBounds, Stats{ProcessedRecords: 122, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
 			CellsPruned: 461, RankBoundCells: 220, EarlyReported: 1, EarlyPruned: 83}},
-		{842, LPCTA, Transformed, GroupBounds, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
+		{842, LPCTA, Transformed, GroupBounds, Stats{ProcessedRecords: 122, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
 			CellsPruned: 461, RankBoundCells: 220, EarlyReported: 1, EarlyPruned: 83}},
-		{842, LPCTA, Transformed, RecordBounds, Stats{ProcessedRecords: 124, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
+		{842, LPCTA, Transformed, RecordBounds, Stats{ProcessedRecords: 122, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
 			CellsPruned: 461, RankBoundCells: 220, EarlyReported: 1, EarlyPruned: 83}},
 	} {
 		for _, par := range []int{1, 2} {
@@ -482,7 +482,7 @@ func TestPCTAProcessesFewerRecordsThanCTA(t *testing.T) {
 func TestLPCTAEarlyDecisions(t *testing.T) {
 	tr, recs := buildIND(t, 400, 4, 43)
 	// Use a skyline record as focal so the result is non-trivial.
-	focalID := tr.Skyline(nil)[0]
+	focalID := tr.Skyline()[0]
 	res, err := Run(tr, recs[focalID], focalID, Options{K: 5, Algorithm: LPCTA})
 	if err != nil {
 		t.Fatal(err)
@@ -559,7 +559,7 @@ func TestRegionRanksAreConsistent(t *testing.T) {
 
 func TestParallelBoundsMatchSerial(t *testing.T) {
 	tr, recs := buildIND(t, 600, 4, 67)
-	focalID := tr.Skyline(nil)[0]
+	focalID := tr.Skyline()[0]
 	serial, err := Run(tr, recs[focalID], focalID, Options{K: 8, Algorithm: LPCTA, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -591,7 +591,7 @@ func TestOracleOriginalSpaceCTAVariants(t *testing.T) {
 	rng := rand.New(rand.NewSource(1100))
 	for _, algo := range []Algorithm{CTA, KSkybandCTA} {
 		tr, recs := buildIND(t, 40, 3, 71)
-		focalID := tr.Skyline(nil)[0]
+		focalID := tr.Skyline()[0]
 		res, err := Run(tr, recs[focalID], focalID, Options{K: 3, Algorithm: algo, Space: Original})
 		if err != nil {
 			t.Fatalf("O-%v: %v", algo, err)
@@ -602,7 +602,7 @@ func TestOracleOriginalSpaceCTAVariants(t *testing.T) {
 
 func TestStatsElapsedAndRegions(t *testing.T) {
 	tr, recs := buildIND(t, 60, 3, 73)
-	focalID := tr.Skyline(nil)[0]
+	focalID := tr.Skyline()[0]
 	res, err := Run(tr, recs[focalID], focalID, Options{K: 3, Algorithm: LPCTA})
 	if err != nil {
 		t.Fatal(err)

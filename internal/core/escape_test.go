@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"slices"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/rtree"
 )
 
 // escapeRecords returns nc+30 random records, the pool the candidates
@@ -159,5 +161,119 @@ func TestEscapeCheckMatchesBruteForce(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// bruteBatch is the reference batch, computed over the whole dataset:
+// the skyline of D minus the skipped records (the focal, its exact ties,
+// its dominators and the records it dominates) and np, restricted to the
+// non-skip k-skyband of D without the focal, less the processed records.
+func bruteBatch(recs []geom.Vector, focalID, k int, np, processed map[int]bool) []int {
+	focal := recs[focalID]
+	skip := func(i int) bool {
+		return i == focalID || slices.Equal(recs[i], focal) ||
+			geom.Dominates(focal, recs[i]) || geom.Dominates(recs[i], focal)
+	}
+	var out []int
+	for i, v := range recs {
+		if skip(i) || np[i] || processed[i] {
+			continue
+		}
+		dominators, onSkyline := 0, true
+		for j, u := range recs {
+			if j == i || j == focalID || !geom.Dominates(u, v) {
+				continue
+			}
+			dominators++
+			if !skip(j) && !np[j] {
+				onSkyline = false
+			}
+		}
+		if onSkyline && dominators < k {
+			out = append(out, i)
+		}
+	}
+	return out
+}
+
+// TestCandidateBatchesMatchBruteForce draws focals and, per focal, rounds
+// of a growing processed set and a fresh non-pivot union over its
+// candidates, and compares every batch with bruteBatch. The inputs run d
+// from 2 to 5 on random data and on a four-value grid (exact duplicates;
+// a focal drawn from the trailing duplicates has an exact tie), plus a
+// record and its dominator whose coordinate sums round equal, which no
+// other record dominates.
+func TestCandidateBatchesMatchBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	type input struct {
+		name string
+		recs []geom.Vector
+	}
+	var inputs []input
+	for d := 2; d <= 5; d++ {
+		for _, ties := range []bool{false, true} {
+			inputs = append(inputs, input{fmt.Sprintf("d=%d ties=%v", d, ties), escapeRecords(rng, 100, d, ties)})
+		}
+	}
+	sumTie := []geom.Vector{{0.5, 0, 0.5}, {0.5, 1e-17, 0.5}}
+	for i := 0; i < 30; i++ {
+		sumTie = append(sumTie, geom.Vector{0.49 * rng.Float64(), rng.Float64(), rng.Float64()})
+	}
+	inputs = append(inputs, input{"sum tie", sumTie})
+
+	var batches, nonEmpty int
+	for _, in := range inputs {
+		tr, err := rtree.Build(in.recs, rtree.WithFanout(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < 8; q++ {
+			focalID := rng.Intn(len(in.recs))
+			switch {
+			case in.name == "sum tie" && q < 2:
+				focalID = 2 + q // the pair stays in play
+			case q%3 == 0:
+				focalID = len(in.recs) - 1 - rng.Intn(10)
+			}
+			k := 1 + rng.Intn(8)
+			r, err := newRunner(tr, in.recs[focalID], focalID, Options{K: k})
+			if err != nil {
+				t.Fatal(err)
+			}
+			cands := r.kSkybandIDs()
+			esc := newEscapeCheck(cands, in.recs, tr.Dim)
+			bits := make([]uint64, esc.words)
+			processed, np := map[int]bool{}, map[int]bool{}
+			var got []int
+			for round := 0; round < 8; round++ {
+				pProcess := []float64{0, 0.1, 0.3}[rng.Intn(3)]
+				pNP := []float64{0, 0.1, 0.3, 0.6}[rng.Intn(4)]
+				clear(bits)
+				clear(np)
+				for i, id := range cands {
+					if round > 0 && rng.Float64() < pProcess {
+						processed[id] = true
+						esc.process(id)
+					}
+					if rng.Float64() < pNP {
+						np[id] = true
+						bits[i/64] |= 1 << (i % 64)
+					}
+				}
+				got = esc.batch(bits, got)
+				want := bruteBatch(in.recs, focalID, k, np, processed)
+				if !slices.Equal(got, want) {
+					t.Fatalf("%s focal %d k=%d round %d: batch %v, want %v (processed %d, np %d of %d candidates)",
+						in.name, focalID, k, round, got, want, len(processed), len(np), len(cands))
+				}
+				batches++
+				if len(got) > 0 {
+					nonEmpty++
+				}
+			}
+		}
+	}
+	if nonEmpty < batches/2 {
+		t.Fatalf("only %d of %d batches non-empty", nonEmpty, batches)
 	}
 }

@@ -103,7 +103,7 @@ func TestIncrementalMatchesColdRecompute(t *testing.T) {
 			sim := newLiveSim(t, base)
 
 			// A focal from the k-skyband so the query does real work.
-			band := sim.tree.KSkyband(k, nil)
+			band := sim.tree.KSkyband(k)
 			focalStable := sim.ids[band[len(band)/2]]
 			focalDense := sim.dense(focalStable)
 			opts := Options{K: k, Algorithm: algo, FinalizeGeometry: true, Seed: 3}
@@ -186,7 +186,7 @@ func TestIncrementalFollowsRepricedFocal(t *testing.T) {
 		base[i] = randVec(rng, 3, 0, 1)
 	}
 	sim := newLiveSim(t, base)
-	band := sim.tree.KSkyband(4, nil)
+	band := sim.tree.KSkyband(4)
 	focalStable := sim.ids[band[0]]
 	opts := Options{K: 4, Algorithm: LPCTA, FinalizeGeometry: true}
 	m, err := NewMaintainer(sim.tree, sim.tree.Records[sim.dense(focalStable)], sim.dense(focalStable), opts)
@@ -431,7 +431,7 @@ func TestSubEpsilonRepriceRecomputes(t *testing.T) {
 		base[i] = randVec(rng, 3, 0, 1)
 	}
 	sim := newLiveSim(t, base)
-	band := sim.tree.KSkyband(4, nil)
+	band := sim.tree.KSkyband(4)
 	focalStable := sim.ids[band[len(band)/2]]
 	opts := Options{K: 4, Algorithm: LPCTA, FinalizeGeometry: true}
 	m, err := NewMaintainer(sim.tree, sim.tree.Records[sim.dense(focalStable)], sim.dense(focalStable), opts)
@@ -439,9 +439,9 @@ func TestSubEpsilonRepriceRecomputes(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Sub-epsilon reprice of a SKYLINE record (relevant for sure).
-	victim := sim.ids[sim.tree.Skyline(nil)[0]]
+	victim := sim.ids[sim.tree.Skyline()[0]]
 	if victim == focalStable {
-		victim = sim.ids[sim.tree.Skyline(nil)[1]]
+		victim = sim.ids[sim.tree.Skyline()[1]]
 	}
 	nudged := sim.recs[sim.dense(victim)].Clone()
 	nudged[0] += 1e-12

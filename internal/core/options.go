@@ -21,8 +21,10 @@ const (
 	// PhaseDominance is the §3.1 dominance filtering that classifies the
 	// dataset against the focal record before any cell-tree work.
 	PhaseDominance = "dominance"
-	// PhaseSkyband covers candidate discovery: k-skyband extraction,
-	// candidate/bounds index construction, and per-batch skyline pulls.
+	// PhaseSkyband covers candidate discovery: the band read, the
+	// candidate packing, the bounds index and the per-batch candidate
+	// skylines. Only a generation's first query traverses the dataset,
+	// to fill its band table.
 	PhaseSkyband = "skyband"
 	// PhaseExpand is cell-tree expansion (hyperplane insertion).
 	PhaseExpand = "expand"
@@ -159,10 +161,12 @@ type Options struct {
 	// unchanged.
 	Parallelism int
 	// Ctx, when non-nil, is polled at cell-tree expansion points (record
-	// insertion, rank-bound classification, batch boundaries). Once it is
-	// done, Run abandons the query and returns context.Cause(ctx) (that is
-	// ctx.Err() unless ctx was cancelled with a cause), so callers can
-	// impose deadlines and cancel in-flight work. A nil Ctx never cancels.
+	// insertion, the LP side tests inside one insertion, rank-bound
+	// classification, batch boundaries) and per region at finalization.
+	// Once it is done, Run abandons the query and returns
+	// context.Cause(ctx) (that is ctx.Err() unless ctx was cancelled with
+	// a cause), so callers can impose deadlines and cancel in-flight
+	// work. A nil Ctx never cancels.
 	Ctx context.Context
 	// Trace, when non-nil, records per-phase wall time for the run (see the
 	// Phase* constants). The recorder is concurrency-safe, so one trace may

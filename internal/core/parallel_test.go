@@ -64,7 +64,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 				}
 				for seed := int64(1); seed <= seeds; seed++ {
 					tr, recs := buildRandom(t, n, d, seed*31)
-					focalID := tr.Skyline(nil)[0]
+					focalID := tr.Skyline()[0]
 					base := Options{
 						K:                k,
 						Algorithm:        algo,
@@ -111,7 +111,7 @@ func TestParallelMatchesSerial(t *testing.T) {
 // in exactly the serial order.
 func TestParallelProgressiveCallbackOrder(t *testing.T) {
 	tr, recs := buildRandom(t, 300, 4, 97)
-	focalID := tr.Skyline(nil)[0]
+	focalID := tr.Skyline()[0]
 	run := func(parallelism int) []geom.Vector {
 		var witnesses []geom.Vector
 		opts := Options{

@@ -1,10 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/celltree"
@@ -57,7 +57,7 @@ func newRunner(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options) (
 	r := &runner{tree: tree, focal: focal, focalID: focalID, opts: opts}
 
 	domSpan := r.opts.Trace.Span(PhaseDominance)
-	r.domIDs = r.tree.Dominators(r.focal, func(id int) bool { return id == r.focalID })
+	r.domIDs = r.tree.Dominators(r.focal, r.focalID)
 	domSpan.End()
 	r.baseRank = len(r.domIDs)
 	r.kAdj = r.opts.K - r.baseRank
@@ -183,6 +183,7 @@ func (r *runner) run() (*Result, error) {
 	if w := r.workers(); r.ct.Forks == nil && w > 1 {
 		r.ct.Forks = celltree.NewForks(w - 1)
 	}
+	r.ct.Ctx = r.opts.Ctx
 
 	var err error
 	switch r.opts.Algorithm {
@@ -264,20 +265,21 @@ func (r *runner) kSkybandIDs() []int {
 }
 
 // escapeCheck is the Lemma 5 reportability test of the progressive
-// algorithms, run over bitsets. Bit i stands for candidate i: the query's
-// non-skip K-skyband in ascending id (only K-skyband records can matter:
-// Lemma 6's argument extends to the test, since a non-skyband escapee
-// implies either a skyband escapee or enough accounted dominators to
-// disqualify the cell). open holds the candidates not yet processed.
-// Every record inserted into the cell tree owns a row of the same width,
-// the candidates it dominates, filled word by word the first time a test
-// reads that word. A cell's pivots let a candidate escape iff open minus
-// the OR of their rows is non-empty.
+// algorithms, run over bitsets, and the source of their batches. Bit i
+// stands for candidate i: the query's non-skip K-skyband in ascending id
+// (only K-skyband records can matter: Lemma 6's argument extends to the
+// test, since a non-skyband escapee implies either a skyband escapee or
+// enough accounted dominators to disqualify the cell). open holds the
+// candidates not yet processed. Every record inserted into the cell tree
+// owns a row of the same width, the candidates it dominates, filled word
+// by word the first time a test reads that word. A cell's pivots let a
+// candidate escape iff open minus the OR of their rows is non-empty.
 type escapeCheck struct {
 	d, words int
 	ids      []int     // candidate dataset ids, ascending
 	cands    []float64 // candidate records, row-major
 	open     []uint64
+	order    []int       // candidate indexes, each after its dominators
 	slot     map[int]int // inserted record id -> its row
 	added    []int       // row s's record id
 	inserted []float64   // inserted records, row-major by row
@@ -287,16 +289,61 @@ type escapeCheck struct {
 }
 
 // newEscapeCheck packs the candidates ids (ascending) of the d-dimensional
-// records recs, all of them open.
+// records recs, all of them open, and orders them by descending
+// coordinate sum, ties by descending values: a dominator's sum is never
+// smaller (float rounding is monotone), and at an equal sum its values
+// are lexicographically larger, so it sorts before every record it
+// dominates.
 func newEscapeCheck(ids []int, recs []geom.Vector, d int) *escapeCheck {
 	e := &escapeCheck{d: d, words: (len(ids) + 63) / 64, ids: ids, slot: make(map[int]int)}
 	e.open = make([]uint64, e.words)
 	e.cands = make([]float64, 0, len(ids)*d)
+	e.order = make([]int, len(ids))
+	sums := make([]float64, len(ids))
 	for i, id := range ids {
 		e.cands = append(e.cands, recs[id]...)
 		e.open[i/64] |= 1 << (i % 64)
+		e.order[i] = i
+		sums[i] = recs[id].Sum()
 	}
+	slices.SortFunc(e.order, func(a, b int) int {
+		if c := cmp.Compare(sums[b], sums[a]); c != 0 {
+			return c
+		}
+		return slices.Compare(e.cand(b), e.cand(a))
+	})
 	return e
+}
+
+// cand returns candidate i's values.
+func (e *escapeCheck) cand(i int) []float64 { return e.cands[i*e.d : (i+1)*e.d] }
+
+// batch overwrites dst with the open candidates on the skyline of the
+// candidates outside np, a bitset over the candidates, in ascending id.
+// No record outside the K-skyband dominates one inside it: if x
+// dominates y, every dominator of x dominates y too, so y has more
+// dominators than x. So this is the skyline of D minus the skipped
+// records and np, restricted to the band: Algorithm 2's batch less the
+// records Lemma 6 shows cannot matter.
+func (e *escapeCheck) batch(np []uint64, dst []int) []int {
+	dst = dst[:0]
+	sky := kernel.NewBand(e.d)
+	for _, i := range e.order {
+		bit := uint64(1) << (i % 64)
+		if np[i/64]&bit != 0 {
+			continue
+		}
+		v := e.cand(i)
+		if sky.CountDominatorsCapped(v, 1) > 0 {
+			continue
+		}
+		sky.Push(v)
+		if e.open[i/64]&bit != 0 {
+			dst = append(dst, e.ids[i])
+		}
+	}
+	slices.Sort(dst)
+	return dst
 }
 
 // process closes candidate id's bit; other ids are ignored.
@@ -387,10 +434,8 @@ func (r *runner) runCTA(ids []int) error {
 // dominance order with pivot-based early reporting, plus (for LP-CTA)
 // look-ahead rank bounds on freshly created cells.
 func (r *runner) runProgressive() error {
-	processed := make(map[int]bool)
-
-	// The pivot checks' candidates; LP-CTA's rank bounds walk an R-tree
-	// over the same records.
+	// The pivot checks' candidates, which every batch is drawn from;
+	// LP-CTA's rank bounds walk an R-tree over the same records.
 	bandSpan := r.opts.Trace.Span(PhaseSkyband)
 	cands := r.kSkybandIDs()
 	esc := newEscapeCheck(cands, r.tree.Records, r.tree.Dim)
@@ -402,7 +447,9 @@ func (r *runner) runProgressive() error {
 	}
 
 	// First batch: the skyline of the competing records (Invariant 1).
-	batch := r.tree.Skyline(r.skip)
+	// np is the non-pivot union, a bitset over the candidates.
+	np := make([]uint64, esc.words)
+	batch := esc.batch(np, nil)
 	bandSpan.End()
 
 	r.ct.TakeFreshLeaves() // the root cell's bounds are trivially [1, n]
@@ -413,7 +460,6 @@ func (r *runner) runProgressive() error {
 	var doms, neg, pos []int
 	for len(batch) > 0 && !r.ct.Done() {
 		r.result.Stats.Batches++
-		sort.Ints(batch)
 		expandSpan := r.opts.Trace.Span(PhaseExpand)
 		for _, id := range batch {
 			if r.ct.Done() {
@@ -423,14 +469,14 @@ func (r *runner) runProgressive() error {
 				return err
 			}
 			h := r.hyperplane(id)
-			processed[id] = true
 			esc.process(id)
 			if h.Kind != geom.Proper {
 				continue
 			}
-			// A batch is a skyline of D minus the skipped records and the
-			// non-pivot union, so every non-skipped dominator of a batch
-			// record was inserted before it: the rows hold them all.
+			// A batch is a skyline of the candidates minus the non-pivot
+			// union, and every non-skipped dominator of a candidate is a
+			// candidate, so every non-skipped dominator of a batch record
+			// was inserted before it: the rows hold them all.
 			doms = esc.dominators(r.tree.Records[id], doms)
 			if err := r.ct.Insert(h, doms); err != nil {
 				return err
@@ -456,9 +502,9 @@ func (r *runner) runProgressive() error {
 		}
 
 		// Pivot-based reporting and the union of non-pivots (Algorithm 2
-		// lines 13-19).
+		// lines 13-19). Every pivot was inserted, so it is a candidate.
 		pivotSpan := r.opts.Trace.Span(PhasePivots)
-		np := make(map[int]bool)
+		clear(np)
 		var reportErr error
 		var toReport, toPrune []*celltree.Node
 		r.ct.LiveLeaves(func(c *celltree.Node) bool {
@@ -472,7 +518,9 @@ func (r *runner) runProgressive() error {
 			if esc.escapes(neg) {
 				// Some unprocessed record may still affect c.
 				for _, id := range pos {
-					np[id] = true
+					if i, ok := slices.BinarySearch(cands, id); ok {
+						np[i/64] |= 1 << (i % 64)
+					}
 				}
 				return true
 			}
@@ -502,29 +550,25 @@ func (r *runner) runProgressive() error {
 			break
 		}
 
-		// Next batch: unprocessed records on the skyline of D minus the
-		// non-pivot union (Algorithm 2 lines 20-21).
+		// Next batch: open candidates on the skyline of the candidates
+		// outside the non-pivot union (Algorithm 2 lines 20-21).
 		skySpan := r.opts.Trace.Span(PhaseSkyband)
-		sky := r.tree.Skyline(func(id int) bool { return r.skip(id) || np[id] })
-		batch = batch[:0]
-		for _, id := range sky {
-			if !processed[id] {
-				batch = append(batch, id)
-			}
-		}
+		batch = esc.batch(np, batch)
 		skySpan.End()
 		if len(batch) == 0 {
-			// Should be impossible while live cells remain (every live cell
-			// admits an unprocessed record outside its pivots' dominance
-			// region, and such a record surfaces in the skyline of D\NP).
-			// Defensive fallback: finish exactly with plain insertion.
+			// Should be impossible while live cells remain: a live cell
+			// lets some open candidate c escape its pivots, and a maximal
+			// record among c and its dominators outside the non-pivot
+			// union is on this skyline. It is open: c is, and a processed
+			// dominator outside the union would be a negative pivot of
+			// the cell, so c could not escape. Defensive fallback: finish
+			// exactly with plain insertion of the open candidates.
 			var rest []int
-			for id := range r.tree.Records {
-				if !processed[id] && !r.skip(id) {
+			for i, id := range cands {
+				if esc.open[i/64]&(1<<(i%64)) != 0 {
 					rest = append(rest, id)
 				}
 			}
-			sort.Ints(rest)
 			return r.runCTA(rest)
 		}
 	}

@@ -13,7 +13,7 @@ func phaseSet(t *testing.T, opts Options) (map[string]obs.Phase, *Result) {
 	t.Helper()
 	tr, recs := buildIND(t, 120, 4, 99)
 	// A skyline focal guarantees a non-empty result (rank 1 somewhere).
-	focalID := tr.Skyline(nil)[0]
+	focalID := tr.Skyline()[0]
 	trace := obs.NewTrace()
 	opts.K = 8
 	opts.Trace = trace

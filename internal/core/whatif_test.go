@@ -24,7 +24,7 @@ func TestRegionOutscorersRankInvariant(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			band := tree.KSkyband(4, nil)
+			band := tree.KSkyband(4)
 			focalID := band[len(band)/2]
 			res, err := Run(tree, recs[focalID], focalID, Options{K: 4, Algorithm: algo})
 			if err != nil {

@@ -192,7 +192,7 @@ func (c Config) focals(wl *workload, k, q int, seed int64) []int {
 	if !c.SkybandFocals {
 		return pickFocals(wl.ds.Len(), q, seed)
 	}
-	band := wl.tree.KSkyband(k, nil)
+	band := wl.tree.KSkyband(k)
 	rng := rand.New(rand.NewSource(seed))
 	ids := make([]int, q)
 	for i := range ids {

@@ -48,7 +48,7 @@ func BenchmarkSkyline_50k_d4(b *testing.B) {
 	tr := benchTree(b, 50000, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Skyline(nil)
+		tr.Skyline()
 	}
 }
 
@@ -56,7 +56,7 @@ func BenchmarkKSkyband30_20k_d4(b *testing.B) {
 	tr := benchTree(b, 20000, 4)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.KSkyband(30, nil)
+		tr.KSkyband(30)
 	}
 }
 
@@ -65,7 +65,7 @@ func BenchmarkTopK10_50k_d4(b *testing.B) {
 	w := geom.Vector{0.4, 0.3, 0.2, 0.1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.TopK(w, 10, nil)
+		tr.TopK(w, 10)
 	}
 }
 
@@ -74,6 +74,6 @@ func BenchmarkDominators_50k_d4(b *testing.B) {
 	p := geom.Vector{0.8, 0.8, 0.8, 0.8}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr.Dominators(p, nil)
+		tr.Dominators(p, -1)
 	}
 }

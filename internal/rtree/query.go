@@ -2,14 +2,12 @@ package rtree
 
 import (
 	"container/heap"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
 	"repro/internal/kernel"
 )
-
-// ExcludeFunc filters records out of a query; nil means exclude nothing.
-type ExcludeFunc func(id int) bool
 
 // entryHeap orders entries by descending key (max-heap on key).
 type heapItem struct {
@@ -31,33 +29,47 @@ func (h *entryHeap) Pop() interface{} {
 	return it
 }
 
-// Skyline returns the IDs of the records not dominated by any other record,
-// considering only records for which exclude(id) is false, in ascending
-// order: the 1-skyband, from the same branch-and-bound (BBS) traversal of
-// Papadias et al. as KSkyband.
-func (t *Tree) Skyline(exclude ExcludeFunc) []int {
-	sky, _ := t.kSkybandScan(1, exclude)
+// bandHeap is the k-skyband traversal's entryHeap. Equal keys pop the
+// lexicographically larger max-corner first. The max-corner of an entry
+// holding a dominator of record r is at least that dominator in every
+// dimension, so it is lexicographically larger than r: r pops after the
+// entry even when their coordinate sums round to the same key.
+type bandHeap struct{ entryHeap }
+
+func (h bandHeap) Less(i, j int) bool {
+	a, b := &h.entryHeap[i], &h.entryHeap[j]
+	if a.key != b.key {
+		return a.key > b.key
+	}
+	return slices.Compare(a.entry.High, b.entry.High) > 0
+}
+
+// Skyline returns the IDs of the records not dominated by any other
+// record, in ascending order: the 1-skyband, from the same
+// branch-and-bound (BBS) traversal of Papadias et al. as KSkyband.
+func (t *Tree) Skyline() []int {
+	sky, _ := t.kSkybandScan(1)
 	return sky
 }
 
-// KSkyband returns the IDs of records dominated by fewer than k others
-// (again honouring exclude). It generalizes Skyline (k=1). Counting only
-// skyband dominators is exact by transitivity: a pruned dominator itself
-// has >= k skyband dominators, which also dominate the candidate.
+// KSkyband returns the IDs of records dominated by fewer than k others.
+// It generalizes Skyline (k=1). Counting only skyband dominators is exact
+// by transitivity: a pruned dominator itself has >= k skyband dominators,
+// which also dominate the candidate.
 //
-// When no exclusion filter is given and the tree's band-table slot holds
-// a table deep enough for k, the answer is read straight off the table —
-// the table is a previous traversal's output over the identical tree, so
-// the served ids match a live traversal exactly. KSkyband reads the slot
-// but never fills it: filling costs a deeper traversal than asked for.
-func (t *Tree) KSkyband(k int, exclude ExcludeFunc) []int {
+// When the tree's band-table slot holds a table deep enough for k, the
+// answer is read straight off the table — the table is a previous
+// traversal's output over the identical tree, so the served ids match a
+// live traversal exactly. KSkyband reads the slot but never fills it:
+// filling costs a deeper traversal than asked for.
+func (t *Tree) KSkyband(k int) []int {
 	if k <= 0 {
 		return nil
 	}
-	if b := t.Band(); exclude == nil && b != nil && k <= b.K {
+	if b := t.Band(); b != nil && k <= b.K {
 		return t.readBand(b, k, -1)
 	}
-	band, _ := t.kSkybandScan(k, exclude)
+	band, _ := t.kSkybandScan(k)
 	return band
 }
 
@@ -105,10 +117,11 @@ func (t *Tree) readBand(b *BandTable, k, focalID int) []int {
 // with their exact dominator counts. Counting against the band-so-far is
 // exact for admitted members: any dominator of a member has strictly
 // fewer dominators itself (its dominators all dominate the member too),
-// hence is in the band, and its strictly larger coordinate sum means the
-// BBS order admitted it first. The band-table slot is filled from it.
+// hence is in the band, and the BBS order admitted it first (its
+// coordinate sum is at least as large, and equal sums pop the larger
+// values first). The band-table slot is filled from it.
 func (t *Tree) KSkybandTable(k int) *BandTable {
-	ids, cnts := t.kSkybandScan(k, nil)
+	ids, cnts := t.kSkybandScan(k)
 	b := &BandTable{K: k, IDs: make([]int32, len(ids)), Cnt: cnts}
 	for i, id := range ids {
 		b.IDs[i] = int32(id)
@@ -118,15 +131,15 @@ func (t *Tree) KSkybandTable(k int) *BandTable {
 
 // kSkybandScan is the shared BBS k-skyband traversal of Papadias et al.,
 // adapted to "larger is better" semantics: entries are processed in
-// decreasing order of the coordinate sum of their max-corner, which
-// guarantees every potential dominator of a record is examined before the
-// record itself. It returns the members sorted ascending with their
-// dominator counts.
-func (t *Tree) kSkybandScan(k int, exclude ExcludeFunc) ([]int, []int32) {
+// decreasing order of the coordinate sum of their max-corner, ties broken
+// as bandHeap says, which guarantees every potential dominator of a
+// record is examined before the record itself. It returns the members
+// sorted ascending with their dominator counts.
+func (t *Tree) kSkybandScan(k int) ([]int, []int32) {
 	var ids []int
 	var cnts []int32
 	band := kernel.NewBand(t.Dim)
-	h := &entryHeap{}
+	h := &bandHeap{}
 	t.visit(t.Root)
 	for _, e := range t.Root.Entries {
 		heap.Push(h, heapItem{e, e.High.Sum()})
@@ -144,9 +157,6 @@ func (t *Tree) kSkybandScan(k int, exclude ExcludeFunc) ([]int, []int32) {
 					heap.Push(h, heapItem{ce, ce.High.Sum()})
 				}
 			}
-			continue
-		}
-		if exclude != nil && exclude(e.RecordID) {
 			continue
 		}
 		r := t.Records[e.RecordID]
@@ -176,7 +186,7 @@ func (b *bandByID) Swap(i, j int) {
 // TopK returns the k record IDs with the highest scores under weight vector
 // w (original d-dimensional weights), best first. Branch-and-bound on the
 // max-corner score.
-func (t *Tree) TopK(w geom.Vector, k int, exclude ExcludeFunc) []int {
+func (t *Tree) TopK(w geom.Vector, k int) []int {
 	if k <= 0 {
 		return nil
 	}
@@ -203,9 +213,6 @@ func (t *Tree) TopK(w geom.Vector, k int, exclude ExcludeFunc) []int {
 			}
 			continue
 		}
-		if exclude != nil && exclude(e.RecordID) {
-			continue
-		}
 		s := t.Records[e.RecordID].Dot(w)
 		result = append(result, scored{e.RecordID, s})
 		sort.Slice(result, func(a, b int) bool { return result[a].score > result[b].score })
@@ -220,10 +227,11 @@ func (t *Tree) TopK(w geom.Vector, k int, exclude ExcludeFunc) []int {
 	return ids
 }
 
-// Dominators returns the IDs of records that dominate p (honouring
-// exclude). A subtree is pruned when its max-corner fails to cover p,
-// since then no record inside can dominate p.
-func (t *Tree) Dominators(p geom.Vector, exclude ExcludeFunc) []int {
+// Dominators returns the IDs of records other than record exclude that
+// dominate p; a negative exclude leaves none out. A subtree is pruned
+// when its max-corner fails to cover p, since then no record inside can
+// dominate p.
+func (t *Tree) Dominators(p geom.Vector, exclude int) []int {
 	var out []int
 	var walk func(n *Node)
 	walk = func(n *Node) {
@@ -236,10 +244,7 @@ func (t *Tree) Dominators(p geom.Vector, exclude ExcludeFunc) []int {
 				walk(e.Child)
 				continue
 			}
-			if exclude != nil && exclude(e.RecordID) {
-				continue
-			}
-			if geom.Dominates(t.Records[e.RecordID], p) {
+			if e.RecordID != exclude && geom.Dominates(t.Records[e.RecordID], p) {
 				out = append(out, e.RecordID)
 			}
 		}

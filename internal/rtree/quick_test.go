@@ -38,7 +38,7 @@ func TestQuickSkylineDefinition(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		sky := tr.Skyline(nil)
+		sky := tr.Skyline()
 		inSky := map[int]bool{}
 		for _, id := range sky {
 			inSky[id] = true
@@ -79,8 +79,8 @@ func TestQuickSkybandMonotone(t *testing.T) {
 			return false
 		}
 		k := int(kRaw)%5 + 1
-		a := tr.KSkyband(k, nil)
-		b := tr.KSkyband(k+1, nil)
+		a := tr.KSkyband(k)
+		b := tr.KSkyband(k + 1)
 		if len(a) > len(b) {
 			return false
 		}
@@ -93,7 +93,7 @@ func TestQuickSkybandMonotone(t *testing.T) {
 				return false // k-skyband must be contained in (k+1)-skyband
 			}
 		}
-		full := tr.KSkyband(len(recs), nil)
+		full := tr.KSkyband(len(recs))
 		return len(full) == len(recs)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
@@ -116,7 +116,7 @@ func TestQuickTopKOrdering(t *testing.T) {
 		}
 		w := geom.Vector{rng.Float64() + 0.01, rng.Float64() + 0.01, rng.Float64() + 0.01}
 		k := 1 + rng.Intn(len(recs))
-		top := tr.TopK(w, k, nil)
+		top := tr.TopK(w, k)
 		if len(top) != min(k, len(recs)) {
 			return false
 		}

@@ -2,9 +2,9 @@
 // index (§6.2, citing the aR-tree of Papadias et al.): a spatial index whose
 // internal entries carry, besides the minimum bounding rectangle, the number
 // of records in their subtree. It supports the access patterns kSPR needs:
-// branch-and-bound skyline (BBS) with exclusion sets, k-skyband extraction,
-// top-k retrieval, dominance counting/existence queries, and a page-visit
-// hook for the disk-resident scenario of Appendix A.
+// branch-and-bound skyline (BBS), k-skyband extraction, top-k retrieval,
+// dominance counting/existence queries, and a page-visit hook for the
+// disk-resident scenario of Appendix A.
 //
 // Construction uses Sort-Tile-Recursive (STR) bulk loading, which is the
 // standard way to build a static R-tree over a known dataset, in time

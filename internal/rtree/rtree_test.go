@@ -219,51 +219,35 @@ func TestBuildAllocs(t *testing.T) {
 	}
 }
 
-func bruteSkyline(recs []geom.Vector, exclude ExcludeFunc) []int {
+// bruteSkyband returns, ascending, the records other than record exclude
+// (negative: none) that fewer than k of the other records dominate.
+func bruteSkyband(recs []geom.Vector, k, exclude int) []int {
 	var out []int
 	for i, r := range recs {
-		if exclude != nil && exclude(i) {
-			continue
-		}
-		dominated := false
-		for j, s := range recs {
-			if i == j || (exclude != nil && exclude(j)) {
-				continue
-			}
-			if geom.Dominates(s, r) {
-				dominated = true
-				break
-			}
-		}
-		if !dominated {
-			out = append(out, i)
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-func bruteSkyband(recs []geom.Vector, k int, exclude ExcludeFunc) []int {
-	var out []int
-	for i, r := range recs {
-		if exclude != nil && exclude(i) {
+		if i == exclude {
 			continue
 		}
 		count := 0
 		for j, s := range recs {
-			if i == j || (exclude != nil && exclude(j)) {
-				continue
-			}
-			if geom.Dominates(s, r) {
-				count++
+			if j != i && j != exclude && geom.Dominates(s, r) {
+				if count++; count == k {
+					break
+				}
 			}
 		}
 		if count < k {
 			out = append(out, i)
 		}
 	}
-	sort.Ints(out)
 	return out
+}
+
+// sumTiePairs holds a record and its dominator whose coordinate sums
+// round to the same float, in both orders: a traversal ordered by sum
+// alone can admit the dominated record before its dominator.
+var sumTiePairs = [][]geom.Vector{
+	{{0.5, 0, 0.5}, {0.5, 1e-17, 0.5}},
+	{{0.5, 1e-17, 0.5}, {0.5, 0, 0.5}},
 }
 
 func equalInts(a, b []int) bool {
@@ -288,34 +272,19 @@ func TestSkylineMatchesBruteForce(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := tr.Skyline(nil)
-		want := bruteSkyline(recs, nil)
+		got := tr.Skyline()
+		want := bruteSkyband(recs, 1, -1)
 		if !equalInts(got, want) {
 			t.Fatalf("trial %d (n=%d d=%d): skyline %v != brute %v", trial, n, d, got, want)
 		}
 	}
-}
-
-func TestSkylineWithExclusions(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	recs := randRecords(rng, 200, 3)
-	tr, _ := Build(recs, WithFanout(8))
-	// Exclude the unconstrained skyline itself; the "second layer" must
-	// emerge.
-	first := tr.Skyline(nil)
-	exSet := map[int]bool{}
-	for _, id := range first {
-		exSet[id] = true
-	}
-	ex := func(id int) bool { return exSet[id] }
-	got := tr.Skyline(ex)
-	want := bruteSkyline(recs, ex)
-	if !equalInts(got, want) {
-		t.Fatalf("skyline with exclusions %v != brute %v", got, want)
-	}
-	for _, id := range got {
-		if exSet[id] {
-			t.Fatalf("excluded record %d reported", id)
+	for _, recs := range sumTiePairs {
+		tr, err := Build(recs, WithFanout(8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := tr.Skyline(), bruteSkyband(recs, 1, -1); !equalInts(got, want) {
+			t.Fatalf("%v: skyline %v != brute %v", recs, got, want)
 		}
 	}
 }
@@ -332,11 +301,26 @@ func TestKSkybandMatchesBruteForce(t *testing.T) {
 				recs = randWarmRecords(rng, n, d, true)
 			}
 			tr, _ := Build(recs, WithFanout(8))
-			got := tr.KSkyband(k, nil)
-			want := bruteSkyband(recs, k, nil)
+			got := tr.KSkyband(k)
+			want := bruteSkyband(recs, k, -1)
 			if !equalInts(got, want) {
 				t.Fatalf("ties=%v trial %d (n=%d d=%d k=%d): skyband size %d != brute %d",
 					ties, trial, n, d, k, len(got), len(want))
+			}
+		}
+	}
+	// The sum-tie pairs, through the traversal and through a band table,
+	// whose counts say which record the other dominates.
+	for _, recs := range sumTiePairs {
+		for k := 1; k <= 2; k++ {
+			tr, _ := Build(recs, WithFanout(8))
+			want := bruteSkyband(recs, k, -1)
+			if got := tr.KSkyband(k); !equalInts(got, want) {
+				t.Fatalf("%v k=%d: skyband %v != brute %v", recs, k, got, want)
+			}
+			tr.SetBand(tr.KSkybandTable(k + 1))
+			if got := tr.KSkyband(k); !equalInts(got, want) {
+				t.Fatalf("%v k=%d: table-served skyband %v != brute %v", recs, k, got, want)
 			}
 		}
 	}
@@ -346,10 +330,10 @@ func TestKSkybandK1IsSkyline(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	recs := randRecords(rng, 150, 3)
 	tr, _ := Build(recs)
-	if !equalInts(tr.KSkyband(1, nil), tr.Skyline(nil)) {
+	if !equalInts(tr.KSkyband(1), tr.Skyline()) {
 		t.Fatal("1-skyband differs from skyline")
 	}
-	if tr.KSkyband(0, nil) != nil {
+	if tr.KSkyband(0) != nil {
 		t.Fatal("0-skyband should be empty")
 	}
 }
@@ -371,7 +355,7 @@ func TestTopKMatchesBruteForce(t *testing.T) {
 			w[j] /= sum
 		}
 		k := 1 + rng.Intn(10)
-		got := tr.TopK(w, k, nil)
+		got := tr.TopK(w, k)
 		// Brute force.
 		ids := make([]int, n)
 		for i := range ids {
@@ -399,7 +383,7 @@ func TestDominators(t *testing.T) {
 	recs := randRecords(rng, 300, 3)
 	tr, _ := Build(recs, WithFanout(8))
 	p := geom.Vector{0.5, 0.5, 0.5}
-	got := tr.Dominators(p, nil)
+	got := tr.Dominators(p, -1)
 	var want []int
 	for i, r := range recs {
 		if geom.Dominates(r, p) {
@@ -481,7 +465,7 @@ func TestTrackerCountsPages(t *testing.T) {
 	tr, _ := Build(recs, WithFanout(8))
 	var ct countTracker
 	tr.SetTracker(&ct)
-	tr.Skyline(nil)
+	tr.Skyline()
 	if ct.visits == 0 {
 		t.Fatal("tracker saw no page visits")
 	}
@@ -489,7 +473,7 @@ func TestTrackerCountsPages(t *testing.T) {
 		t.Fatalf("suspiciously many visits: %d for %d pages", ct.visits, tr.Pages())
 	}
 	tr.SetTracker(nil)
-	tr.Skyline(nil) // must not panic
+	tr.Skyline() // must not panic
 }
 
 func TestWithoutAggregates(t *testing.T) {
@@ -500,7 +484,7 @@ func TestWithoutAggregates(t *testing.T) {
 		t.Fatal("Aggregate flag not cleared")
 	}
 	// Structure-only queries still work.
-	if got := tr.Skyline(nil); !equalInts(got, bruteSkyline(recs, nil)) {
+	if got := tr.Skyline(); !equalInts(got, bruteSkyband(recs, 1, -1)) {
 		t.Fatal("skyline broken on non-aggregate tree")
 	}
 }
@@ -510,10 +494,10 @@ func TestSingleRecordTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := tr.Skyline(nil); !equalInts(got, []int{0}) {
+	if got := tr.Skyline(); !equalInts(got, []int{0}) {
 		t.Fatalf("skyline of singleton = %v", got)
 	}
-	if got := tr.TopK(geom.Vector{0.5, 0.5}, 3, nil); len(got) != 1 || got[0] != 0 {
+	if got := tr.TopK(geom.Vector{0.5, 0.5}, 3); len(got) != 1 || got[0] != 0 {
 		t.Fatalf("top-3 of singleton = %v", got)
 	}
 }

@@ -80,7 +80,7 @@ func TestBuildFromOrderReproducesBuild(t *testing.T) {
 		// Queries agree too (belt and braces on top of the structural
 		// check).
 		for k := 1; k <= 4; k++ {
-			if !reflect.DeepEqual(cold.KSkyband(k, nil), warm.KSkyband(k, nil)) {
+			if !reflect.DeepEqual(cold.KSkyband(k), warm.KSkyband(k)) {
 				t.Fatalf("n=%d k=%d: skyband diverged", tc.n, k)
 			}
 		}
@@ -127,8 +127,8 @@ func TestBuildFromOrderRejectsBadLayouts(t *testing.T) {
 // whose band-table slot starts out as named: seeded with a table of
 // depth 6, empty (the first KSkybandExcluding fills it), or seeded with
 // a depth-64 table. k runs ascending, then past every table's depth;
-// KSkyband and KSkybandExcluding must match the traversal for every k
-// and every focal (-1: no focal).
+// KSkyband must match the traversal, and KSkybandExcluding brute force,
+// for every k and every focal (-1: no focal).
 func TestBandTableMatchesTraversal(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	const bandK = 6
@@ -168,16 +168,16 @@ func TestBandTableMatchesTraversal(t *testing.T) {
 			if in.seed != nil {
 				served.SetBand(in.seed)
 			}
-			served.KSkyband(3, nil)
+			served.KSkyband(3)
 			if in.seed == nil && served.Band() != nil {
 				t.Fatalf("trial %d: KSkyband filled the band-table slot", trial)
 			}
 			for _, k := range []int{1, 2, 3, 4, 5, bandK + 3} {
-				if !reflect.DeepEqual(tree.KSkyband(k, nil), served.KSkyband(k, nil)) {
+				if !reflect.DeepEqual(tree.KSkyband(k), served.KSkyband(k)) {
 					t.Fatalf("trial %d %s k=%d: table-served skyband diverged", trial, in.name, k)
 				}
 				for f := -1; f < len(recs); f++ {
-					want := tree.KSkyband(k, func(id int) bool { return id == f })
+					want := bruteSkyband(recs, k, f)
 					got := served.KSkybandExcluding(k, f)
 					if !reflect.DeepEqual(want, got) {
 						t.Fatalf("trial %d %s k=%d focal=%d: excluding skyband diverged: %v vs %v",
@@ -206,15 +206,11 @@ func TestBandTableMatchesTraversal(t *testing.T) {
 }
 
 // TestBandSlotConcurrentFill shares one tree across goroutines querying
-// mixed k: every answer must match the traversal, and the slot must end
+// mixed k: every answer must match brute force, and the slot must end
 // at the deepest fill (max k + 1), never replaced by a shallower table.
 func TestBandSlotConcurrentFill(t *testing.T) {
 	rng := rand.New(rand.NewSource(29))
 	recs := randWarmRecords(rng, 300, 3, true)
-	ref, err := Build(recs, WithFanout(8))
-	if err != nil {
-		t.Fatal(err)
-	}
 	shared, err := Build(recs, WithFanout(8))
 	if err != nil {
 		t.Fatal(err)
@@ -223,7 +219,7 @@ func TestBandSlotConcurrentFill(t *testing.T) {
 	want := make(map[int][][]int, len(ks))
 	for _, k := range ks {
 		for f := 0; f < len(recs); f++ {
-			want[k] = append(want[k], ref.KSkyband(k, func(id int) bool { return id == f }))
+			want[k] = append(want[k], bruteSkyband(recs, k, f))
 		}
 	}
 	var wg sync.WaitGroup

@@ -23,7 +23,7 @@ func renderResult(t *testing.T) (*core.Result, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	focal := tr.Skyline(nil)[0]
+	focal := tr.Skyline()[0]
 	res, err := core.Run(tr, ds.Records[focal], focal, core.Options{
 		K: 4, Algorithm: core.LPCTA, FinalizeGeometry: true,
 	})
@@ -76,7 +76,7 @@ func TestWriteSVGValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	band := tr.KSkyband(4, nil)
+	band := tr.KSkyband(4)
 	focal := 0
 	for slices.Contains(band, focal) {
 		focal++

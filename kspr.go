@@ -445,7 +445,7 @@ func (db *DB) TopK(w []float64, k int) []int {
 	if st.tree == nil || len(w) != st.tree.Dim || geom.CheckFinite(w) != nil {
 		return nil
 	}
-	return st.tree.TopK(geom.Vector(w), k, nil)
+	return st.tree.TopK(geom.Vector(w), k)
 }
 
 // Skyline returns the ids of the records dominated by no other.
@@ -454,7 +454,7 @@ func (db *DB) Skyline() []int {
 	if st.tree == nil {
 		return nil
 	}
-	return st.tree.Skyline(nil)
+	return st.tree.Skyline()
 }
 
 // KSkyband returns the ids of records dominated by fewer than k others.
@@ -463,7 +463,7 @@ func (db *DB) KSkyband(k int) []int {
 	if st.tree == nil {
 		return nil
 	}
-	return st.tree.KSkyband(k, nil)
+	return st.tree.KSkyband(k)
 }
 
 // Rank computes the rank of record focalID under weights w (1 = best);
