@@ -69,9 +69,9 @@ func (r *runner) boundFreshLeaves() error {
 }
 
 // cellBounds carries the per-cell quantities shared across the index
-// traversal: the cell, its LP accounting, the focal score interval and
-// (transformed space, FastBounds only) the min/max-vectors that power the
-// fast bounds of §6.3.
+// traversal: the cell in transformed coordinates (an original-space cell's
+// Σw = 1 slice), its LP accounting, the focal score interval and
+// (FastBounds only) the min/max-vectors that power the fast bounds of §6.3.
 type cellBounds struct {
 	cons []geom.Constraint
 	// verts, when non-nil, holds the cell's exact vertices; linear score
@@ -84,14 +84,13 @@ type cellBounds struct {
 	// stats counts the calling goroutine's LPs.
 	stats      *lp.Stats
 	pMin, pMax float64
-	// wL, wU are original-space d-dimensional corner weight vectors; nil
-	// when the fast bounds are off.
+	// wL, wU are the cell's corner weight vectors, lifted to d
+	// dimensions; nil when the fast bounds are off.
 	wL, wU geom.Vector
-	// objA/objB are reusable objective buffers for recordObj and
-	// diffInterval, replacing the per-record allocations that dominated
-	// the rank traversal's GC pressure at large candidate counts. Two
-	// buffers, because decide holds the low- and high-corner objectives
-	// simultaneously.
+	// objA/objB are reusable objective buffers for recordObj, replacing
+	// the per-record allocations that dominated the rank traversal's GC
+	// pressure at large candidate counts. Two buffers, because decide
+	// holds the low- and high-corner objectives simultaneously.
 	objA, objB geom.Vector
 }
 
@@ -143,7 +142,8 @@ func intervalOverVertices(verts []geom.Vector, obj geom.Vector, c float64) (floa
 // skyband beaters brackets the true rank wherever it is at most K. Beyond
 // being tighter and cheaper than a full-dataset traversal, this makes
 // every bound decision a pure function of the candidate set — the
-// property incremental maintenance relies on. stats counts the calling
+// property incremental maintenance relies on. An original-space cell is
+// bounded over its Σw = 1 slice (see slice). stats counts the calling
 // goroutine's LPs.
 func (r *runner) rankBounds(cons []geom.Constraint, verts []geom.Vector, stats *lp.Stats) (int, int, error) {
 	lower, upper := 1+r.baseRank, 1+r.baseRank
@@ -152,16 +152,17 @@ func (r *runner) rankBounds(cons []geom.Constraint, verts []geom.Vector, stats *
 		// exactly 1 + baseRank throughout the cell.
 		return lower, upper, nil
 	}
+	if r.opts.Space == Original {
+		cons, verts = r.slice(cons, verts)
+	}
 	cb := &cellBounds{cons: cons, verts: verts, stats: stats}
 	var err error
-	if r.opts.Space == Transformed {
-		if cb.pMin, cb.pMax, err = interval(cb, r.pObj, r.pConst); err != nil {
+	if cb.pMin, cb.pMax, err = interval(cb, r.pObj, r.pConst); err != nil {
+		return 0, 0, err
+	}
+	if r.opts.Bounds == FastBounds {
+		if cb.wL, cb.wU, err = r.cornerVectors(cb); err != nil {
 			return 0, 0, err
-		}
-		if r.opts.Bounds == FastBounds {
-			if cb.wL, cb.wU, err = r.cornerVectors(cb); err != nil {
-				return 0, 0, err
-			}
 		}
 	}
 	if r.opts.Bounds == RecordBounds {
@@ -224,30 +225,13 @@ func (r *runner) updateRank(n *rtree.Node, cb *cellBounds, lower, upper *int) er
 // against the focal throughout the cell. It returns false when the bounds are
 // inconclusive.
 func (r *runner) decide(lo, hi geom.Vector, count int, cb *cellBounds, lower, upper *int) (bool, error) {
-	if r.opts.Space == Original {
-		// Appendix C: every original-space cell touches the origin, so raw
-		// score intervals all start at 0 and are useless; bound S(r) - S(p)
-		// instead. min over the cell of S(lo)-S(p) > 0: every record beats
-		// p everywhere in the cell; max of S(hi)-S(p) <= 0: none ever does.
-		minLo, err := r.diffInterval(cb, lo, false)
-		if err != nil {
-			return false, err
-		}
-		if minLo > boundEps {
-			*lower += count
-			*upper += count
-			return true, nil
-		}
-		maxHi, err := r.diffInterval(cb, hi, true)
-		return !(maxHi > -boundEps), err
-	}
 	// Fast filtering step (§6.3).
 	if cb.wL != nil && applyInterval(cb.wL.Dot(lo), cb.wU.Dot(hi), count, cb, lower, upper) {
 		return true, nil
 	}
 	// Tight bounds: the interval of S over [lo, hi] across the cell. A
 	// single record is both corners, so one interval serves it.
-	loObj, loC := r.recordObj(lo, cb.scratchA(r.dim))
+	loObj, loC := r.recordObj(lo, cb.scratchA(r.tree.Dim-1))
 	if count == 1 {
 		sLo, sHi, err := interval(cb, loObj, loC)
 		if err != nil {
@@ -255,7 +239,7 @@ func (r *runner) decide(lo, hi geom.Vector, count int, cb *cellBounds, lower, up
 		}
 		return applyInterval(sLo, sHi, 1, cb, lower, upper), nil
 	}
-	hiObj, hiC := r.recordObj(hi, cb.scratchB(r.dim))
+	hiObj, hiC := r.recordObj(hi, cb.scratchB(r.tree.Dim-1))
 	sLo, err := extremum(cb, loObj, loC, false)
 	if err != nil {
 		return false, err
@@ -332,16 +316,6 @@ func interval(cb *cellBounds, obj geom.Vector, c float64) (float64, float64, err
 	return lo, hi, nil
 }
 
-// diffInterval returns min (wantMax=false) or max of (v - focal)·w over the
-// cell closure.
-func (r *runner) diffInterval(cb *cellBounds, v geom.Vector, wantMax bool) (float64, error) {
-	obj := cb.scratchA(len(v))
-	for j := range obj {
-		obj[j] = v[j] - r.focal[j]
-	}
-	return extremum(cb, obj, 0, wantMax)
-}
-
 type errStatus lp.Status
 
 func (e errStatus) Error() string { return "core: score-bound LP " + lp.Status(e).String() }
@@ -355,8 +329,8 @@ func (r *runner) cornerVectors(cb *cellBounds) (geom.Vector, geom.Vector, error)
 	d := r.tree.Dim
 	wL := make(geom.Vector, d)
 	wU := make(geom.Vector, d)
-	axis := make(geom.Vector, r.dim)
-	for j := 0; j < r.dim; j++ {
+	axis := make(geom.Vector, d-1)
+	for j := range axis {
 		for i := range axis {
 			axis[i] = 0
 		}
@@ -367,7 +341,7 @@ func (r *runner) cornerVectors(cb *cellBounds) (geom.Vector, geom.Vector, error)
 		}
 		wL[j], wU[j] = lo, hi
 	}
-	ones := make(geom.Vector, r.dim)
+	ones := make(geom.Vector, d-1)
 	for i := range ones {
 		ones[i] = 1
 	}
@@ -380,13 +354,54 @@ func (r *runner) cornerVectors(cb *cellBounds) (geom.Vector, geom.Vector, error)
 }
 
 // recordObj returns the transformed-space score objective of a data-space
-// vector v, as (objective, constant), the objective written into dst (a
-// cellBounds scratch buffer).
+// vector v, as (objective, constant), the objective written into dst (at
+// least d-1 long): v·w = obj·w' + constant on Σw = 1, w' = w[:d-1].
 func (r *runner) recordObj(v, dst geom.Vector) (geom.Vector, float64) {
 	d := r.tree.Dim
-	obj := dst[:r.dim]
-	for j := 0; j < r.dim; j++ {
+	obj := dst[:d-1]
+	for j := range obj {
 		obj[j] = v[j] - v[d-1]
 	}
 	return obj, v[d-1]
+}
+
+// slice maps an original-space cell (Appendix C), given by its path
+// constraints and, when known, its vertices, onto its slice at Σw = 1 in
+// transformed coordinates. The cell is a cone cut by the box 0 < w < 1,
+// which w ↦ w/Σw takes onto the slice, and the sign of S(r) - S(p) is
+// constant along each ray from the origin: the slice's bounds decide the
+// cell exactly. A label row a·w <= b becomes recordObj(a)·w' <= b - a_d,
+// renormalized (a row left without coefficients cannot cut the slice).
+// Every vertex but the origin has some w_j = 1 tight, so a sum of at
+// least 1; scaled to Σw = 1, those vertices span the slice.
+func (r *runner) slice(cons []geom.Constraint, verts []geom.Vector) ([]geom.Constraint, []geom.Vector) {
+	d := r.tree.Dim
+	out := geom.SpaceBoundsTransformed(d - 1)
+	for _, c := range cons[len(r.bounds):] {
+		a, shift := r.recordObj(c.A, make(geom.Vector, d-1))
+		n := a.Norm()
+		if n <= geom.Eps {
+			continue
+		}
+		for j := range a {
+			a[j] /= n
+		}
+		out = append(out, geom.Constraint{A: a, B: (c.B - shift) / n, Strict: c.Strict})
+	}
+	if verts == nil {
+		return out, nil
+	}
+	sliced := make([]geom.Vector, 0, len(verts)-1)
+	for _, v := range verts {
+		sum := v.Sum()
+		if sum < 0.5 {
+			continue // the origin
+		}
+		u := make(geom.Vector, d-1)
+		for j := range u {
+			u[j] = v[j] / sum
+		}
+		sliced = append(sliced, u)
+	}
+	return out, sliced
 }

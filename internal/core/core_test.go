@@ -154,7 +154,9 @@ func TestOracleAllAlgorithmsTransformed(t *testing.T) {
 func TestOracleOriginalSpace(t *testing.T) {
 	rng := rand.New(rand.NewSource(700))
 	for _, algo := range []Algorithm{PCTA, LPCTA} {
-		for _, d := range []int{2, 3} {
+		// At d=4 original-space cells carry no vertices, so LP-CTA's
+		// slice bounds run on LPs.
+		for _, d := range []int{2, 3, 4} {
 			n := 50
 			tr, recs := buildIND(t, n, d, int64(d)*29)
 			focalID := rng.Intn(n)
@@ -230,7 +232,9 @@ func TestOraclePastOneBitsetWord(t *testing.T) {
 // queries, at parallelism 1 and 2. A reportability test that never
 // reports early still returns correct answers, so only the counts show it;
 // the same holds for look-ahead bounds that decide fewer cells, in either
-// space and every bound mode.
+// space and every bound mode. An original-space query does the transformed
+// one's work: its cells are bounded over their Σw = 1 slices, which at d=4
+// carry no vertices, so only its LP count differs.
 func TestProgressiveWorkPinned(t *testing.T) {
 	tr, recs, focals := deepFocals(t)
 	if !slices.Equal(focals, []int{177, 495, 842}) {
@@ -243,6 +247,8 @@ func TestProgressiveWorkPinned(t *testing.T) {
 			EarlyReported: s.EarlyReported, EarlyPruned: s.EarlyPruned, LPSolves: s.LPSolves,
 		}
 	}
+	lpcta495 := Stats{ProcessedRecords: 107, CellTreeNodes: 395, Batches: 3, DomShortcuts: 4, CellsPruned: 222,
+		RankBoundCells: 94, EarlyPruned: 57}
 	for _, c := range []struct {
 		focal  int
 		algo   Algorithm
@@ -254,10 +260,8 @@ func TestProgressiveWorkPinned(t *testing.T) {
 		{177, LPCTA, Transformed, FastBounds, Stats{ProcessedRecords: 20, CellTreeNodes: 17, Batches: 1, CellsPruned: 9}},
 		{495, PCTA, Transformed, FastBounds, Stats{ProcessedRecords: 107, CellTreeNodes: 397, Batches: 3, DomShortcuts: 4,
 			CellsPruned: 168}},
-		{495, LPCTA, Transformed, FastBounds, Stats{ProcessedRecords: 107, CellTreeNodes: 395, Batches: 3, DomShortcuts: 4,
-			CellsPruned: 222, RankBoundCells: 94, EarlyPruned: 57}},
-		{495, LPCTA, Original, FastBounds, Stats{ProcessedRecords: 107, CellTreeNodes: 397, Batches: 3, DomShortcuts: 4,
-			CellsPruned: 168, RankBoundCells: 95, LPSolves: 47147}},
+		{495, LPCTA, Transformed, FastBounds, lpcta495},
+		{495, LPCTA, Original, FastBounds, lpcta495},
 		{842, PCTA, Transformed, FastBounds, Stats{ProcessedRecords: 122, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
 			CellsPruned: 379}},
 		{842, LPCTA, Transformed, FastBounds, Stats{ProcessedRecords: 122, CellTreeNodes: 957, Batches: 2, DomShortcuts: 52,
@@ -273,7 +277,11 @@ func TestProgressiveWorkPinned(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if got := work(res.Stats); got != c.want {
+			got := work(res.Stats)
+			if c.space == Original {
+				got.LPSolves = 0
+			}
+			if got != c.want {
 				t.Errorf("%v %v %v focal %d parallelism %d: work %+v, want %+v", c.algo, c.space, c.bounds, c.focal, par,
 					got, c.want)
 			}
@@ -533,6 +541,60 @@ func TestBoundsModesAgree(t *testing.T) {
 	}
 	for _, res := range results {
 		checkOracle(t, res, recs, recs[focalID], focalID, 4, rng, 200)
+	}
+}
+
+// TestOriginalSpaceBoundsMatchTransformed checks that OLP-CTA's look-ahead
+// decides what LP-CTA's does: an original-space cell is bounded over its
+// Σw = 1 slice, which is the transformed-space cell, so in every bound
+// mode and at parallelism 1 and 2 both spaces build the same cell tree,
+// bound, prune and report the same cells, and return as many regions.
+func TestOriginalSpaceBoundsMatchTransformed(t *testing.T) {
+	const k = 5
+	decisions := func(res *Result) [6]int {
+		s := res.Stats
+		return [6]int{s.CellTreeNodes, s.RankBoundCells, s.EarlyPruned, s.EarlyReported, s.CellsPruned, len(res.Regions)}
+	}
+	decided := 0
+	for _, dist := range []dataset.Distribution{dataset.Independent, dataset.Correlated, dataset.Anticorrelated} {
+		// d=4 is smaller: there original-space cells carry no vertices,
+		// so their feasibility tests and bounds are all LPs.
+		for _, size := range []struct{ d, n int }{{2, 80}, {3, 120}, {4, 60}} {
+			d := size.d
+			ds, err := dataset.Generate(dist, size.n, d, int64(d)*31)
+			if err != nil {
+				t.Fatal(err)
+			}
+			tr, err := rtree.Build(ds.Records, rtree.WithFanout(8))
+			if err != nil {
+				t.Fatal(err)
+			}
+			band := tr.KSkybandExcluding(k, -1)
+			for _, focalID := range []int{band[len(band)/3], band[2*len(band)/3]} {
+				for _, mode := range []BoundsMode{FastBounds, GroupBounds, RecordBounds} {
+					for _, par := range []int{1, 2} {
+						opts := Options{K: k, Algorithm: LPCTA, Bounds: mode, Parallelism: par}
+						trans, err := Run(tr, ds.Records[focalID], focalID, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						opts.Space = Original
+						orig, err := Run(tr, ds.Records[focalID], focalID, opts)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got, want := decisions(orig), decisions(trans); got != want {
+							t.Errorf("%s d=%d focal %d %v parallelism %d: original [nodes bound pruned reported "+
+								"cellsPruned regions] %v, transformed %v", dist, d, focalID, mode, par, got, want)
+						}
+						decided += trans.Stats.EarlyPruned + trans.Stats.EarlyReported
+					}
+				}
+			}
+		}
+	}
+	if decided == 0 {
+		t.Fatal("the look-ahead decided no cell in the panel")
 	}
 }
 

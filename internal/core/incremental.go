@@ -18,20 +18,6 @@ type Delta struct {
 	Old, New geom.Vector
 }
 
-// WeakDominates reports p >= v in every attribute (equality allowed
-// everywhere): then p scores at least as high as v under every weight
-// vector, so v can never strictly outscore p. It is the Tier-A test of
-// incremental maintenance, shared with the serving layer's mutation
-// classifier.
-func WeakDominates(p, v geom.Vector) bool {
-	for i, x := range p {
-		if x < v[i] {
-			return false
-		}
-	}
-	return true
-}
-
 // MutationImpact classifies one applied mutation batch against any
 // number of kSPR queries: the batch's changed vectors and their strict
 // dominator counts are computed once, and each query's Unaffected check
@@ -96,7 +82,7 @@ func NewMutationImpact(oldTree, newTree *rtree.Tree, deltas []Delta, maxK int) *
 // focal's removal alike.
 func (mi *MutationImpact) Unaffected(focal geom.Vector, k int, algo Algorithm) bool {
 	for i, v := range mi.vecs {
-		if WeakDominates(focal, v) {
+		if geom.WeakDominates(focal, v) {
 			continue
 		}
 		// CTA inserts hyperplanes in dataset order, so even a k-dominated

@@ -372,7 +372,7 @@ func TestMutationImpactMatchesBruteForce(t *testing.T) {
 
 		// irrelevant is the rule for one changed vector v of generation gen.
 		irrelevant := func(focal, v geom.Vector, gen []geom.Vector, k int, algo Algorithm) bool {
-			if WeakDominates(focal, v) {
+			if geom.WeakDominates(focal, v) {
 				return true
 			}
 			if algo == CTA {

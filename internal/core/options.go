@@ -140,8 +140,8 @@ type Options struct {
 	// geometry via halfspace intersection (the paper's finalization step;
 	// on by default through Run).
 	FinalizeGeometry bool
-	// ComputeVolumes additionally measures each region (exact for 1-2
-	// dimensional preference spaces, Monte-Carlo otherwise).
+	// ComputeVolumes additionally measures each region (exact for
+	// preference spaces of up to 3 dimensions, Monte-Carlo otherwise).
 	ComputeVolumes bool
 	// VolumeSamples bounds the Monte-Carlo sample count (default 10000).
 	VolumeSamples int

@@ -69,17 +69,13 @@ func newRunner(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options) (
 	case Transformed:
 		r.dim = d - 1
 		r.bounds = geom.SpaceBoundsTransformed(r.dim)
-		r.pObj = make(geom.Vector, r.dim)
-		for j := 0; j < r.dim; j++ {
-			r.pObj[j] = r.focal[j] - r.focal[d-1]
-		}
-		r.pConst = r.focal[d-1]
 	case Original:
 		r.dim = d
 		r.bounds = geom.SpaceBoundsOriginal(d)
 	default:
 		return nil, fmt.Errorf("core: unknown space %d", r.opts.Space)
 	}
+	r.pObj, r.pConst = r.recordObj(r.focal, make(geom.Vector, d-1))
 	return r, nil
 }
 
@@ -143,7 +139,7 @@ type runner struct {
 	boundsIdx *rtree.Tree
 
 	// S(p) as a transformed-space objective and constant, for the score
-	// bounds (the original space bounds S(r) - S(p) instead)
+	// bounds in either space
 	pObj   geom.Vector
 	pConst float64
 

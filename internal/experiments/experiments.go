@@ -175,26 +175,20 @@ func indexDataset(ds *dataset.Dataset) (*workload, error) {
 	return &workload{ds: ds, tree: tree}, nil
 }
 
-// pickFocals selects q focal record ids uniformly at random, as the paper
-// does ("1000 queries randomly selected from the corresponding dataset").
-func pickFocals(n, q int, seed int64) []int {
+// focals draws the c.Queries focal record ids of a data point of wl:
+// uniformly at random, as the paper does ("1000 queries randomly selected
+// from the corresponding dataset"), or from wl's k-skyband when
+// c.SkybandFocals is set. Every experiment draws its focals here.
+func (c Config) focals(wl *workload, k int, seed int64) []int {
 	rng := rand.New(rand.NewSource(seed))
-	ids := make([]int, q)
-	for i := range ids {
-		ids[i] = rng.Intn(n)
-	}
-	return ids
-}
-
-// focals picks the focal set for a workload: uniform (the paper's protocol)
-// or from the k-skyband when Config.SkybandFocals is set.
-func (c Config) focals(wl *workload, k, q int, seed int64) []int {
+	ids := make([]int, c.Queries)
 	if !c.SkybandFocals {
-		return pickFocals(wl.ds.Len(), q, seed)
+		for i := range ids {
+			ids[i] = rng.Intn(wl.ds.Len())
+		}
+		return ids
 	}
 	band := wl.tree.KSkyband(k)
-	rng := rand.New(rand.NewSource(seed))
-	ids := make([]int, q)
 	for i := range ids {
 		ids[i] = band[rng.Intn(len(band))]
 	}

@@ -2,9 +2,11 @@ package experiments
 
 import (
 	"bytes"
+	"math/rand"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/geom"
 	"repro/internal/lp"
 )
@@ -67,6 +69,45 @@ func TestExperimentsSmoke(t *testing.T) {
 				t.Fatalf("%s produced suspiciously little output:\n%s", id, buf.String())
 			}
 		})
+	}
+}
+
+// TestFocalsHonourSkybandFlag checks the focal draw every experiment
+// makes: without SkybandFocals it is the seed's uniform draw, with it
+// every focal is a K-skyband member.
+func TestFocalsHonourSkybandFlag(t *testing.T) {
+	wl, err := buildWorkload(dataset.Independent, 2000, 4, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k, seed = 10, 42
+	inBand := map[int]bool{}
+	for _, id := range wl.tree.KSkyband(k) {
+		inBand[id] = true
+	}
+	cfg := Config{Queries: 50}
+	rng := rand.New(rand.NewSource(seed))
+	outside := 0
+	for i, id := range cfg.focals(wl, k, seed) {
+		if want := rng.Intn(wl.ds.Len()); id != want {
+			t.Fatalf("uniform focal %d is %d, want %d", i, id, want)
+		}
+		if !inBand[id] {
+			outside++
+		}
+	}
+	if outside == 0 {
+		t.Fatal("no uniform focal lies outside the k-skyband; the check below shows nothing")
+	}
+	cfg.SkybandFocals = true
+	focals := cfg.focals(wl, k, seed)
+	if len(focals) != cfg.Queries {
+		t.Fatalf("%d skyband focals, want %d", len(focals), cfg.Queries)
+	}
+	for _, id := range focals {
+		if !inBand[id] {
+			t.Fatalf("skyband focal %d is outside the %d-skyband", id, k)
+		}
 	}
 }
 

@@ -202,7 +202,7 @@ func Fig18(cfg Config) error {
 	}
 	fmt.Fprintf(w, "%4s %14s %14s %14s\n", "k", "fast (s)", "group (s)", "record (s)")
 	for _, k := range cfg.ks(wl.ds.Len()) {
-		focals := pickFocals(wl.ds.Len(), cfg.Queries, cfg.Seed+int64(k))
+		focals := cfg.focals(wl, k, cfg.Seed+int64(k))
 		fmt.Fprintf(w, "%4d", k)
 		for _, mode := range modes {
 			m, err := wl.measure(focals, core.Options{
@@ -225,7 +225,7 @@ func Fig18(cfg Config) error {
 			return err
 		}
 		kEff := cfg.kDefault(wl.ds.Len())
-		focals := pickFocals(wl.ds.Len(), cfg.Queries, cfg.Seed+int64(d))
+		focals := cfg.focals(wl, kEff, cfg.Seed+int64(d))
 		fmt.Fprintf(w, "%4d", d)
 		for _, mode := range modes {
 			m, err := wl.measure(focals, core.Options{

@@ -56,7 +56,7 @@ func Fig19(cfg Config) error {
 		return err
 	}
 	for _, k := range cfg.ks(wl.ds.Len()) {
-		focals := pickFocals(wl.ds.Len(), cfg.Queries, cfg.Seed+int64(k))
+		focals := cfg.focals(wl, k, cfg.Seed+int64(k))
 		for _, algo := range []core.Algorithm{core.PCTA, core.LPCTA} {
 			cpu, io, err := wl.measureDisk(focals, core.Options{K: k, Algorithm: algo, FinalizeGeometry: false})
 			if err != nil {
@@ -74,7 +74,7 @@ func Fig19(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		focals := pickFocals(n, cfg.Queries, cfg.Seed+int64(n))
+		focals := cfg.focals(wl, cfg.kDefault(n), cfg.Seed+int64(n))
 		if err := printRows(wl, focals, fmt.Sprintf("n=%d", n)); err != nil {
 			return err
 		}
@@ -86,7 +86,7 @@ func Fig19(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		focals := pickFocals(wl.ds.Len(), cfg.Queries, cfg.Seed+int64(d))
+		focals := cfg.focals(wl, cfg.kDefault(wl.ds.Len()), cfg.Seed+int64(d))
 		if err := printRows(wl, focals, fmt.Sprintf("d=%d", d)); err != nil {
 			return err
 		}
@@ -102,7 +102,7 @@ func Fig19(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		focals := pickFocals(ds.Len(), cfg.Queries, cfg.Seed)
+		focals := cfg.focals(wl, cfg.kDefault(ds.Len()), cfg.Seed)
 		if err := printRows(wl, focals, ds.Name); err != nil {
 			return err
 		}
@@ -123,7 +123,7 @@ func Fig20(cfg Config) error {
 	fmt.Fprintf(w, "%4s | %14s %14s | %14s %14s\n",
 		"k", "P-CTA recs", "skyband recs", "P-CTA (s)", "skyband (s)")
 	for _, k := range cfg.ks(wl.ds.Len()) {
-		focals := pickFocals(wl.ds.Len(), cfg.Queries, cfg.Seed+int64(k))
+		focals := cfg.focals(wl, k, cfg.Seed+int64(k))
 		p, err := wl.measure(focals, core.Options{K: k, Algorithm: core.PCTA, FinalizeGeometry: false})
 		if err != nil {
 			return err
@@ -165,7 +165,7 @@ func Fig22(cfg Config) error {
 	}
 	fmt.Fprintln(w)
 	for _, k := range cfg.ks(wl.ds.Len()) {
-		focals := pickFocals(wl.ds.Len(), cfg.Queries, cfg.Seed+int64(k))
+		focals := cfg.focals(wl, k, cfg.Seed+int64(k))
 		fmt.Fprintf(w, "%4d", k)
 		for _, v := range variants {
 			opts := v.opts
@@ -190,11 +190,12 @@ func Fig22(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		focals := pickFocals(wl.ds.Len(), cfg.Queries, cfg.Seed+int64(d))
+		k := cfg.kDefault(wl.ds.Len())
+		focals := cfg.focals(wl, k, cfg.Seed+int64(d))
 		fmt.Fprintf(w, "%4d", d)
 		for _, v := range variants {
 			opts := v.opts
-			opts.K = cfg.kDefault(wl.ds.Len())
+			opts.K = k
 			m, err := wl.measure(focals, opts)
 			if err != nil {
 				return err
@@ -275,13 +276,14 @@ func Fig24(cfg Config) error {
 			return err
 		}
 		buildCost := time.Since(start)
-		focals := pickFocals(n, cfg.Queries, cfg.Seed+int64(n))
+		k := cfg.kDefault(n)
+		focals := cfg.focals(wl, k, cfg.Seed+int64(n))
 		amort := time.Duration(float64(buildCost) / amortOver)
-		p, err := wl.measure(focals, core.Options{K: cfg.kDefault(wl.ds.Len()), Algorithm: core.PCTA, FinalizeGeometry: false})
+		p, err := wl.measure(focals, core.Options{K: k, Algorithm: core.PCTA, FinalizeGeometry: false})
 		if err != nil {
 			return err
 		}
-		l, err := wl.measure(focals, core.Options{K: cfg.kDefault(wl.ds.Len()), Algorithm: core.LPCTA, FinalizeGeometry: false})
+		l, err := wl.measure(focals, core.Options{K: k, Algorithm: core.LPCTA, FinalizeGeometry: false})
 		if err != nil {
 			return err
 		}
@@ -301,12 +303,13 @@ func Fig24(cfg Config) error {
 			return err
 		}
 		amort := time.Duration(float64(time.Since(start)) / amortOver)
-		focals := pickFocals(ds.Len(), cfg.Queries, cfg.Seed+int64(d))
-		p, err := wl.measure(focals, core.Options{K: cfg.kDefault(wl.ds.Len()), Algorithm: core.PCTA, FinalizeGeometry: false})
+		k := cfg.kDefault(ds.Len())
+		focals := cfg.focals(wl, k, cfg.Seed+int64(d))
+		p, err := wl.measure(focals, core.Options{K: k, Algorithm: core.PCTA, FinalizeGeometry: false})
 		if err != nil {
 			return err
 		}
-		l, err := wl.measure(focals, core.Options{K: cfg.kDefault(wl.ds.Len()), Algorithm: core.LPCTA, FinalizeGeometry: false})
+		l, err := wl.measure(focals, core.Options{K: k, Algorithm: core.LPCTA, FinalizeGeometry: false})
 		if err != nil {
 			return err
 		}

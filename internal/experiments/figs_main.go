@@ -70,7 +70,7 @@ func Fig10a(cfg Config) error {
 	}
 	fmt.Fprintf(w, "%4s %14s %14s %18s %18s\n", "k", "LP-CTA (s)", "RTOPK (s)", "LP-CTA records", "RTOPK records")
 	for _, k := range cfg.ks(wl.ds.Len()) {
-		focals := pickFocals(wl.ds.Len(), cfg.Queries, cfg.Seed+int64(k))
+		focals := cfg.focals(wl, k, cfg.Seed+int64(k))
 		lp, err := wl.measure(focals, core.Options{K: k, Algorithm: core.LPCTA, FinalizeGeometry: true})
 		if err != nil {
 			return err
@@ -115,7 +115,7 @@ func Fig10b(cfg Config) error {
 	}
 	fmt.Fprintf(w, "%4s %12s %12s %12s %16s\n", "k", "CTA (s)", "P-CTA (s)", "LP-CTA (s)", "iMaxRank (s)")
 	for _, k := range cfg.ks(wl.ds.Len()) {
-		focals := pickFocals(wl.ds.Len(), cfg.Queries, cfg.Seed+int64(k))
+		focals := cfg.focals(wl, k, cfg.Seed+int64(k))
 		row := fmt.Sprintf("%4d", k)
 		for _, algo := range []core.Algorithm{core.CTA, core.PCTA, core.LPCTA} {
 			if algo == core.CTA && k > 50 {
@@ -130,7 +130,7 @@ func Fig10b(cfg Config) error {
 			row += fmt.Sprintf(" %12s", seconds(m.Elapsed))
 		}
 		if k <= 30 {
-			imFocals := pickFocals(imN, cfg.Queries, cfg.Seed+int64(k))
+			imFocals := cfg.focals(imWL, k, cfg.Seed+int64(k))
 			var imTime time.Duration
 			for _, id := range imFocals {
 				start := time.Now()
@@ -163,7 +163,7 @@ func Fig11(cfg Config) error {
 	fmt.Fprintf(w, "%4s | %10s %10s %10s | %10s %10s %10s\n",
 		"k", "CTA recs", "P-CTA recs", "LP-CTA recs", "CTA nodes", "P-CTA nodes", "LP-CTA nodes")
 	for _, k := range cfg.ks(wl.ds.Len()) {
-		focals := cfg.focals(wl, k, cfg.Queries, cfg.Seed+int64(k))
+		focals := cfg.focals(wl, k, cfg.Seed+int64(k))
 		var recs, nodes [3]float64
 		for i, algo := range []core.Algorithm{core.CTA, core.PCTA, core.LPCTA} {
 			if algo == core.CTA && k > 50 {
@@ -202,7 +202,7 @@ func Fig12(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		focals := cfg.focals(wl, kEff, cfg.Queries, cfg.Seed+int64(n))
+		focals := cfg.focals(wl, kEff, cfg.Seed+int64(n))
 		var times [3]time.Duration
 		var mem [3]float64
 		for i, algo := range []core.Algorithm{core.CTA, core.PCTA, core.LPCTA} {
@@ -243,7 +243,7 @@ func Fig13(cfg Config) error {
 			return err
 		}
 		kEff := cfg.kDefault(wl.ds.Len())
-		focals := pickFocals(wl.ds.Len(), cfg.Queries, cfg.Seed+int64(d))
+		focals := cfg.focals(wl, kEff, cfg.Seed+int64(d))
 		p, err := wl.measure(focals, core.Options{K: kEff, Algorithm: core.PCTA, FinalizeGeometry: false})
 		if err != nil {
 			return err
@@ -282,7 +282,7 @@ func Fig14(cfg Config) error {
 		fmt.Fprintf(w, "%4d |", k)
 		for _, dist := range dists {
 			wl := wls[dist]
-			focals := pickFocals(wl.ds.Len(), cfg.Queries, cfg.Seed+int64(k))
+			focals := cfg.focals(wl, k, cfg.Seed+int64(k))
 			m, err := wl.measure(focals, core.Options{K: k, Algorithm: core.LPCTA, FinalizeGeometry: false})
 			if err != nil {
 				return err
@@ -313,7 +313,7 @@ func Fig15(cfg Config) error {
 		fmt.Fprintf(w, "%s (n=%d, d=%d)\n", ds.Name, ds.Len(), ds.Dim())
 		fmt.Fprintf(w, "  %4s %14s %14s %14s\n", "k", "P-CTA (s)", "LP-CTA (s)", "result size")
 		for _, k := range cfg.ks(ds.Len()) {
-			focals := pickFocals(ds.Len(), cfg.Queries, cfg.Seed+int64(k))
+			focals := cfg.focals(wl, k, cfg.Seed+int64(k))
 			p, err := wl.measure(focals, core.Options{K: k, Algorithm: core.PCTA, FinalizeGeometry: false})
 			if err != nil {
 				return err

@@ -151,6 +151,19 @@ func Dominates(r, s Vector) bool {
 	return strict
 }
 
+// WeakDominates reports whether r is no smaller than s in every dimension,
+// equality allowed everywhere. Then r scores at least as high as s under
+// every non-negative weight vector; and a box whose max-corner fails the
+// test holds no record that dominates s.
+func WeakDominates(r, s Vector) bool {
+	for i, x := range r {
+		if x < s[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Compare returns the dominance relation between r and s.
 func Compare(r, s Vector) DomRelation {
 	rBetter, sBetter := false, false

@@ -57,6 +57,24 @@ func TestDominates(t *testing.T) {
 	}
 }
 
+func TestWeakDominates(t *testing.T) {
+	cases := []struct {
+		r, s Vector
+		want bool
+	}{
+		{Vector{2, 2}, Vector{1, 1}, true},
+		{Vector{2, 1}, Vector{1, 1}, true},
+		{Vector{1, 1}, Vector{1, 1}, true}, // equal: allowed
+		{Vector{2, 0}, Vector{1, 1}, false},
+		{Vector{1, 2}, Vector{2, 1}, false},
+	}
+	for _, c := range cases {
+		if got := WeakDominates(c.r, c.s); got != c.want {
+			t.Errorf("WeakDominates(%v, %v) = %v, want %v", c.r, c.s, got, c.want)
+		}
+	}
+}
+
 func TestCompare(t *testing.T) {
 	if Compare(Vector{2, 2}, Vector{1, 1}) != DomFirst {
 		t.Error("want DomFirst")

@@ -45,12 +45,10 @@ func (h bandHeap) Less(i, j int) bool {
 }
 
 // Skyline returns the IDs of the records not dominated by any other
-// record, in ascending order: the 1-skyband, from the same
-// branch-and-bound (BBS) traversal of Papadias et al. as KSkyband.
-func (t *Tree) Skyline() []int {
-	sky, _ := t.kSkybandScan(1)
-	return sky
-}
+// record, in ascending order: KSkyband(1), so read off the band table
+// when the tree's slot holds one, and otherwise from the branch-and-bound
+// (BBS) traversal of Papadias et al.
+func (t *Tree) Skyline() []int { return t.KSkyband(1) }
 
 // KSkyband returns the IDs of records dominated by fewer than k others.
 // It generalizes Skyline (k=1). Counting only skyband dominators is exact
@@ -237,7 +235,7 @@ func (t *Tree) Dominators(p geom.Vector, exclude int) []int {
 	walk = func(n *Node) {
 		t.visit(n)
 		for _, e := range n.Entries {
-			if !coversOrEqual(e.High, p) {
+			if !geom.WeakDominates(e.High, p) {
 				continue
 			}
 			if e.Child != nil {
@@ -270,7 +268,7 @@ func (t *Tree) CountDominators(p geom.Vector, limit int) int {
 				return
 			}
 			switch {
-			case !coversOrEqual(e.High, p):
+			case !geom.WeakDominates(e.High, p):
 			case e.Child == nil:
 				if geom.Dominates(t.Records[e.RecordID], p) {
 					count++
@@ -286,14 +284,4 @@ func (t *Tree) CountDominators(p geom.Vector, limit int) int {
 		walk(t.Root)
 	}
 	return min(count, limit)
-}
-
-// coversOrEqual reports x >= y in every dimension.
-func coversOrEqual(x, y geom.Vector) bool {
-	for i, v := range x {
-		if v < y[i] {
-			return false
-		}
-	}
-	return true
 }

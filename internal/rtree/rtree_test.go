@@ -330,11 +330,34 @@ func TestKSkybandK1IsSkyline(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	recs := randRecords(rng, 150, 3)
 	tr, _ := Build(recs)
-	if !equalInts(tr.KSkyband(1), tr.Skyline()) {
+	if !equalInts(tr.KSkyband(1), bruteSkyband(recs, 1, -1)) {
 		t.Fatal("1-skyband differs from skyline")
 	}
 	if tr.KSkyband(0) != nil {
 		t.Fatal("0-skyband should be empty")
+	}
+}
+
+// TestSkylineReadsBandTable checks that Skyline is served from a filled
+// band-table slot: the traversal's ids, without visiting a page.
+func TestSkylineReadsBandTable(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	recs := randRecords(rng, 2000, 3)
+	tr, _ := Build(recs, WithFanout(8))
+	want := bruteSkyband(recs, 1, -1)
+	if got := tr.Skyline(); !equalInts(got, want) {
+		t.Fatalf("traversed skyline %v != brute %v", got, want)
+	}
+	tr.KSkybandExcluding(3, -1) // fills the slot at depth 4
+	var ct countTracker
+	tr.SetTracker(&ct)
+	got := tr.Skyline()
+	tr.SetTracker(nil)
+	if !equalInts(got, want) {
+		t.Fatalf("table-served skyline %v != brute %v", got, want)
+	}
+	if ct.visits != 0 {
+		t.Fatalf("table-served skyline visited %d pages", ct.visits)
 	}
 }
 
