@@ -122,9 +122,10 @@ crashsmoke:
 # tests, doc gates, the crash-recovery smoke test, one iteration of the
 # index-build, reload, store-open, apply (in-memory and WAL-backed), open,
 # what-if (PriceToTarget, Frontier), mutation-impact, metrics, cell-tree
-# insert, cell-clip and progressive-engine (P-CTA, LP-CTA, LP-CTA at d=5,
-# where every bound is an LP, and LP-CTA at IND n=1e5, d=3, k=5, the wide
-# workload's shape) benchmarks (so they keep compiling and
+# insert, cell-clip and progressive-engine (P-CTA, LP-CTA, LP-CTA at d=5
+# on 4-d cell vertices, LP-CTA at d=6, where every bound is an LP, and
+# LP-CTA at IND n=1e5, d=3, k=5, the wide workload's shape) benchmarks
+# (so they keep compiling and
 # running), lint, the coverage floor, the bench regression gate, the
 # large-N regression gate, a short fuzz smoke, and the load regression
 # gate.
@@ -140,7 +141,7 @@ ci:
 	$(GO) test -run '^$$' -bench 'BenchmarkBuild|BenchmarkApplyRecordsReload|BenchmarkMetricsObserveParallel|BenchmarkSampleInto|BenchmarkSamplerTick|BenchmarkMetricsScrape' -benchtime 1x ./internal/rtree ./internal/store ./internal/server
 	$(GO) test -run '^$$' -bench '^Benchmark(OpenStore|Apply|Open|PriceToTarget|Frontier|MutationImpact)$$' -benchtime 1x .
 	$(GO) test -run '^$$' -bench '^(BenchmarkInsert_|BenchmarkCut$$)' -benchtime 1x ./internal/celltree
-	$(GO) test -run '^$$' -bench '^Benchmark((P|LP)CTA_n2k_k10|LPCTA_n300_d5_k5|LPCTA_n100k_d3_k5)$$' -benchtime 1x ./internal/core
+	$(GO) test -run '^$$' -bench '^Benchmark((P|LP)CTA_n2k_k10|LPCTA_n300_d5_k5|LPCTA_n150_d6_k5|LPCTA_n100k_d3_k5)$$' -benchtime 1x ./internal/core
 	$(MAKE) lint
 	$(MAKE) coverage
 	$(MAKE) benchgate

@@ -1,9 +1,9 @@
 // Parallel: run the same kSPR query with the serial engine and with one
 // expansion worker per core, verify the answers are identical, and report
-// the speedup. The parallel engine fans CellTree subtree insertion,
-// look-ahead rank bounds, and region finalization across goroutines while
-// merging results in deterministic order — so parallelism changes latency
-// and nothing else.
+// the speedup. The parallel engine fans look-ahead rank bounds and region
+// finalization across goroutines while merging results in deterministic
+// order; CellTree insertion stays one depth-first walk. Parallelism
+// changes latency and nothing else.
 //
 // Run with: go run ./examples/parallel
 package main

@@ -2,22 +2,13 @@
 // incrementally maintains the arrangement of record hyperplanes in
 // preference space. Cells (leaves) are represented implicitly by the
 // halfspaces along their root path; only for preference spaces of up to
-// GeomMaxDim dimensions does a node also carry exact geometry, clipped
+// GeomMaxDim (4) dimensions does a node also carry exact geometry, clipped
 // from its parent's at every split (geometry.go). The insertion algorithm
 // implements the three cases of §4.3, the inconsequential-halfspace
 // elimination of Lemma 2 (feasibility tests see only root-path labels plus
 // the space boundaries), the cached interior-point shortcut of §4.3.2, and
 // the dominance-graph shortcut of P-CTA (Algorithm 2, optInsert).
-//
-// Insertion optionally fans out across goroutines: when a hyperplane cuts
-// through an internal node (case III), its two child subtrees are disjoint,
-// so with a Forks token budget attached the positive subtree is handed to a
-// fresh goroutine while the current one descends the negative side. Each
-// task carries its own DFS state and counters, and joins merge
-// child results in negative-before-positive order, so the resulting tree,
-// the fresh-leaf order and every statistic are identical to a serial
-// insert. Only one Insert may run at a time; parallelism is *within* an
-// insertion, never across insertions.
+// Insertion is one depth-first walk; only one Insert may run at a time.
 package celltree
 
 import (
@@ -60,9 +51,7 @@ type Node struct {
 	Pruned   bool
 	Reported bool
 	// closed caches "no live leaf below": Pruned/Reported, or both
-	// children closed. It is atomic because sibling subtree tasks of a
-	// parallel insert may close concurrently and race to propagate closure
-	// through their shared ancestors.
+	// children closed. It is atomic, so any goroutine may read it.
 	closed atomic.Bool
 
 	// WStar is a cached strictly-interior point of the node's region
@@ -93,64 +82,6 @@ type Stats struct {
 	ConstraintRows   int // total constraint rows across feasibility tests
 }
 
-// Add accumulates o into s; insertion tasks count into task-local Stats and
-// merge them at joins, so totals equal a serial run's regardless of how the
-// work was split.
-func (s *Stats) Add(o Stats) {
-	s.NodesCreated += o.NodesCreated
-	s.Splits += o.Splits
-	s.FeasibilityTests += o.FeasibilityTests
-	s.WStarSkips += o.WStarSkips
-	s.DomShortcuts += o.DomShortcuts
-	s.GeomDecides += o.GeomDecides
-	s.ConstraintRows += o.ConstraintRows
-}
-
-// Forks is the fork-token budget of a parallel tree operation: a tree with
-// a Forks of n tokens may run up to n extra goroutines beyond the caller's.
-// A single Forks may be shared by several trees — the batch engine in
-// internal/core attaches one pool to every query of a batch, so insertion
-// fan-out capacity freed by a finished query migrates to its siblings.
-// Tokens are claimed with a non-blocking TryAcquire at case-III internal
-// nodes — when none is free the subtree is processed inline, which makes
-// the schedule adaptive (work-stealing in effect: idle capacity is soaked
-// up by whichever task next reaches a fork point) without any queueing.
-type Forks struct {
-	tokens chan struct{}
-}
-
-// NewForks returns a budget of n extra-goroutine tokens; n <= 0 yields a
-// budget that never grants (equivalent to a nil *Forks).
-func NewForks(n int) *Forks {
-	if n <= 0 {
-		return nil
-	}
-	f := &Forks{tokens: make(chan struct{}, n)}
-	for i := 0; i < n; i++ {
-		f.tokens <- struct{}{}
-	}
-	return f
-}
-
-// TryAcquire claims a fork token without blocking; a nil receiver never
-// grants.
-func (f *Forks) TryAcquire() bool {
-	if f == nil {
-		return false
-	}
-	select {
-	case <-f.tokens:
-		return true
-	default:
-		return false
-	}
-}
-
-// Release returns a token claimed by TryAcquire.
-func (f *Forks) Release() {
-	f.tokens <- struct{}{}
-}
-
 // Tree is a CellTree over a preference space of dimension Dim with boundary
 // constraints Bounds. K is the pruning threshold: nodes whose rank exceeds
 // K are eliminated.
@@ -169,21 +100,14 @@ type Tree struct {
 	Stats   Stats
 	LPStats *lp.Stats
 
-	// Forks, when non-nil, lets Insert fan disjoint cell subtrees out
-	// across extra goroutines (see the package comment); nil keeps
-	// insertion single-threaded as in the paper.
-	Forks *Forks
-
 	// Ctx, when non-nil, is polled before each node's LP side tests;
 	// once it is done, Insert stops and returns context.Cause(Ctx), so a
 	// deadline holds inside one insertion. nil polls nothing.
 	Ctx context.Context
 
 	// PrunedCells counts subtrees eliminated by the top-k rank bound
-	// (Algorithm 1 lines 12-13 and look-ahead prunes). It is the one
-	// counter insertion tasks share directly — a lock-free atomic rather
-	// than a task-local merge — so concurrent subtree tasks and the
-	// coordinating goroutine can all observe pruning progress live.
+	// (Algorithm 1 lines 12-13 and look-ahead prunes). It is atomic, so any
+	// goroutine may read it while a query runs.
 	PrunedCells atomic.Int64
 }
 
@@ -210,17 +134,12 @@ func New(dim, k int, bounds []geom.Constraint, interior geom.Vector, lpStats *lp
 	return t
 }
 
-// insertCtx carries the DFS state of one insertion task. The root Insert
-// call owns one; every forked subtree task gets a deep copy of the
-// path-dependent state plus fresh accumulators, so tasks never share
-// mutable memory (the lone exceptions: the tree's atomic closure flags and
-// the atomic prune counter).
+// insertCtx carries the DFS state of one insertion.
 type insertCtx struct {
 	h geom.Hyperplane
 	// domIDs are records known to dominate the record of h (nil for CTA);
 	// if any of them contributes a negative halfspace on the current path,
-	// h's negative halfspace covers the node (Lemma 4 / optInsert). Never
-	// mutated during the insert, so tasks share it.
+	// h's negative halfspace covers the node (Lemma 4 / optInsert).
 	domIDs []int
 	// cons = Bounds + labels on the current path (the Lemma-2 constraint
 	// set for the current node).
@@ -231,41 +150,12 @@ type insertCtx struct {
 	// domNeg = number of negative halfspaces on the current path whose
 	// record is in domIDs; the dominance shortcut fires while it is > 0.
 	domNeg int
-	// stats / lpStats are the task-local counters.
-	stats   Stats
-	lpStats lp.Stats
-	// fresh collects the leaves this task created, in DFS order; joins
-	// concatenate negative-side before positive-side so the merged order
-	// equals the serial insertion order.
-	fresh []*Node
-}
-
-// forkTask snapshots ctx for a subtree handed to another goroutine: the
-// path state is deep-copied (the parent keeps pushing/popping its own) and
-// the accumulators start empty.
-func (ctx *insertCtx) forkTask() *insertCtx {
-	return &insertCtx{
-		h:      ctx.h,
-		domIDs: ctx.domIDs,
-		cons:   append([]geom.Constraint(nil), ctx.cons...),
-		pos:    ctx.pos,
-		domNeg: ctx.domNeg,
-	}
-}
-
-// join merges a finished subtree task back into its parent.
-func (ctx *insertCtx) join(o *insertCtx) {
-	ctx.stats.Add(o.stats)
-	ctx.lpStats.Add(o.lpStats)
-	ctx.fresh = append(ctx.fresh, o.fresh...)
 }
 
 // Insert adds the hyperplane h to the arrangement. domIDs optionally lists
 // processed records that dominate h's record (P-CTA's dominance-graph
-// shortcut); pass nil to disable. Insert only reads domIDs, and the caller
-// must not change it before Insert returns. With t.Forks attached the
-// insertion fans out over cell subtrees; the outcome is identical either
-// way. Insert itself must not be called concurrently.
+// shortcut); pass nil to disable. Insert only reads domIDs. On error the
+// tree keeps the splits and counts made before it.
 func (t *Tree) Insert(h geom.Hyperplane, domIDs []int) error {
 	if h.Kind != geom.Proper {
 		return fmt.Errorf("celltree: inserting non-proper hyperplane %v (kind %d)", h, h.Kind)
@@ -278,15 +168,7 @@ func (t *Tree) Insert(h geom.Hyperplane, domIDs []int) error {
 		domIDs: domIDs,
 		cons:   append([]geom.Constraint(nil), t.Bounds...),
 	}
-	err := t.insert(t.Root, ctx)
-	// Merge the task tree's accumulators (even on error: partial counts
-	// mirror what a serial run would have recorded before failing).
-	t.Stats.Add(ctx.stats)
-	if t.LPStats != nil {
-		t.LPStats.Add(ctx.lpStats)
-	}
-	t.FreshLeaves = append(t.FreshLeaves, ctx.fresh...)
-	return err
+	return t.insert(t.Root, ctx)
 }
 
 func (t *Tree) insert(n *Node, ctx *insertCtx) error {
@@ -312,7 +194,7 @@ func (t *Tree) insert(n *Node, ctx *insertCtx) error {
 	// on the path implies case II outright.
 	if ctx.domNeg > 0 {
 		n.Cover = append(n.Cover, geom.Halfspace{H: ctx.h, Sign: geom.Negative})
-		ctx.stats.DomShortcuts++
+		t.Stats.DomShortcuts++
 		return nil
 	}
 
@@ -329,13 +211,13 @@ func (t *Tree) insert(n *Node, ctx *insertCtx) error {
 		switch {
 		case lo > margin:
 			negFeasible, posFeasible, decided = false, true, true
-			ctx.stats.GeomDecides++
+			t.Stats.GeomDecides++
 		case hi < -margin:
 			negFeasible, posFeasible, decided = true, false, true
-			ctx.stats.GeomDecides++
+			t.Stats.GeomDecides++
 		case lo < -margin && hi > margin:
 			negFeasible, posFeasible, decided = true, true, true
-			ctx.stats.GeomDecides++
+			t.Stats.GeomDecides++
 		}
 	}
 
@@ -349,7 +231,7 @@ func (t *Tree) insert(n *Node, ctx *insertCtx) error {
 		if n.WStar != nil {
 			side = ctx.h.Side(n.WStar, sideTol)
 			if side != 0 {
-				ctx.stats.WStarSkips++
+				t.Stats.WStarSkips++
 			}
 		}
 		switch side {
@@ -403,33 +285,11 @@ func (t *Tree) insert(n *Node, ctx *insertCtx) error {
 		}
 		return nil
 	}
-	// The two child subtrees are disjoint: fan the positive side out to
-	// another goroutine when a fork token is free, descend the negative
-	// side here, and merge neg-before-pos so the result is order-identical
-	// to the serial recursion.
-	if t.Forks.TryAcquire() {
-		posCtx := ctx.forkTask()
-		done := make(chan error, 1)
-		go func() {
-			defer t.Forks.Release()
-			done <- t.insert(n.Pos, posCtx)
-		}()
-		negErr := t.insert(n.Neg, ctx)
-		posErr := <-done
-		ctx.join(posCtx)
-		if negErr != nil {
-			return negErr
-		}
-		if posErr != nil {
-			return posErr
-		}
-	} else {
-		if err := t.insert(n.Neg, ctx); err != nil {
-			return err
-		}
-		if err := t.insert(n.Pos, ctx); err != nil {
-			return err
-		}
+	if err := t.insert(n.Neg, ctx); err != nil {
+		return err
+	}
+	if err := t.insert(n.Pos, ctx); err != nil {
+		return err
 	}
 	if n.Neg.closed.Load() && n.Pos.closed.Load() {
 		n.closed.Store(true)
@@ -458,14 +318,13 @@ func pushSign(ctx *insertCtx, hs geom.Halfspace) {
 	}
 }
 
-// testSide runs the Lemma-2 feasibility test for N ∩ h^sign, counting
-// into the task's LP stats.
+// testSide runs the Lemma-2 feasibility test for N ∩ h^sign.
 func (t *Tree) testSide(ctx *insertCtx, sign geom.Sign) (bool, geom.Vector) {
 	hs := geom.Halfspace{H: ctx.h, Sign: sign}
 	cons := append(ctx.cons, hs.AsConstraint())
-	ctx.stats.FeasibilityTests++
-	ctx.stats.ConstraintRows += len(cons)
-	in, err := lp.FeasibleInterior(cons, t.Dim, &ctx.lpStats)
+	t.Stats.FeasibilityTests++
+	t.Stats.ConstraintRows += len(cons)
+	in, err := lp.FeasibleInterior(cons, t.Dim, t.LPStats)
 	if err != nil {
 		// An LP failure here means severe numerical trouble; treat the side
 		// as empty, which only makes the result coarser, never wrong for
@@ -503,9 +362,9 @@ func (t *Tree) split(n *Node, ctx *insertCtx, negWitness, posWitness geom.Vector
 			n.Pos.WStar = n.Pos.Geom.Centroid()
 		}
 	}
-	ctx.stats.NodesCreated += 2
-	ctx.stats.Splits++
-	ctx.fresh = append(ctx.fresh, n.Neg, n.Pos)
+	t.Stats.NodesCreated += 2
+	t.Stats.Splits++
+	t.FreshLeaves = append(t.FreshLeaves, n.Neg, n.Pos)
 }
 
 // kill prunes n's whole subtree and propagates closure upward.
@@ -526,10 +385,7 @@ func (t *Tree) Report(n *Node) {
 func (t *Tree) Prune(n *Node) { t.kill(n) }
 
 // markClosed closes n and propagates closure up through ancestors whose
-// both children are closed. Concurrent calls from sibling subtree tasks are
-// safe: the stores are sequentially consistent, so whichever sibling's
-// store lands last observes the other side closed and completes the
-// propagation.
+// both children are closed.
 func (t *Tree) markClosed(n *Node) {
 	n.closed.Store(true)
 	for p := n.Parent; p != nil; p = p.Parent {

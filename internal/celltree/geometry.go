@@ -21,8 +21,11 @@ type CellGeom struct {
 }
 
 // GeomMaxDim bounds the dimensionality for which per-node geometry is
-// maintained.
-const GeomMaxDim = 3
+// maintained: data of up to 5 dimensions in the transformed space
+// (internal/core keeps original-space cones at 3). It equals polytope's
+// maxStackDim, the largest dimension whose clip solves run
+// allocation-free; exact volumes stop at 3 (Polytope.Volume).
+const GeomMaxDim = 4
 
 // geomTol is the tightness tolerance used when pruning facets.
 const geomTol = 1e-7

@@ -339,7 +339,7 @@ func negated(c geom.Constraint) geom.Constraint {
 // more than 10*geomTol on both sides are skipped, as Tree.split never
 // sees them.
 func FuzzCellGeomCut(f *testing.F) {
-	// Byte layout: dim selector (0: dim 2, 1: dim 3), then per cut dim
+	// Byte layout: dim selector (0: dim 2, 1: dim 3, 2: dim 4), then per cut dim
 	// coefficient bytes (c%7-3), an offset byte ((b%17-8)/8), a nudge byte
 	// ((p%7-3)·cutNudge) and a side byte.
 	for _, seed := range [][]byte{
@@ -351,6 +351,12 @@ func FuzzCellGeomCut(f *testing.F) {
 		{1, 4, 2, 3, 8, 3, 0, 4, 2, 3, 8, 3, 1, 2, 4, 3, 8, 3, 0},   // the same plane again, both ways
 		{0, 4, 2, 8, 3, 0, 4, 4, 12, 3, 1, 4, 3, 10, 4, 0},          // dim 2
 		{0, 5, 2, 9, 3, 1, 2, 5, 9, 3, 0, 4, 4, 12, 3, 0, 4, 2, 8, 4, 1},
+		{2, 4, 4, 2, 2, 8, 3, 0},                                              // dim 4: w1+w2-w3-w4 <= 0, through the origin vertex
+		{2, 4, 2, 3, 3, 8, 3, 0, 3, 4, 2, 3, 8, 3, 1},                         // dim 4: w1 <= w2, then w2 >= w3: along edges
+		{2, 4, 3, 3, 3, 10, 3, 0, 3, 4, 3, 3, 10, 3, 1, 3, 3, 4, 3, 12, 3, 0}, // dim 4: parallel to facets
+		{2, 4, 3, 3, 3, 10, 3, 0, 4, 4, 2, 2, 8, 4, 0, 3, 4, 2, 3, 8, 2, 1},   // dim 4: within 1e-8 of a vertex
+		{2, 2, 6, 4, 5, 16, 4, 1},                                             // dim 4: within 1e-8 of a simplex corner
+		{2, 4, 2, 3, 3, 8, 3, 0, 4, 2, 3, 3, 8, 3, 1},                         // dim 4: the same plane again, both ways
 	} {
 		f.Add(seed)
 	}
@@ -358,7 +364,7 @@ func FuzzCellGeomCut(f *testing.F) {
 		if len(data) == 0 {
 			return
 		}
-		dim := 2 + int(data[0]%2)
+		dim := 2 + int(data[0]%3)
 		data = data[1:]
 		rows := geom.SpaceBoundsTransformed(dim)
 		g := BuildCellGeom(rows, dim)

@@ -10,10 +10,7 @@
 //     items run concurrently and each item's engine gets W/min(W,N)
 //     workers, so a one-item batch behaves exactly like Run and a wide
 //     batch keeps every core on a distinct query;
-//   - a batch-wide celltree.Forks token pool, so insertion fan-out capacity
-//     migrates to whichever item can use it;
-//   - per-item errors, contexts and timeouts, and outcomes streamed as
-//     items settle.
+//   - per-item errors and timeouts, and outcomes streamed as items settle.
 //
 // Each item's Result is byte-identical to a serial Run of that item (see
 // TestBatchMatchesSerial); only scheduling-observable fields (Elapsed,
@@ -26,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/celltree"
 	"repro/internal/geom"
 	"repro/internal/rtree"
 )
@@ -35,18 +31,15 @@ import (
 // names a dataset record; a non-nil Focal is used verbatim (FocalID < 0
 // for hypothetical records), and a non-finite one fails the item. A
 // non-zero K overrides BatchOptions.K, so a batch may mix shortlist sizes;
-// a negative K fails the item. Ctx, when non-nil, cancels just this item,
-// in addition to the batch-wide Options.Ctx: the item stops when either
-// is done and fails with the error of the one that fired.
+// a negative K fails the item.
 type BatchItem struct {
 	FocalID int
 	Focal   geom.Vector
 	K       int
-	Ctx     context.Context
 }
 
 // BatchOutcome is the per-item result of RunBatch: exactly one of Result
-// and Err is set. Item failures (bad focal id, per-item cancellation) are
+// and Err is set. Item failures (bad focal id, item timeout) are
 // reported here, not as a batch-level error, so one poisoned item cannot
 // sink its siblings.
 type BatchOutcome struct {
@@ -86,23 +79,6 @@ func resolveOuterInner(workers, n int) (outer, inner int) {
 	return outer, inner
 }
 
-// withItemCtx returns a context that is done once batch or item is done,
-// with the cause of whichever fired first (the engine reports
-// context.Cause), and the func that releases it. A nil batch context
-// leaves the item's own.
-func withItemCtx(batch, item context.Context) (context.Context, func()) {
-	if batch == nil {
-		return item, func() {}
-	}
-	ctx, cancel := context.WithCancelCause(batch)
-	relay := func() { cancel(context.Cause(item)) }
-	stop := context.AfterFunc(item, relay)
-	if item.Err() != nil {
-		relay() // AfterFunc relays a done item on its own goroutine; do not race it
-	}
-	return ctx, func() { stop(); cancel(nil) }
-}
-
 // RunBatch answers kSPR for every item over one dataset, scheduling the
 // items across the Options.Parallelism budget. The returned slice is
 // indexed like items and is identical regardless of parallelism or
@@ -132,13 +108,6 @@ func RunBatch(tree *rtree.Tree, items []BatchItem, opts BatchOptions) ([]BatchOu
 
 	workers := resolveParallelism(opts.Parallelism)
 	outer, inner := resolveOuterInner(workers, len(items))
-	var forks *celltree.Forks
-	if workers > outer {
-		// The batch-wide fork pool: insertion fan-out tokens float between
-		// items, so capacity freed by a finished item is picked up by
-		// whichever item next reaches a fork point.
-		forks = celltree.NewForks(workers - outer)
-	}
 
 	outcomes := make([]BatchOutcome, len(items))
 	var emitMu sync.Mutex
@@ -155,11 +124,6 @@ func RunBatch(tree *rtree.Tree, items []BatchItem, opts BatchOptions) ([]BatchOu
 		o := opts.Options
 		if it.K != 0 {
 			o.K = it.K
-		}
-		if it.Ctx != nil {
-			ctx, release := withItemCtx(o.Ctx, it.Ctx)
-			defer release()
-			o.Ctx = ctx
 		}
 		if opts.ItemTimeout > 0 {
 			base := o.Ctx
@@ -185,7 +149,7 @@ func RunBatch(tree *rtree.Tree, items []BatchItem, opts BatchOptions) ([]BatchOu
 		if err != nil {
 			err = fmt.Errorf("core: batch item %d: %w", i, err)
 		} else {
-			res, err = runQuery(tree, focal, it.FocalID, o, forks)
+			res, err = Run(tree, focal, it.FocalID, o)
 		}
 		if err != nil {
 			settle(i, BatchOutcome{Err: err})

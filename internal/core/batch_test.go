@@ -77,15 +77,16 @@ func TestBatchMatchesSerial(t *testing.T) {
 				}
 
 				// Scheduler shapes for the 5-item panel: slots x engine
-				// workers, plus the fork pool's leftover tokens.
+				// workers, and the workers left over when the budget does
+				// not divide evenly.
 				for _, cfg := range []struct {
 					label                     string
 					parallelism, slots, inner int
 				}{
 					{"one slot", 1, 1, 1},
-					{"two slots, no fork pool", 2, 2, 1},
-					{"five slots, 1-token pool", 6, 5, 1},
-					{"five 2-worker slots, 7-token pool", 12, 5, 2},
+					{"two slots", 2, 2, 1},
+					{"five slots, 1 worker left over", 6, 5, 1},
+					{"five 2-worker slots, 2 left over", 12, 5, 2},
 				} {
 					if slots, inner := resolveOuterInner(cfg.parallelism, len(items)); slots != cfg.slots || inner != cfg.inner {
 						t.Fatalf("%s: parallelism %d resolves to %d slots x %d workers",
@@ -148,10 +149,8 @@ func TestBatchPerItemErrors(t *testing.T) {
 	}
 }
 
-// TestBatchItemCancellation: an item runs under both the batch context
-// and its own. A done item context fails only that item; a done batch
-// context fails every item, including one whose own context is live, with
-// the error of the context that fired.
+// TestBatchItemCancellation: a done batch context fails every item with
+// the error of that context.
 func TestBatchItemCancellation(t *testing.T) {
 	tr, _ := buildRandom(t, 120, 3, 23)
 	sky := tr.Skyline()
@@ -159,36 +158,24 @@ func TestBatchItemCancellation(t *testing.T) {
 	cancel()
 	expired, cancelExpired := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancelExpired()
-	live, cancelLive := context.WithCancel(context.Background())
-	defer cancelLive()
 	for _, tc := range []struct {
-		name        string
-		batch, item context.Context
-		// want[i] is the error item i must fail with; nil means it succeeds.
-		want [2]error
+		name  string
+		batch context.Context
+		want  error
 	}{
-		{"item cancelled, no batch context", nil, cancelled, [2]error{nil, context.Canceled}},
-		{"item cancelled, batch live", live, cancelled, [2]error{nil, context.Canceled}},
-		{"item deadline expired, batch live", live, expired, [2]error{nil, context.DeadlineExceeded}},
-		{"batch cancelled, item live", cancelled, context.Background(), [2]error{context.Canceled, context.Canceled}},
-		{"batch deadline expired, item live", expired, live, [2]error{context.DeadlineExceeded, context.DeadlineExceeded}},
+		{"batch cancelled", cancelled, context.Canceled},
+		{"batch deadline expired", expired, context.DeadlineExceeded},
 	} {
-		items := []BatchItem{
-			{FocalID: sky[0]},
-			{FocalID: sky[0], Ctx: tc.item},
-		}
+		items := []BatchItem{{FocalID: sky[0]}, {FocalID: sky[0]}}
 		got, err := RunBatch(tr, items, BatchOptions{Options: Options{
 			K: 5, Algorithm: LPCTA, Parallelism: 2, Ctx: tc.batch,
 		}})
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}
-		for i, want := range tc.want {
-			switch {
-			case want == nil && got[i].Err != nil:
-				t.Errorf("%s: item %d failed: %v", tc.name, i, got[i].Err)
-			case want != nil && !errors.Is(got[i].Err, want):
-				t.Errorf("%s: item %d returned %v, want %v", tc.name, i, got[i].Err, want)
+		for i := range items {
+			if !errors.Is(got[i].Err, tc.want) {
+				t.Errorf("%s: item %d returned %v, want %v", tc.name, i, got[i].Err, tc.want)
 			}
 		}
 	}

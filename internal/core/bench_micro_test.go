@@ -34,9 +34,14 @@ func BenchmarkLPCTA_n2k_k10(b *testing.B)  { benchAlgoMicro(b, 2000, 4, 10, LPCT
 func BenchmarkLPCTA_n10k_k30(b *testing.B) { benchAlgoMicro(b, 10000, 4, 30, LPCTA) }
 
 // BenchmarkLPCTA_n300_d5_k5 runs LP-CTA in a 4-dimensional preference
+// space, celltree.GeomMaxDim: cells carry vertices, so cell tests and rank
+// bounds read them instead of solving LPs.
+func BenchmarkLPCTA_n300_d5_k5(b *testing.B) { benchAlgoMicro(b, 300, 5, 5, LPCTA) }
+
+// BenchmarkLPCTA_n150_d6_k5 runs LP-CTA in a 5-dimensional preference
 // space, beyond celltree.GeomMaxDim: every cell test and every rank bound
 // is an LP solve.
-func BenchmarkLPCTA_n300_d5_k5(b *testing.B) { benchAlgoMicro(b, 300, 5, 5, LPCTA) }
+func BenchmarkLPCTA_n150_d6_k5(b *testing.B) { benchAlgoMicro(b, 150, 6, 5, LPCTA) }
 
 // BenchmarkLPCTA_n100k_d3_k5 is the wide workload's query shape: a
 // dataset large next to its 5-skyband, where candidate discovery and

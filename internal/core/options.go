@@ -151,14 +151,14 @@ type Options struct {
 	// (progressive reporting, a headline property of P-CTA/LP-CTA).
 	OnRegion func(Region)
 	// Parallelism is the number of goroutines the expansion engine may use
-	// for this query: cell-subtree insertion, look-ahead rank-bound
-	// classification, and region finalization all fan out across this many
-	// workers, each counting its own LP stats. Results are
+	// for this query: look-ahead rank-bound classification and region
+	// finalization fan out across this many workers, each counting its own
+	// LP stats; cell-tree insertion is always one walk. Results are
 	// byte-identical to the serial run for every value — the engine merges
 	// work in deterministic order — so the setting trades CPU for latency
 	// only. <= 0 (the default) uses one worker per available CPU
 	// (runtime.GOMAXPROCS); 1 runs the paper's single-threaded algorithms
-	// unchanged.
+	// unchanged. A batch splits it across its items (RunBatch).
 	Parallelism int
 	// Ctx, when non-nil, is polled at cell-tree expansion points (record
 	// insertion, the LP side tests inside one insertion, rank-bound

@@ -1,20 +1,19 @@
 // Parallel expansion engine. A kSPR query has three CPU-heavy phases —
 // hyperplane insertion into the CellTree, look-ahead rank-bound
-// classification, and region finalization — and all three decompose into
-// independent units (cell subtrees, fresh leaves, decided cells). The
-// engine fans each phase across Options.Parallelism goroutines while
-// keeping every observable output byte-identical to the serial algorithms:
+// classification, and region finalization. Insertion is the paper's
+// single depth-first walk; the other two decompose into independent items
+// (fresh leaves, decided cells), which the engine fans across
+// Options.Parallelism goroutines while keeping every observable output
+// byte-identical to the serial algorithms:
 //
-//   - insertion forks disjoint cell subtrees (celltree.Forks) and merges
-//     task results in deterministic negative-before-positive order;
 //   - rank bounds and finalization pull work items from a shared atomic
 //     cursor (work-stealing at item granularity) into per-worker slots,
 //     then apply the results in item order; one worker is the serial loop;
 //   - every worker counts its LPs into its own lp.Stats, merged after the
 //     phase; LP scratch memory is borrowed per solve from internal/lp's
 //     workspace pool;
-//   - the CellTree's atomic prune counter and closure flags are the only
-//     cross-worker shared state, both lock-free.
+//   - workers only read the CellTree; prunes, reports and emitted regions
+//     apply on the calling goroutine, in item order.
 package core
 
 import (

@@ -19,12 +19,6 @@ import (
 // focalID is the index of the focal record inside the dataset, or -1 when
 // the focal record is not part of it.
 func Run(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options) (*Result, error) {
-	return runQuery(tree, focal, focalID, opts, nil)
-}
-
-// runQuery runs one kSPR query. forks is the batch-wide insertion token
-// pool when the query is a batch item, nil otherwise.
-func runQuery(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options, forks *celltree.Forks) (*Result, error) {
 	if opts.VolumeSamples <= 0 {
 		opts.VolumeSamples = 10000
 	}
@@ -33,7 +27,6 @@ func runQuery(tree *rtree.Tree, focal geom.Vector, focalID int, opts Options, fo
 	if err != nil {
 		return nil, err
 	}
-	r.batchForks = forks
 	res, err := r.run()
 	if err != nil {
 		return nil, err
@@ -143,10 +136,6 @@ type runner struct {
 	pObj   geom.Vector
 	pConst float64
 
-	// batchForks is the batch-wide insertion token pool: nil for a
-	// standalone Run, and for a batch whose slots take all its workers.
-	batchForks *celltree.Forks
-
 	result *Result
 }
 
@@ -171,13 +160,12 @@ func (r *runner) run() (*Result, error) {
 		}
 	}
 	r.ct = celltree.New(r.dim, r.kAdj, r.bounds, interior, &r.lpStats)
-	// Insertions may fan disjoint cell subtrees out across goroutines: a
-	// batch item draws tokens from the pool it shares with its siblings,
-	// a standalone query on w > 1 workers gets w-1 of its own. A batch
-	// item without a pool runs a one-worker engine.
-	r.ct.Forks = r.batchForks
-	if w := r.workers(); r.ct.Forks == nil && w > 1 {
-		r.ct.Forks = celltree.NewForks(w - 1)
+	if r.opts.Space == Original && r.dim > 3 {
+		// An original-space cell is a cone whose apex, the origin, lies on
+		// every record hyperplane: clipping 4-d cones costs more than the
+		// LPs their vertices save (EXPERIMENTS.md, fig22), so cones carry
+		// vertices only up to 3-d.
+		r.ct.Root.Geom = nil
 	}
 	r.ct.Ctx = r.opts.Ctx
 

@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math/rand"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -171,5 +172,53 @@ func TestSampleCells(t *testing.T) {
 				t.Fatalf("cell %d: %s constraint set infeasible", i, name)
 			}
 		}
+	}
+}
+
+// TestRowsPrintTheirK renders fig24 at tiny scale, where kDefault clamps
+// the paper's k=30 down to 5, and checks that every row prints the k it
+// queried under a "k" column and that no label claims k=30.
+func TestRowsPrintTheirK(t *testing.T) {
+	var buf bytes.Buffer
+	cfg := tinyConfig(&buf)
+	if err := Fig24(cfg); err != nil {
+		t.Fatal(err)
+	}
+	out := buf.String()
+	if strings.Contains(out, "k=30") {
+		t.Fatalf("fig24 labels rows k=30 at scale %g:\n%s", cfg.Scale, out)
+	}
+	rows := 0
+	var part string
+	for _, line := range strings.Split(out, "\n") {
+		f := strings.Fields(line)
+		switch {
+		case strings.HasPrefix(line, "(a)"), strings.HasPrefix(line, "(b)"):
+			part = line[:3]
+			continue
+		case part == "" || len(f) < 2:
+			continue
+		case f[0] == "n" || f[0] == "d":
+			if f[1] != "k" {
+				t.Fatalf("fig24 %s header has no k column: %q", part, line)
+			}
+			continue
+		}
+		x, err1 := strconv.Atoi(f[0])
+		k, err2 := strconv.Atoi(f[1])
+		if err1 != nil || err2 != nil {
+			t.Fatalf("fig24 %s row does not start with two integers: %q", part, line)
+		}
+		n := x // (a) varies n
+		if part == "(b)" {
+			n = cfg.n(baseN) // (b) varies d at the base cardinality
+		}
+		if want := cfg.kDefault(n); k != want {
+			t.Fatalf("fig24 %s row %q prints k=%d, but n=%d queries k=%d", part, line, k, n, want)
+		}
+		rows++
+	}
+	if rows != 6 {
+		t.Fatalf("fig24 printed %d rows, want 6:\n%s", rows, out)
 	}
 }

@@ -216,17 +216,16 @@ func Fig18(cfg Config) error {
 		fmt.Fprintln(w)
 	}
 
-	fmt.Fprintln(w, "(b) effect of d (k=30; d>=5 omitted: record/group bounds need LPs per entry there and do not terminate at useful scale)")
-	fmt.Fprintf(w, "%4s %14s %14s %14s\n", "d", "fast (s)", "group (s)", "record (s)")
-	for _, d := range []int{2, 3, 4} {
-		bn := baseN
-		wl, err := buildWorkload(dataset.Independent, cfg.n(bn), d, cfg.Seed)
+	fmt.Fprintln(w, "(b) effect of d")
+	fmt.Fprintf(w, "%4s %4s %14s %14s %14s\n", "d", "k", "fast (s)", "group (s)", "record (s)")
+	for _, d := range []int{2, 3, 4, 5} {
+		wl, err := buildWorkload(dataset.Independent, cfg.n(baseN), d, cfg.Seed)
 		if err != nil {
 			return err
 		}
 		kEff := cfg.kDefault(wl.ds.Len())
 		focals := cfg.focals(wl, kEff, cfg.Seed+int64(d))
-		fmt.Fprintf(w, "%4d", d)
+		fmt.Fprintf(w, "%4d %4d", d, kEff)
 		for _, mode := range modes {
 			m, err := wl.measure(focals, core.Options{
 				K: kEff, Algorithm: core.LPCTA, Bounds: mode, FinalizeGeometry: false,

@@ -38,14 +38,14 @@ func Fig19(cfg Config) error {
 	w := cfg.Out
 	header(w, "fig19", "disk-based scenario (CPU + simulated I/O)")
 
-	printRows := func(wl *workload, focals []int, label string) error {
+	printRows := func(wl *workload, focals []int, k int, label string) error {
 		for _, algo := range []core.Algorithm{core.PCTA, core.LPCTA} {
-			cpu, io, err := wl.measureDisk(focals, core.Options{K: cfg.kDefault(wl.ds.Len()), Algorithm: algo, FinalizeGeometry: false})
+			cpu, io, err := wl.measureDisk(focals, core.Options{K: k, Algorithm: algo, FinalizeGeometry: false})
 			if err != nil {
 				return err
 			}
-			fmt.Fprintf(w, "  %-10s %-8v cpu=%-10s io=%-10s total=%s\n",
-				label, algo, seconds(cpu), seconds(io), seconds(cpu+io))
+			fmt.Fprintf(w, "  %-10s k=%-4d %-8v cpu=%-10s io=%-10s total=%s\n",
+				label, k, algo, seconds(cpu), seconds(io), seconds(cpu+io))
 		}
 		return nil
 	}
@@ -67,32 +67,34 @@ func Fig19(cfg Config) error {
 		}
 	}
 
-	fmt.Fprintln(w, "(b) effect of n (IND, d=4, k=30)")
+	fmt.Fprintln(w, "(b) effect of n (IND, d=4)")
 	for _, bn := range []int{baseN / 10, baseN, baseN * 5} {
 		n := cfg.n(bn)
 		wl, err := buildWorkload(dataset.Independent, n, defaultD, cfg.Seed)
 		if err != nil {
 			return err
 		}
-		focals := cfg.focals(wl, cfg.kDefault(n), cfg.Seed+int64(n))
-		if err := printRows(wl, focals, fmt.Sprintf("n=%d", n)); err != nil {
+		k := cfg.kDefault(n)
+		focals := cfg.focals(wl, k, cfg.Seed+int64(n))
+		if err := printRows(wl, focals, k, fmt.Sprintf("n=%d", n)); err != nil {
 			return err
 		}
 	}
 
-	fmt.Fprintln(w, "(c) effect of d (IND, k=30; d>=5 omitted, see EXPERIMENTS.md)")
-	for _, d := range []int{3, 4} {
+	fmt.Fprintln(w, "(c) effect of d (IND)")
+	for _, d := range []int{3, 4, 5} {
 		wl, err := buildWorkload(dataset.Independent, cfg.n(baseN), d, cfg.Seed)
 		if err != nil {
 			return err
 		}
-		focals := cfg.focals(wl, cfg.kDefault(wl.ds.Len()), cfg.Seed+int64(d))
-		if err := printRows(wl, focals, fmt.Sprintf("d=%d", d)); err != nil {
+		k := cfg.kDefault(wl.ds.Len())
+		focals := cfg.focals(wl, k, cfg.Seed+int64(d))
+		if err := printRows(wl, focals, k, fmt.Sprintf("d=%d", d)); err != nil {
 			return err
 		}
 	}
 
-	fmt.Fprintln(w, "(d) real datasets (k=30)")
+	fmt.Fprintln(w, "(d) real datasets")
 	for _, ds := range []*dataset.Dataset{
 		dataset.Hotel(cfg.n(41884), cfg.Seed),
 		dataset.House(cfg.n(31526), cfg.Seed),
@@ -102,8 +104,9 @@ func Fig19(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		focals := cfg.focals(wl, cfg.kDefault(ds.Len()), cfg.Seed)
-		if err := printRows(wl, focals, ds.Name); err != nil {
+		k := cfg.kDefault(ds.Len())
+		focals := cfg.focals(wl, k, cfg.Seed)
+		if err := printRows(wl, focals, k, ds.Name); err != nil {
 			return err
 		}
 	}
@@ -179,20 +182,20 @@ func Fig22(cfg Config) error {
 		fmt.Fprintln(w)
 	}
 
-	fmt.Fprintln(w, "(b) effect of d (k=30)")
-	fmt.Fprintf(w, "%4s", "d")
+	fmt.Fprintln(w, "(b) effect of d")
+	fmt.Fprintf(w, "%4s %4s", "d", "k")
 	for _, v := range variants {
 		fmt.Fprintf(w, " %12s", v.name)
 	}
 	fmt.Fprintln(w)
-	for _, d := range []int{3, 4} {
+	for _, d := range []int{3, 4, 5} {
 		wl, err := buildWorkload(dataset.Independent, cfg.n(baseN), d, cfg.Seed)
 		if err != nil {
 			return err
 		}
 		k := cfg.kDefault(wl.ds.Len())
 		focals := cfg.focals(wl, k, cfg.Seed+int64(d))
-		fmt.Fprintf(w, "%4d", d)
+		fmt.Fprintf(w, "%4d %4d", d, k)
 		for _, v := range variants {
 			opts := v.opts
 			opts.K = k
@@ -262,8 +265,8 @@ func Fig24(cfg Config) error {
 	header(w, "fig24", "amortized response time (construction / queries added)")
 	amortOver := 1000.0 // the paper amortizes over its 1000-query workloads
 
-	fmt.Fprintln(w, "(a) effect of n (d=4, k=30)")
-	fmt.Fprintf(w, "%9s %14s %14s\n", "n", "P-CTA (s)", "LP-CTA (s)")
+	fmt.Fprintln(w, "(a) effect of n (d=4)")
+	fmt.Fprintf(w, "%9s %4s %14s %14s\n", "n", "k", "P-CTA (s)", "LP-CTA (s)")
 	for _, bn := range []int{baseN / 10, baseN, baseN * 5} {
 		n := cfg.n(bn)
 		ds, err := dataset.Generate(dataset.Independent, n, defaultD, cfg.Seed)
@@ -287,11 +290,11 @@ func Fig24(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%9d %14s %14s\n", n, seconds(p.Elapsed+amort), seconds(l.Elapsed+amort))
+		fmt.Fprintf(w, "%9d %4d %14s %14s\n", n, k, seconds(p.Elapsed+amort), seconds(l.Elapsed+amort))
 	}
 
-	fmt.Fprintln(w, "(b) effect of d (k=30)")
-	fmt.Fprintf(w, "%9s %14s %14s\n", "d", "P-CTA (s)", "LP-CTA (s)")
+	fmt.Fprintln(w, "(b) effect of d")
+	fmt.Fprintf(w, "%9s %4s %14s %14s\n", "d", "k", "P-CTA (s)", "LP-CTA (s)")
 	for _, d := range []int{3, 4, 5} {
 		ds, err := dataset.Generate(dataset.Independent, cfg.n(baseN), d, cfg.Seed)
 		if err != nil {
@@ -313,7 +316,7 @@ func Fig24(cfg Config) error {
 		if err != nil {
 			return err
 		}
-		fmt.Fprintf(w, "%9d %14s %14s\n", d, seconds(p.Elapsed+amort), seconds(l.Elapsed+amort))
+		fmt.Fprintf(w, "%9d %4d %14s %14s\n", d, k, seconds(p.Elapsed+amort), seconds(l.Elapsed+amort))
 	}
 	return nil
 }

@@ -290,13 +290,13 @@ func WithContext(ctx context.Context) QueryOption {
 }
 
 // WithParallelism sets how many goroutines the expansion engine may use
-// for this query: CellTree subtree insertion, look-ahead rank-bound
-// classification, and region finalization all fan out across n workers,
-// each with its own reusable LP solver state. Results are byte-identical
-// to the serial run for every n — the engine merges work in deterministic
-// order — so the setting trades CPU for latency only. n <= 0 (the library
-// default) uses one worker per available CPU; n == 1 runs the paper's
-// single-threaded algorithms unchanged.
+// for this query: look-ahead rank-bound classification and region
+// finalization fan out across n workers, while CellTree insertion stays
+// one depth-first walk. Results are byte-identical to the serial run for
+// every n — the engine merges work in deterministic order — so the
+// setting trades CPU for latency only. n <= 0 (the library default) uses
+// one worker per available CPU; n == 1 runs the paper's single-threaded
+// algorithms unchanged.
 func WithParallelism(n int) QueryOption {
 	return func(o *core.Options) { o.Parallelism = n }
 }
@@ -354,14 +354,13 @@ func (db *DB) query(st *dbState, focal geom.Vector, focalID, k int, opts []Query
 // dataset record; set it to -1 and fill Focal to query a hypothetical
 // record instead (a non-finite Focal fails just that item). A non-zero K
 // overrides the batch-wide shortlist size; a negative K fails the item.
-// Ctx, when non-nil, cancels just this item, in addition to the batch
-// context (WithBatchOptions(WithContext(ctx))): the item stops when
-// either is done, with the error of the one that fired.
+// Every item runs under the batch context
+// (WithBatchOptions(WithContext(ctx))); WithBatchItemTimeout bounds each
+// item on its own.
 type BatchQuery struct {
 	FocalID int
 	Focal   []float64
 	K       int
-	Ctx     context.Context
 }
 
 // BatchOutcome is the per-item answer of KSPRBatch: exactly one of Result
@@ -399,10 +398,9 @@ func WithBatchItemTimeout(d time.Duration) BatchOption {
 
 // KSPRBatch answers kSPR for a panel of focal options over the dataset,
 // scheduling the items across the engine's parallelism budget
-// (WithBatchOptions(WithParallelism(n))): items run concurrently, each on
-// its share of the workers, and draw insertion fan-out from one
-// batch-wide token pool. Items share what every query on the dataset
-// shares: the k-skyband table, which the first item that needs it
+// (WithBatchOptions(WithParallelism(n))): with n workers and m items,
+// min(n, m) items run concurrently, each on n/min(n, m) workers. Items
+// share what every query on the dataset shares: the k-skyband table, which the first item that needs it
 // builds, and the LP solver pool. Each item's Result is byte-identical
 // to the corresponding KSPR / KSPRVector call; per-item failures land in
 // the item's BatchOutcome, so one bad item cannot sink its siblings. The
@@ -419,7 +417,7 @@ func (db *DB) KSPRBatch(queries []BatchQuery, k int, opts ...BatchOption) ([]Bat
 	}
 	items := make([]core.BatchItem, len(queries))
 	for i, q := range queries {
-		items[i] = core.BatchItem{FocalID: q.FocalID, K: q.K, Ctx: q.Ctx}
+		items[i] = core.BatchItem{FocalID: q.FocalID, K: q.K}
 		if q.FocalID < 0 {
 			items[i].Focal = geom.Vector(q.Focal)
 		}
