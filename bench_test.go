@@ -195,61 +195,95 @@ func BenchmarkOpenStore(b *testing.B) {
 	}
 }
 
-// BenchmarkApply times one mutation batch shaped like the wide
-// workload's writer on IND n=100000, d=3: an insert drawn from
+// BenchmarkApply times one mutation batch on IND d=3 data. memory and
+// wal run the wide workload's writer at n=100000: an insert drawn from
 // [0, 0.5]^3 plus the delete of the record the previous batch inserted,
-// so n stays put. memory runs it on a DB built by Open; wal on a
-// WAL-backed DB, whose automatic snapshots (every 256 batches) also
-// write the index file.
+// so n stays put and the index is patched. memory runs it on a DB built
+// by Open; wal on a WAL-backed DB, whose automatic snapshots (every 256
+// batches) also write the index file. front deletes the lowest live id
+// instead, which shifts every dense id, so the index is rebuilt; reload
+// deletes every record of an n=400 DB and inserts them again, the batch a
+// repeated ksprd load applies, which rebuilds too.
 func BenchmarkApply(b *testing.B) {
 	ds, err := dataset.Generate(dataset.Independent, 100000, 3, 1)
 	if err != nil {
 		b.Fatal(err)
 	}
-	open := map[string]func(b *testing.B) *kspr.DB{
-		"memory": func(b *testing.B) *kspr.DB {
-			db, err := kspr.Open(ds.Float64s())
-			if err != nil {
+	openMemory := func(b *testing.B) *kspr.DB {
+		db, err := kspr.Open(ds.Float64s())
+		if err != nil {
+			b.Fatal(err)
+		}
+		return db
+	}
+	openWAL := func(b *testing.B) *kspr.DB {
+		db, err := kspr.OpenStore(b.TempDir())
+		if err != nil {
+			b.Fatal(err)
+		}
+		muts := make([]kspr.Mutation, ds.Len())
+		for i, r := range ds.Float64s() {
+			muts[i] = kspr.Insert(r...)
+		}
+		if _, err := db.Apply(muts...); err != nil {
+			b.Fatal(err)
+		}
+		return db
+	}
+	// batches runs b.N batches, each an insert plus the delete that
+	// victim names from the DB and the previous batch's result.
+	batches := func(b *testing.B, db *kspr.DB, victim func(*kspr.DB, *kspr.ApplyResult) int64) {
+		defer db.Close()
+		rng := rand.New(rand.NewSource(1))
+		insert := func() kspr.Mutation {
+			return kspr.Insert(0.5*rng.Float64(), 0.5*rng.Float64(), 0.5*rng.Float64())
+		}
+		res, err := db.Apply(insert())
+		if err != nil {
+			b.Fatal(err)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if res, err = db.Apply(insert(), kspr.Delete(victim(db, res))); err != nil {
 				b.Fatal(err)
 			}
-			return db
-		},
-		"wal": func(b *testing.B) *kspr.DB {
-			db, err := kspr.OpenStore(b.TempDir())
-			if err != nil {
-				b.Fatal(err)
+		}
+	}
+	previous := func(_ *kspr.DB, res *kspr.ApplyResult) int64 { return res.IDs[0] }
+	lowest := func(db *kspr.DB, _ *kspr.ApplyResult) int64 {
+		id, _ := db.StableID(0)
+		return id
+	}
+	b.Run("memory", func(b *testing.B) { batches(b, openMemory(b), previous) })
+	b.Run("wal", func(b *testing.B) { batches(b, openWAL(b), previous) })
+	b.Run("front", func(b *testing.B) { batches(b, openMemory(b), lowest) })
+	b.Run("reload", func(b *testing.B) {
+		small, err := dataset.Generate(dataset.Independent, 400, 3, 1)
+		if err != nil {
+			b.Fatal(err)
+		}
+		rows := small.Float64s()
+		db, err := kspr.Open(rows)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer db.Close()
+		muts := make([]kspr.Mutation, 2*len(rows))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			for j, r := range rows {
+				id, _ := db.StableID(j)
+				muts[j], muts[len(rows)+j] = kspr.Delete(id), kspr.Insert(r...)
 			}
-			muts := make([]kspr.Mutation, ds.Len())
-			for i, r := range ds.Float64s() {
-				muts[i] = kspr.Insert(r...)
-			}
+			b.StartTimer()
 			if _, err := db.Apply(muts...); err != nil {
 				b.Fatal(err)
 			}
-			return db
-		},
-	}
-	for _, name := range []string{"memory", "wal"} {
-		b.Run(name, func(b *testing.B) {
-			db := open[name](b)
-			defer db.Close()
-			rng := rand.New(rand.NewSource(1))
-			insert := func() kspr.Mutation {
-				return kspr.Insert(0.5*rng.Float64(), 0.5*rng.Float64(), 0.5*rng.Float64())
-			}
-			res, err := db.Apply(insert())
-			if err != nil {
-				b.Fatal(err)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if res, err = db.Apply(insert(), kspr.Delete(res.IDs[0])); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkOpen times kspr.Open on the deep workload's dataset, IND

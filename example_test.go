@@ -129,6 +129,7 @@ func ExampleDB_KSPRBatch() {
 }
 
 // ExampleDB_TopK shows the plain top-k query against the same index.
+// Records 1 and 3 both score exactly 0.5; ties rank by ascending id.
 func ExampleDB_TopK() {
 	records := [][]float64{
 		{0.3, 0.8, 0.8},
@@ -139,7 +140,7 @@ func ExampleDB_TopK() {
 	}
 	db, _ := kspr.Open(records)
 	fmt.Println(db.TopK([]float64{0.2, 0.2, 0.6}, 3))
-	// Output: [0 4 3]
+	// Output: [0 4 1]
 }
 
 func TestResultJSONRoundTrip(t *testing.T) {

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"cmp"
 	"container/heap"
 	"slices"
 	"sort"
@@ -182,8 +183,12 @@ func (b *bandByID) Swap(i, j int) {
 }
 
 // TopK returns the k record IDs with the highest scores under weight vector
-// w (original d-dimensional weights), best first. Branch-and-bound on the
-// max-corner score.
+// w (original d-dimensional weights of any sign), best first, exact score
+// ties by ascending id, so the answer depends on the records alone and
+// not on how the tree groups them. Branch-and-bound on each entry's
+// highest score over its MBR (see maxScore); the walk stops only once
+// that bound falls strictly below the k-th score, so every record tied
+// with it is ranked.
 func (t *Tree) TopK(w geom.Vector, k int) []int {
 	if k <= 0 {
 		return nil
@@ -196,26 +201,31 @@ func (t *Tree) TopK(w geom.Vector, k int) []int {
 	h := &entryHeap{}
 	t.visit(t.Root)
 	for _, e := range t.Root.Entries {
-		heap.Push(h, heapItem{e, e.High.Dot(w)})
+		heap.Push(h, heapItem{e, maxScore(e, w)})
 	}
 	for h.Len() > 0 {
 		it := heap.Pop(h).(heapItem)
-		if len(result) >= k && it.key <= result[len(result)-1].score {
-			break // no remaining entry can beat the current k-th score
+		if len(result) >= k && it.key < result[k-1].score {
+			break // no remaining entry can reach the current k-th score
 		}
 		e := it.entry
 		if e.Child != nil {
 			t.visit(e.Child)
 			for _, ce := range e.Child.Entries {
-				heap.Push(h, heapItem{ce, ce.High.Dot(w)})
+				heap.Push(h, heapItem{ce, maxScore(ce, w)})
 			}
 			continue
 		}
-		s := t.Records[e.RecordID].Dot(w)
-		result = append(result, scored{e.RecordID, s})
-		sort.Slice(result, func(a, b int) bool { return result[a].score > result[b].score })
-		if len(result) > k {
-			result = result[:k]
+		s := scored{e.RecordID, t.Records[e.RecordID].Dot(w)}
+		i, _ := slices.BinarySearchFunc(result, s, func(a, b scored) int {
+			if c := cmp.Compare(b.score, a.score); c != 0 {
+				return c
+			}
+			return cmp.Compare(a.id, b.id)
+		})
+		if i < k {
+			result = slices.Insert(result, i, s)
+			result = result[:min(len(result), k)]
 		}
 	}
 	ids := make([]int, len(result))
@@ -223,6 +233,22 @@ func (t *Tree) TopK(w geom.Vector, k int) []int {
 		ids[i] = s.id
 	}
 	return ids
+}
+
+// maxScore bounds the score under w of every record in e's subtree: the
+// dot product of w with the MBR corner that is high where w_j >= 0 and
+// low where w_j < 0. It sums in the order Dot does, and rounding is
+// monotone, so on a record's own entry it equals the record's score.
+func maxScore(e Entry, w geom.Vector) float64 {
+	s := 0.0
+	for j, x := range w {
+		if x >= 0 {
+			s += x * e.High[j]
+		} else {
+			s += x * e.Low[j]
+		}
+	}
+	return s
 }
 
 // Dominators returns the IDs of records other than record exclude that

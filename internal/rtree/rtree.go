@@ -16,6 +16,12 @@
 // leaf order can be exported with LeafOrder and a structurally identical
 // tree reassembled in O(n) with BuildFromOrder — the basis of the
 // persisted-index warm start.
+//
+// A tree is immutable once built. Patch derives the tree of the next
+// generation of a record set from it copy-on-write (see patch.go): leaves
+// the change leaves alone are shared, the others are copied and changed
+// records placed by one descent each, so a small batch costs O(n) copying
+// plus work in proportion to the batch instead of an STR build.
 package rtree
 
 import (
@@ -68,8 +74,9 @@ type BandTable struct {
 	Cnt []int32
 }
 
-// Tree is a bulk-loaded aggregate R-tree over a record set. Records are
-// identified by their index in the backing slice.
+// Tree is an aggregate R-tree over a record set, bulk-loaded or patched
+// from the tree of the previous generation. Records are identified by
+// their index in the backing slice.
 type Tree struct {
 	Dim     int
 	Records []geom.Vector
@@ -79,7 +86,7 @@ type Tree struct {
 	// exact record set that serves skyband queries without a traversal.
 	// The first KSkybandExcluding fills it. The tree is immutable
 	// otherwise, so the slot only ever deepens and needs no
-	// invalidation; it is never carried across rebuilds.
+	// invalidation; it is never carried across rebuilds or patches.
 	band atomic.Pointer[BandTable]
 
 	// flat is the dense row-major backing of Records: flat[i*Dim+j] is
@@ -88,6 +95,14 @@ type Tree struct {
 
 	fanout int
 	pages  int
+	// nextPage is the first page id no node of the tree holds: Build
+	// numbers pages 0..pages-1, and Patch numbers its new nodes from the
+	// parent's nextPage on, so page ids stay unique within a tree.
+	nextPage int
+	// leafLevel holds one entry per leaf, left to right: the leaf's MBR,
+	// its count and the node. The nodes one level up slice their
+	// entries from it.
+	leafLevel []Entry
 	// Aggregate records whether subtree counts were materialized. A plain
 	// R-tree (Aggregate=false) is structurally identical but exposes no
 	// counts; it exists to reproduce the index-construction comparison of
@@ -163,10 +178,11 @@ func Build(records []geom.Vector, opts ...Option) (*Tree, error) {
 	return t, nil
 }
 
-// LeafOrder exports the tree's STR leaf layout: the record ids in
+// LeafOrder exports the tree's leaf layout: the record ids in
 // left-to-right leaf order, and the exclusive end offset of each leaf
 // node's run within that order. Feeding both back into BuildFromOrder
-// over the same record set reproduces this tree exactly.
+// over the same record set reproduces this tree node for node, and for a
+// tree Build made also page for page.
 func (t *Tree) LeafOrder() (order, groupEnds []int32) {
 	order = make([]int32, 0, len(t.Records))
 	var walk func(n *Node)
@@ -186,14 +202,14 @@ func (t *Tree) LeafOrder() (order, groupEnds []int32) {
 	return order, groupEnds
 }
 
-// BuildFromOrder reassembles in O(n) the exact tree that Build produced,
-// from a leaf layout previously exported by LeafOrder: same leaf
-// grouping, same upper-level structure, same page numbering — so every
-// query (and therefore every kSPR result) is byte-identical to the
-// cold-built tree's. The layout is validated (a permutation of the
-// record ids, strictly increasing group ends covering all records, no
-// group over fanout); an invalid layout is an error, and callers fall
-// back to a cold Build.
+// BuildFromOrder reassembles in O(n) the exact tree that Build or Patch
+// produced, from a leaf layout previously exported by LeafOrder: same
+// leaf grouping, same upper-level structure (and, for a built tree, same
+// page numbering) — so every query (and therefore every kSPR result) is
+// byte-identical to the original tree's. The layout is validated (a
+// permutation of the record ids, strictly increasing group ends covering
+// all records, no group over fanout); an invalid layout is an error, and
+// callers fall back to a cold Build.
 func BuildFromOrder(records []geom.Vector, order, groupEnds []int32, opts ...Option) (*Tree, error) {
 	t, err := newTree(records, opts)
 	if err != nil {
@@ -226,18 +242,18 @@ func BuildFromOrder(records []geom.Vector, order, groupEnds []int32, opts ...Opt
 
 // assemble materializes the tree from a leaf layout: order lists the
 // record ids left to right, and groupEnds[g] is the exclusive end of
-// leaf g's run in order. The leaves are paged first, in order; each upper
-// level then groups runs of fanout consecutive nodes of the level below
-// (they are already spatially clustered by the STR order) and is paged
-// after it. Build and BuildFromOrder share this phase, which is what
-// makes the warm-rebuilt tree structurally identical to the cold one.
+// leaf g's run in order. The leaves are paged first, in order, and
+// stack builds the levels above them. Build and BuildFromOrder share
+// this phase, which is what makes the warm-rebuilt tree structurally
+// identical to the cold one.
 //
-// All leaf entries come from one []Entry and all nodes of a level from
-// one []Node. Each leaf's Entries is capacity-clipped, so an append never
-// spills into its neighbour.
+// All leaf entries come from one []Entry and all leaves from one []Node.
+// Each leaf's Entries is capacity-clipped, so an append never spills
+// into its neighbour.
 func (t *Tree) assemble(order, groupEnds []int32) {
-	level := make([]Node, len(groupEnds))
+	leaves := make([]Node, len(groupEnds))
 	entries := make([]Entry, len(order))
+	level := make([]Entry, len(groupEnds))
 	start := int32(0)
 	for g, end := range groupEnds {
 		es := entries[start:end:end]
@@ -245,28 +261,55 @@ func (t *Tree) assemble(order, groupEnds []int32) {
 			r := t.Records[id]
 			es[i] = Entry{Low: r, High: r, Count: 1, RecordID: int(id)}
 		}
-		level[g] = Node{Leaf: true, Entries: es, Page: g}
+		leaves[g] = Node{Leaf: true, Entries: es, Page: g}
+		level[g] = t.entryOf(&leaves[g])
 		start = end
 	}
+	t.nextPage = len(leaves)
+	t.stack(level)
+}
+
+// stack installs level, one entry per leaf from left to right, as the
+// tree's leaf level and builds the levels above it: each upper level
+// groups runs of fanout consecutive entries of the level below (the
+// leaves are already spatially clustered, by the STR order or by the
+// parent a patch shares them with) into one node, paged after every
+// node numbered before it. The upper levels of every tree, built or
+// patched, come from here, so a tree is a function of its leaf sequence.
+//
+// All nodes of a level come from one []Node, and a node's entries are a
+// capacity-clipped run of the level below's entries.
+func (t *Tree) stack(level []Entry) {
+	t.leafLevel = level
 	t.pages = len(level)
+	t.Root = level[0].Child
 	for len(level) > 1 {
-		next := make([]Node, (len(level)+t.fanout-1)/t.fanout)
-		for i := range next {
-			children := level[i*t.fanout : min((i+1)*t.fanout, len(level))]
-			es := make([]Entry, len(children))
-			for j := range children {
-				low, high, count := nodeMBR(&children[j], t.Dim)
-				if !t.Aggregate {
-					count = 0
-				}
-				es[j] = Entry{Low: low, High: high, Count: count, Child: &children[j]}
-			}
-			next[i] = Node{Entries: es, Page: t.pages}
-			t.pages++
+		nodes := make([]Node, (len(level)+t.fanout-1)/t.fanout)
+		for i := range nodes {
+			end := min((i+1)*t.fanout, len(level))
+			nodes[i] = Node{Entries: level[i*t.fanout : end : end], Page: t.nextPage}
+			t.nextPage++
 		}
-		level = next
+		t.pages += len(nodes)
+		t.Root = &nodes[0]
+		if len(nodes) == 1 {
+			return
+		}
+		level = make([]Entry, len(nodes))
+		for i := range nodes {
+			level[i] = t.entryOf(&nodes[i])
+		}
 	}
-	t.Root = &level[0]
+}
+
+// entryOf returns the entry that points at node n: n's MBR and, in an
+// aggregate tree, its record count.
+func (t *Tree) entryOf(n *Node) Entry {
+	low, high, count := nodeMBR(n, t.Dim)
+	if !t.Aggregate {
+		count = 0
+	}
+	return Entry{Low: low, High: high, Count: count, Child: n}
 }
 
 // slot is one record in strTile's radix sort: the order-preserving key
@@ -453,6 +496,9 @@ func (t *Tree) visit(n *Node) {
 
 // Pages returns the total number of pages (nodes) in the tree.
 func (t *Tree) Pages() int { return t.pages }
+
+// Leaves returns the number of leaf nodes in the tree.
+func (t *Tree) Leaves() int { return len(t.leafLevel) }
 
 // FlatRows returns the dense row-major backing array of the records:
 // FlatRows()[i*Dim : (i+1)*Dim] is record i. Whole-dataset kernels (see

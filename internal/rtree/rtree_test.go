@@ -361,42 +361,44 @@ func TestSkylineReadsBandTable(t *testing.T) {
 	}
 }
 
+// TestTopKMatchesBruteForce pins TopK to a sort of every record by
+// descending score, exact ties by ascending id: on random and on 5-value
+// grid data (dense with exact score ties), under positive and under
+// mixed-sign weights, ids and scores alike.
 func TestTopKMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
-	for trial := 0; trial < 20; trial++ {
+	for trial := 0; trial < 80; trial++ {
 		n := 50 + rng.Intn(200)
 		d := 2 + rng.Intn(3)
+		grid, mixed := trial%2 == 1, trial%4 >= 2
 		recs := randRecords(rng, n, d)
+		if grid {
+			recs = randWarmRecords(rng, n, d, true)
+		}
 		tr, _ := Build(recs, WithFanout(8))
 		w := make(geom.Vector, d)
-		var sum float64
 		for j := range w {
-			w[j] = rng.Float64() + 0.01
-			sum += w[j]
-		}
-		for j := range w {
-			w[j] /= sum
+			switch {
+			case mixed && grid:
+				w[j] = float64(rng.Intn(5)-2) / 4
+			case mixed:
+				w[j] = 2*rng.Float64() - 1
+			default:
+				w[j] = rng.Float64() + 0.01
+			}
 		}
 		k := 1 + rng.Intn(10)
 		got := tr.TopK(w, k)
-		// Brute force.
 		ids := make([]int, n)
 		for i := range ids {
 			ids[i] = i
 		}
-		sort.Slice(ids, func(a, b int) bool {
+		sort.SliceStable(ids, func(a, b int) bool {
 			return recs[ids[a]].Dot(w) > recs[ids[b]].Dot(w)
 		})
 		want := ids[:k]
-		if len(got) != k {
-			t.Fatalf("got %d results, want %d", len(got), k)
-		}
-		for i := range got {
-			// Compare scores rather than IDs to tolerate exact ties.
-			gs, ws := recs[got[i]].Dot(w), recs[want[i]].Dot(w)
-			if gs != ws {
-				t.Fatalf("trial %d: rank %d score %v, want %v", trial, i, gs, ws)
-			}
+		if !equalInts(got, want) {
+			t.Fatalf("trial %d (grid %v, weights %v): top-%d %v, want %v", trial, grid, w, k, got, want)
 		}
 	}
 }

@@ -7,12 +7,15 @@ package kspr
 // by Open or by OpenStore, runs one Apply path: its store validates the
 // batch against the records the current index holds, assigns ids and
 // logs the batch (a store without a directory logs nothing), and the
-// next generation's records are indexed once. Writing the index file
-// beside a snapshot is the one step only a store with a directory takes.
-// See docs/ARCHITECTURE.md, "Durability & consistency model".
+// next generation's records are indexed, by patching the current index
+// when the batch is small against it and by an STR build otherwise (see
+// successor). Writing the index file beside a snapshot is the one step
+// only a store with a directory takes. See docs/ARCHITECTURE.md,
+// "Durability & consistency model".
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 
 	"repro/internal/core"
@@ -204,6 +207,81 @@ func newState(recs store.Records, idx *store.IndexSnapshot) (*dbState, error) {
 	return state, nil
 }
 
+// The thresholds of Apply's choice between patching the index and
+// building it; EXPERIMENTS.md has the measurements that fixed them.
+const (
+	// patchBatchShare caps the batches Apply patches: the records a
+	// batch changes, and the records its deletes shift, must each number
+	// fewer than patchBatchShare × the parent's leaves. A patch copies
+	// about one leaf per such record, and past about half the leaf count
+	// that costs more than an STR build.
+	patchBatchShare = 0.25
+	// patchLeafGrowth caps the leaves of an index that Apply patches: a
+	// parent with patchLeafGrowth × ceil(n/fanout) leaves or more is
+	// rebuilt. Patching adds leaves only by splitting full ones; a tree
+	// with more, emptier leaves is larger and, past the range measured,
+	// may be slower to search.
+	patchLeafGrowth = 1.5
+)
+
+// successor indexes next, the generation that the mutations applied took
+// st to. A batch that is small against st's index patches it
+// (rtree.Tree.Patch), which shares every leaf the batch leaves alone:
+// it costs the O(n) copy of the rows plus one tree descent per changed
+// record, where a build sorts all n records again. Any other batch
+// builds, as newState does, and so does every batch on an empty parent.
+func (st *dbState) successor(next store.Records, applied []store.Applied) (*dbState, error) {
+	if st.tree != nil {
+		if tree := st.patch(next, applied); tree != nil {
+			return &dbState{tree: tree, gen: next.Gen, ids: next.IDs}, nil
+		}
+	}
+	return newState(next, nil)
+}
+
+// patch derives next's index from st's, or returns nil when the batch
+// should build instead. It patches when the rows keep st's
+// dimensionality, every update and delete names a distinct record st
+// holds (an update or delete of the batch's own insert builds), the
+// mutations and the records a delete shifts down (those above the lowest
+// deleted id) each number fewer than patchBatchShare × st's leaves, and
+// st's leaves are fewer than patchLeafGrowth × ceil(n/fanout).
+func (st *dbState) patch(next store.Records, applied []store.Applied) *rtree.Tree {
+	t := st.tree
+	n := t.Len()
+	small := func(records int) bool { return float64(records) < patchBatchShare*float64(t.Leaves()) }
+	if len(next.Rows) == 0 || len(next.Rows[0]) != t.Dim || !small(len(applied)) ||
+		float64(t.Leaves()) >= patchLeafGrowth*float64((n+rtree.DefaultFanout-1)/rtree.DefaultFanout) {
+		return nil
+	}
+	var deleted, updated []int
+	for _, a := range applied {
+		if a.Op == store.OpInsert {
+			continue
+		}
+		i, ok := st.dense(a.ID)
+		if !ok {
+			return nil
+		}
+		if a.Op == store.OpDelete {
+			deleted = append(deleted, i)
+		} else {
+			updated = append(updated, i)
+		}
+	}
+	slices.Sort(deleted)
+	slices.Sort(updated)
+	if len(deleted) > 0 && !small(n-deleted[0]-len(deleted)) {
+		return nil
+	}
+	// Patch refuses a repeated id, so a batch naming one builds.
+	tree, err := t.Patch(next.Rows, deleted, updated, len(applied)-len(deleted)-len(updated))
+	if err != nil {
+		return nil
+	}
+	return tree
+}
+
 // records hands the generation to the store: its stable ids and the rows
 // its index holds.
 func (st *dbState) records() store.Records {
@@ -269,7 +347,10 @@ func (db *DB) Freeze() *DB {
 // started with; queries issued after Apply returns see the new
 // generation. For DBs opened with OpenStore the batch is WAL-appended
 // before it becomes visible, so an acknowledged Apply survives a crash.
-// Apply fails once the DB is closed. Watchers run synchronously (in
+// The new generation's index shares the leaves a small batch leaves
+// alone with the current one, so such a batch costs a copy of the
+// records rather than an index build; loads, reloads and bulk batches
+// build. Apply fails once the DB is closed. Watchers run synchronously (in
 // Apply's goroutine) after the swap, in registration order. Apply is
 // safe for concurrent use; batches serialize.
 func (db *DB) Apply(muts ...Mutation) (*ApplyResult, error) {
@@ -288,11 +369,12 @@ func (db *DB) Apply(muts ...Mutation) (*ApplyResult, error) {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	next, applied, err := db.store.Apply(db.st.Load().records(), muts)
+	cur := db.st.Load()
+	next, applied, err := db.store.Apply(cur.records(), muts)
 	if err != nil {
 		return nil, fmt.Errorf("kspr: %w", err)
 	}
-	state, err := newState(next, nil)
+	state, err := cur.successor(next, applied)
 	if err != nil {
 		return nil, err
 	}
